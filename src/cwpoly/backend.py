@@ -38,6 +38,10 @@ class Backend:
     def is_zero(self, a: Scalar) -> bool:
         return self.eq(a, 0)
 
+    def same_point(self, p, q) -> bool:
+        """Coordinatewise ``eq`` of two Vec2 (literal ``==`` when exact)."""
+        return self.eq(p.x, q.x) and self.eq(p.y, q.y)
+
     def sign(self, a: Scalar) -> int:
         raise NotImplementedError
 
@@ -91,9 +95,7 @@ class RationalBackend(Backend):
 class FloatBackend(Backend):
     name = "float"
     exact = False
-
-    def __init__(self, eps: float = DEFAULT_EPS):
-        self.eps = float(eps)
+    eps = DEFAULT_EPS
 
     def convert(self, value) -> float:
         if isinstance(value, str):
@@ -121,14 +123,23 @@ RATIONAL = RationalBackend()
 FLOAT = FloatBackend()
 
 
-def get_backend(name: str, eps: float = DEFAULT_EPS) -> Backend:
+def get_backend(name: str) -> Backend:
     if name == "rational":
         return RATIONAL
     if name == "float":
-        return FloatBackend(eps) if eps != DEFAULT_EPS else FLOAT
+        return FLOAT
     raise ValueError(f"unknown backend {name!r} (expected 'rational' or 'float')")
 
 
-def parse_scalar(text, backend: Backend) -> Scalar:
-    """Parse a CLI/JSON scalar: int, decimal, or exact 'p/q' string."""
-    return backend.convert(text)
+def parse_scalar(text, backend: Backend, what: str = "scalar") -> Scalar:
+    """Parse a CLI/JSON scalar: int, decimal, or exact 'p/q' string.
+
+    Malformed, non-finite, zero-denominator and (in float mode) out-of-range
+    values raise InputError.
+    """
+    try:
+        return backend.convert(text)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
+        from .core import InputError  # core imports this module
+
+        raise InputError(f"bad {what} {text!r}: {e}") from e

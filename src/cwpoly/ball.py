@@ -270,8 +270,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     target = [w * (2 * a) for w in uv]
     shift = None
     for r in range(m):
-        if all(backend.eq(s[(r + i) % m].x, target[i].x)
-               and backend.eq(s[(r + i) % m].y, target[i].y) for i in range(m)):
+        if all(backend.same_point(s[(r + i) % m], target[i]) for i in range(m)):
             shift = r
             break
     if shift is None:

@@ -265,8 +265,8 @@ class PairedPolygon:
         edges = [self.edge(i) for i in range(m)]
         for i in range(self.n):
             e, f = edges[i], edges[(i + self.n) % m]
-            e0 = e == Vec2(0, 0) if self.backend.exact else (sgn(e.x) == 0 and sgn(e.y) == 0)
-            f0 = f == Vec2(0, 0) if self.backend.exact else (sgn(f.x) == 0 and sgn(f.y) == 0)
+            e0 = sgn(e.x) == 0 and sgn(e.y) == 0
+            f0 = sgn(f.x) == 0 and sgn(f.y) == 0
             if e0 and f0:
                 raise InputError(f"both opposite sides degenerate at index {i}")
             if not e0 and not f0 and sgn(det(e, f)) != 0:
@@ -300,7 +300,7 @@ class CenteredBall:
         be = self.backend
         for i in range(self.n):
             w = v[(i + self.n) % m]
-            if not (be.eq(w.x, -v[i].x) and be.eq(w.y, -v[i].y)):
+            if not be.same_point(w, -v[i]):
                 raise InputError(f"ball not centrally symmetric at index {i}")
         for i in range(m):
             if be.sign(det(v[i], v[(i + 1) % m])) <= 0:

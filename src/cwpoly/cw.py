@@ -75,8 +75,7 @@ def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
     m = 2 * plane.n
     pv = paired.vertices
     mid = [(pv[i] + pv[(i + plane.n) % m]) / 2 for i in range(m)]
-    degenerate = all(mid[i] == mid[0] for i in range(1, m)) if backend.exact else all(
-        backend.eq(mid[i].x, mid[0].x) and backend.eq(mid[i].y, mid[0].y) for i in range(1, m))
+    degenerate = all(backend.same_point(mid[i], mid[0]) for i in range(1, m))
     al = alphas_of(mid, u, backend)
     be = betas_of(al, u)
     return CentralEquidistant(M=mid, alphas=al, betas=be, n=plane.n,

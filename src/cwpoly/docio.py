@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .backend import Backend, RATIONAL
+from .backend import Backend, RATIONAL, parse_scalar
 from .core import ConvexPolygon, InputError, PairedPolygon, Vec2
 
 
@@ -42,10 +42,8 @@ def load_document(path: str, backend: Backend = RATIONAL):
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InputError("each vertex must be a [x, y] pair")
-        try:
-            pts.append(Vec2(backend.convert(entry[0]), backend.convert(entry[1])))
-        except (ValueError, TypeError, ZeroDivisionError) as e:
-            raise InputError(f"bad coordinate {entry!r}: {e}") from e
+        pts.append(Vec2(parse_scalar(entry[0], backend, "coordinate"),
+                        parse_scalar(entry[1], backend, "coordinate")))
     if len(pts) < 3:
         raise InputError("polygon document needs at least 3 vertices")
     return name, pts

@@ -67,15 +67,10 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall | None = No
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]
         e2 = points[(i + 1) % m] - uv[(i + 1) % m] * mus[i]
-        if backend.exact:
-            if e1 != e2:
-                raise IdentityError(f"evolute defining forms disagree at edge {i}")
-        elif not (backend.eq(e1.x, e2.x) and backend.eq(e1.y, e2.y)):
+        if not backend.same_point(e1, e2):
             raise IdentityError(f"evolute defining forms disagree at edge {i}")
         out.append(e1)
-    degenerate = all(out[i] == out[0] for i in range(1, m)) if backend.exact else all(
-        backend.eq(out[i].x, out[0].x) and backend.eq(out[i].y, out[0].y)
-        for i in range(1, m))
+    degenerate = all(backend.same_point(out[i], out[0]) for i in range(1, m))
     return Evolute(E=out, mus=mus, n=m // 2, backend=backend, degenerate=degenerate)
 
 
@@ -109,15 +104,10 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     for i in range(m):
         n1 = ce.M[i] + vv[i] * ce.betas[i]
         n2 = ce.M[(i + 1) % m] + vv[i] * ce.betas[(i + 1) % m]
-        if backend.exact:
-            if n1 != n2:
-                raise IdentityError(f"involute defining forms disagree at edge {i}")
-        elif not (backend.eq(n1.x, n2.x) and backend.eq(n1.y, n2.y)):
+        if not backend.same_point(n1, n2):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
         out.append(n1)
-    degenerate = all(out[i] == out[0] for i in range(1, m)) if backend.exact else all(
-        backend.eq(out[i].x, out[0].x) and backend.eq(out[i].y, out[0].y)
-        for i in range(1, m))
+    degenerate = all(backend.same_point(out[i], out[0]) for i in range(1, m))
     return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
                     degenerate=degenerate)
 
@@ -176,10 +166,7 @@ def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     for i in range(m):
         m1 = points[i] + uv[i] * mus[i]
         m2 = points[(i - 1) % m] + uv[i] * mus[(i - 1) % m]
-        if backend.exact:
-            if m1 != m2:
-                raise IdentityError(f"dual involute defining forms disagree at {i}")
-        elif not (backend.eq(m1.x, m2.x) and backend.eq(m1.y, m2.y)):
+        if not backend.same_point(m1, m2):
             raise IdentityError(f"dual involute defining forms disagree at {i}")
         out.append(m1)
     return out, b, mus

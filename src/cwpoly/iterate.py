@@ -97,7 +97,7 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
 
     Rational mode runs the ladder exactly (coordinate size grows linearly
     with k, so max_steps defaults to 64); float mode delegates the inner
-    loop to the compiled kernel.  Non-convergence inside max_steps is not an
+    loop to the numpy kernel.  Non-convergence inside max_steps is not an
     error: the trace comes back with converged=False.
     """
     backend = plane.backend
@@ -113,15 +113,12 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
     ce = central_equidistant(plane)
     ev = evolute(plane.P.vertices, plane.U, plane.V, backend)
     if backend.exact:
-        steps = _iterate_exact(plane, ce, ev, max_steps, tol)
+        steps, tol_ok = _iterate_exact(plane, ce, ev, max_steps, tol)
     else:
         steps = _iterate_float(plane, ce, ev, max_steps, tol)
+        tol_ok = steps[-1].diam_m < tol
 
     last = steps[-1]
-    if backend.exact:
-        tol_ok = diameter_sq(last.M) < Fraction(tol) ** 2
-    else:
-        tol_ok = last.diam_m < tol
     total = 0
     for s in steps[1:]:
         total = total + s.gap_mn + s.gap_nm
@@ -138,17 +135,23 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
 
 
 def _iterate_exact(plane, ce: CentralEquidistant, ev, max_steps, tol):
+    """Run the exact ladder; returns (steps, converged).
+
+    The exact squared diameter of each M(k) is measured once and serves the
+    stop test, ``diam_m`` and the final convergence verdict.
+    """
     backend = plane.backend
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
+    d2 = diameter_sq(cur)
     steps = [IterationStep(
         k=0, M=cur, N=list(ev.E),
         sa_m=signed_area(cur), sa_n=signed_area(ev.E),
         gap_mn=0, gap_nm=signed_area(ev.E) - signed_area(cur),
-        diam_m=diameter(cur), diam_n=diameter(ev.E),
+        diam_m=math.sqrt(float(d2)), diam_n=diameter(ev.E),
     )]
     for k in range(1, max_steps + 1):
-        if diameter_sq(cur) < tol2:
+        if d2 < tol2:
             break
         al = alphas_of(cur, plane.U, backend)
         be = betas_of(al, plane.U)
@@ -156,14 +159,15 @@ def _iterate_exact(plane, ce: CentralEquidistant, ev, max_steps, tol):
         gap_mn = signed_area_gap(be, plane.V)
         nxt_m, b, mus = dual_involute(nxt_n, plane.U, plane.V, backend)
         gap_nm = dual_area_gap(mus, plane.U)
+        d2 = diameter_sq(nxt_m)
         steps.append(IterationStep(
             k=k, M=nxt_m, N=nxt_n,
             sa_m=signed_area(nxt_m), sa_n=signed_area(nxt_n),
             gap_mn=gap_mn, gap_nm=gap_nm,
-            diam_m=diameter(nxt_m), diam_n=diameter(nxt_n),
+            diam_m=math.sqrt(float(d2)), diam_n=diameter(nxt_n),
         ))
         cur = nxt_m
-    return steps
+    return steps, d2 < tol2
 
 
 def _iterate_float(plane, ce: CentralEquidistant, ev, max_steps, tol):

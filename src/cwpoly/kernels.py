@@ -1,15 +1,8 @@
-"""Float-mode iteration kernels.
+"""Float-mode iteration kernel.
 
 The involute iteration is the one hot numeric loop in this package (the
 exact-rational path is bound by bignum arithmetic instead and stays in pure
-Python).  Two implementations of the same step kernel live here:
-
-* a numba ``@njit`` version, used by default when numba is importable;
-* a pure-numpy fallback.
-
-Selection: set ``CWPOLY_NUMBA=0`` in the environment to force the numpy
-path; otherwise numba is used when available.  ``bench/bench_iterate.py``
-compares the two.
+Python).  ``_step_numpy`` is its one float step, vectorised with numpy.
 
 One step maps the current vertex-world central polygon M(k) to the
 edge-world involute N(k+1) (alpha ladder, beta window sums, shift along the
@@ -18,79 +11,7 @@ along the primal ball), returning the two exact-identity area gaps.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = os.environ.get("CWPOLY_NUMBA", "1") != "0"
-_HAVE_NUMBA = False
-if _ENV_FLAG:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        pass
-if not _HAVE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def using_numba() -> bool:
-    return _HAVE_NUMBA
-
-
-@njit(cache=True)
-def _step_njit(cur, u, v, e_dets, v_dets, out_n, out_m):  # pragma: no cover - jitted
-    m = cur.shape[0]
-    n = m // 2
-    gap_mn = 0.0
-    gap_nm = 0.0
-    alpha = np.empty(m)
-    for i in range(m):
-        j = (i + 1) % m
-        dux = u[j, 0] - u[i, 0]
-        duy = u[j, 1] - u[i, 1]
-        if abs(dux) >= abs(duy):
-            alpha[i] = (cur[j, 0] - cur[i, 0]) / dux
-        else:
-            alpha[i] = (cur[j, 1] - cur[i, 1]) / duy
-    for i in range(m):
-        acc = 0.0
-        for j in range(i, i + n):
-            jj = j - m if j >= m else j
-            acc += alpha[jj] * e_dets[jj]
-        beta = 0.5 * acc
-        out_n[i, 0] = cur[i, 0] + beta * v[i, 0]
-        out_n[i, 1] = cur[i, 1] + beta * v[i, 1]
-        if i < n:
-            gap_mn += beta * beta * v_dets[i]
-    b = np.empty(m)
-    for i in range(m):
-        j = (i - 1) % m
-        dvx = v[i, 0] - v[j, 0]
-        dvy = v[i, 1] - v[j, 1]
-        if abs(dvx) >= abs(dvy):
-            b[i] = (out_n[i, 0] - out_n[j, 0]) / dvx
-        else:
-            b[i] = (out_n[i, 1] - out_n[j, 1]) / dvy
-    for i in range(m):
-        acc = 0.0
-        for j in range(i + 1, i + n + 1):
-            jj = j - m if j >= m else j
-            acc += b[jj] * v_dets[jj]
-        mu = -0.5 * acc
-        out_m[i, 0] = out_n[i, 0] + mu * u[i, 0]
-        out_m[i, 1] = out_n[i, 1] + mu * u[i, 1]
-        if i < n:
-            gap_nm += mu * mu * e_dets[i]
-    return gap_mn, gap_nm
 
 
 def _step_numpy(cur, u, v, e_dets, v_dets, out_n, out_m):
@@ -128,7 +49,7 @@ def _diameter(x) -> float:
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
 
 
-def iterate_float(m0, u, v, max_steps: int, tol: float, force_numpy: bool = False):
+def iterate_float(m0, u, v, max_steps: int, tol: float):
     """Drive the float iteration; returns (steps, Ms, Ns, stats).
 
     Ms[k], Ns[k] are the (2n, 2) vertex arrays of M(k) and N(k) (Ns[0] is a
@@ -141,7 +62,6 @@ def iterate_float(m0, u, v, max_steps: int, tol: float, force_numpy: bool = Fals
     v = np.ascontiguousarray(v, dtype=np.float64)
     e_dets = u[:, 0] * np.roll(u[:, 1], -1) - u[:, 1] * np.roll(u[:, 0], -1)
     v_dets = np.roll(v[:, 0], 1) * v[:, 1] - np.roll(v[:, 1], 1) * v[:, 0]
-    step = _step_numpy if (force_numpy or not _HAVE_NUMBA) else _step_njit
 
     ms = [m0.copy()]
     ns = [m0.copy()]
@@ -151,7 +71,7 @@ def iterate_float(m0, u, v, max_steps: int, tol: float, force_numpy: bool = Fals
     while stats[k][4] >= tol and k < max_steps:
         out_n = np.empty_like(m0)
         out_m = np.empty_like(m0)
-        gap_mn, gap_nm = step(ms[k], u, v, e_dets, v_dets, out_n, out_m)
+        gap_mn, gap_nm = _step_numpy(ms[k], u, v, e_dets, v_dets, out_n, out_m)
         diam = _diameter(out_m)
         # far past convergence, rounding noise leaves the exact invariant
         # subspace and is amplified by the ladder sums; cut the run off once

@@ -166,18 +166,14 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_involution():
         w = dual_ball(v)
-        ok = all(w.vertices[i] == u.vertices[(i + plane.n + 1) % m] for i in range(m)) \
-            if backend.exact else all(
-                eq(w.vertices[i].x, u.vertices[(i + plane.n + 1) % m].x)
-                and eq(w.vertices[i].y, u.vertices[(i + plane.n + 1) % m].y)
-                for i in range(m))
+        ok = all(backend.same_point(w.vertices[i], u.vertices[(i + plane.n + 1) % m])
+                 for i in range(m))
         return ("index shift n+1", ok)
     guarded("ball.dual_involution", "index shift n+1", chk_involution)
 
     def chk_recovery():
         w = ball_from_dual(v)
-        ok = all(eq(w.vertices[i].x, u.vertices[i].x) and eq(w.vertices[i].y, u.vertices[i].y)
-                 for i in range(m))
+        ok = all(backend.same_point(w.vertices[i], u.vertices[i]) for i in range(m))
         return "recovers U", ok
     guarded("ball.dual_recovery", "recovers U", chk_recovery)
 
@@ -281,7 +277,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     def chk_evolute_shared():
         c2 = cs[1]
         ev2 = evolute(equidistant(ce, u, c2).vertices, u, v, backend)
-        ok = all(eq(ev2.E[i].x, ev.E[i].x) and eq(ev2.E[i].y, ev.E[i].y) for i in range(m))
+        ok = all(backend.same_point(ev2.E[i], ev.E[i]) for i in range(m))
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",
             chk_evolute_shared)
@@ -290,17 +286,16 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_involute_structure():
         for i in range(plane.n):
-            a, b = inv.N[i], inv.N[i + plane.n]
-            if not (eq(a.x, b.x) and eq(a.y, b.y)):
+            if not backend.same_point(inv.N[i], inv.N[i + plane.n]):
                 return f"diagonal {i} nonzero", False
         back = evolute_of_edge_world(inv.N, v, backend)
-        ok = all(eq(back[i].x, ce.M[i].x) and eq(back[i].y, ce.M[i].y) for i in range(m))
+        ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "zero diagonals; evolute is M", ok
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
         back, _, _ = dual_involute(ev.E, u, v, backend)
-        ok = all(eq(back[i].x, ce.M[i].x) and eq(back[i].y, ce.M[i].y) for i in range(m))
+        ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "involute of the evolute is M", ok
     guarded("involute.of_evolute", "involute of the evolute is M",
             chk_dual_involute_roundtrip)

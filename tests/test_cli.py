@@ -103,6 +103,22 @@ def test_exit_2_degenerate_diagonal(tmp_path, capsys):
     assert main(["central", str(path)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["ball", "--a", "x"],
+    ["ball", "--a", "1/0"],
+    ["ball", "--backend", "float", "--a", "inf"],
+    ["ball", "--backend", "float", "--a", "1e400"],
+    ["iterate", "--c", "x"],
+    ["iterate", "--d", "1/0"],
+], ids=["a=x", "a=1/0", "float-a=inf", "float-a=1e400", "c=x", "d=1/0"])
+def test_exit_2_bad_scalar_flag(triangle_doc, run_python, flags):
+    cmd, *rest = flags
+    out = run_python("-m", "cwpoly.cli", cmd, triangle_doc, *rest)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "error: bad scalar" in out.stderr
+
+
 def test_exit_3_perturbed_paired(tmp_path, capsys):
     # hexagon with one vertex nudged off the parallel pairing, claimed paired
     path = tmp_path / "nudged.json"

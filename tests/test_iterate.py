@@ -1,8 +1,7 @@
-"""Involute iteration: convergence, ledger identities, width families, kernels."""
+"""Involute iteration: convergence, ledger identities, width families, float kernel."""
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from cwpoly import (
@@ -19,7 +18,6 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
-from cwpoly import kernels
 
 from conftest import fuzz_planes
 
@@ -120,7 +118,7 @@ def test_width_family_out_of_range(triangle_plane):
         width_family(trace, triangle_plane, 99, 1, 1)
 
 
-# --- float path and kernels ---------------------------------------------------
+# --- float path ---------------------------------------------------------------
 
 def _float_plane(points, a=0.5):
     fb = get_backend("float")
@@ -128,15 +126,25 @@ def _float_plane(points, a=0.5):
 
 
 def test_float_matches_rational_trace(triangle_plane):
-    ftri = _float_plane([(0, 0), (1, 0), (0, 1)])
-    ft = iterate_involutes(ftri, max_steps=12, tol=1e-320)
-    rt = iterate_involutes(triangle_plane, max_steps=12, tol=1e-320)
-    assert len(ft.steps) == len(rt.steps)
-    for fs, rs in zip(ft.steps, rt.steps):
-        assert fs.sa_m == pytest.approx(float(rs.sa_m), abs=1e-12)
-        assert fs.diam_m == pytest.approx(rs.diam_m, rel=1e-9, abs=1e-12)
-        for fp, rp in zip(fs.M, rs.M):
-            assert fp.x == pytest.approx(float(rp.x), abs=1e-12)
+    # the exact ladder is the reference: same step count, and every M vertex
+    # and SA(M) within 1e-12 relative to the initial diameter (squared for SA)
+    fb = get_backend("float")
+    pairs = [(_float_plane([(0, 0), (1, 0), (0, 1)]), triangle_plane)]
+    for plane in fuzz_planes(408, 6):
+        paired_f = PairedPolygon(
+            [Vec2(float(p.x), float(p.y)) for p in plane.P.vertices], plane.n, fb)
+        pairs.append((build_plane(paired_f, float(plane.a)), plane))
+    for fplane, rplane in pairs:
+        ft = iterate_involutes(fplane, max_steps=12, tol=1e-320)
+        rt = iterate_involutes(rplane, max_steps=12, tol=1e-320)
+        assert len(ft.steps) == len(rt.steps)
+        scale = rt.steps[0].diam_m
+        for fs, rs in zip(ft.steps, rt.steps):
+            assert fs.sa_m == pytest.approx(float(rs.sa_m), abs=1e-12 * scale ** 2)
+            assert fs.diam_m == pytest.approx(rs.diam_m, rel=1e-9, abs=1e-12)
+            for fp, rp in zip(fs.M, rs.M):
+                assert fp.x == pytest.approx(float(rp.x), abs=1e-12 * scale)
+                assert fp.y == pytest.approx(float(rp.y), abs=1e-12 * scale)
 
 
 def test_float_trace_checks_pass():
@@ -152,30 +160,6 @@ def test_float_trace_checks_pass():
         trace = iterate_involutes(plane_f, max_steps=2000, tol=1e-9)
         assert trace.converged
         assert all(c.ok for c in check_trace(trace, plane_f))
-
-
-def test_kernel_numba_numpy_parity():
-    for plane in fuzz_planes(408, 6):
-        m0 = np.array([[float(p.x), float(p.y)] for p in central_equidistant(plane).M])
-        u = np.array([[float(p.x), float(p.y)] for p in plane.U.vertices])
-        v = np.array([[float(p.x), float(p.y)] for p in plane.V.vertices])
-        k1, ms1, ns1, st1 = kernels.iterate_float(m0, u, v, 60, 1e-12)
-        k2, ms2, ns2, st2 = kernels.iterate_float(m0, u, v, 60, 1e-12, force_numpy=True)
-        assert k1 == k2
-        assert np.allclose(ms1, ms2, rtol=1e-10, atol=1e-12)
-        assert np.allclose(ns1, ns2, rtol=1e-10, atol=1e-12)
-        assert np.allclose(st1, st2, rtol=1e-10, atol=1e-12)
-
-
-def test_kernel_env_flag_selects_numpy(run_python):
-    code = (
-        "import os\n"
-        "os.environ['CWPOLY_NUMBA'] = '0'\n"
-        "from cwpoly import kernels\n"
-        "print(kernels.using_numba())\n"
-    )
-    out = run_python("-c", code)
-    assert out.stdout.strip() == "False"
 
 
 def test_nonconvergence_reported_not_raised(triangle_plane):
