@@ -54,19 +54,21 @@ def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list
     ]
 
 
+def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
+    """Cyclic window sums out[i] = sum_{j=i}^{i+n-1} terms[j mod m] for n <= m,
+    from one prefix-sum pass: O(m) additions instead of O(m n)."""
+    m = len(terms)
+    cs = [0]
+    for t in range(m + n - 1):
+        cs.append(cs[-1] + terms[t % m])
+    return [cs[i + n] - cs[i] for i in range(m)]
+
+
 def betas_of(alphas: Sequence[Scalar], u: CenteredBall) -> list[Scalar]:
     """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1})."""
     m = len(alphas)
-    n = m // 2
     d = u.edge_dets()
-    terms = [alphas[j] * d[j] for j in range(m)]
-    out = []
-    for i in range(m):
-        acc = 0
-        for j in range(i, i + n):
-            acc = acc + terms[j % m]
-        out.append(acc / 2)
-    return out
+    return [s / 2 for s in window_sums([alphas[j] * d[j] for j in range(m)], m // 2)]
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:

@@ -24,7 +24,7 @@ from .core import (
     mixed_area,
     point_region_test,
 )
-from .cw import CentralEquidistant, lambdas_of
+from .cw import CentralEquidistant, lambdas_of, window_sums
 
 
 @dataclass
@@ -156,12 +156,8 @@ def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     uv, vv = u.vertices, v.vertices
     b = edge_world_coeffs(points, v, backend)
     g = [b[i] * det(vv[(i - 1) % m], vv[i]) for i in range(m)]
-    mus = []
-    for i in range(m):
-        acc = 0
-        for j in range(i + 1, i + n + 1):
-            acc = acc + g[j % m]
-        mus.append(-acc / 2)
+    w = window_sums(g, n)
+    mus = [-w[(i + 1) % m] / 2 for i in range(m)]
     out = []
     for i in range(m):
         m1 = points[i] + uv[i] * mus[i]

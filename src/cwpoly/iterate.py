@@ -28,16 +28,22 @@ from .evolute import (
 DEFAULT_TOL = 1e-9
 DEFAULT_STEPS_RATIONAL = 64
 DEFAULT_STEPS_FLOAT = 10_000
+# a step may grow the squared diameter to at most 64x (the diameter to 8x)
+# the smallest seen so far before the noise guard stops the run
+NOISE_FACTOR = 64
 
 
 def diameter_sq(points) -> Scalar:
     """Max squared Euclidean distance over vertex pairs (exact in rational mode)."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     best = 0
-    m = len(points)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = points[i] - points[j]
-            v = d.x * d.x + d.y * d.y
+    for i in range(len(xs)):
+        xi, yi = xs[i], ys[i]
+        for j in range(i + 1, len(xs)):
+            dx = xi - xs[j]
+            dy = yi - ys[j]
+            v = dx * dx + dy * dy
             if v > best:
                 best = v
     return best
@@ -69,6 +75,13 @@ class IterationStep:
 
 @dataclass
 class IterationTrace:
+    """The recorded steps and why the run stopped.
+
+    stop_reason is "tol" (the diameter of M(k) fell below tol; converged is
+    then True), "max_steps", or "noise" (float rounding noise began to grow;
+    see ``_ladder``).
+    """
+
     steps: list[IterationStep]
     O: Vec2
     radius: float
@@ -77,6 +90,7 @@ class IterationTrace:
     backend: Backend
     sumsquares: Scalar
     sa0: Scalar
+    stop_reason: str
 
     @property
     def final(self) -> IterationStep:
@@ -95,10 +109,11 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
                       tol: float | None = None) -> IterationTrace:
     """Iterate the involute until the diameter of M(k) drops below tol.
 
-    Rational mode runs the ladder exactly (coordinate size grows linearly
-    with k, so max_steps defaults to 64); float mode delegates the inner
-    loop to the numpy kernel.  Non-convergence inside max_steps is not an
-    error: the trace comes back with converged=False.
+    Both backends run the same ladder.  Rational mode is exact; coordinate
+    size grows linearly with k, so max_steps defaults to 64 there and to
+    10 000 in float mode.  tol must be finite and positive.  Not reaching tol
+    is not an error: the trace comes back with converged=False and says in
+    stop_reason whether max_steps ran out or float noise cut the run short.
     """
     backend = plane.backend
     if max_steps is None:
@@ -107,16 +122,12 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         raise InputError("max_steps must be at least 1")
     if tol is None:
         tol = DEFAULT_TOL
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and positive, got {tol!r}")
 
     ce = central_equidistant(plane)
     ev = evolute(plane.P.vertices, plane.U, plane.V, backend)
-    if backend.exact:
-        steps, tol_ok = _iterate_exact(plane, ce, ev, max_steps, tol)
-    else:
-        steps = _iterate_float(plane, ce, ev, max_steps, tol)
-        tol_ok = steps[-1].diam_m < tol
+    _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
     total = 0
@@ -126,82 +137,59 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         steps=steps,
         O=_centroid(last.M),
         radius=last.diam_m,
-        converged=bool(tol_ok),
+        converged=stop_reason == "tol",
         n=plane.n,
         backend=backend,
         sumsquares=total,
         sa0=steps[0].sa_m,
+        stop_reason=stop_reason,
     )
 
 
-def _iterate_exact(plane, ce: CentralEquidistant, ev, max_steps, tol):
-    """Run the exact ladder; returns (steps, converged).
+def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
+    """The involute ladder of both backends; returns (k, steps, stop_reason).
 
-    The exact squared diameter of each M(k) is measured once and serves the
-    stop test, ``diam_m`` and the final convergence verdict.
+    k is the number of steps taken.  M(k) and N(k) repeat after n vertices
+    (X_{i+n} = X_i), so their diameters run over the first n.  The squared
+    diameter of each M(k) is measured once and serves the stop test,
+    ``diam_m`` and the noise guard.
+
+    Noise guard: a step whose squared diameter is not within NOISE_FACTOR of
+    the smallest so far is dropped and the run stops.  Far past convergence,
+    float rounding leaves the subspace of central polygons and the ladder
+    amplifies it; the test also catches NaN and inf.  Diameters never
+    increase in exact arithmetic, so it never fires there.
     """
     backend = plane.backend
+    n = plane.n
+    u, v = plane.U, plane.V
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
-    d2 = diameter_sq(cur)
+    d2 = best = diameter_sq(cur[:n])
+    sa_m, sa_n = signed_area(cur), signed_area(ev.E)
     steps = [IterationStep(
-        k=0, M=cur, N=list(ev.E),
-        sa_m=signed_area(cur), sa_n=signed_area(ev.E),
-        gap_mn=0, gap_nm=signed_area(ev.E) - signed_area(cur),
-        diam_m=math.sqrt(float(d2)), diam_n=diameter(ev.E),
+        k=0, M=cur, N=list(ev.E), sa_m=sa_m, sa_n=sa_n,
+        gap_mn=0, gap_nm=sa_n - sa_m,
+        diam_m=math.sqrt(float(d2)), diam_n=diameter(ev.E[:n]),
     )]
     for k in range(1, max_steps + 1):
         if d2 < tol2:
             break
-        al = alphas_of(cur, plane.U, backend)
-        be = betas_of(al, plane.U)
-        nxt_n = [cur[i] + plane.V.vertices[i] * be[i] for i in range(2 * plane.n)]
-        gap_mn = signed_area_gap(be, plane.V)
-        nxt_m, b, mus = dual_involute(nxt_n, plane.U, plane.V, backend)
-        gap_nm = dual_area_gap(mus, plane.U)
-        d2 = diameter_sq(nxt_m)
+        be = betas_of(alphas_of(cur, u, backend), u)
+        nxt_n = [cur[i] + v.vertices[i] * be[i] for i in range(2 * n)]
+        nxt_m, _, mus = dual_involute(nxt_n, u, v, backend)
+        d2 = diameter_sq(nxt_m[:n])
+        if not d2 <= NOISE_FACTOR * best:
+            return k - 1, steps, "noise"
+        best = min(best, d2)
         steps.append(IterationStep(
             k=k, M=nxt_m, N=nxt_n,
             sa_m=signed_area(nxt_m), sa_n=signed_area(nxt_n),
-            gap_mn=gap_mn, gap_nm=gap_nm,
-            diam_m=math.sqrt(float(d2)), diam_n=diameter(nxt_n),
+            gap_mn=signed_area_gap(be, v), gap_nm=dual_area_gap(mus, u),
+            diam_m=math.sqrt(float(d2)), diam_n=diameter(nxt_n[:n]),
         ))
         cur = nxt_m
-    return steps, d2 < tol2
-
-
-def _iterate_float(plane, ce: CentralEquidistant, ev, max_steps, tol):
-    import numpy as np
-
-    from . import kernels
-
-    m0 = np.array([[float(p.x), float(p.y)] for p in ce.M])
-    u = np.array([[float(p.x), float(p.y)] for p in plane.U.vertices])
-    v = np.array([[float(p.x), float(p.y)] for p in plane.V.vertices])
-    k_final, ms, ns, stats = kernels.iterate_float(m0, u, v, max_steps, tol)
-
-    def row_points(arr):
-        return [Vec2(float(x), float(y)) for x, y in arr]
-
-    steps = []
-    for k in range(k_final + 1):
-        if k == 0:
-            n_pts = list(ev.E)
-            sa_n = signed_area(n_pts)
-            steps.append(IterationStep(
-                k=0, M=row_points(ms[0]), N=n_pts,
-                sa_m=stats[0][0], sa_n=sa_n,
-                gap_mn=0.0, gap_nm=sa_n - stats[0][0],
-                diam_m=stats[0][4], diam_n=diameter(n_pts),
-            ))
-        else:
-            steps.append(IterationStep(
-                k=k, M=row_points(ms[k]), N=row_points(ns[k]),
-                sa_m=stats[k][0], sa_n=stats[k][1],
-                gap_mn=stats[k][2], gap_nm=stats[k][3],
-                diam_m=stats[k][4], diam_n=stats[k][5],
-            ))
-    return steps
+    return len(steps) - 1, steps, "tol" if d2 < tol2 else "max_steps"
 
 
 def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,

@@ -119,6 +119,16 @@ def test_exit_2_bad_scalar_flag(triangle_doc, run_python, flags):
     assert "error: bad scalar" in out.stderr
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_exit_2_bad_tol(triangle_doc, run_python, backend, tol):
+    out = run_python("-m", "cwpoly.cli", "iterate", triangle_doc,
+                     "--backend", backend, "--tol", tol)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "error: tol must be finite and positive" in out.stderr
+
+
 def test_exit_3_perturbed_paired(tmp_path, capsys):
     # hexagon with one vertex nudged off the parallel pairing, claimed paired
     path = tmp_path / "nudged.json"
@@ -196,3 +206,15 @@ def test_console_script_installed(run_python):
     out = run_python("-m", "cwpoly.cli", "--help")
     assert out.returncode == 0
     assert "ball" in out.stdout and "iterate" in out.stdout
+
+
+def test_float_iterate_imports_no_numpy(triangle_doc, run_python):
+    # both backends share one pure-Python ladder; numpy is not a dependency
+    code = (
+        "import sys\n"
+        "from cwpoly.cli import main\n"
+        f"assert main(['iterate', {triangle_doc!r}, '--backend', 'float']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr

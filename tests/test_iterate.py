@@ -1,4 +1,5 @@
-"""Involute iteration: convergence, ledger identities, width families, float kernel."""
+"""Involute iteration: convergence, ledger identities, width families, float backend."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from conftest import fuzz_planes
 def test_symmetric_converges_immediately(symmetric_plane):
     trace = iterate_involutes(symmetric_plane, max_steps=4)
     assert trace.converged and len(trace.steps) == 1
+    assert trace.stop_reason == "tol"
     ce = central_equidistant(symmetric_plane)
     assert trace.O == ce.M[0]
     assert trace.radius == 0.0
@@ -165,4 +167,36 @@ def test_float_trace_checks_pass():
 def test_nonconvergence_reported_not_raised(triangle_plane):
     trace = iterate_involutes(triangle_plane, max_steps=2, tol=1e-300)
     assert not trace.converged
+    assert trace.stop_reason == "max_steps"
     assert len(trace.steps) == 3
+
+
+def test_stop_reason_tol(triangle_plane):
+    trace = iterate_involutes(triangle_plane, tol=1e-3)
+    assert trace.converged and trace.stop_reason == "tol"
+    assert trace.radius < 1e-3 <= trace.steps[-2].diam_m
+
+
+def test_stop_reason_noise_float():
+    # far past convergence float rounding noise grows; the run stops before
+    # recording a step that grew the diameter, and the ledger still checks
+    plane_r = fuzz_planes(409, 8)[-1]
+    fb = get_backend("float")
+    paired_f = PairedPolygon(
+        [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices], plane_r.n, fb)
+    plane = build_plane(paired_f, float(plane_r.a))
+    trace = iterate_involutes(plane, max_steps=2000, tol=1e-300)
+    assert trace.stop_reason == "noise" and not trace.converged
+    assert len(trace.steps) < 2001
+    assert all(math.isfinite(s.diam_m) and math.isfinite(s.diam_n) for s in trace.steps)
+    assert all(c.ok for c in check_trace(trace, plane))
+
+
+def test_half_period_invariant():
+    # M(k) and N(k) repeat after n vertices, so diameters need only the first n
+    for plane in fuzz_planes(410, 8):
+        n = plane.n
+        trace = iterate_involutes(plane, max_steps=8, tol=1e-300)
+        assert len(trace.steps) == 9
+        for s in trace.steps:
+            assert all(s.M[i + n] == s.M[i] and s.N[i + n] == s.N[i] for i in range(n))
