@@ -59,7 +59,6 @@ from .evolute import (
     dual_involute,
     evolute,
     evolute_cusps,
-    evolute_of_edge_world,
     involute,
     signed_area,
     signed_area_gap,

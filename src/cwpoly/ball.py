@@ -41,15 +41,10 @@ class MinkowskiPlane:
     a: Scalar
     backend: Backend = RATIONAL
 
-    def u_edge_dets(self) -> list[Scalar]:
-        """det(U_i, U_{i+1}) per edge slot; all positive."""
-        return self.U.edge_dets()
-
-    def v_vertex_dets(self) -> list[Scalar]:
-        """det(V_{i-1}, V_i) per vertex slot i; all positive."""
-        m = 2 * self.n
-        v = self.V.vertices
-        return [det(v[(i - 1) % m], v[i]) for i in range(m)]
+    @property
+    def W(self) -> CenteredBall:
+        """The ball dual to V; see ``second_dual``."""
+        return second_dual(self.U)
 
 
 def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
@@ -165,6 +160,17 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
     if validate:
         ball.validate()
     return ball
+
+
+def second_dual(u: CenteredBall) -> CenteredBall:
+    """The ball W = dual_ball(dual_ball(u)), read off U with no arithmetic.
+
+    W_i = U_{i+n+1} = -U_{i+1}.  W is U again, indexed by the edges of V, so
+    (V, W) is a ball pair of the same kind as (U, V): the edge world of U is
+    the vertex world of V.
+    """
+    m = 2 * u.n
+    return CenteredBall([u.vertices[(i + u.n + 1) % m] for i in range(m)], u.n, u.backend)
 
 
 def ball_from_dual(v: CenteredBall) -> CenteredBall:

@@ -195,10 +195,9 @@ def cmd_iterate(args) -> int:
             f.write("k,SA_M,SA_N,diameter\n")
             for s in trace.steps:
                 f.write(f"{s.k},{float(s.sa_m)!r},{float(s.sa_n)!r},{s.diam_m!r}\n")
-    ce = central_equidistant(plane)
     layers = [
         Layer("polygon-p", [plane.P.vertices]),
-        Layer("central-m", [ce.M]),
+        Layer("central-m", [trace.steps[0].M]),
     ]
     for s in trace.steps[1:9]:
         layers.append(Layer(f"iterate-k{s.k}", [s.N, s.M]))

@@ -6,6 +6,17 @@ vertex-indexed representative.  The involute N of M is edge-indexed, has
 constant width in the dual ball V, and zero diagonals (N_{i+n} = N_i).  The
 involute of an edge-indexed central polygon goes back to the vertex-indexed
 world; iterating the two maps drives everything to a point.
+
+The edge world needs no maps of its own: it is the vertex world of the ball
+pair (V, W), where W = dual_ball(V) is U reindexed, W_i = U_{i+n+1} = -U_{i+1}
+(``ball.second_dual``).  Vertex slot i of (V, W) is edge slot i of U, and
+edge slot i of (V, W) is vertex slot i + 1 of U.  So an edge-world map is the
+vertex-world map on (V, W) with its edge-indexed results read one slot
+later: the coefficients b_i of X_i - X_{i-1} along V_i - V_{i-1} are
+``alphas_of(X, V)[i - 1]``, the evolute of an edge-world polygon at vertex i
+is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is ``involute`` on
+(V, W), one slot later.  ``signed_area_gap`` and ``convex_parent_of_m`` serve
+both worlds unchanged, given (V, W) for the edge world.
 """
 from __future__ import annotations
 
@@ -14,17 +25,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .backend import Backend, Scalar
+from .ball import second_dual
 from .core import (
     CenteredBall,
     IdentityError,
     PairedPolygon,
     Vec2,
-    coeff_along,
     det,
     mixed_area,
     point_region_test,
 )
-from .cw import CentralEquidistant, lambdas_of, window_sums
+from .cw import CentralEquidistant, alphas_of, betas_of, lambdas_of
 
 
 @dataclass
@@ -59,10 +70,7 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall | None = No
         lam = lambdas_of(list(points) + [points[0]], v, backend)
         mus = [lam[i] / d[i] for i in range(m)]
     else:
-        mus = [
-            coeff_along(points[(i + 1) % m] - points[i], uv[(i + 1) % m] - uv[i], backend)
-            for i in range(m)
-        ]
+        mus = alphas_of(points, u, backend)
     out = []
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]
@@ -91,6 +99,24 @@ class Involute:
         return len(self.N)
 
 
+def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
+                    d: Sequence[Vec2], backend: Backend) -> list[Vec2]:
+    """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X.
+
+    The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
+    vertex world and W for the edge world (see the module docstring).
+    """
+    m = len(points)
+    out = []
+    for i in range(m):
+        n1 = points[i] + d[i] * betas[i]
+        n2 = points[(i + 1) % m] + d[i] * betas[(i + 1) % m]
+        if not backend.same_point(n1, n2):
+            raise IdentityError(f"involute defining forms disagree at edge {i}")
+        out.append(n1)
+    return out
+
+
 def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     """Involute of the central equidistant (vertex world -> edge world).
 
@@ -98,74 +124,34 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     computed and must agree exactly; the result has zero diagonals.
     """
     backend = ce.backend
-    m = 2 * ce.n
-    vv = v.vertices
-    out = []
-    for i in range(m):
-        n1 = ce.M[i] + vv[i] * ce.betas[i]
-        n2 = ce.M[(i + 1) % m] + vv[i] * ce.betas[(i + 1) % m]
-        if not backend.same_point(n1, n2):
-            raise IdentityError(f"involute defining forms disagree at edge {i}")
-        out.append(n1)
-    degenerate = all(backend.same_point(out[i], out[0]) for i in range(1, m))
+    out = involute_points(ce.M, ce.betas, v.vertices, backend)
+    degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
     return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
                     degenerate=degenerate)
+
+
+def _later(values: list) -> list:
+    """Move every entry one slot later: out[i] = values[i - 1]."""
+    return values[-1:] + values[:-1]
 
 
 def edge_world_coeffs(points: Sequence[Vec2], v: CenteredBall,
                       backend: Backend) -> list[Scalar]:
     """Coefficients b_i with X_i - X_{i-1} = b_i (V_i - V_{i-1})."""
-    m = len(points)
-    vv = v.vertices
-    return [
-        coeff_along(points[i] - points[(i - 1) % m], vv[i] - vv[(i - 1) % m], backend)
-        for i in range(m)
-    ]
-
-
-def evolute_of_edge_world(points: Sequence[Vec2], v: CenteredBall,
-                          backend: Backend) -> list[Vec2]:
-    """Evolute of an edge-indexed constant-V-width polygon (lands on vertices).
-
-    For the involute N of M this recovers M exactly: M_i = N_i - b_i V_i.
-    """
-    m = len(points)
-    vv = v.vertices
-    b = edge_world_coeffs(points, v, backend)
-    out = []
-    for i in range(m):
-        e1 = points[i] - vv[i] * b[i]
-        e2 = points[(i - 1) % m] - vv[(i - 1) % m] * b[i]
-        if backend.exact and e1 != e2:
-            raise IdentityError(f"edge-world evolute forms disagree at vertex {i}")
-        out.append(e1)
-    return out
+    return _later(alphas_of(points, v, backend))
 
 
 def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
                   backend: Backend):
     """Involute of an edge-indexed central polygon (edge world -> vertex world).
 
-    Solves for the anti-periodic radius ladder mu with
-    mu_i - mu_{i-1} = b_i det(V_{i-1}, V_i) and returns
-    M'_i = N_i + mu_i U_i, whose evolute is the input.  Returns
-    (vertices, edge_coeffs_of_input, mu).
+    ``involute`` on the ball pair (V, W), one slot later.  Returns
+    (vertices M', mu) with M'_i = N_i + mu_i U_i, whose evolute is the input;
+    mu is the alpha ladder of M' and minus the (V, W) betas of the input.
     """
-    m = len(points)
-    n = m // 2
-    uv, vv = u.vertices, v.vertices
-    b = edge_world_coeffs(points, v, backend)
-    g = [b[i] * det(vv[(i - 1) % m], vv[i]) for i in range(m)]
-    w = window_sums(g, n)
-    mus = [-w[(i + 1) % m] / 2 for i in range(m)]
-    out = []
-    for i in range(m):
-        m1 = points[i] + uv[i] * mus[i]
-        m2 = points[(i - 1) % m] + uv[i] * mus[(i - 1) % m]
-        if not backend.same_point(m1, m2):
-            raise IdentityError(f"dual involute defining forms disagree at {i}")
-        out.append(m1)
-    return out, b, mus
+    be = betas_of(alphas_of(points, v, backend), v)
+    out = involute_points(points, be, second_dual(u).vertices, backend)
+    return _later(out), [-b for b in be]
 
 
 def signed_area(points: Sequence[Vec2]) -> Scalar:
@@ -178,24 +164,17 @@ def signed_area(points: Sequence[Vec2]) -> Scalar:
 
 def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
     """Right side of the area drop under one involute step:
-    sum over half the vertices of beta_i^2 det(V_{i-1}, V_i)."""
+    sum over half the vertices of beta_i^2 det(V_{i-1}, V_i).
+
+    For the edge-world step pass the mu ladder and W: det(W_{i-1}, W_i) =
+    det(U_i, U_{i+1}).
+    """
     m = len(betas)
     n = m // 2
     vv = v.vertices
     acc = 0
     for i in range(n):
         acc = acc + betas[i] * betas[i] * det(vv[(i - 1) % m], vv[i])
-    return acc
-
-
-def dual_area_gap(mus: Sequence[Scalar], u: CenteredBall) -> Scalar:
-    """Area drop for the edge-world step: sum of mu_i^2 det(U_i, U_{i+1})."""
-    m = len(mus)
-    n = m // 2
-    d = u.edge_dets()
-    acc = 0
-    for i in range(n):
-        acc = acc + mus[i] * mus[i] * d[i]
     return acc
 
 

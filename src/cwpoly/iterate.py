@@ -17,10 +17,10 @@ from .ball import MinkowskiPlane
 from .core import InputError, PairedPolygon, Vec2
 from .cw import CentralEquidistant, alphas_of, betas_of, central_equidistant
 from .evolute import (
-    dual_area_gap,
     dual_involute,
     edge_world_coeffs,
     evolute,
+    involute_points,
     signed_area,
     signed_area_gap,
 )
@@ -149,6 +149,8 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
 def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     """The involute ladder of both backends; returns (k, steps, stop_reason).
 
+    Both halves of a step are the one checked involute construction: on the
+    ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  M(k) and N(k) repeat after n vertices
     (X_{i+n} = X_i), so their diameters run over the first n.  The squared
     diameter of each M(k) is measured once and serves the stop test,
@@ -162,7 +164,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     """
     backend = plane.backend
     n = plane.n
-    u, v = plane.U, plane.V
+    u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
     d2 = best = diameter_sq(cur[:n])
@@ -176,8 +178,8 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         if d2 < tol2:
             break
         be = betas_of(alphas_of(cur, u, backend), u)
-        nxt_n = [cur[i] + v.vertices[i] * be[i] for i in range(2 * n)]
-        nxt_m, _, mus = dual_involute(nxt_n, u, v, backend)
+        nxt_n = involute_points(cur, be, v.vertices, backend)
+        nxt_m, mus = dual_involute(nxt_n, u, v, backend)
         d2 = diameter_sq(nxt_m[:n])
         if not d2 <= NOISE_FACTOR * best:
             return k - 1, steps, "noise"
@@ -185,7 +187,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         steps.append(IterationStep(
             k=k, M=nxt_m, N=nxt_n,
             sa_m=signed_area(nxt_m), sa_n=signed_area(nxt_n),
-            gap_mn=signed_area_gap(be, v), gap_nm=dual_area_gap(mus, u),
+            gap_mn=signed_area_gap(be, v), gap_nm=signed_area_gap(mus, w),
             diam_m=math.sqrt(float(d2)), diam_n=diameter(nxt_n[:n]),
         ))
         cur = nxt_m
@@ -214,17 +216,13 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
 
 
 def convex_parent_of_m(m_points, u, backend, margin=1) -> list[Vec2]:
-    """A convex equidistant of a vertex-world central polygon (for region tests)."""
+    """A convex equidistant of a vertex-world central polygon (for region tests).
+
+    Given V for u, the convex dual-width equidistant of an edge-world polygon.
+    """
     al = alphas_of(m_points, u, backend)
     c = max(-a for a in al) + backend.convert(margin)
     return [m_points[i] + u.vertices[i] * c for i in range(len(m_points))]
-
-
-def convex_parent_of_n(n_points, v, backend, margin=1) -> list[Vec2]:
-    """A convex dual-width equidistant of an edge-world central polygon."""
-    b = edge_world_coeffs(n_points, v, backend)
-    d = max(-t for t in b) + backend.convert(margin)
-    return [n_points[i] + v.vertices[i] * d for i in range(len(n_points))]
 
 
 @dataclass
@@ -243,7 +241,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     non-increasing diameters.
     """
     backend = trace.backend
-    u, v = plane.U, plane.V
+    u, v, w = plane.U, plane.V, plane.W
     out: list[TraceCheck] = []
 
     chain: list[Scalar] = []
@@ -271,7 +269,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
             break
         al = alphas_of(cur.M, u, backend)
         lhs2 = signed_area(cur.N) - signed_area(cur.M)
-        rhs2 = dual_area_gap(al, u)
+        rhs2 = signed_area_gap(al, w)
         if not backend.eq(lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"
@@ -322,7 +320,7 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
         res = containment_check(cur.N, parent_m, samples=0)
         out.append(TraceCheck(f"iterate.nesting_n{cur.k}_in_m{prev.k}", res.contained,
                               f"{res.tested} vertices"))
-        parent_n = convex_parent_of_n(cur.N, plane.V, backend)
+        parent_n = convex_parent_of_m(cur.N, plane.V, backend)
         res = containment_check(cur.M, parent_n, samples=0)
         out.append(TraceCheck(f"iterate.nesting_m{cur.k}_in_n{cur.k}", res.contained,
                               f"{res.tested} vertices"))

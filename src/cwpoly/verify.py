@@ -39,7 +39,6 @@ from .evolute import (
     dual_involute,
     evolute,
     evolute_cusps,
-    evolute_of_edge_world,
     involute,
     signed_area,
     signed_area_gap,
@@ -182,7 +181,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     # coefficient ladders unsolvable; report and stop instead of raising
     try:
         ce = central_equidistant(plane)
-        evolute(paired.vertices, u, v, backend)
+        ev = evolute(paired.vertices, u, v, backend)
     except GeometryError as e:
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
         return report
@@ -265,8 +264,6 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("cw.cusps_odd_ge3", "odd count >= 3 (or degenerate)", chk_cusps_m)
 
     # --- evolute / involute ---------------------------------------------------
-    ev = evolute(paired.vertices, u, v, backend)
-
     def chk_mu_pairs():
         for i in range(plane.n):
             if not eq(ev.mus[i] + ev.mus[i + plane.n], 2 * plane.a):
@@ -288,13 +285,14 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
         for i in range(plane.n):
             if not backend.same_point(inv.N[i], inv.N[i + plane.n]):
                 return f"diagonal {i} nonzero", False
-        back = evolute_of_edge_world(inv.N, v, backend)
-        ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
+        # the edge-world evolute is the (V, W) evolute, one slot later
+        back = evolute(inv.N, v, plane.W, backend).E
+        ok = all(backend.same_point(back[i - 1], ce.M[i]) for i in range(m))
         return "zero diagonals; evolute is M", ok
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
-        back, _, _ = dual_involute(ev.E, u, v, backend)
+        back, _ = dual_involute(ev.E, u, v, backend)
         ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "involute of the evolute is M", ok
     guarded("involute.of_evolute", "involute of the evolute is M",

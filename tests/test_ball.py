@@ -141,6 +141,7 @@ def test_dual_involution_shift():
         w = dual_ball(dual_ball(u))
         m = len(u)
         assert all(w.vertices[i] == u.vertices[(i + plane.n + 1) % m] for i in range(m))
+        assert plane.W.vertices == w.vertices
 
 
 def test_dual_recovery_exact():

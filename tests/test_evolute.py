@@ -11,13 +11,12 @@ from cwpoly import (
     equidistant,
     evolute,
     evolute_cusps,
-    evolute_of_edge_world,
     involute,
     signed_area,
     signed_area_gap,
     vec,
 )
-from cwpoly.evolute import dual_area_gap, edge_world_coeffs
+from cwpoly.evolute import edge_world_coeffs
 from cwpoly.iterate import convex_parent_of_m
 
 from conftest import fuzz_planes
@@ -96,9 +95,11 @@ def test_involute_evolute_roundtrip():
     for plane in fuzz_planes(304, 30):
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        assert evolute_of_edge_world(inv.N, plane.V, plane.backend) == ce.M
+        # the edge-world evolute is the (V, W) evolute, one slot later
+        back = evolute(inv.N, plane.V, plane.W, plane.backend).E
+        assert back[-1:] + back[:-1] == ce.M
         ev = evolute(plane.P.vertices, plane.U, plane.V)
-        back, _, _ = dual_involute(ev.E, plane.U, plane.V, plane.backend)
+        back, _ = dual_involute(ev.E, plane.U, plane.V, plane.backend)
         assert back == ce.M
         # edge coefficients of the involute are the betas of M
         assert edge_world_coeffs(inv.N, plane.V, plane.backend) == ce.betas
@@ -141,8 +142,8 @@ def test_dual_area_gap_fuzz_exact():
     for plane in fuzz_planes(306, 30):
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        back, _, mus = dual_involute(inv.N, plane.U, plane.V, plane.backend)
-        assert signed_area(inv.N) - signed_area(back) == dual_area_gap(mus, plane.U)
+        back, mus = dual_involute(inv.N, plane.U, plane.V, plane.backend)
+        assert signed_area(inv.N) - signed_area(back) == signed_area_gap(mus, plane.W)
 
 
 def test_containment_triangle(triangle_plane):

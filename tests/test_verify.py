@@ -68,3 +68,20 @@ def test_fuzz_reports_pass():
     for i, plane in enumerate(fuzz_planes(501, 10)):
         report = run_verify(plane, seed=i, samples=2, iterate_steps=3)
         assert report.all_ok, [(c.check_id, c.actual) for c in report.checks if not c.ok]
+
+
+def test_float_verdicts_match_rational_fuzz():
+    # the float suite reaches the rational verdict on every check, at small
+    # and at unit coordinate scale
+    fb = get_backend("float")
+    for i, plane_r in enumerate(fuzz_planes(510, 20)):
+        want = [(c.check_id, c.ok)
+                for c in run_verify(plane_r, seed=i, samples=2, iterate_steps=4).checks]
+        for scale in (1e-3, 1.0):
+            paired = PairedPolygon(
+                [vec(float(p.x) * scale, float(p.y) * scale, fb) for p in plane_r.P.vertices],
+                plane_r.n, fb)
+            report = run_verify(build_plane(paired, 0.5), seed=i, samples=2, iterate_steps=4)
+            got = [(c.check_id, c.ok) for c in report.checks]
+            assert got == want, (i, scale, [(c.check_id, c.actual)
+                                            for c in report.checks if not c.ok])
