@@ -167,10 +167,14 @@ def second_dual(u: CenteredBall) -> CenteredBall:
 
     W_i = U_{i+n+1} = -U_{i+1}.  W is U again, indexed by the edges of V, so
     (V, W) is a ball pair of the same kind as (U, V): the edge world of U is
-    the vertex world of V.
+    the vertex world of V.  W is built once per U and kept with it, so its
+    frame and edge determinants are also computed once.
     """
-    m = 2 * u.n
-    return CenteredBall([u.vertices[(i + u.n + 1) % m] for i in range(m)], u.n, u.backend)
+    if u._second_dual is None:
+        m = 2 * u.n
+        u._second_dual = CenteredBall([u.vertices[(i + u.n + 1) % m] for i in range(m)],
+                                      u.n, u.backend)
+    return u._second_dual
 
 
 def ball_from_dual(v: CenteredBall) -> CenteredBall:

@@ -267,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results can outgrow the default limit on converting integers to
+    # and from decimal strings; converting them costs less than making them
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -276,6 +280,9 @@ def main(argv=None) -> int:
     except IdentityError as e:
         print(f"identity failure: {e}", file=sys.stderr)
         return 3
+    except OverflowError as e:  # an exact value too large for a float report
+        print(f"error: value out of float range: {e}", file=sys.stderr)
+        return 2
     except GeometryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

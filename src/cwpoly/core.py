@@ -1,6 +1,16 @@
 """Planar geometry substrate: vectors, convex polygons, areas, Minkowski sums,
 and the chord-midpoint region test.
 
+Exact kernels run in an integer frame.  ``integer_frame`` puts a polygon on
+one shared denominator: p_i = (xs[i], ys[i]) / den with integer xs, ys.  The
+kernels (areas, coefficients along edges, and in ``cw``, ``evolute`` and
+``iterate`` the coefficient ladders, area gaps, involutes and diameters) do
+their sums and products on those integers and build one ``Fraction`` per
+result with ``from_frame``, instead of reducing every intermediate sum by a
+gcd.  Float input gets the frame den = 1 with its coordinates unchanged, so
+the float backend runs the same loops, in the same expression order, and
+its results are the plain float evaluation of each formula.
+
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
 * vertex-indexed families live in plain lists, slot ``i`` <-> vertex ``i``;
@@ -10,6 +20,7 @@ Index conventions used throughout the package (0-based, cyclic mod 2n):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -88,15 +99,54 @@ def dot(u: Vec2, v: Vec2) -> Scalar:
     return u.x * v.x + u.y * v.y
 
 
+def scalar_frame(values: Sequence[Scalar]) -> tuple[list, int]:
+    """One shared denominator for a list of scalars: values[i] = nums[i] / den.
+
+    For rational (Fraction or int) values den is the lcm of the distinct
+    denominators and nums are ints.  A list holding a float gets den = 1 and
+    its values unchanged.
+    """
+    if values and isinstance(values[0], float):
+        return list(values), 1
+    try:
+        dens = {v.denominator for v in values}
+    except AttributeError:  # a float further down the list
+        return list(values), 1
+    if len(dens) == 1:
+        den = dens.pop()
+        return [v.numerator for v in values], den
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in values], den
+
+
+def integer_frame(points: Sequence[Vec2]) -> tuple[list, list, int]:
+    """One shared denominator for a point list: p_i = (xs[i], ys[i]) / den.
+
+    For rational coordinates den is the lcm of the distinct coordinate
+    denominators, and xs, ys are ints.  For float input den = 1 and the
+    coordinates pass through unchanged.
+    """
+    nums, den = scalar_frame([c for p in points for c in (p.x, p.y)])
+    return nums[0::2], nums[1::2], den
+
+
+def from_frame(num, den) -> Scalar:
+    """num / den for a framed result: one Fraction from integers, or the
+    float quotient when the numerator came from a float frame."""
+    return num / den if isinstance(num, float) else Fraction(num, den)
+
+
 def polygon_area(points: Sequence[Vec2]) -> Scalar:
     """Signed shoelace area of a closed vertex list (positive iff CCW)."""
     k = len(points)
     if k < 3:
         raise InputError("polygon_area needs at least 3 vertices")
-    acc = det(points[-1], points[0])
+    xs, ys, den = integer_frame(points)
+    acc = xs[-1] * ys[0] - ys[-1] * xs[0]
     for i in range(k - 1):
-        acc = acc + det(points[i], points[i + 1])
-    return acc / 2
+        acc = acc + (xs[i] * ys[i + 1] - ys[i] * xs[i + 1])
+    return from_frame(acc, 2 * den * den)
 
 
 def mixed_area(p: Sequence[Vec2], q: Sequence[Vec2]) -> Scalar:
@@ -109,37 +159,42 @@ def mixed_area(p: Sequence[Vec2], q: Sequence[Vec2]) -> Scalar:
     k = len(p)
     if len(q) != k:
         raise InputError(f"mixed_area: length mismatch ({k} vs {len(q)})")
+    px, py, pden = integer_frame(p)
+    qx, qy, qden = (px, py, pden) if q is p else integer_frame(q)
     acc = 0
-    for i in range(k):
-        acc = acc + det(q[i], p[(i + 1) % k] - p[i])
-    return acc / 2
+    for x, y, a, b, c, d in zip(qx, qy, px, px[1:] + px[:1], py, py[1:] + py[:1]):
+        acc = acc + (x * (d - c) - y * (b - a))
+    return from_frame(acc, 2 * pden * qden)
+
+
+def framed_coeff(wx, wy, dx, dy, backend: Backend):
+    """The coefficient t of w = t*d as a pair (numerator, denominator).
+
+    w and d are given by framed components (each on its own frame; the
+    caller scales the pair back).  Parallelism is tested by
+    cross-multiplication, det(w, d) = 0, which is exact on integers and
+    within the tolerance in float mode.  Returns None when w is not
+    parallel to d.  The dominant coordinate of d gives the ratio.
+    """
+    if not dx and not dy:
+        raise InputError("cannot take a coefficient along the zero vector")
+    if not backend.is_zero(wx * dy - wy * dx):
+        return None
+    return (wx, dx) if abs(dx) >= abs(dy) else (wy, dy)
 
 
 def coeff_along(w: Vec2, d: Vec2, backend: Backend) -> Scalar:
     """Solve w = t*d for t, requiring exact parallelism.
 
-    In rational mode both coordinates must produce the same ratio; in float
-    mode the dominant coordinate of d is used and the other is checked
-    against the backend tolerance.
+    In rational mode det(w, d) must vanish exactly; in float mode it is
+    checked against the backend tolerance and the dominant coordinate of d
+    gives t.
     """
-    if backend.exact:
-        if d.x != 0:
-            t = w.x / d.x
-            if w.y != t * d.y:
-                raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
-            return t
-        if d.y == 0:
-            raise InputError("cannot take a coefficient along the zero vector")
-        if w.x != 0:
-            raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
-        return w.y / d.y
-    ax, ay = abs(d.x), abs(d.y)
-    if ax == 0 and ay == 0:
-        raise InputError("cannot take a coefficient along the zero vector")
-    t = w.x / d.x if ax >= ay else w.y / d.y
-    if not backend.is_zero(det(w, d)):
+    xs, ys, _ = integer_frame((w, d))
+    t = framed_coeff(xs[0], ys[0], xs[1], ys[1], backend)
+    if t is None:
         raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
-    return t
+    return from_frame(*t)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +336,20 @@ class PairedPolygon:
 
 @dataclass
 class CenteredBall:
-    """Strictly convex CCW 2n-gon with central symmetry about the origin."""
+    """Strictly convex CCW 2n-gon with central symmetry about the origin.
+
+    The ball's integer frame and edge determinants are constants of the
+    plane: they are computed on first use and kept, so the vertex list must
+    not be changed afterwards.
+    """
 
     vertices: list[Vec2]
     n: int
     backend: Backend = RATIONAL
+    _frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _dets: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _second_dual: "CenteredBall | None" = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != 2 * self.n:
@@ -306,10 +370,25 @@ class CenteredBall:
             if be.sign(det(v[i], v[(i + 1) % m])) <= 0:
                 raise InputError(f"ball not strictly convex about origin at index {i}")
 
+    def frame(self) -> tuple[list, list, int]:
+        """``integer_frame`` of the vertices."""
+        if self._frame is None:
+            self._frame = integer_frame(self.vertices)
+        return self._frame
+
+    def edge_det_frame(self) -> tuple[list, int]:
+        """Framed edge determinants: det(W_i, W_{i+1}) = nums[i] / den."""
+        if self._dets is None:
+            xs, ys, den = self.frame()
+            nums = [x0 * y1 - y0 * x1
+                    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
+            self._dets = (nums, den * den, [from_frame(e, den * den) for e in nums])
+        return self._dets[0], self._dets[1]
+
     def edge_dets(self) -> list[Scalar]:
         """det(W_i, W_{i+1}) for consecutive vertices; all positive."""
-        m = 2 * self.n
-        return [det(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m)]
+        self.edge_det_frame()
+        return list(self._dets[2])
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +524,13 @@ def _seg_intersections(a, b, c, d, hits: set) -> bool:
     return False
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
-
-
 def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
     """Count chords of the convex polygon having x as their midpoint.
 
     The boundary is intersected with its point-reflection through x; each
     unordered pair {p, 2x - p} of intersection points is one chord.  Always
-    exact: float inputs are snapped to their exact rational values first.
+    exact: float inputs are snapped to their exact rational values first,
+    and the work runs on the integer frame of the boundary and x.
     """
     pts = _distinct_boundary(boundary)
     if len(pts) < 3:
@@ -464,30 +539,22 @@ def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
     def to_frac(s) -> Fraction:
         return s if isinstance(s, Fraction) else RATIONAL.convert(s)
 
-    fx, fy = to_frac(x.x), to_frac(x.y)
-    fpts = [(to_frac(p.x), to_frac(p.y)) for p in pts]
-    scale = 1
-    for px, py in fpts + [(fx, fy)]:
-        scale = _lcm(scale, px.denominator)
-        scale = _lcm(scale, py.denominator)
-    scale *= 2  # keep the doubled reflection center integral
-    q = [(int(px * scale), int(py * scale)) for px, py in fpts]
-    cx, cy = int(2 * fx * scale), int(2 * fy * scale)
+    xs, ys, _ = integer_frame([Vec2(to_frac(p.x), to_frac(p.y)) for p in pts + [x]])
+    q = list(zip(xs[:-1], ys[:-1]))
+    cx, cy = 2 * xs[-1], 2 * ys[-1]  # the doubled reflection center 2x
     r = [(cx - px, cy - py) for px, py in q]
 
     if set(q) == set(r):
         return RegionTest(chords=None, overlap=True, symmetric=True)
-    m = len(q)
     hits: set = set()
-    for i in range(m):
-        a, b = q[i], q[(i + 1) % m]
+    # bounding boxes of the reflected edges, for a cheap rejection test
+    boxes = [(min(c[0], d[0]), max(c[0], d[0]), min(c[1], d[1]), max(c[1], d[1]), c, d)
+             for c, d in zip(r, r[1:] + r[:1])]
+    for a, b in zip(q, q[1:] + q[:1]):
         lo_x, hi_x = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
         lo_y, hi_y = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        for j in range(m):
-            c, d = r[j], r[(j + 1) % m]
-            if max(c[0], d[0]) < lo_x or min(c[0], d[0]) > hi_x:
-                continue
-            if max(c[1], d[1]) < lo_y or min(c[1], d[1]) > hi_y:
+        for c_lo_x, c_hi_x, c_lo_y, c_hi_y, c, d in boxes:
+            if c_hi_x < lo_x or c_lo_x > hi_x or c_hi_y < lo_y or c_lo_y > hi_y:
                 continue
             if _seg_intersections(a, b, c, d, hits):
                 return RegionTest(chords=None, overlap=True, symmetric=False)

@@ -18,8 +18,11 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
-    coeff_along,
+    framed_coeff,
+    from_frame,
+    integer_frame,
     polygon_area,
+    scalar_frame,
 )
 
 
@@ -47,11 +50,18 @@ class CentralEquidistant:
 def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list[Scalar]:
     """Edge coefficients of a closed list against the ball's edges."""
     m = len(points)
-    uv = u.vertices
-    return [
-        coeff_along(points[(i + 1) % m] - points[i], uv[(i + 1) % m] - uv[i], backend)
-        for i in range(m)
-    ]
+    xs, ys, den = integer_frame(points)
+    ux, uy, uden = u.frame()
+    out = []
+    for i in range(m):
+        j = (i + 1) % m
+        t = framed_coeff(xs[j] - xs[i], ys[j] - ys[i], ux[j] - ux[i], uy[j] - uy[i], backend)
+        if t is None:
+            uv = u.vertices
+            raise IdentityError(
+                f"vector {points[j] - points[i]!r} is not parallel to {uv[j] - uv[i]!r}")
+        out.append(from_frame(t[0] * uden, t[1] * den))
+    return out
 
 
 def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -66,9 +76,11 @@ def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
 
 def betas_of(alphas: Sequence[Scalar], u: CenteredBall) -> list[Scalar]:
     """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1})."""
-    m = len(alphas)
-    d = u.edge_dets()
-    return [s / 2 for s in window_sums([alphas[j] * d[j] for j in range(m)], m // 2)]
+    nums, den = scalar_frame(alphas)
+    dets, dden = u.edge_det_frame()
+    sums = window_sums([a * d for a, d in zip(nums, dets)], len(nums) // 2)
+    scale = 2 * den * dden
+    return [from_frame(s, scale) for s in sums]
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
@@ -104,11 +116,16 @@ def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend,
                edge_offset: int = 0) -> list[Scalar]:
     """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_{i+offset}."""
     m = len(v.vertices)
-    k = len(points)
+    xs, ys, den = integer_frame(points)
+    vx, vy, vden = v.frame()
     out = []
-    for i in range(k - 1):
-        d = v.vertices[(i + edge_offset) % m]
-        out.append(coeff_along(points[i + 1] - points[i], d, backend))
+    for i in range(len(points) - 1):
+        s = (i + edge_offset) % m
+        t = framed_coeff(xs[i + 1] - xs[i], ys[i + 1] - ys[i], vx[s], vy[s], backend)
+        if t is None:
+            raise IdentityError(f"vector {points[i + 1] - points[i]!r} is not parallel "
+                                f"to {v.vertices[s]!r}")
+        out.append(from_frame(t[0] * vden, t[1] * den))
     return out
 
 
@@ -187,6 +204,27 @@ class HalfAreaCheck:
     four_c_beta: Scalar
 
 
+def _convex_equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> list[Vec2]:
+    """Vertices of the c-equidistant, which must be convex (c >= max(-alpha))."""
+    if ce.backend.lt(c, min_convex_c(ce)):
+        raise InputError("half-polygon areas need a convex equidistant")
+    return equidistant(ce, u, c).vertices
+
+
+def _half(pc: Sequence[Vec2], n: int, i: int) -> list[Vec2]:
+    """The half {P_i, ..., P_{i+n}} of a closed 2n-list, closed by its diagonal."""
+    return [pc[j % (2 * n)] for j in range(i, i + n + 1)]
+
+
+def _half_area_check(ce: CentralEquidistant, pc: Sequence[Vec2], i: int,
+                     c: Scalar) -> HalfAreaCheck:
+    return HalfAreaCheck(
+        a1=polygon_area(_half(pc, ce.n, i)),
+        a2=polygon_area(_half(pc, ce.n, i + ce.n)),
+        four_c_beta=4 * c * ce.betas[i % (2 * ce.n)],
+    )
+
+
 def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,
                        c: Scalar) -> HalfAreaCheck:
     """Areas of the two halves of the c-equidistant cut by diagonal i.
@@ -195,30 +233,31 @@ def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,
     diagonal, A2 of the complementary list; their difference is 4 c beta_i.
     Requires a convex equidistant (c >= max(-alpha)).
     """
-    backend = ce.backend
-    c = backend.convert(c)
-    if backend.lt(c, min_convex_c(ce)):
-        raise InputError("half-polygon areas need a convex equidistant")
+    c = ce.backend.convert(c)
+    return _half_area_check(ce, _convex_equidistant(ce, u, c), i, c)
+
+
+def half_area_identities(ce: CentralEquidistant, u: CenteredBall,
+                         c: Scalar) -> list[HalfAreaCheck]:
+    """``half_area_identity`` for i = 0 .. 2n-1, from one equidistant."""
+    c = ce.backend.convert(c)
+    pc = _convex_equidistant(ce, u, c)
+    return [_half_area_check(ce, pc, i, c) for i in range(2 * ce.n)]
+
+
+def _half_arc_length(ce: CentralEquidistant, dets: Sequence[Scalar], i: int,
+                     c: Scalar) -> Scalar:
     m = 2 * ce.n
-    pc = equidistant(ce, u, c).vertices
-    arc1 = [pc[j % m] for j in range(i, i + ce.n + 1)]
-    arc2 = [pc[j % m] for j in range(i + ce.n, i + 2 * ce.n + 1)]
-    return HalfAreaCheck(
-        a1=polygon_area(arc1),
-        a2=polygon_area(arc2),
-        four_c_beta=4 * c * ce.betas[i % m],
-    )
+    acc = 0
+    for j in range(i, i + ce.n):
+        acc = acc + (ce.alphas[j % m] + c) * dets[j % m]
+    return acc
 
 
 def half_arc_length(ce: CentralEquidistant, u: CenteredBall, i: int,
                     c: Scalar) -> Scalar:
     """Dual length of the half arc {P_i(c), ..., P_{i+n}(c)}: cA(U) + 2 beta_i."""
-    c = ce.backend.convert(c)
-    d = u.edge_dets()
-    acc = 0
-    for j in range(i, i + ce.n):
-        acc = acc + (ce.alphas[j % (2 * ce.n)] + c) * d[j % (2 * ce.n)]
-    return acc
+    return _half_arc_length(ce, u.edge_dets(), i, ce.backend.convert(c))
 
 
 def chakerian_invariant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> Scalar:
@@ -229,18 +268,18 @@ def chakerian_invariant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> S
     """
     backend = ce.backend
     c = backend.convert(c)
-    area_u = polygon_area(u.vertices)
-    area_pc = polygon_area(equidistant(ce, u, c).vertices)
+    pc = _convex_equidistant(ce, u, c)
+    closed = 2 * c * c * polygon_area(u.vertices) - polygon_area(pc)
+    dets = u.edge_dets()
     value = None
     for i in range(2 * ce.n):
-        a1 = half_area_identity(ce, u, i, c).a1
-        lv = half_arc_length(ce, u, i, c)
+        a1 = polygon_area(_half(pc, ce.n, i))
+        lv = _half_arc_length(ce, dets, i, c)
         cur = a1 - c * lv
         if value is None:
             value = cur
         elif not backend.eq(value, cur):
             raise IdentityError(f"half-polygon invariant varies at index {i}")
-        closed = 2 * c * c * area_u - area_pc
         if not backend.eq(2 * c * lv - 2 * a1, closed):
             raise IdentityError(f"half-polygon closed form fails at index {i}")
     return value

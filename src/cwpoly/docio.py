@@ -35,7 +35,9 @@ def load_document(path: str, backend: Backend = RATIONAL):
                 data = json.load(f)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot decode {path} as UTF-8: {e}") from e
+    except ValueError as e:  # malformed JSON, or a number too long to read
         raise InputError(f"invalid JSON in {path}: {e}") from e
     name, raw = _parse_obj(data)
     pts = []

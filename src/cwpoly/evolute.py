@@ -31,9 +31,11 @@ from .core import (
     IdentityError,
     PairedPolygon,
     Vec2,
-    det,
+    from_frame,
+    integer_frame,
     mixed_area,
     point_region_test,
+    scalar_frame,
 )
 from .cw import CentralEquidistant, alphas_of, betas_of, lambdas_of
 
@@ -100,20 +102,28 @@ class Involute:
 
 
 def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
-                    d: Sequence[Vec2], backend: Backend) -> list[Vec2]:
+                    d: CenteredBall, backend: Backend) -> list[Vec2]:
     """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X.
 
     The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
-    vertex world and W for the edge world (see the module docstring).
+    vertex world and W for the edge world (see the module docstring).  Both
+    forms are built and compared on the integer frame shared by X, the betas
+    and D: numerators over den(X) den(beta) den(D).
     """
     m = len(points)
+    xs, ys, xden = integer_frame(points)
+    bs, bden = scalar_frame(betas)
+    dx, dy, dden = d.frame()
+    sx = bden * dden  # X numerators onto the common denominator
+    den = xden * sx
     out = []
     for i in range(m):
-        n1 = points[i] + d[i] * betas[i]
-        n2 = points[(i + 1) % m] + d[i] * betas[(i + 1) % m]
-        if not backend.same_point(n1, n2):
+        j = (i + 1) % m
+        n1x, n1y = xs[i] * sx + dx[i] * bs[i] * xden, ys[i] * sx + dy[i] * bs[i] * xden
+        n2x, n2y = xs[j] * sx + dx[i] * bs[j] * xden, ys[j] * sx + dy[i] * bs[j] * xden
+        if not (backend.eq(n1x, n2x) and backend.eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
-        out.append(n1)
+        out.append(Vec2(from_frame(n1x, den), from_frame(n1y, den)))
     return out
 
 
@@ -124,7 +134,7 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     computed and must agree exactly; the result has zero diagonals.
     """
     backend = ce.backend
-    out = involute_points(ce.M, ce.betas, v.vertices, backend)
+    out = involute_points(ce.M, ce.betas, v, backend)
     degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
     return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
                     degenerate=degenerate)
@@ -150,7 +160,7 @@ def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     mu is the alpha ladder of M' and minus the (V, W) betas of the input.
     """
     be = betas_of(alphas_of(points, v, backend), v)
-    out = involute_points(points, be, second_dual(u).vertices, backend)
+    out = involute_points(points, be, second_dual(u), backend)
     return _later(out), [-b for b in be]
 
 
@@ -169,13 +179,12 @@ def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
     For the edge-world step pass the mu ladder and W: det(W_{i-1}, W_i) =
     det(U_i, U_{i+1}).
     """
-    m = len(betas)
-    n = m // 2
-    vv = v.vertices
+    nums, den = scalar_frame(betas[:len(betas) // 2])
+    dets, dden = v.edge_det_frame()
     acc = 0
-    for i in range(n):
-        acc = acc + betas[i] * betas[i] * det(vv[(i - 1) % m], vv[i])
-    return acc
+    for i, b in enumerate(nums):
+        acc = acc + b * b * dets[i - 1]
+    return from_frame(acc, den * den * dden)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import InputError, PairedPolygon, Vec2
+from .core import InputError, PairedPolygon, Vec2, from_frame, integer_frame
 from .cw import CentralEquidistant, alphas_of, betas_of, central_equidistant
 from .evolute import (
     dual_involute,
@@ -34,10 +34,10 @@ NOISE_FACTOR = 64
 
 
 def diameter_sq(points) -> Scalar:
-    """Max squared Euclidean distance over vertex pairs (exact in rational mode)."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    best = 0
+    """Max squared Euclidean distance over pairs of a nonempty point list
+    (exact in rational mode, on the integer frame of the points)."""
+    xs, ys, den = integer_frame(points)
+    best = xs[0] - xs[0]  # zero, as an int or a float like the frame
     for i in range(len(xs)):
         xi, yi = xs[i], ys[i]
         for j in range(i + 1, len(xs)):
@@ -46,7 +46,7 @@ def diameter_sq(points) -> Scalar:
             v = dx * dx + dy * dy
             if v > best:
                 best = v
-    return best
+    return from_frame(best, den * den)
 
 
 def diameter(points) -> float:
@@ -178,7 +178,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         if d2 < tol2:
             break
         be = betas_of(alphas_of(cur, u, backend), u)
-        nxt_n = involute_points(cur, be, v.vertices, backend)
+        nxt_n = involute_points(cur, be, v, backend)
         nxt_m, mus = dual_involute(nxt_n, u, v, backend)
         d2 = diameter_sq(nxt_m[:n])
         if not d2 <= NOISE_FACTOR * best:
@@ -244,11 +244,17 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     u, v, w = plane.U, plane.V, plane.W
     out: list[TraceCheck] = []
 
+    # SA of every stored polygon, computed once: sa_m[idx] of M(k), and
+    # sa_n[idx] of N(k) for k > 0 (sa_n[0] is unused)
+    steps = trace.steps
+    sa_m = [signed_area(s.M) for s in steps]
+    sa_n = [None] + [signed_area(s.N) for s in steps[1:]]
+
     chain: list[Scalar] = []
-    for s in trace.steps:
-        if s.k > 0:
-            chain.append(signed_area(s.N))
-        chain.append(signed_area(s.M))
+    for idx in range(len(steps)):
+        if idx > 0:
+            chain.append(sa_n[idx])
+        chain.append(sa_m[idx])
     ok = all(backend.sign(x) >= 0 for x in chain) and all(
         backend.le(chain[i + 1], chain[i]) for i in range(len(chain) - 1))
     out.append(TraceCheck("iterate.sa_chain_monotone", ok,
@@ -257,18 +263,18 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     ok = True
     detail = ""
     acc = 0
-    sa0 = signed_area(trace.steps[0].M)
-    for idx in range(1, len(trace.steps)):
-        prev, cur = trace.steps[idx - 1], trace.steps[idx]
+    sa0 = sa_m[0]
+    for idx in range(1, len(steps)):
+        cur = steps[idx]
         be = edge_world_coeffs(cur.N, v, backend)
-        lhs = signed_area(prev.M) - signed_area(cur.N)
+        lhs = sa_m[idx - 1] - sa_n[idx]
         rhs = signed_area_gap(be, v)
         if not backend.eq(lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
         al = alphas_of(cur.M, u, backend)
-        lhs2 = signed_area(cur.N) - signed_area(cur.M)
+        lhs2 = sa_n[idx] - sa_m[idx]
         rhs2 = signed_area_gap(al, w)
         if not backend.eq(lhs2, rhs2):
             ok = False
@@ -282,7 +288,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     out.append(TraceCheck("iterate.gap_identities", ok, detail))
 
     slack = sa0 - acc
-    residual = signed_area(trace.steps[-1].M)
+    residual = sa_m[-1]
     out.append(TraceCheck(
         "iterate.sumsquares_bound",
         backend.sign(slack) >= 0 and backend.eq(slack, residual),

@@ -30,7 +30,7 @@ from .cw import (
     cusps_of_central,
     equidistant,
     half_arc_length,
-    half_area_identity,
+    half_area_identities,
     min_convex_c,
     v_length,
 )
@@ -219,8 +219,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
         for c in cs:
             if backend.lt(c, min_convex_c(ce)):
                 continue
-            for i in range(m):
-                h = half_area_identity(ce, u, i, c)
+            for i, h in enumerate(half_area_identities(ce, u, c)):
                 if not eq(h.a1 - h.a2, h.four_c_beta):
                     return f"i={i} c={_s(backend, c)}", False
         return "A1 - A2 = 4c beta_i", True

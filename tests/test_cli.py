@@ -218,3 +218,37 @@ def test_float_iterate_imports_no_numpy(triangle_doc, run_python):
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.fixture
+def huge_doc(tmp_path):
+    """A triangle with a 5001-digit coordinate, past Python's default limit
+    on converting integers to and from decimal strings."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": [[0, 0], [%s, 0], [0, 1]]}' % ("7" * 5001))
+    return str(path)
+
+
+def test_huge_integer_rational_roundtrip(huge_doc, run_python):
+    out = run_python("-m", "cwpoly.cli", "ball", huge_doc)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    # parse_int=str: this process keeps the default conversion limit
+    assert json.loads(out.stdout, parse_int=str)["paired"][1] == ["7" * 5001, "0"]
+
+
+@pytest.mark.parametrize("argv", [["ball", "--backend", "float"],
+                                  ["iterate", "--steps", "2"]])
+def test_huge_integer_exit_2(huge_doc, run_python, argv):
+    # a float plane cannot hold the coordinate, and the exact iteration
+    # cannot report its diameter as a float: both are input errors
+    out = run_python("-m", "cwpoly.cli", argv[0], huge_doc, *argv[1:])
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr and out.stderr.startswith("error:")
+
+
+def test_exit_2_not_utf8(tmp_path, run_python):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9t\xe9", "vertices": [[0, 0], [1, 0], [0, 1]]}')
+    out = run_python("-m", "cwpoly.cli", "ball", str(path))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "UTF-8" in out.stderr

@@ -1,4 +1,5 @@
 """Substrate tests: determinants, areas, Minkowski sums, chord counting."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cwpoly import (
     ConvexPolygon,
+    IdentityError,
     InputError,
     Vec2,
     chord_count,
@@ -18,6 +20,12 @@ from cwpoly import (
     polygon_area,
     vec,
 )
+from cwpoly.backend import FLOAT, RATIONAL
+from cwpoly.core import coeff_along, integer_frame
+from cwpoly.cw import alphas_of
+from cwpoly.evolute import signed_area_gap
+from cwpoly.fuzz import random_centered_ball
+from cwpoly.iterate import diameter_sq
 
 TRI = [Vec2(F(0), F(0)), Vec2(F(1), F(0)), Vec2(F(0), F(1))]
 HEX_U = [Vec2(F(x), F(y)) for x, y in
@@ -252,3 +260,145 @@ def test_chord_count_float_inputs():
     pts = [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0)]
     res = chord_count(Vec2(0.3, 0.4), pts)
     assert res.chords == 3
+
+
+# --- integer-frame kernels ------------------------------------------------------
+# Each framed kernel is compared with the plain formula written out here: on
+# Fractions it must give the same exact value, as a Fraction; on floats the
+# same float, bit for bit (the reference keeps the kernel's expression order).
+
+# plain ints mixed with Fractions whose denominators share no structure
+mixed_coords = st.one_of(
+    st.integers(-60, 60),
+    st.builds(F, st.integers(-600, 600), st.sampled_from([3, 7, 10, 12, 49, 97, 128, 1001])),
+)
+float_coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+def _polys(coords, lo=3, hi=9):
+    return st.lists(st.builds(Vec2, coords, coords), min_size=lo, max_size=hi)
+
+
+def _exact(points):
+    return [Vec2(F(p.x), F(p.y)) for p in points]
+
+
+def ref_shoelace(p):
+    acc = p[-1].x * p[0].y - p[-1].y * p[0].x
+    for a, b in zip(p, p[1:]):
+        acc = acc + (a.x * b.y - a.y * b.x)
+    return acc / 2
+
+
+def ref_mixed(p, q):
+    acc = 0
+    for i in range(len(p)):
+        j = (i + 1) % len(p)
+        acc = acc + (q[i].x * (p[j].y - p[i].y) - q[i].y * (p[j].x - p[i].x))
+    return acc / 2
+
+
+def ref_diameter_sq(p):
+    best = p[0].x - p[0].x
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            dx, dy = p[i].x - p[j].x, p[i].y - p[j].y
+            v = dx * dx + dy * dy
+            if v > best:
+                best = v
+    return best
+
+
+def ref_gap(betas, v):
+    acc = 0
+    for i in range(len(betas) // 2):
+        acc = acc + betas[i] * betas[i] * (v[i - 1].x * v[i].y - v[i - 1].y * v[i].x)
+    return acc
+
+
+@given(_polys(mixed_coords))
+def test_integer_frame_shares_one_denominator(pts):
+    xs, ys, den = integer_frame(pts)
+    assert all(type(c) is int for c in xs + ys)
+    assert [Vec2(F(x, den), F(y, den)) for x, y in zip(xs, ys)] == pts
+    assert den == math.lcm(*{F(c).denominator for p in pts for c in p})
+
+
+@given(_polys(float_coords))
+def test_integer_frame_float_passes_through(pts):
+    xs, ys, den = integer_frame(pts)
+    assert den == 1 and xs == [p.x for p in pts] and ys == [p.y for p in pts]
+
+
+@given(_polys(mixed_coords), _polys(mixed_coords, 4, 4), _polys(mixed_coords, 4, 4))
+def test_framed_areas_and_diameter_exact(p, q4, r4):
+    for got, want in ((polygon_area(p), ref_shoelace(_exact(p))),
+                      (mixed_area(q4, r4), ref_mixed(_exact(q4), _exact(r4))),
+                      (mixed_area(p, p), ref_mixed(_exact(p), _exact(p))),
+                      (diameter_sq(p), ref_diameter_sq(_exact(p)))):
+        assert type(got) is F and got == want
+
+
+@given(_polys(float_coords), _polys(float_coords, 4, 4), _polys(float_coords, 4, 4))
+def test_framed_areas_and_diameter_float_bitwise(p, q4, r4):
+    for got, want in ((polygon_area(p), ref_shoelace(p)),
+                      (mixed_area(q4, r4), ref_mixed(q4, r4)),
+                      (mixed_area(p, p), ref_mixed(p, p)),
+                      (diameter_sq(p), ref_diameter_sq(p))):
+        assert got == want and type(got) is type(want)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 5), st.data())
+def test_framed_ladders_exact(seed, n, data):
+    # a closed list whose edge i is alpha_i (U_{i+1} - U_i), alpha_{i+n} = alpha_i
+    u = random_centered_ball(random.Random(seed), n)
+    uv = u.vertices
+    half = data.draw(st.lists(mixed_coords, min_size=n, max_size=n))
+    alphas = [F(a) for a in half + half]
+    pts = [Vec2(F(data.draw(mixed_coords)), F(data.draw(mixed_coords)))]
+    for i in range(2 * n - 1):
+        pts.append(pts[-1] + (uv[i + 1] - uv[i]) * alphas[i])
+    got = alphas_of(pts, u, RATIONAL)
+    assert got == alphas and all(type(a) is F for a in got)
+    gap = signed_area_gap(alphas, u)
+    assert type(gap) is F and gap == ref_gap(alphas, uv)
+    for i in range(2 * n):
+        w, d = pts[(i + 1) % (2 * n)] - pts[i], uv[(i + 1) % (2 * n)] - uv[i]
+        assert coeff_along(w, d, RATIONAL) == alphas[i]
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 5), st.data())
+def test_framed_ladders_float_bitwise(seed, n, data):
+    u = random_centered_ball(random.Random(seed), n, backend=FLOAT)
+    uv = u.vertices
+    m = 2 * n
+    small = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    betas = data.draw(st.lists(float_coords, min_size=m, max_size=m))
+    assert signed_area_gap(betas, u) == ref_gap(betas, uv)
+    half = data.draw(st.lists(small, min_size=n, max_size=n))
+    pts = [Vec2(data.draw(small), data.draw(small))]
+    for a in (half + half)[:-1]:
+        i = len(pts) - 1
+        pts.append(pts[-1] + (uv[i + 1] - uv[i]) * a)
+    want = []
+    for i in range(m):
+        w, d = pts[(i + 1) % m] - pts[i], uv[(i + 1) % m] - uv[i]
+        want.append(w.x / d.x if abs(d.x) >= abs(d.y) else w.y / d.y)
+        assert coeff_along(w, d, FLOAT) == want[-1]
+    assert alphas_of(pts, u, FLOAT) == want
+
+
+def test_framed_coeff_not_parallel_message():
+    with pytest.raises(IdentityError) as e:
+        coeff_along(Vec2(F(1, 2), 2), Vec2(1, 1), RATIONAL)
+    assert str(e.value) == "vector Vec2(Fraction(1, 2), 2) is not parallel to Vec2(1, 1)"
+    u = random_centered_ball(random.Random(5), 3)
+    uv = u.vertices
+    pts = [Vec2(F(0), F(0))]
+    for i in range(5):
+        pts.append(pts[-1] + (uv[i + 1] - uv[i]))
+    pts[3] = pts[3] + Vec2(F(1, 3), F(0))
+    with pytest.raises(IdentityError) as e:
+        alphas_of(pts, u, RATIONAL)
+    w, d = pts[3] - pts[2], uv[3] - uv[2]
+    assert str(e.value) == f"vector {w!r} is not parallel to {d!r}"

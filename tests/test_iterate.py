@@ -1,4 +1,5 @@
 """Involute iteration: convergence, ledger identities, width families, float backend."""
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -200,3 +201,29 @@ def test_half_period_invariant():
         assert len(trace.steps) == 9
         for s in trace.steps:
             assert all(s.M[i + n] == s.M[i] and s.N[i + n] == s.N[i] for i in range(n))
+
+
+# SHA-256 of the exact ledger below, recorded before the kernels moved to the
+# integer frame; any changed exact value changes it
+GOLDEN_LEDGER_SHA256 = "b52b3daf78986a83ef3df9b620010d7aec6fdde6adc29ebcc71592ecdcb1bc78"
+
+
+def test_golden_exact_ledger():
+    # 16 exact steps on two seeded planes (n = 5, 7) and the rounded regular
+    # 9-gon of radius 1000; one line per input of k:sa_m:sa_n:gap_mn:gap_nm
+    # records joined by "|", the record format of the exact-ledger benchmark
+    from cwpoly.fuzz import random_cw_plane
+
+    nine = [(round(1000 * math.cos(2 * math.pi * j / 9)),
+             round(1000 * math.sin(2 * math.pi * j / 9))) for j in range(9)]
+    planes = [random_cw_plane(random.Random(601), 5, 5),
+              random_cw_plane(random.Random(602), 7, 7),
+              build_plane(ConvexPolygon.from_points(nine))]
+    assert [p.n for p in planes] == [5, 7, 9]
+    h = hashlib.sha256()
+    for plane in planes:
+        trace = iterate_involutes(plane, max_steps=16, tol=1e-300)
+        assert len(trace.steps) == 17
+        h.update("|".join(f"{t.k}:{t.sa_m}:{t.sa_n}:{t.gap_mn}:{t.gap_nm}"
+                          for t in trace.steps).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_LEDGER_SHA256
