@@ -98,6 +98,8 @@ class FloatBackend(Backend):
     eps = DEFAULT_EPS
 
     def convert(self, value) -> float:
+        if isinstance(value, bool):
+            raise TypeError("boolean is not a coordinate")
         if isinstance(value, str):
             value = float(Fraction(value))
         out = float(value)

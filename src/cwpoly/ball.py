@@ -13,12 +13,12 @@ from typing import Sequence
 
 from .backend import Backend, RATIONAL, Scalar
 from .core import (
+    AngleKey,
     CenteredBall,
     ConvexPolygon,
     InputError,
     PairedPolygon,
     Vec2,
-    angle_less,
     coeff_along,
     det,
     dot,
@@ -71,7 +71,7 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
         r = e if upper(e) else -e
         if not any(backend.is_zero(det(r, s)) for s in reps):
             reps.append(r)
-    reps.sort(key=_AngleKey)
+    reps.sort(key=AngleKey)
     n = len(reps)
     j = k - n
     if n < 2:
@@ -79,7 +79,7 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
 
     # start edge: smallest full angle within [0, 180)
     start_candidates = [i for i, e in enumerate(edges) if upper(e)]
-    start = min(start_candidates, key=lambda i: _AngleKey(edges[i]))
+    start = min(start_candidates, key=lambda i: AngleKey(edges[i]))
     start_class = next(t for t, r in enumerate(reps)
                        if backend.is_zero(det(r, edges[start])))
 
@@ -107,18 +107,6 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     paired = PairedPolygon(out[:-1], n, backend)
     paired.validate()
     return paired
-
-
-class _AngleKey:
-    """Sort key wrapping exact full-circle angle comparison."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: Vec2):
-        self.v = v
-
-    def __lt__(self, other: "_AngleKey") -> bool:
-        return angle_less(self.v, other.v)
 
 
 def unit_ball(paired: PairedPolygon, a: Scalar, validate: bool = True) -> CenteredBall:

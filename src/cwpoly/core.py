@@ -214,6 +214,18 @@ def angle_less(u: Vec2, v: Vec2) -> bool:
     return det(u, v) > 0
 
 
+class AngleKey:
+    """Sort key wrapping ``angle_less``, the exact full-circle angle order."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: Vec2):
+        self.v = v
+
+    def __lt__(self, other: "AngleKey") -> bool:
+        return angle_less(self.v, other.v)
+
+
 def clean_convex(points: Sequence[Vec2], backend: Backend):
     """Normalize a raw vertex list into strictly convex CCW form.
 

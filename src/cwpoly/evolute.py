@@ -54,25 +54,21 @@ class Evolute:
         return len(self.E)
 
 
-def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall | None = None,
+def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
             backend: Backend | None = None) -> Evolute:
-    """Evolute of a closed constant-U-width vertex list.
+    """Evolute of a closed constant-U-width vertex list, given the dual ball V.
 
-    When the dual ball is supplied, mu_i = lambda_i / det(U_i, U_{i+1}) (no
-    division by a vanishing edge coordinate); otherwise mu_i is solved from
-    P_{i+1} - P_i = mu_i (U_{i+1} - U_i) directly.  E_i = P_i - mu_i U_i and
-    the companion form E_i = P_{i+1} - mu_i U_{i+1} must agree.  The evolute
-    of every equidistant of P equals the evolute of P.
+    mu_i = lambda_i / det(U_i, U_{i+1}), so no division by a vanishing edge
+    coordinate; it solves P_{i+1} - P_i = mu_i (U_{i+1} - U_i).  E_i = P_i -
+    mu_i U_i and the companion form E_i = P_{i+1} - mu_i U_{i+1} must agree.
+    The evolute of every equidistant of P equals the evolute of P.
     """
     backend = backend or u.backend
     m = len(points)
     uv = u.vertices
-    if v is not None:
-        d = u.edge_dets()
-        lam = lambdas_of(list(points) + [points[0]], v, backend)
-        mus = [lam[i] / d[i] for i in range(m)]
-    else:
-        mus = alphas_of(points, u, backend)
+    d = u.edge_dets()
+    lam = lambdas_of(list(points) + [points[0]], v, backend)
+    mus = [lam[i] / d[i] for i in range(m)]
     out = []
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]

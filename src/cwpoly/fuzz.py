@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .backend import Backend, RATIONAL
 from .ball import MinkowskiPlane, build_plane
-from .core import CenteredBall, ConvexPolygon, InputError, Vec2
+from .core import AngleKey, CenteredBall, ConvexPolygon, InputError, Vec2, det
 
 
 def random_convex_polygon(rng: random.Random, k: int, span: int = 24,
@@ -30,7 +30,7 @@ def random_convex_polygon(rng: random.Random, k: int, span: int = 24,
         vecs = [Vec2(a, b) for a, b in zip(dx, dy) if (a, b) != (0, 0)]
         if len(vecs) < 3:
             continue
-        vecs.sort(key=_FullAngle)
+        vecs.sort(key=AngleKey)
         pts = [Vec2(0, 0)]
         for v in vecs[:-1]:
             pts.append(pts[-1] + v)
@@ -54,17 +54,6 @@ def _chain_deltas(rng: random.Random, sorted_vals: list[int]) -> list[int]:
     deltas = [b - a for a, b in zip(up, up[1:])]
     deltas += [a - b for a, b in zip(down, down[1:])]
     return deltas
-
-
-class _FullAngle:
-    __slots__ = ("v",)
-
-    def __init__(self, v: Vec2):
-        self.v = v
-
-    def __lt__(self, other) -> bool:
-        from .core import angle_less
-        return angle_less(self.v, other.v)
 
 
 def random_cw_plane(rng: random.Random, n_min: int = 3, n_max: int = 8,
@@ -98,11 +87,10 @@ def random_centered_ball(rng: random.Random, n: int, span: int = 12,
             if x == 0 and y == 0:
                 continue
             cand = Vec2(x, y)
-            from .core import det
             if any(det(cand, w) == 0 for w in vecs):
                 continue
             vecs.append(cand)
-        vecs.sort(key=_FullAngle)
+        vecs.sort(key=AngleKey)
         edges = vecs + [-v for v in vecs]
         half = Vec2(0, 0)
         for v in vecs:

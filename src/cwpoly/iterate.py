@@ -28,9 +28,6 @@ from .evolute import (
 DEFAULT_TOL = 1e-9
 DEFAULT_STEPS_RATIONAL = 64
 DEFAULT_STEPS_FLOAT = 10_000
-# a step may grow the squared diameter to at most 64x (the diameter to 8x)
-# the smallest seen so far before the noise guard stops the run
-NOISE_FACTOR = 64
 
 
 def diameter_sq(points) -> Scalar:
@@ -78,8 +75,7 @@ class IterationTrace:
     """The recorded steps and why the run stopped.
 
     stop_reason is "tol" (the diameter of M(k) fell below tol; converged is
-    then True), "max_steps", or "noise" (float rounding noise began to grow;
-    see ``_ladder``).
+    then True) or "max_steps".
     """
 
     steps: list[IterationStep]
@@ -112,8 +108,8 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
     Both backends run the same ladder.  Rational mode is exact; coordinate
     size grows linearly with k, so max_steps defaults to 64 there and to
     10 000 in float mode.  tol must be finite and positive.  Not reaching tol
-    is not an error: the trace comes back with converged=False and says in
-    stop_reason whether max_steps ran out or float noise cut the run short.
+    is not an error: the trace comes back with converged=False and
+    stop_reason "max_steps".
     """
     backend = plane.backend
     if max_steps is None:
@@ -152,38 +148,35 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  M(k) and N(k) repeat after n vertices
-    (X_{i+n} = X_i), so their diameters run over the first n.  The squared
-    diameter of each M(k) is measured once and serves the stop test,
-    ``diam_m`` and the noise guard.
-
-    Noise guard: a step whose squared diameter is not within NOISE_FACTOR of
-    the smallest so far is dropped and the run stops.  Far past convergence,
-    float rounding leaves the subspace of central polygons and the ladder
-    amplifies it; the test also catches NaN and inf.  Diameters never
-    increase in exact arithmetic, so it never fires there.
+    (X_{i+n} = X_i), so every stored polygon, the evolute N(0) included, is
+    its first n vertices twice, and its diameter runs over those n.  In
+    exact arithmetic the two halves are already equal; in float this keeps
+    rounding on the space of central polygons, where the step contracts,
+    instead of letting it drift off that space, where the step amplifies it.
+    The squared diameter of each M(k) is measured once and serves the stop
+    test and ``diam_m``.
     """
     backend = plane.backend
     n = plane.n
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
-    d2 = best = diameter_sq(cur[:n])
-    sa_m, sa_n = signed_area(cur), signed_area(ev.E)
+    e = ev.E[:n] * 2
+    d2 = diameter_sq(cur[:n])
+    sa_m, sa_n = signed_area(cur), signed_area(e)
     steps = [IterationStep(
-        k=0, M=cur, N=list(ev.E), sa_m=sa_m, sa_n=sa_n,
+        k=0, M=cur, N=e, sa_m=sa_m, sa_n=sa_n,
         gap_mn=0, gap_nm=sa_n - sa_m,
-        diam_m=math.sqrt(float(d2)), diam_n=diameter(ev.E[:n]),
+        diam_m=math.sqrt(float(d2)), diam_n=diameter(e[:n]),
     )]
     for k in range(1, max_steps + 1):
         if d2 < tol2:
             break
         be = betas_of(alphas_of(cur, u, backend), u)
-        nxt_n = involute_points(cur, be, v, backend)
+        nxt_n = involute_points(cur, be, v, backend)[:n] * 2
         nxt_m, mus = dual_involute(nxt_n, u, v, backend)
+        nxt_m = nxt_m[:n] * 2
         d2 = diameter_sq(nxt_m[:n])
-        if not d2 <= NOISE_FACTOR * best:
-            return k - 1, steps, "noise"
-        best = min(best, d2)
         steps.append(IterationStep(
             k=k, M=nxt_m, N=nxt_n,
             sa_m=signed_area(nxt_m), sa_n=signed_area(nxt_n),
@@ -215,13 +208,14 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     return p_k, q_k
 
 
-def convex_parent_of_m(m_points, u, backend, margin=1) -> list[Vec2]:
-    """A convex equidistant of a vertex-world central polygon (for region tests).
+def convex_parent_of_m(m_points, u, backend) -> list[Vec2]:
+    """A convex equidistant of a vertex-world central polygon (for region tests):
+    width one more than the largest -alpha.
 
     Given V for u, the convex dual-width equidistant of an edge-world polygon.
     """
     al = alphas_of(m_points, u, backend)
-    c = max(-a for a in al) + backend.convert(margin)
+    c = max(-a for a in al) + 1
     return [m_points[i] + u.vertices[i] * c for i in range(len(m_points))]
 
 

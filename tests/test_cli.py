@@ -97,6 +97,14 @@ def test_exit_2_nonconvex(tmp_path, capsys):
     assert main(["ball", str(path)]) == 2
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_exit_2_boolean_coordinate(tmp_path, capsys, backend):
+    path = tmp_path / "bool.json"
+    path.write_text('{"vertices": [[0, 0], [3, 0], [0, true]]}')
+    assert main(["ball", str(path), "--backend", backend]) == 2
+    assert "boolean is not a coordinate" in capsys.readouterr().err
+
+
 def test_exit_2_degenerate_diagonal(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [1, 1], [2, 2]]}))

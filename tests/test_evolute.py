@@ -16,6 +16,7 @@ from cwpoly import (
     signed_area_gap,
     vec,
 )
+from cwpoly.cw import alphas_of
 from cwpoly.evolute import edge_world_coeffs
 from cwpoly.iterate import convex_parent_of_m
 
@@ -56,9 +57,13 @@ def test_evolute_mu_pair_sums():
 
 
 def test_evolute_without_dual_ball_agrees(quad_plane):
-    a = evolute(quad_plane.P.vertices, quad_plane.U, quad_plane.V)
-    b = evolute(quad_plane.P.vertices, quad_plane.U)
-    assert a.E == b.E and a.mus == b.mus
+    # mu from lambda / det(U_i, U_{i+1}) equals mu solved from the ball alone,
+    # P_{i+1} - P_i = mu_i (U_{i+1} - U_i)
+    pts, u = quad_plane.P.vertices, quad_plane.U
+    ev = evolute(pts, u, quad_plane.V)
+    mus = alphas_of(pts, u, quad_plane.backend)
+    assert ev.mus == mus
+    assert ev.E == [pts[i] - u.vertices[i] * mus[i] for i in range(len(pts))]
 
 
 def test_involute_triangle_golden(triangle_plane):

@@ -128,15 +128,18 @@ def _float_plane(points, a=0.5):
     return build_plane(ConvexPolygon.from_points(points, fb), a)
 
 
+def _float_copy(plane_r):
+    fb = get_backend("float")
+    paired_f = PairedPolygon(
+        [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices], plane_r.n, fb)
+    return build_plane(paired_f, float(plane_r.a))
+
+
 def test_float_matches_rational_trace(triangle_plane):
     # the exact ladder is the reference: same step count, and every M vertex
     # and SA(M) within 1e-12 relative to the initial diameter (squared for SA)
-    fb = get_backend("float")
     pairs = [(_float_plane([(0, 0), (1, 0), (0, 1)]), triangle_plane)]
-    for plane in fuzz_planes(408, 6):
-        paired_f = PairedPolygon(
-            [Vec2(float(p.x), float(p.y)) for p in plane.P.vertices], plane.n, fb)
-        pairs.append((build_plane(paired_f, float(plane.a)), plane))
+    pairs += [(_float_copy(plane), plane) for plane in fuzz_planes(408, 6)]
     for fplane, rplane in pairs:
         ft = iterate_involutes(fplane, max_steps=12, tol=1e-320)
         rt = iterate_involutes(rplane, max_steps=12, tol=1e-320)
@@ -154,12 +157,8 @@ def test_float_trace_checks_pass():
     from cwpoly.fuzz import random_cw_plane
 
     rng = random.Random(406)
-    fb = get_backend("float")
     for _ in range(10):
-        plane_r = random_cw_plane(rng)
-        paired_f = PairedPolygon(
-            [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices], plane_r.n, fb)
-        plane_f = build_plane(paired_f, 0.5)
+        plane_f = _float_copy(random_cw_plane(rng))
         trace = iterate_involutes(plane_f, max_steps=2000, tol=1e-9)
         assert trace.converged
         assert all(c.ok for c in check_trace(trace, plane_f))
@@ -178,24 +177,35 @@ def test_stop_reason_tol(triangle_plane):
     assert trace.radius < 1e-3 <= trace.steps[-2].diam_m
 
 
-def test_stop_reason_noise_float():
-    # far past convergence float rounding noise grows; the run stops before
-    # recording a step that grew the diameter, and the ledger still checks
-    plane_r = fuzz_planes(409, 8)[-1]
-    fb = get_backend("float")
-    paired_f = PairedPolygon(
-        [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices], plane_r.n, fb)
-    plane = build_plane(paired_f, float(plane_r.a))
-    trace = iterate_involutes(plane, max_steps=2000, tol=1e-300)
-    assert trace.stop_reason == "noise" and not trace.converged
-    assert len(trace.steps) < 2001
+def _assert_bounded(trace, plane):
     assert all(math.isfinite(s.diam_m) and math.isfinite(s.diam_n) for s in trace.steps)
     assert all(c.ok for c in check_trace(trace, plane))
 
 
+def test_stop_reason_float():
+    # float rounding stays on the central polygons, where the step contracts:
+    # one plane collapses to diameter 0.0 even at an unreachable tol, and one
+    # that the former noise guard cut at step 43 takes all its steps, its
+    # diameters within rounding of the central point
+    planes = fuzz_planes(409, 15)
+    plane = _float_copy(planes[7])
+    trace = iterate_involutes(plane, max_steps=2000, tol=1e-300)
+    assert trace.stop_reason == "tol" and trace.converged
+    assert trace.radius == 0.0 and len(trace.steps) < 100
+    _assert_bounded(trace, plane)
+
+    plane = _float_copy(planes[14])
+    trace = iterate_involutes(plane, max_steps=1500, tol=1e-300)
+    assert trace.stop_reason == "max_steps" and len(trace.steps) == 1501
+    assert max(s.diam_m for s in trace.steps[100:]) < 1e-14 * trace.steps[0].diam_m
+    _assert_bounded(trace, plane)
+
+
 def test_half_period_invariant():
-    # M(k) and N(k) repeat after n vertices, so diameters need only the first n
-    for plane in fuzz_planes(410, 8):
+    # M(k) and N(k) repeat after n vertices, so diameters need only the first
+    # n; the float ladder stores each polygon doubled, so it repeats exactly too
+    planes = fuzz_planes(410, 8)
+    for plane in planes + [_float_copy(p) for p in planes]:
         n = plane.n
         trace = iterate_involutes(plane, max_steps=8, tol=1e-300)
         assert len(trace.steps) == 9
