@@ -9,7 +9,9 @@ their sums and products on those integers and build one ``Fraction`` per
 result with ``from_frame``, instead of reducing every intermediate sum by a
 gcd.  Float input gets the frame den = 1 with its coordinates unchanged, so
 the float backend runs the same loops, in the same expression order, and
-its results are the plain float evaluation of each formula.
+its results are the plain float evaluation of each formula.  The chord
+count (``ChordFrame``) is exact on both backends: it snaps float input to
+its exact rational value and frames it.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -493,11 +495,23 @@ def _distinct_boundary(points: Sequence[Vec2]) -> list[Vec2]:
     return out
 
 
+def _exact(s) -> Fraction:
+    return s if isinstance(s, Fraction) else RATIONAL.convert(s)
+
+
+def point_key(nx: int, ny: int, d: int) -> tuple[int, int, int]:
+    """The point (nx, ny) / d as a gcd-reduced integer triple with d > 0."""
+    if d < 0:
+        nx, ny, d = -nx, -ny, -d
+    g = math.gcd(nx, ny, d)
+    return nx // g, ny // g, d // g
+
+
 def _seg_intersections(a, b, c, d, hits: set) -> bool:
     """Exact closed-segment intersection on integer endpoint pairs.
 
-    Adds isolated intersection points (as Fraction pairs) to hits; returns
-    True when the segments overlap in a positive-length segment.
+    Adds isolated intersection points (as ``point_key`` triples) to hits;
+    returns True when the segments overlap in a positive-length segment.
     """
     rx, ry = b[0] - a[0], b[1] - a[1]
     sx, sy = d[0] - c[0], d[1] - c[1]
@@ -518,8 +532,8 @@ def _seg_intersections(a, b, c, d, hits: set) -> bool:
             return False
         if lo < hi:
             return True
-        t = Fraction(lo - a[axis], ra)
-        hits.add((Fraction(a[0]) + t * rx, Fraction(a[1]) + t * ry))
+        t = lo - a[axis]  # the touching point is a + (t / ra) r
+        hits.add(point_key(a[0] * ra + t * rx, a[1] * ra + t * ry, ra))
         return False
     d1 = rx * acy - ry * acx                      # [r, c-a]: side of c vs line ab
     d2 = rx * (d[1] - a[1]) - ry * (d[0] - a[0])  # [r, d-a]: side of d vs line ab
@@ -531,9 +545,79 @@ def _seg_intersections(a, b, c, d, hits: set) -> bool:
     s4 = (d4 > 0) - (d4 < 0)
     if s1 * s2 > 0 or s3 * s4 > 0:
         return False
-    t = Fraction(d3, denom)
-    hits.add((Fraction(a[0]) + t * rx, Fraction(a[1]) + t * ry))
+    # the crossing is a + (d3 / denom) r
+    hits.add(point_key(a[0] * denom + d3 * rx, a[1] * denom + d3 * ry, denom))
     return False
+
+
+class ChordFrame:
+    """A convex polygon boundary on its integer frame, for counting the
+    chords of many midpoints.
+
+    The distinct boundary vertices are put on one denominator ``den``
+    (float coordinates are snapped to their exact rational values first),
+    and the bounding boxes of all pairs of boundary edges are summed once.
+    A midpoint x is given on that frame as (cx, cy, s) with 2x = (cx, cy) /
+    (den s) for a positive integer s.  The box test of an edge pair then
+    compares the boundary's own integers with floor and ceiling of (cx, cy)
+    / s, which is exact because the box bounds are integers; only the edge
+    pairs that pass it are scaled by s for the exact intersection.
+    """
+
+    def __init__(self, boundary: Sequence[Vec2]):
+        pts = _distinct_boundary(boundary)
+        if len(pts) < 3:
+            raise InputError("chord_count needs a genuine polygon boundary")
+        xs, ys, self.den = integer_frame([Vec2(_exact(p.x), _exact(p.y)) for p in pts])
+        q = self.q = list(zip(xs, ys))
+        self.qset = set(q)
+        boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
+                 for a, b in zip(q, q[1:] + q[:1])]
+        # edge [a, b] against the reflected edge [c - e, c - f]: their
+        # bounding boxes meet iff c lies in the sum of the boxes of [a, b]
+        # and [e, f]
+        self.pairs = [(lx + ex, hx + fx, ly + ey, hy + fy, a, b, e, f)
+                      for lx, hx, ly, hy, a, b in boxes
+                      for ex, fx, ey, fy, e, f in boxes]
+
+    def snap(self, x: Vec2) -> tuple[int, int, int]:
+        """(cx, cy, s) of any point x, exactly: 2x = (cx, cy) / (den s)."""
+        fx, fy = _exact(x.x), _exact(x.y)
+        s = math.lcm(fx.denominator, fy.denominator)
+        k = 2 * self.den
+        cx = k * fx.numerator * (s // fx.denominator)
+        cy = k * fy.numerator * (s // fy.denominator)
+        return cx, cy, s
+
+    def point(self, cx: int, cy: int, s: int) -> Vec2:
+        """The point x of (cx, cy, s), as Fractions."""
+        d = 2 * s * self.den
+        return Vec2(Fraction(cx, d), Fraction(cy, d))
+
+    def count(self, cx: int, cy: int, s: int = 1) -> RegionTest:
+        """Chords of the boundary with midpoint x, 2x = (cx, cy) / (den s).
+
+        The edges of the boundary and of its reflection through x are tested
+        pairwise, O(m^2), skipping pairs whose bounding boxes miss; each
+        unordered pair {p, 2x - p} of intersection points is one chord.
+        """
+        lo_cx, lo_cy = cx // s, cy // s
+        hi_cx = lo_cx if lo_cx * s == cx else lo_cx + 1
+        hi_cy = lo_cy if lo_cy * s == cy else lo_cy + 1
+        if lo_cx == hi_cx and lo_cy == hi_cy and all(
+                (lo_cx - x, lo_cy - y) in self.qset for x, y in self.q):
+            return RegionTest(chords=None, overlap=True, symmetric=True)
+        hits: set = set()
+        for lo_x, hi_x, lo_y, hi_y, a, b, e, f in self.pairs:
+            if lo_cx < lo_x or hi_cx > hi_x or lo_cy < lo_y or hi_cy > hi_y:
+                continue
+            if s != 1:
+                a, b = (a[0] * s, a[1] * s), (b[0] * s, b[1] * s)
+                e, f = (e[0] * s, e[1] * s), (f[0] * s, f[1] * s)
+            if _seg_intersections(a, b, (cx - e[0], cy - e[1]), (cx - f[0], cy - f[1]), hits):
+                return RegionTest(chords=None, overlap=True, symmetric=False)
+        fixed = 1 if point_key(cx, cy, 2) in hits else 0
+        return RegionTest(chords=(len(hits) + fixed) // 2, overlap=False, symmetric=False)
 
 
 def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
@@ -542,36 +626,11 @@ def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
     The boundary is intersected with its point-reflection through x; each
     unordered pair {p, 2x - p} of intersection points is one chord.  Always
     exact: float inputs are snapped to their exact rational values first,
-    and the work runs on the integer frame of the boundary and x.
+    and the work runs on the integer frame of the boundary and x
+    (``ChordFrame``).
     """
-    pts = _distinct_boundary(boundary)
-    if len(pts) < 3:
-        raise InputError("chord_count needs a genuine polygon boundary")
-
-    def to_frac(s) -> Fraction:
-        return s if isinstance(s, Fraction) else RATIONAL.convert(s)
-
-    xs, ys, _ = integer_frame([Vec2(to_frac(p.x), to_frac(p.y)) for p in pts + [x]])
-    q = list(zip(xs[:-1], ys[:-1]))
-    cx, cy = 2 * xs[-1], 2 * ys[-1]  # the doubled reflection center 2x
-    r = [(cx - px, cy - py) for px, py in q]
-
-    if set(q) == set(r):
-        return RegionTest(chords=None, overlap=True, symmetric=True)
-    hits: set = set()
-    # bounding boxes of the reflected edges, for a cheap rejection test
-    boxes = [(min(c[0], d[0]), max(c[0], d[0]), min(c[1], d[1]), max(c[1], d[1]), c, d)
-             for c, d in zip(r, r[1:] + r[:1])]
-    for a, b in zip(q, q[1:] + q[:1]):
-        lo_x, hi_x = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        lo_y, hi_y = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        for c_lo_x, c_hi_x, c_lo_y, c_hi_y, c, d in boxes:
-            if c_hi_x < lo_x or c_lo_x > hi_x or c_hi_y < lo_y or c_lo_y > hi_y:
-                continue
-            if _seg_intersections(a, b, c, d, hits):
-                return RegionTest(chords=None, overlap=True, symmetric=False)
-    fixed = 1 if (Fraction(cx, 2), Fraction(cy, 2)) in hits else 0
-    return RegionTest(chords=(len(hits) + fixed) // 2, overlap=False, symmetric=False)
+    frame = ChordFrame(boundary)
+    return frame.count(*frame.snap(x))
 
 
 def point_region_test(x: Vec2, p: PairedPolygon | Sequence[Vec2]) -> RegionTest:

@@ -28,13 +28,15 @@ from .backend import Backend, Scalar
 from .ball import second_dual
 from .core import (
     CenteredBall,
+    ChordFrame,
     IdentityError,
+    InputError,
     PairedPolygon,
     Vec2,
     from_frame,
     integer_frame,
     mixed_area,
-    point_region_test,
+    point_key,
     scalar_frame,
 )
 from .cw import CentralEquidistant, alphas_of, betas_of, lambdas_of
@@ -61,10 +63,14 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     mu_i = lambda_i / det(U_i, U_{i+1}), so no division by a vanishing edge
     coordinate; it solves P_{i+1} - P_i = mu_i (U_{i+1} - U_i).  E_i = P_i -
     mu_i U_i and the companion form E_i = P_{i+1} - mu_i U_{i+1} must agree.
-    The evolute of every equidistant of P equals the evolute of P.
+    The evolute of every equidistant of P equals the evolute of P.  Both
+    forms are checked on all m slots; E repeats after n slots (E_{i+n} =
+    E_i, exactly in rational mode), so E is stored as its first n vertices
+    twice, and float rounding cannot make its halves differ.
     """
     backend = backend or u.backend
     m = len(points)
+    n = m // 2
     uv = u.vertices
     d = u.edge_dets()
     lam = lambdas_of(list(points) + [points[0]], v, backend)
@@ -76,8 +82,9 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
         if not backend.same_point(e1, e2):
             raise IdentityError(f"evolute defining forms disagree at edge {i}")
         out.append(e1)
+    out = out[:n] * 2
     degenerate = all(backend.same_point(out[i], out[0]) for i in range(1, m))
-    return Evolute(E=out, mus=mus, n=m // 2, backend=backend, degenerate=degenerate)
+    return Evolute(E=out, mus=mus, n=n, backend=backend, degenerate=degenerate)
 
 
 @dataclass
@@ -199,41 +206,84 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     Each segment is sampled at its endpoints, midpoint, and an even grid of
     `samples` interior points; a sample fails if the chord-midpoint test
     classifies it as exterior (exactly one chord of the parent, or outside
-    the parent entirely).  The chord test itself is always exact, but float
-    coordinates place tangential samples (curve touching the region
-    boundary) off the boundary by rounding noise, so float samples that
-    test exterior are retried nudged a little way into their own segment,
-    which lies in the closed region.
+    the parent entirely).  The parent boundary is put on its integer frame
+    once per call (``ChordFrame``), with the bounding boxes of its edge
+    pairs.  An exact segment [a, b] is framed on its own, and its sample at
+    t = p/L is the integer combination 2x dL = 2(A (L - p) + B p) of its
+    numerators A, B over their denominator d, with L one of 1, 2 and
+    samples + 1; no Fraction is built but for a witness.  Each sample still
+    costs the O(m^2) edge-pair scan of the chord test.  Float curves keep
+    their float samples, snapped exactly onto the frame.  The chord test
+    itself is always exact, but float coordinates place tangential samples
+    (curve touching the region boundary) off the boundary by rounding
+    noise, so float samples that test exterior are retried nudged a little
+    way into their own segment, which lies in the closed region.
     """
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
     pts = list(n_points)
     parent_pts = parent.vertices if isinstance(parent, PairedPolygon) else list(parent)
-    m = len(pts)
+    grid = {Fraction(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
+    grid.setdefault(Fraction(1, 2), (1, 2))
+    fracs = sorted(grid)
+    frame = ChordFrame(parent_pts)
+    if any(isinstance(p.x, float) for p in pts):
+        probes = _float_probes(pts, fracs, frame)
+    else:
+        probes = _exact_probes(pts, [grid[t] for t in fracs], frame)
     seen: set = set()
     witnesses: list[Vec2] = []
     min_chords: int | None = None
     tested = 0
-    fracs = sorted({Fraction(1, 2)} | {Fraction(t, samples + 1) for t in range(1, samples + 1)})
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        degenerate_seg = a == b
-        probe = [a] if degenerate_seg else [a] + [a + (b - a) * t for t in fracs]
-        mid = a if degenerate_seg else a + (b - a) * Fraction(1, 2)
-        for x in probe:
-            key = (x.x, x.y)
-            if key in seen:
-                continue
-            seen.add(key)
-            tested += 1
-            res = point_region_test(x, parent_pts)
-            if res.chords is not None:
-                min_chords = res.chords if min_chords is None else min(min_chords, res.chords)
-            if res.exterior and isinstance(x.x, float) and not degenerate_seg:
-                nudged = x + (mid - x) * 1e-7
-                res = point_region_test(nudged, parent_pts)
-            if res.exterior:
-                witnesses.append(x)
+    for cx, cy, s, x, mid in probes:
+        key = point_key(cx, cy, 2 * s)
+        if key in seen:
+            continue
+        seen.add(key)
+        tested += 1
+        res = frame.count(cx, cy, s)
+        if res.chords is not None:
+            min_chords = res.chords if min_chords is None else min(min_chords, res.chords)
+        if res.exterior and mid is not None:
+            res = frame.count(*frame.snap(x + (mid - x) * 1e-7))
+        if res.exterior:
+            witnesses.append(x if x is not None else frame.point(cx, cy, s))
     return ContainmentResult(contained=not witnesses, tested=tested,
                              witnesses=witnesses, min_chords=min_chords)
+
+
+def _exact_probes(pts: list[Vec2], steps: list[tuple[int, int]], frame: ChordFrame):
+    """Samples of an exact closed curve, as (cx, cy, s, point, None).
+
+    Each segment [a, b] is framed on its own, a = A / d and b = B / d, and
+    its sample at t = p/L of steps is 2x = 2(A (L - p) + B p) / (d L): on
+    the boundary frame, (cx, cy, s) with s = d L.  point is the curve
+    vertex for an endpoint and None (built only for a witness) otherwise.
+    """
+    m = len(pts)
+    k = 2 * frame.den
+    for i in range(m):
+        a, b = pts[i], pts[(i + 1) % m]
+        (ax, bx), (ay, by), d = integer_frame((a, b))
+        yield k * ax, k * ay, d, a, None
+        if ax != bx or ay != by:
+            for p, L in steps:
+                yield k * (ax * (L - p) + bx * p), k * (ay * (L - p) + by * p), d * L, None, None
+
+
+def _float_probes(pts: list[Vec2], fracs: list[Fraction], frame: ChordFrame):
+    """Float samples a + (b - a) t, as (cx, cy, s, point, segment
+    midpoint); the midpoint is None on a degenerate segment, which gets no
+    nudge."""
+    m = len(pts)
+    for i in range(m):
+        a, b = pts[i], pts[(i + 1) % m]
+        if a == b:
+            yield (*frame.snap(a), a, None)
+            continue
+        mid = a + (b - a) * Fraction(1, 2)
+        for x in [a] + [a + (b - a) * t for t in fracs]:
+            yield (*frame.snap(x), x, mid)
 
 
 def evolute_cusps(ev: Evolute) -> list[int] | None:

@@ -148,9 +148,9 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  M(k) and N(k) repeat after n vertices
-    (X_{i+n} = X_i), so every stored polygon, the evolute N(0) included, is
-    its first n vertices twice, and its diameter runs over those n.  In
-    exact arithmetic the two halves are already equal; in float this keeps
+    (X_{i+n} = X_i), so every stored polygon, the evolute N(0) included (as
+    ``evolute`` returns it), is its first n vertices twice, and its diameter
+    runs over those n.  In exact arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
     instead of letting it drift off that space, where the step amplifies it.
     The squared diameter of each M(k) is measured once and serves the stop
@@ -161,7 +161,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
-    e = ev.E[:n] * 2
+    e = ev.E
     d2 = diameter_sq(cur[:n])
     sa_m, sa_n = signed_area(cur), signed_area(e)
     steps = [IterationStep(
@@ -306,8 +306,11 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
 
     Every vertex of N(k+1) must avoid the exterior of M(k), and every vertex
     of M(k) the exterior of N(k); the convex parents needed by the chord test
-    are rebuilt at a safe width.  Exact but quadratic, so callers bound the
-    number of steps examined.
+    are rebuilt at a safe width.  Each check frames its parent once and
+    tests the vertices and edge midpoints (``containment_check`` with
+    samples=0); every tested point still costs an O(m^2) edge-pair scan,
+    and exact coordinates grow with k, so callers bound the number of steps
+    examined.
     """
     from .evolute import containment_check
 

@@ -18,6 +18,7 @@ from .ball import (
 )
 from .core import (
     GeometryError,
+    InputError,
     det,
     minkowski_sum,
     mixed_area,
@@ -106,7 +107,13 @@ def _s(backend: Backend, value) -> str:
 
 def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
                iterate_steps: int = 8) -> Report:
-    """Run the full identity suite on one constant-width setup."""
+    """Run the full identity suite on one constant-width setup.
+
+    A negative ``samples`` raises InputError before any check runs: it is
+    a bad argument, not a failed containment check.
+    """
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
     backend = plane.backend
     rng = random.Random(seed)
     report = Report(backend=backend.name, seed=seed)

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, JSON round-trips, deterministic SVG, CSV trace."""
+import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +82,31 @@ def test_verify_triangle_report(triangle_doc, capsys):
     assert barbier["backend"] == "rational"
 
 
+# SHA-256 of the rational `cw verify` JSON on stdout (default flags), recorded
+# before containment moved onto one integer frame per check; the containment
+# check's "N samples, min chords K" line is part of it
+GOLDEN_VERIFY_SHA256 = {
+    "tri": "7649e3fc7705906e5afff3fdea515cab7a79f398f905049f4ce9613c2b0c50b2",
+    "quad": "485816ca0c202d90aefc530c7e154ea864fdd3808f82229ec2b7d70404de80a0",
+    "kgon7": "6b871670e8512ae5f21da83bd4786645d33b765f0f3be8bf4794a12f905920a8",
+}
+
+
+def test_verify_golden_stdout(tmp_path, capsys):
+    seven = [[round(1000 * math.cos(2 * math.pi * j / 7)),
+              round(1000 * math.sin(2 * math.pi * j / 7))] for j in range(7)]
+    docs = {"tri": {"name": "tri", "vertices": [[0, 0], [1, 0], [0, 1]]},
+            "quad": {"vertices": [[0, 0], [4, 0], [5, 3], [1, 5]]},
+            "kgon7": {"name": "kgon7", "vertices": seven}}
+    got = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 0
+        got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_VERIFY_SHA256
+
+
 def test_verify_float_backend(triangle_doc, capsys):
     assert main(["verify", triangle_doc, "--backend", "float", "--samples", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -103,6 +130,15 @@ def test_exit_2_boolean_coordinate(tmp_path, capsys, backend):
     path.write_text('{"vertices": [[0, 0], [3, 0], [0, true]]}')
     assert main(["ball", str(path), "--backend", backend]) == 2
     assert "boolean is not a coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_exit_2_negative_samples(triangle_doc, run_python, backend):
+    out = run_python("-m", "cwpoly.cli", "verify", triangle_doc, "--samples", "-1",
+                     "--backend", backend)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
+    assert "error: samples must be nonnegative" in out.stderr
 
 
 def test_exit_2_degenerate_diagonal(tmp_path, capsys):

@@ -21,10 +21,10 @@ from cwpoly import (
     vec,
 )
 from cwpoly.backend import FLOAT, RATIONAL
-from cwpoly.core import coeff_along, integer_frame
+from cwpoly.core import RegionTest, coeff_along, integer_frame
 from cwpoly.cw import alphas_of
 from cwpoly.evolute import signed_area_gap
-from cwpoly.fuzz import random_centered_ball
+from cwpoly.fuzz import random_centered_ball, random_convex_polygon
 from cwpoly.iterate import diameter_sq
 
 TRI = [Vec2(F(0), F(0)), Vec2(F(1), F(0)), Vec2(F(0), F(1))]
@@ -402,3 +402,46 @@ def test_framed_coeff_not_parallel_message():
         alphas_of(pts, u, RATIONAL)
     w, d = pts[3] - pts[2], uv[3] - uv[2]
     assert str(e.value) == f"vector {w!r} is not parallel to {d!r}"
+
+
+# --- chord counting on the integer frame -----------------------------------------
+
+positive_rationals = st.builds(F, st.integers(1, 400), st.sampled_from([1, 3, 7, 10, 128, 1001]))
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.integers(0, 5),
+       st.builds(Vec2, mixed_coords, mixed_coords), positive_rationals)
+def test_chord_count_translation_and_scale_invariant(seed, symmetric, pick, t, s):
+    # the chord count depends on the geometry only, not on the frame the
+    # points come in: translating x and the boundary together, or scaling
+    # both by a positive rational, gives the same RegionTest
+    rng = random.Random(seed)
+    if symmetric:
+        pts = random_centered_ball(rng, rng.randint(2, 5)).vertices
+    else:
+        pts = random_convex_polygon(rng, rng.randint(3, 8)).vertices
+    k = len(pts)
+    weights = [rng.randint(0, 9) for _ in pts]
+    weights[0] += 1
+    inner = Vec2(F(0), F(0))
+    for w, p in zip(weights, pts):
+        inner = inner + p * F(w, sum(weights))
+    x = [Vec2(F(0), F(0)), pts[0], (pts[0] + pts[1]) * F(1, 2),
+         (pts[0] + pts[k // 2]) * F(1, 2),
+         Vec2(F(rng.randint(-5, 90), 3), F(rng.randint(-5, 90), 3)), inner][pick]
+    res = chord_count(x, pts)
+    if pick == 1:  # a vertex is the midpoint of its degenerate chord only
+        assert res == RegionTest(chords=1, overlap=False, symmetric=False)
+    if pick == 0 and symmetric:
+        assert res.symmetric
+    assert chord_count(x + t, [p + t for p in pts]) == res
+    assert chord_count(x * s, [p * s for p in pts]) == res
+
+
+def test_region_symmetric_center_on_finer_frame():
+    # x has a finer denominator than the boundary, so the boundary is scaled
+    sq = [vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]
+    assert chord_count(Vec2(F(1, 2), F(1, 2)), sq) == RegionTest(None, True, True)
+    # near the center: the reflected square shares the vertical sides
+    assert chord_count(Vec2(F(1, 2), F(4, 7)), sq) == RegionTest(None, True, False)
+    assert chord_count(Vec2(F(1, 3), F(1, 4)), sq) == RegionTest(1, False, False)

@@ -1,8 +1,15 @@
 """Evolute, involute, signed areas, the area gap, and containment."""
+import math
 from fractions import Fraction as F
 
+import pytest
+
 from cwpoly import (
+    ConvexPolygon,
+    InputError,
+    PairedPolygon,
     Vec2,
+    build_plane,
     central_equidistant,
     containment_check,
     cusps_of_central,
@@ -12,10 +19,12 @@ from cwpoly import (
     evolute,
     evolute_cusps,
     involute,
+    point_region_test,
     signed_area,
     signed_area_gap,
     vec,
 )
+from cwpoly.backend import get_backend
 from cwpoly.cw import alphas_of
 from cwpoly.evolute import edge_world_coeffs
 from cwpoly.iterate import convex_parent_of_m
@@ -178,6 +187,79 @@ def test_containment_detects_outside_points(triangle_plane):
     probe = [vec(2, 2)] * 6
     res = containment_check(probe, triangle_plane.P, samples=0)
     assert not res.contained and res.witnesses
+
+
+def test_containment_rejects_negative_samples(triangle_plane):
+    inv = involute(central_equidistant(triangle_plane), triangle_plane.V)
+    with pytest.raises(InputError, match="samples"):
+        containment_check(inv.N, triangle_plane.P, samples=-1)
+
+
+def _reference_containment(curve, parent, samples):
+    """containment_check written plainly: each sample a + (b - a) t is built
+    as a Vec2, deduplicated on its coordinate pair and tested on its own
+    with point_region_test; a float sample that tests exterior is retried
+    nudged 1e-7 of the way to its segment's midpoint."""
+    fracs = sorted({F(1, 2)} | {F(t, samples + 1) for t in range(1, samples + 1)})
+    seen, witnesses, tested, min_chords = set(), [], 0, None
+    m = len(curve)
+    for i in range(m):
+        a, b = curve[i], curve[(i + 1) % m]
+        degenerate = a == b
+        probe = [a] if degenerate else [a] + [a + (b - a) * t for t in fracs]
+        mid = a + (b - a) * F(1, 2)
+        for x in probe:
+            if (x.x, x.y) in seen:
+                continue
+            seen.add((x.x, x.y))
+            tested += 1
+            res = point_region_test(x, parent)
+            if res.chords is not None:
+                min_chords = res.chords if min_chords is None else min(min_chords, res.chords)
+            if res.exterior and isinstance(x.x, float) and not degenerate:
+                res = point_region_test(x + (mid - x) * 1e-7, parent)
+            if res.exterior:
+                witnesses.append(x)
+    return not witnesses, tested, min_chords, witnesses
+
+
+def _kgon_plane(k):
+    pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
+            round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
+    return build_plane(ConvexPolygon.from_points(pts))
+
+
+def _scaled_float_plane(plane, scale):
+    fb = get_backend("float")
+    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
+                            for p in plane.P.vertices], plane.n, fb)
+    return build_plane(paired, float(plane.a) * scale)
+
+
+def _pushed_out(points, center):
+    """Every other vertex moved to three times its distance from center."""
+    return [p if i % 2 else center + (p - center) * 3 for i, p in enumerate(points)]
+
+
+def test_containment_matches_reference():
+    # the framed containment check against the sample-by-sample reference:
+    # exact fuzz planes, their float copies at two scales, the rounded 7-
+    # and 11-gons, and curves pushed partly outside the region
+    exact = fuzz_planes(311, 6) + [_kgon_plane(7), _kgon_plane(11)]
+    planes = exact + [_scaled_float_plane(p, s) for p in exact[:4] for s in (1e-3, 1.0)]
+    outside = 0
+    for plane in planes:
+        ce = central_equidistant(plane)
+        inv = involute(ce, plane.V)
+        parent = convex_parent_of_m(ce.M, plane.U, plane.backend)
+        center = ce.M[0] + (ce.M[plane.n] - ce.M[0]) * F(1, 2)
+        for curve in (inv.N, _pushed_out(inv.N, center)):
+            res = containment_check(curve, parent, samples=16)
+            want = _reference_containment(curve, parent, 16)
+            assert (res.contained, res.tested, res.min_chords, res.witnesses) == want
+            assert [type(w.x) for w in res.witnesses] == [type(w.x) for w in want[3]]
+            outside += bool(res.witnesses)
+    assert outside >= len(planes) // 2
 
 
 def test_evolute_cusps_triangle(triangle_plane):
