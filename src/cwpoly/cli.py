@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except OverflowError as e:  # an exact value too large for a float report
         print(f"error: value out of float range: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an --out, --svg or --csv path (docio maps read errors)
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     except GeometryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -495,8 +495,11 @@ def _distinct_boundary(points: Sequence[Vec2]) -> list[Vec2]:
     return out
 
 
-def _exact(s) -> Fraction:
-    return s if isinstance(s, Fraction) else RATIONAL.convert(s)
+def exact_points(points: Sequence[Vec2]) -> list[Vec2]:
+    """The points with every coordinate as its exact rational value (a
+    float is read as its shortest decimal repr, as the rational backend
+    reads it)."""
+    return [Vec2(RATIONAL.convert(p.x), RATIONAL.convert(p.y)) for p in points]
 
 
 def point_key(nx: int, ny: int, d: int) -> tuple[int, int, int]:
@@ -568,7 +571,7 @@ class ChordFrame:
         pts = _distinct_boundary(boundary)
         if len(pts) < 3:
             raise InputError("chord_count needs a genuine polygon boundary")
-        xs, ys, self.den = integer_frame([Vec2(_exact(p.x), _exact(p.y)) for p in pts])
+        xs, ys, self.den = integer_frame(exact_points(pts))
         q = self.q = list(zip(xs, ys))
         self.qset = set(q)
         boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
@@ -579,15 +582,6 @@ class ChordFrame:
         self.pairs = [(lx + ex, hx + fx, ly + ey, hy + fy, a, b, e, f)
                       for lx, hx, ly, hy, a, b in boxes
                       for ex, fx, ey, fy, e, f in boxes]
-
-    def snap(self, x: Vec2) -> tuple[int, int, int]:
-        """(cx, cy, s) of any point x, exactly: 2x = (cx, cy) / (den s)."""
-        fx, fy = _exact(x.x), _exact(x.y)
-        s = math.lcm(fx.denominator, fy.denominator)
-        k = 2 * self.den
-        cx = k * fx.numerator * (s // fx.denominator)
-        cy = k * fy.numerator * (s // fy.denominator)
-        return cx, cy, s
 
     def point(self, cx: int, cy: int, s: int) -> Vec2:
         """The point x of (cx, cy, s), as Fractions."""
@@ -630,7 +624,8 @@ def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
     (``ChordFrame``).
     """
     frame = ChordFrame(boundary)
-    return frame.count(*frame.snap(x))
+    (cx,), (cy,), s = integer_frame(exact_points([x]))
+    return frame.count(2 * frame.den * cx, 2 * frame.den * cy, s)
 
 
 def point_region_test(x: Vec2, p: PairedPolygon | Sequence[Vec2]) -> RegionTest:

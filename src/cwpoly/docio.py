@@ -19,8 +19,8 @@ def _parse_obj(data: Any) -> tuple[str | None, list]:
     if isinstance(data, list):
         return None, data
     if isinstance(data, dict):
-        if "vertices" not in data:
-            raise InputError("polygon document needs a 'vertices' field")
+        if not isinstance(data.get("vertices"), list):
+            raise InputError("polygon document needs a 'vertices' list")
         return data.get("name"), data["vertices"]
     raise InputError("polygon document must be a list or an object")
 

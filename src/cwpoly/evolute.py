@@ -33,6 +33,7 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
+    exact_points,
     from_frame,
     integer_frame,
     mixed_area,
@@ -111,23 +112,29 @@ def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
     The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
     vertex world and W for the edge world (see the module docstring).  Both
     forms are built and compared on the integer frame shared by X, the betas
-    and D: numerators over den(X) den(beta) den(D).
+    and D: numerators over den(X) den(beta) den(D).  N repeats after n
+    slots (N_{i+n} = N_i); that is checked on the same numerators, and N is
+    returned as its first n vertices twice, so float rounding cannot make
+    its halves differ.
     """
     m = len(points)
+    n = m // 2
     xs, ys, xden = integer_frame(points)
     bs, bden = scalar_frame(betas)
     dx, dy, dden = d.frame()
     sx = bden * dden  # X numerators onto the common denominator
     den = xden * sx
-    out = []
+    nums = []
     for i in range(m):
         j = (i + 1) % m
         n1x, n1y = xs[i] * sx + dx[i] * bs[i] * xden, ys[i] * sx + dy[i] * bs[i] * xden
         n2x, n2y = xs[j] * sx + dx[i] * bs[j] * xden, ys[j] * sx + dy[i] * bs[j] * xden
         if not (backend.eq(n1x, n2x) and backend.eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
-        out.append(Vec2(from_frame(n1x, den), from_frame(n1y, den)))
-    return out
+        if i >= n and not (backend.eq(n1x, nums[i - n][0]) and backend.eq(n1y, nums[i - n][1])):
+            raise IdentityError(f"involute halves differ at edge {i - n}")
+        nums.append((n1x, n1y))
+    return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in nums[:n]] * 2
 
 
 def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
@@ -206,84 +213,77 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     Each segment is sampled at its endpoints, midpoint, and an even grid of
     `samples` interior points; a sample fails if the chord-midpoint test
     classifies it as exterior (exactly one chord of the parent, or outside
-    the parent entirely).  The parent boundary is put on its integer frame
-    once per call (``ChordFrame``), with the bounding boxes of its edge
-    pairs.  An exact segment [a, b] is framed on its own, and its sample at
-    t = p/L is the integer combination 2x dL = 2(A (L - p) + B p) of its
-    numerators A, B over their denominator d, with L one of 1, 2 and
-    samples + 1; no Fraction is built but for a witness.  Each sample still
-    costs the O(m^2) edge-pair scan of the chord test.  Float curves keep
-    their float samples, snapped exactly onto the frame.  The chord test
-    itself is always exact, but float coordinates place tangential samples
-    (curve touching the region boundary) off the boundary by rounding
-    noise, so float samples that test exterior are retried nudged a little
-    way into their own segment, which lies in the closed region.
+    the parent entirely).  Both backends sample exactly: float coordinates
+    of the curve, like those of the parent, are snapped to their exact
+    rational values.  The parent boundary is put on its integer frame once
+    per call (``ChordFrame``), with the bounding boxes of its edge pairs.  A
+    segment [a, b] is framed on its own, and its sample at t = p/L is the
+    integer combination 2x dL = 2(A (L - p) + B p) of its numerators A, B
+    over their denominator d, with L one of 1, 2 and samples + 1; no
+    Fraction is built but for a witness.  Each sample still costs the
+    O(m^2) edge-pair scan of the chord test.  Float rounding places
+    tangential samples (curve touching the region boundary) off the
+    boundary, so a float curve's sample that tests exterior is retested at
+    t + (1/2 - t) / 10^7 on its own segment, which lies in the closed
+    region; min_chords is taken after that retest.
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
     pts = list(n_points)
+    retest = any(isinstance(p.x, float) for p in pts)
+    pts = exact_points(pts)
     parent_pts = parent.vertices if isinstance(parent, PairedPolygon) else list(parent)
     grid = {Fraction(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
     grid.setdefault(Fraction(1, 2), (1, 2))
-    fracs = sorted(grid)
     frame = ChordFrame(parent_pts)
-    if any(isinstance(p.x, float) for p in pts):
-        probes = _float_probes(pts, fracs, frame)
-    else:
-        probes = _exact_probes(pts, [grid[t] for t in fracs], frame)
+    k = 2 * frame.den
     seen: set = set()
     witnesses: list[Vec2] = []
     min_chords: int | None = None
     tested = 0
-    for cx, cy, s, x, mid in probes:
+    for seg, p, L in _probes(pts, [grid[t] for t in sorted(grid)]):
+        cx, cy, s = _sample(k, seg, p, L)
         key = point_key(cx, cy, 2 * s)
         if key in seen:
             continue
         seen.add(key)
         tested += 1
         res = frame.count(cx, cy, s)
+        if res.exterior and retest:
+            res = frame.count(*_sample(k, seg, 2 * (_NUDGE - 1) * p + L, 2 * _NUDGE * L))
         if res.chords is not None:
             min_chords = res.chords if min_chords is None else min(min_chords, res.chords)
-        if res.exterior and mid is not None:
-            res = frame.count(*frame.snap(x + (mid - x) * 1e-7))
         if res.exterior:
-            witnesses.append(x if x is not None else frame.point(cx, cy, s))
+            witnesses.append(frame.point(cx, cy, s))
     return ContainmentResult(contained=not witnesses, tested=tested,
                              witnesses=witnesses, min_chords=min_chords)
 
 
-def _exact_probes(pts: list[Vec2], steps: list[tuple[int, int]], frame: ChordFrame):
-    """Samples of an exact closed curve, as (cx, cy, s, point, None).
+_NUDGE = 10 ** 7  # a retest moves 1/_NUDGE of the way to the segment midpoint
 
-    Each segment [a, b] is framed on its own, a = A / d and b = B / d, and
-    its sample at t = p/L of steps is 2x = 2(A (L - p) + B p) / (d L): on
-    the boundary frame, (cx, cy, s) with s = d L.  point is the curve
-    vertex for an endpoint and None (built only for a witness) otherwise.
+
+def _probes(pts: list[Vec2], steps: list[tuple[int, int]]):
+    """Samples of a closed exact curve, as (segment, p, L) for t = p/L.
+
+    The segment [a, b] is framed on its own, a = A / d and b = B / d, and
+    given as (A.x, A.y, B.x, B.y, d).  Each segment yields its start, t = 0,
+    and unless it is degenerate the grid of steps.
     """
     m = len(pts)
-    k = 2 * frame.den
     for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        (ax, bx), (ay, by), d = integer_frame((a, b))
-        yield k * ax, k * ay, d, a, None
+        (ax, bx), (ay, by), d = integer_frame((pts[i], pts[(i + 1) % m]))
+        seg = (ax, ay, bx, by, d)
+        yield seg, 0, 1
         if ax != bx or ay != by:
             for p, L in steps:
-                yield k * (ax * (L - p) + bx * p), k * (ay * (L - p) + by * p), d * L, None, None
+                yield seg, p, L
 
 
-def _float_probes(pts: list[Vec2], fracs: list[Fraction], frame: ChordFrame):
-    """Float samples a + (b - a) t, as (cx, cy, s, point, segment
-    midpoint); the midpoint is None on a degenerate segment, which gets no
-    nudge."""
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        if a == b:
-            yield (*frame.snap(a), a, None)
-            continue
-        mid = a + (b - a) * Fraction(1, 2)
-        for x in [a] + [a + (b - a) * t for t in fracs]:
-            yield (*frame.snap(x), x, mid)
+def _sample(k: int, seg: tuple, p: int, L: int) -> tuple[int, int, int]:
+    """The sample at t = p/L of a framed segment as (cx, cy, s) on the
+    boundary frame, k = 2 den: 2x = 2(A (L - p) + B p) / (d L)."""
+    ax, ay, bx, by, d = seg
+    return k * (ax * (L - p) + bx * p), k * (ay * (L - p) + by * p), d * L
 
 
 def evolute_cusps(ev: Evolute) -> list[int] | None:

@@ -148,9 +148,10 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  M(k) and N(k) repeat after n vertices
-    (X_{i+n} = X_i), so every stored polygon, the evolute N(0) included (as
-    ``evolute`` returns it), is its first n vertices twice, and its diameter
-    runs over those n.  In exact arithmetic the two halves are already equal; in float this keeps
+    (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return them as
+    their first n vertices twice, so every stored polygon, the evolute N(0)
+    included, is doubled, and its diameter runs over those n.  In exact
+    arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
     instead of letting it drift off that space, where the step amplifies it.
     The squared diameter of each M(k) is measured once and serves the stop
@@ -173,9 +174,8 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         if d2 < tol2:
             break
         be = betas_of(alphas_of(cur, u, backend), u)
-        nxt_n = involute_points(cur, be, v, backend)[:n] * 2
+        nxt_n = involute_points(cur, be, v, backend)
         nxt_m, mus = dual_involute(nxt_n, u, v, backend)
-        nxt_m = nxt_m[:n] * 2
         d2 = diameter_sq(nxt_m[:n])
         steps.append(IterationStep(
             k=k, M=nxt_m, N=nxt_n,

@@ -189,6 +189,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     try:
         ce = central_equidistant(plane)
         ev = evolute(paired.vertices, u, v, backend)
+        inv = involute(ce, v)
     except GeometryError as e:
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
         return report
@@ -284,8 +285,6 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",
             chk_evolute_shared)
-
-    inv = involute(ce, v)
 
     def chk_involute_structure():
         for i in range(plane.n):

@@ -2,14 +2,18 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwpoly import Layer, render_svg
 from cwpoly.backend import RATIONAL
 from cwpoly.cli import main
 from cwpoly.docio import document_json, dump_json, load_document
+from cwpoly.fuzz import random_convex_polygon
 
 
 @pytest.fixture
@@ -111,6 +115,33 @@ def test_verify_float_backend(triangle_doc, capsys):
     assert main(["verify", triangle_doc, "--backend", "float", "--samples", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_verify_near_symmetric_hexagon(tmp_path, capsys, backend):
+    # the involute touches its central curve at points where a float step
+    # of 1e-7 toward the segment midpoint rounds to no step at all; the
+    # backends may pair the hexagon differently, but both verify it
+    path = tmp_path / "hex.json"
+    path.write_text('{"vertices": [[0,0],[4,0],[6,2],[4,4.0000000001],[0,4],[-2,2]]}')
+    assert main(["verify", str(path), "--backend", backend]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("doc", ['{"vertices": null}', '{"vertices": 5}'])
+def test_exit_2_vertices_not_a_list(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["ball", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--csv"])
+def test_exit_2_unwritable_output(triangle_doc, tmp_path, capsys, flag):
+    target = str(tmp_path / "missing" / "out")
+    assert main(["iterate", triangle_doc, "--steps", "2", flag, target]) == 2
+    assert "error: cannot write output" in capsys.readouterr().err
 
 
 def test_exit_2_unreadable(tmp_path, capsys):
@@ -296,3 +327,66 @@ def test_exit_2_not_utf8(tmp_path, run_python):
     out = run_python("-m", "cwpoly.cli", "ball", str(path))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr and "UTF-8" in out.stderr
+
+
+_COMMANDS = ["ball", "dual", "central", "evolute", "involute", "iterate", "verify"]
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**20, 10**20))
+_coord = st.one_of(st.integers(-6, 6), st.floats(-6, 6),
+                   st.sampled_from(["1/2", "-3/4", "1/0", "x", "1e400", "nan"]), _junk)
+_vertex = st.one_of(st.lists(_coord, min_size=2, max_size=2), st.lists(_coord, max_size=3), _junk)
+_convex = st.builds(
+    lambda seed, k: [[str(p.x), str(p.y)] for p in
+                     random_convex_polygon(random.Random(seed), k).vertices],
+    st.integers(0, 10**6), st.integers(3, 8))
+_document = st.one_of(
+    _convex, _convex, st.fixed_dictionaries({"vertices": _convex}, optional={"name": _junk}),
+    st.lists(_vertex, max_size=8),
+    st.fixed_dictionaries({"vertices": st.one_of(st.lists(_vertex, max_size=8), _junk)}),
+    st.dictionaries(st.text(max_size=3), _junk, max_size=2), _junk)
+# mostly valid scalars, so that the geometry runs as well as the parsers
+_scalar = st.sampled_from(["1/2", "1", "3/7", "0.25"] * 3
+                          + ["0", "-1", "x", "1/0", "1e-3", "inf", "nan"])
+
+
+@st.composite
+def _cli_args(draw, outdir):
+    """A document and a cw command line over it, flags drawn per command."""
+    cmd = draw(st.sampled_from(_COMMANDS))
+    path = outdir / "doc.json"
+    path.write_text(json.dumps(draw(_document)))
+    argv = [cmd, str(path), "--backend", draw(st.sampled_from(["rational", "float"]))]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv.append("--paired")
+    argv += ["--a", draw(_scalar)]
+    # an output goes nowhere, to a writable file, or into a missing directory
+    sink = st.sampled_from([None, str(outdir / "out"), str(outdir / "missing" / "out")])
+    outputs = {"--out": draw(sink), "--svg": draw(sink)}
+    if cmd == "iterate":
+        argv += ["--steps", str(draw(st.integers(-1, 4))), "--c", draw(_scalar),
+                 "--d", draw(_scalar)]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(_scalar)]
+        outputs["--csv"] = draw(sink)
+    elif cmd == "verify":
+        argv += ["--samples", str(draw(st.integers(-1, 2))),
+                 "--seed", str(draw(st.integers(0, 9)))]
+    elif cmd == "central" and draw(st.booleans()):
+        argv += ["--c", draw(_scalar)]
+    for flag, target in outputs.items():
+        if target is not None:
+            argv += [flag, target]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_exit_codes_fuzz(tmp_path_factory, data):
+    # the exit-code contract: 0, 2 or 3 for every document and flag set,
+    # never a traceback; argparse rejects bad flags with SystemExit(2)
+    argv = data.draw(_cli_args(tmp_path_factory.mktemp("cli")))
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3), argv

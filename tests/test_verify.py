@@ -70,18 +70,24 @@ def test_fuzz_reports_pass():
         assert report.all_ok, [(c.check_id, c.actual) for c in report.checks if not c.ok]
 
 
+def _verdicts(report):
+    """(check id, pass) of every check, and the containment report line."""
+    return [(c.check_id, c.ok, c.actual if c.check_id.startswith("containment") else None)
+            for c in report.checks]
+
+
 def test_float_verdicts_match_rational_fuzz():
     # the float suite reaches the rational verdict on every check, at small
-    # and at unit coordinate scale
+    # and at unit coordinate scale, and reports the rational containment
+    # sample count and minimum chord count
     fb = get_backend("float")
     for i, plane_r in enumerate(fuzz_planes(510, 20)):
-        want = [(c.check_id, c.ok)
-                for c in run_verify(plane_r, seed=i, samples=2, iterate_steps=4).checks]
+        want = _verdicts(run_verify(plane_r, seed=i, samples=2, iterate_steps=4))
         for scale in (1e-3, 1.0):
             paired = PairedPolygon(
                 [vec(float(p.x) * scale, float(p.y) * scale, fb) for p in plane_r.P.vertices],
                 plane_r.n, fb)
             report = run_verify(build_plane(paired, 0.5), seed=i, samples=2, iterate_steps=4)
-            got = [(c.check_id, c.ok) for c in report.checks]
+            got = _verdicts(report)
             assert got == want, (i, scale, [(c.check_id, c.actual)
                                             for c in report.checks if not c.ok])
