@@ -5,13 +5,17 @@ Exact kernels run in an integer frame.  ``integer_frame`` puts a polygon on
 one shared denominator: p_i = (xs[i], ys[i]) / den with integer xs, ys.  The
 kernels (areas, coefficients along edges, and in ``cw``, ``evolute`` and
 ``iterate`` the coefficient ladders, area gaps, involutes and diameters) do
-their sums and products on those integers and build one ``Fraction`` per
-result with ``from_frame``, instead of reducing every intermediate sum by a
-gcd.  Float input gets the frame den = 1 with its coordinates unchanged, so
-the float backend runs the same loops, in the same expression order, and
-its results are the plain float evaluation of each formula.  The chord
-count (``ChordFrame``) is exact on both backends: it snaps float input to
-its exact rational value and frames it.
+their sums and products on those integers.  Each public function is
+``integer_frame`` -> kernel -> ``from_frame``, one ``Fraction`` per result
+instead of a gcd per intermediate sum.  The involute ladder passes frames
+from one kernel to the next: a coefficient ladder stays a list of integers
+over one denominator, and each new polygon is reduced by one content gcd
+(``reduce_frame``), which gives exactly ``integer_frame`` of its vertices.
+Float input gets the frame den = 1 with its coordinates unchanged, so the
+float backend runs the same loops, in the same expression order, and its
+results are the plain float evaluation of each formula.  The chord count
+(``ChordFrame``) is exact on both backends: it snaps float input to its
+exact rational value and frames it.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -139,6 +143,33 @@ def from_frame(num, den) -> Scalar:
     return num / den if isinstance(num, float) else Fraction(num, den)
 
 
+def frame_points(xs: Sequence, ys: Sequence, den) -> list[Vec2]:
+    """The points (xs[i], ys[i]) / den of a frame, as ``from_frame`` builds them."""
+    return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in zip(xs, ys)]
+
+
+def doubled_points(xs: Sequence, ys: Sequence, den) -> list[Vec2]:
+    """The points of a frame that lists its first half twice: that half is
+    built once and repeated."""
+    n = len(xs) // 2
+    return frame_points(xs[:n], ys[:n], den) * 2
+
+
+def reduce_frame(xs: list, ys: list, den) -> tuple[list, list, int]:
+    """The frame divided by its content g = gcd(den, xs, ys).
+
+    The reduced denominator den / g is the lcm of the denominators of the
+    reduced coordinates, so the result is exactly ``integer_frame`` of the
+    points it holds.  A float frame (den = 1) passes unchanged.
+    """
+    if den == 1:
+        return xs, ys, den
+    g = math.gcd(den, *xs, *ys)
+    if g == 1:
+        return xs, ys, den
+    return [x // g for x in xs], [y // g for y in ys], den // g
+
+
 def polygon_area(points: Sequence[Vec2]) -> Scalar:
     """Signed shoelace area of a closed vertex list (positive iff CCW)."""
     k = len(points)
@@ -163,10 +194,16 @@ def mixed_area(p: Sequence[Vec2], q: Sequence[Vec2]) -> Scalar:
         raise InputError(f"mixed_area: length mismatch ({k} vs {len(q)})")
     px, py, pden = integer_frame(p)
     qx, qy, qden = (px, py, pden) if q is p else integer_frame(q)
+    return from_frame(framed_mixed_area(px, py, qx, qy), 2 * pden * qden)
+
+
+def framed_mixed_area(px: Sequence, py: Sequence, qx: Sequence, qy: Sequence):
+    """sum_i [q_i, p_{i+1} - p_i] on framed numerators: twice the mixed area
+    times the product of the two frames' denominators."""
     acc = 0
     for x, y, a, b, c, d in zip(qx, qy, px, px[1:] + px[:1], py, py[1:] + py[:1]):
         acc = acc + (x * (d - c) - y * (b - a))
-    return from_frame(acc, 2 * pden * qden)
+    return acc
 
 
 def framed_coeff(wx, wy, dx, dy, backend: Backend):
@@ -352,9 +389,9 @@ class PairedPolygon:
 class CenteredBall:
     """Strictly convex CCW 2n-gon with central symmetry about the origin.
 
-    The ball's integer frame and edge determinants are constants of the
-    plane: they are computed on first use and kept, so the vertex list must
-    not be changed afterwards.
+    The ball's integer frame, edge determinants and edge coefficient frame
+    are constants of the plane: they are computed on first use and kept, so
+    the vertex list must not be changed afterwards.
     """
 
     vertices: list[Vec2]
@@ -362,6 +399,7 @@ class CenteredBall:
     backend: Backend = RATIONAL
     _frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _dets: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _second_dual: "CenteredBall | None" = field(default=None, init=False, repr=False,
                                                 compare=False)
 
@@ -398,6 +436,34 @@ class CenteredBall:
                     for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
             self._dets = (nums, den * den, [from_frame(e, den * den) for e in nums])
         return self._dets[0], self._dets[1]
+
+    def edge_coeff_frame(self) -> tuple[list, int]:
+        """What a coefficient along each edge U_{i+1} - U_i needs, on the frame.
+
+        Returns (edges, L) with edges[i] = (dx, dy, axis, s): the edge is
+        (dx, dy) / den, axis is 0 when |dx| >= |dy| and 1 otherwise, and q
+        is the component on that axis, as ``framed_coeff`` picks it.  A
+        vector a / den_x along edge i has coefficient a den / (q den_x).  For
+        a rational ball L = lcm |q| and s = den L / q, so the coefficients of
+        one framed polygon share the denominator den_x L with numerators
+        a s.  For a float ball L = 1 and s = q.
+        """
+        if self._edges is None:
+            xs, ys, den = self.frame()
+            edges = []
+            for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+                dx, dy = x1 - x0, y1 - y0
+                if not dx and not dy:
+                    raise InputError("cannot take a coefficient along the zero vector")
+                axis = 0 if abs(dx) >= abs(dy) else 1
+                edges.append((dx, dy, axis, dy if axis else dx))
+            if self.backend.exact:
+                L = math.lcm(*(abs(q) for *_, q in edges))
+                edges = [(dx, dy, axis, den * L // q) for dx, dy, axis, q in edges]
+            else:
+                L = 1
+            self._edges = (edges, L)
+        return self._edges
 
     def edge_dets(self) -> list[Scalar]:
         """det(W_i, W_{i+1}) for consecutive vertices; all positive."""

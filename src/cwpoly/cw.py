@@ -18,6 +18,7 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
+    frame_points,
     framed_coeff,
     from_frame,
     integer_frame,
@@ -49,19 +50,38 @@ class CentralEquidistant:
 
 def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list[Scalar]:
     """Edge coefficients of a closed list against the ball's edges."""
-    m = len(points)
-    xs, ys, den = integer_frame(points)
-    ux, uy, uden = u.frame()
+    nums, den = framed_alphas(*integer_frame(points), u, backend, points)
+    return [from_frame(a, den) for a in nums]
+
+
+def framed_alphas(xs: list, ys: list, den, u: CenteredBall, backend: Backend,
+                  points: Sequence[Vec2] | None = None) -> tuple[list, int]:
+    """``alphas_of`` on a framed closed list: alpha_i = nums[i] / den_a.
+
+    Edge i, (wx, wy) / den, must be parallel to the ball's edge i, (dx, dy) /
+    den_u; that is tested by cross-multiplication, as in ``framed_coeff``.
+    The coefficient is a den_u / (q den), with a and q the components on the
+    edge's dominant axis.  On a rational ball all of them share den_a = den
+    L (``CenteredBall.edge_coeff_frame``); on a float ball den_a = 1 and the
+    alphas are a / (q den).  The points, when given, name a failing edge in
+    the error message; otherwise it is built from the frame.
+    """
+    edges, L = u.edge_coeff_frame()
+    exact = u.backend.exact
+    m = len(xs)
     out = []
     for i in range(m):
-        j = (i + 1) % m
-        t = framed_coeff(xs[j] - xs[i], ys[j] - ys[i], ux[j] - ux[i], uy[j] - uy[i], backend)
-        if t is None:
+        j = i + 1 if i + 1 < m else 0
+        wx, wy = xs[j] - xs[i], ys[j] - ys[i]
+        dx, dy, axis, s = edges[i]
+        if not backend.is_zero(wx * dy - wy * dx):
+            p, q = ((points[i], points[j]) if points is not None
+                    else frame_points((xs[i], xs[j]), (ys[i], ys[j]), den))
             uv = u.vertices
-            raise IdentityError(
-                f"vector {points[j] - points[i]!r} is not parallel to {uv[j] - uv[i]!r}")
-        out.append(from_frame(t[0] * uden, t[1] * den))
-    return out
+            raise IdentityError(f"vector {q - p!r} is not parallel to {uv[j] - uv[i]!r}")
+        a = wy if axis else wx
+        out.append(a * s if exact else a / (s * den))
+    return out, den * L
 
 
 def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -76,11 +96,20 @@ def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
 
 def betas_of(alphas: Sequence[Scalar], u: CenteredBall) -> list[Scalar]:
     """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1})."""
-    nums, den = scalar_frame(alphas)
+    nums, den = framed_betas(*scalar_frame(alphas), u)
+    return [from_frame(b, den) for b in nums]
+
+
+def framed_betas(nums: list, den, u: CenteredBall) -> tuple[list, int]:
+    """``betas_of`` on framed alphas nums / den: the window sums of alpha_j
+    times the framed edge determinant, over 2 den den_det.  A float frame
+    keeps den = 1, so float betas are the quotients."""
     dets, dden = u.edge_det_frame()
     sums = window_sums([a * d for a, d in zip(nums, dets)], len(nums) // 2)
     scale = 2 * den * dden
-    return [from_frame(s, scale) for s in sums]
+    if sums and isinstance(sums[0], float):
+        return [s / scale for s in sums], 1
+    return sums, scale
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:

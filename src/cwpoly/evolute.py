@@ -33,14 +33,16 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
+    doubled_points,
     exact_points,
+    framed_mixed_area,
     from_frame,
     integer_frame,
-    mixed_area,
     point_key,
+    reduce_frame,
     scalar_frame,
 )
-from .cw import CentralEquidistant, alphas_of, betas_of, lambdas_of
+from .cw import CentralEquidistant, alphas_of, framed_alphas, framed_betas, lambdas_of
 
 
 @dataclass
@@ -110,31 +112,46 @@ def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
     """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X.
 
     The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
-    vertex world and W for the edge world (see the module docstring).  Both
-    forms are built and compared on the integer frame shared by X, the betas
-    and D: numerators over den(X) den(beta) den(D).  N repeats after n
-    slots (N_{i+n} = N_i); that is checked on the same numerators, and N is
-    returned as its first n vertices twice, so float rounding cannot make
-    its halves differ.
+    vertex world and W for the edge world (see the module docstring).  N
+    repeats after n slots (N_{i+n} = N_i) and is returned as its first n
+    vertices twice, so float rounding cannot make its halves differ.
     """
-    m = len(points)
+    return doubled_points(*framed_involute(*integer_frame(points), *scalar_frame(betas), d,
+                                           backend))
+
+
+def framed_involute(xs: list, ys: list, xden, bs: list, bden, d: CenteredBall,
+                    backend: Backend) -> tuple[list, list, int]:
+    """``involute_points`` on a framed X and framed betas; returns N's frame.
+
+    Both forms are built and compared on one common denominator of X and
+    beta D: den(beta) den(D) when it is a multiple of den(X), as it is for
+    the betas of X itself, else den(X) den(beta) den(D).  N_{i+n} = N_i is
+    checked on the same numerators for all 2n slots.  The first n vertices
+    are then divided by their content (``reduce_frame``) and listed twice,
+    so the frame is exactly ``integer_frame`` of the stored vertices.
+    """
+    m = len(xs)
     n = m // 2
-    xs, ys, xden = integer_frame(points)
-    bs, bden = scalar_frame(betas)
     dx, dy, dden = d.frame()
-    sx = bden * dden  # X numerators onto the common denominator
-    den = xden * sx
-    nums = []
+    bd = bden * dden
+    if bd % xden == 0:
+        den, sx, sb = bd, bd // xden, 1
+    else:
+        den, sx, sb = xden * bd, bd, xden
+    nx, ny = [], []
     for i in range(m):
-        j = (i + 1) % m
-        n1x, n1y = xs[i] * sx + dx[i] * bs[i] * xden, ys[i] * sx + dy[i] * bs[i] * xden
-        n2x, n2y = xs[j] * sx + dx[i] * bs[j] * xden, ys[j] * sx + dy[i] * bs[j] * xden
+        j = i + 1 if i + 1 < m else 0
+        n1x, n1y = xs[i] * sx + dx[i] * bs[i] * sb, ys[i] * sx + dy[i] * bs[i] * sb
+        n2x, n2y = xs[j] * sx + dx[i] * bs[j] * sb, ys[j] * sx + dy[i] * bs[j] * sb
         if not (backend.eq(n1x, n2x) and backend.eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
-        if i >= n and not (backend.eq(n1x, nums[i - n][0]) and backend.eq(n1y, nums[i - n][1])):
+        if i >= n and not (backend.eq(n1x, nx[i - n]) and backend.eq(n1y, ny[i - n])):
             raise IdentityError(f"involute halves differ at edge {i - n}")
-        nums.append((n1x, n1y))
-    return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in nums[:n]] * 2
+        nx.append(n1x)
+        ny.append(n1y)
+    nx, ny, den = reduce_frame(nx[:n], ny[:n], den)
+    return nx * 2, ny * 2, den
 
 
 def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
@@ -169,9 +186,17 @@ def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     (vertices M', mu) with M'_i = N_i + mu_i U_i, whose evolute is the input;
     mu is the alpha ladder of M' and minus the (V, W) betas of the input.
     """
-    be = betas_of(alphas_of(points, v, backend), v)
-    out = involute_points(points, be, second_dual(u), backend)
-    return _later(out), [-b for b in be]
+    m_frame, (bs, bden) = framed_dual_involute(*integer_frame(points), u, v, backend)
+    return doubled_points(*m_frame), [-from_frame(b, bden) for b in bs]
+
+
+def framed_dual_involute(xs: list, ys: list, den, u: CenteredBall, v: CenteredBall,
+                         backend: Backend):
+    """``dual_involute`` on a framed input: returns (frame of M', frame of the
+    (V, W) betas b), with mu = -b."""
+    be = framed_betas(*framed_alphas(xs, ys, den, v, backend), v)
+    mx, my, mden = framed_involute(xs, ys, den, *be, second_dual(u), backend)
+    return (_later(mx), _later(my), mden), be
 
 
 def signed_area(points: Sequence[Vec2]) -> Scalar:
@@ -179,7 +204,12 @@ def signed_area(points: Sequence[Vec2]) -> Scalar:
 
     Nonnegative for central equidistants and their involutes.
     """
-    return -mixed_area(points, points)
+    return framed_signed_area(*integer_frame(points))
+
+
+def framed_signed_area(xs: list, ys: list, den) -> Scalar:
+    """``signed_area`` of a framed polygon."""
+    return -from_frame(framed_mixed_area(xs, ys, xs, ys), 2 * den * den)
 
 
 def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
@@ -189,10 +219,14 @@ def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
     For the edge-world step pass the mu ladder and W: det(W_{i-1}, W_i) =
     det(U_i, U_{i+1}).
     """
-    nums, den = scalar_frame(betas[:len(betas) // 2])
+    return framed_signed_area_gap(*scalar_frame(betas), v)
+
+
+def framed_signed_area_gap(nums: list, den, v: CenteredBall) -> Scalar:
+    """``signed_area_gap`` of framed betas nums / den."""
     dets, dden = v.edge_det_frame()
     acc = 0
-    for i, b in enumerate(nums):
+    for i, b in enumerate(nums[:len(nums) // 2]):
         acc = acc + b * b * dets[i - 1]
     return from_frame(acc, den * den * dden)
 

@@ -5,6 +5,14 @@ N(0)), each step takes the involute twice: N(k+1) in the dual world, then
 M(k+1) back in the primal world.  Signed areas shrink by exact sums of
 squares, the bounded regions nest, and both sequences collapse to a single
 point O, the central point of the polygon.
+
+The ladder runs on integer frames (see ``core``): each polygon, alpha and
+beta ladder passes from one kernel to the next as integers over one
+denominator, and every new polygon is reduced by one content gcd.  A
+``Fraction`` is built only where a value leaves the ladder: the stored
+vertices of M(k) and N(k) and the four ledger scalars of each step.
+``check_trace`` recomputes the ledger from the stored vertices, framing
+each polygon once.
 """
 from __future__ import annotations
 
@@ -14,15 +22,15 @@ from fractions import Fraction
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import InputError, PairedPolygon, Vec2, from_frame, integer_frame
-from .cw import CentralEquidistant, alphas_of, betas_of, central_equidistant
+from .core import InputError, PairedPolygon, Vec2, doubled_points, from_frame, integer_frame
+from .cw import CentralEquidistant, alphas_of, central_equidistant, framed_alphas, framed_betas
 from .evolute import (
-    dual_involute,
-    edge_world_coeffs,
+    _later,
     evolute,
-    involute_points,
-    signed_area,
-    signed_area_gap,
+    framed_dual_involute,
+    framed_involute,
+    framed_signed_area,
+    framed_signed_area_gap,
 )
 
 DEFAULT_TOL = 1e-9
@@ -34,6 +42,11 @@ def diameter_sq(points) -> Scalar:
     """Max squared Euclidean distance over pairs of a nonempty point list
     (exact in rational mode, on the integer frame of the points)."""
     xs, ys, den = integer_frame(points)
+    return from_frame(framed_diameter_sq(xs, ys), den * den)
+
+
+def framed_diameter_sq(xs, ys):
+    """``diameter_sq`` of framed points, times den^2."""
     best = xs[0] - xs[0]  # zero, as an int or a float like the frame
     for i in range(len(xs)):
         xi, yi = xs[i], ys[i]
@@ -43,7 +56,7 @@ def diameter_sq(points) -> Scalar:
             v = dx * dx + dy * dy
             if v > best:
                 best = v
-    return from_frame(best, den * den)
+    return best
 
 
 def diameter(points) -> float:
@@ -147,9 +160,12 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
 
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
-    k is the number of steps taken.  M(k) and N(k) repeat after n vertices
-    (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return them as
-    their first n vertices twice, so every stored polygon, the evolute N(0)
+    k is the number of steps taken.  Each polygon passes from kernel to
+    kernel as its integer frame, and the alpha and beta ladders as integers
+    over one denominator; the stored vertices and the ledger scalars are
+    built from those frames.  M(k) and N(k) repeat after n vertices (X_{i+n}
+    = X_i), and ``framed_involute`` and ``evolute`` return them as their
+    first n vertices twice, so every stored polygon, the evolute N(0)
     included, is doubled, and its diameter runs over those n.  In exact
     arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
@@ -163,28 +179,48 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     tol2 = Fraction(tol) ** 2
     cur = list(ce.M)
     e = ev.E
-    d2 = diameter_sq(cur[:n])
-    sa_m, sa_n = signed_area(cur), signed_area(e)
+    m_frame, n_frame = integer_frame(cur), integer_frame(e)
+    d2 = _half_diameter_sq(m_frame, n)
+    sa_m, sa_n = framed_signed_area(*m_frame), framed_signed_area(*n_frame)
     steps = [IterationStep(
         k=0, M=cur, N=e, sa_m=sa_m, sa_n=sa_n,
         gap_mn=0, gap_nm=sa_n - sa_m,
-        diam_m=math.sqrt(float(d2)), diam_n=diameter(e[:n]),
+        diam_m=_sqrt(*d2), diam_n=_sqrt(*_half_diameter_sq(n_frame, n)),
     )]
     for k in range(1, max_steps + 1):
-        if d2 < tol2:
+        if _below(*d2, tol2):
             break
-        be = betas_of(alphas_of(cur, u, backend), u)
-        nxt_n = involute_points(cur, be, v, backend)
-        nxt_m, mus = dual_involute(nxt_n, u, v, backend)
-        d2 = diameter_sq(nxt_m[:n])
+        be = framed_betas(*framed_alphas(*m_frame, u, backend), u)
+        n_frame = framed_involute(*m_frame, *be, v, backend)
+        # the (V, W) betas b of N(k+1); gap_nm squares mu = -b
+        m_frame, dual_be = framed_dual_involute(*n_frame, u, v, backend)
+        d2 = _half_diameter_sq(m_frame, n)
         steps.append(IterationStep(
-            k=k, M=nxt_m, N=nxt_n,
-            sa_m=signed_area(nxt_m), sa_n=signed_area(nxt_n),
-            gap_mn=signed_area_gap(be, v), gap_nm=signed_area_gap(mus, w),
-            diam_m=math.sqrt(float(d2)), diam_n=diameter(nxt_n[:n]),
+            k=k, M=doubled_points(*m_frame), N=doubled_points(*n_frame),
+            sa_m=framed_signed_area(*m_frame), sa_n=framed_signed_area(*n_frame),
+            gap_mn=framed_signed_area_gap(*be, v), gap_nm=framed_signed_area_gap(*dual_be, w),
+            diam_m=_sqrt(*d2), diam_n=_sqrt(*_half_diameter_sq(n_frame, n)),
         ))
-        cur = nxt_m
-    return len(steps) - 1, steps, "tol" if d2 < tol2 else "max_steps"
+    return len(steps) - 1, steps, "tol" if _below(*d2, tol2) else "max_steps"
+
+
+def _half_diameter_sq(frame, n: int):
+    """(num, den) of the squared diameter of the first n framed points."""
+    xs, ys, den = frame
+    return framed_diameter_sq(xs[:n], ys[:n]), den * den
+
+
+def _sqrt(num, den) -> float:
+    """sqrt(num / den) as a float; the integer quotient is correctly rounded,
+    as ``float`` of the Fraction would be."""
+    return math.sqrt(num / den)
+
+
+def _below(num, den, bound: Fraction) -> bool:
+    """num / den < bound, exactly, for a framed value with den > 0."""
+    if isinstance(num, float):
+        return num / den < bound
+    return num * bound.denominator < bound.numerator * den
 
 
 def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
@@ -232,17 +268,21 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     Recomputes every signed area and coefficient ladder from the stored
     polygons and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
-    non-increasing diameters.
+    non-increasing diameters.  Each stored polygon is framed once, from its
+    vertices, and its signed area and coefficient ladder come from that
+    frame.
     """
     backend = trace.backend
     u, v, w = plane.U, plane.V, plane.W
     out: list[TraceCheck] = []
 
-    # SA of every stored polygon, computed once: sa_m[idx] of M(k), and
-    # sa_n[idx] of N(k) for k > 0 (sa_n[0] is unused)
+    # the frame and SA of every stored polygon, computed once: M(k) at
+    # index k, and N(k) for k > 0 (index 0 is unused)
     steps = trace.steps
-    sa_m = [signed_area(s.M) for s in steps]
-    sa_n = [None] + [signed_area(s.N) for s in steps[1:]]
+    m_frames = [integer_frame(s.M) for s in steps]
+    n_frames = [None] + [integer_frame(s.N) for s in steps[1:]]
+    sa_m = [framed_signed_area(*f) for f in m_frames]
+    sa_n = [None] + [framed_signed_area(*f) for f in n_frames[1:]]
 
     chain: list[Scalar] = []
     for idx in range(len(steps)):
@@ -260,16 +300,16 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
         cur = steps[idx]
-        be = edge_world_coeffs(cur.N, v, backend)
+        # the edge-world coefficients b_i of N(k), one slot after its alphas
+        be, bden = framed_alphas(*n_frames[idx], v, backend, cur.N)
         lhs = sa_m[idx - 1] - sa_n[idx]
-        rhs = signed_area_gap(be, v)
+        rhs = framed_signed_area_gap(_later(be), bden, v)
         if not backend.eq(lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
-        al = alphas_of(cur.M, u, backend)
         lhs2 = sa_n[idx] - sa_m[idx]
-        rhs2 = signed_area_gap(al, w)
+        rhs2 = framed_signed_area_gap(*framed_alphas(*m_frames[idx], u, backend, cur.M), w)
         if not backend.eq(lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"

@@ -109,11 +109,13 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
                iterate_steps: int = 8) -> Report:
     """Run the full identity suite on one constant-width setup.
 
-    A negative ``samples`` raises InputError before any check runs: it is
-    a bad argument, not a failed containment check.
+    A negative ``samples`` or an ``iterate_steps`` below 1 raises InputError
+    before any check runs: it is a bad argument, not a failed check.
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
+    if iterate_steps < 1:
+        raise InputError(f"iterate_steps must be at least 1, got {iterate_steps}")
     backend = plane.backend
     rng = random.Random(seed)
     report = Report(backend=backend.name, seed=seed)

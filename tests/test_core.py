@@ -21,11 +21,19 @@ from cwpoly import (
     vec,
 )
 from cwpoly.backend import FLOAT, RATIONAL
-from cwpoly.core import RegionTest, coeff_along, integer_frame
-from cwpoly.cw import alphas_of
-from cwpoly.evolute import signed_area_gap
+from cwpoly.core import RegionTest, coeff_along, integer_frame, reduce_frame
+from cwpoly.cw import alphas_of, betas_of, central_equidistant, framed_alphas, framed_betas
+from cwpoly.evolute import (
+    dual_involute,
+    framed_dual_involute,
+    framed_involute,
+    involute_points,
+    signed_area_gap,
+)
 from cwpoly.fuzz import random_centered_ball, random_convex_polygon
 from cwpoly.iterate import diameter_sq
+
+from conftest import fuzz_planes
 
 TRI = [Vec2(F(0), F(0)), Vec2(F(1), F(0)), Vec2(F(0), F(1))]
 HEX_U = [Vec2(F(x), F(y)) for x, y in
@@ -322,6 +330,32 @@ def test_integer_frame_shares_one_denominator(pts):
     assert all(type(c) is int for c in xs + ys)
     assert [Vec2(F(x, den), F(y, den)) for x, y in zip(xs, ys)] == pts
     assert den == math.lcm(*{F(c).denominator for p in pts for c in p})
+
+
+@given(_polys(mixed_coords, 1, 9), st.integers(1, 10 ** 12))
+def test_reduce_frame_gives_integer_frame(pts, c):
+    # one content gcd takes any multiple of a point list's frame back to it
+    xs, ys, den = integer_frame(pts)
+    got = reduce_frame([x * c for x in xs], [y * c for y in ys], den * c)
+    assert got == (xs, ys, den)
+    assert all(type(v) is int for v in got[0] + got[1] + [got[2]])
+
+
+def test_involute_kernels_return_integer_frame():
+    # the frames the ladder carries are the frames of the vertices it stores
+    for plane in fuzz_planes(430, 6):
+        u, v = plane.U, plane.V
+        m_pts = central_equidistant(plane).M
+        m_frame = integer_frame(m_pts)
+        for _ in range(3):
+            be = framed_betas(*framed_alphas(*m_frame, u, RATIONAL), u)
+            n_frame = framed_involute(*m_frame, *be, v, RATIONAL)
+            n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u, RATIONAL), u), v,
+                                    RATIONAL)
+            assert n_frame == integer_frame(n_pts)
+            m_frame = framed_dual_involute(*n_frame, u, v, RATIONAL)[0]
+            m_pts = dual_involute(n_pts, u, v, RATIONAL)[0]
+            assert m_frame == integer_frame(m_pts)
 
 
 @given(_polys(float_coords))

@@ -1,4 +1,6 @@
 """Involute iteration: convergence, ledger identities, width families, float backend."""
+import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -8,7 +10,9 @@ import pytest
 
 from cwpoly import (
     ConvexPolygon,
+    GeometryError,
     InputError,
+    IterationStep,
     PairedPolygon,
     Vec2,
     build_plane,
@@ -69,6 +73,20 @@ def test_trace_sumsquares_slack_is_residual():
     for plane in fuzz_planes(403, 10):
         trace = iterate_involutes(plane, max_steps=8, tol=1e-300)
         assert trace.sa0 - trace.sumsquares == signed_area(trace.steps[-1].M)
+
+
+def test_check_trace_catches_scaled_polygon():
+    # a stored M(3) or N(3) scaled by 2 breaks the gap identity of step 3
+    for plane in fuzz_planes(401, 4):
+        trace = iterate_involutes(plane, max_steps=4, tol=1e-300)
+        assert all(c.ok for c in check_trace(trace, plane))
+        for name, want in (("M", "alpha gap fails at k=3"), ("N", "beta gap fails at k=3")):
+            steps = list(trace.steps)
+            steps[3] = dataclasses.replace(
+                steps[3], **{name: [p * 2 for p in getattr(steps[3], name)]})
+            checks = check_trace(dataclasses.replace(trace, steps=steps), plane)
+            gaps = next(c for c in checks if c.check_id == "iterate.gap_identities")
+            assert not gaps.ok and gaps.detail == want
 
 
 def test_nested_regions_fuzz():
@@ -218,10 +236,10 @@ def test_half_period_invariant():
 GOLDEN_LEDGER_SHA256 = "b52b3daf78986a83ef3df9b620010d7aec6fdde6adc29ebcc71592ecdcb1bc78"
 
 
-def test_golden_exact_ledger():
-    # 16 exact steps on two seeded planes (n = 5, 7) and the rounded regular
-    # 9-gon of radius 1000; one line per input of k:sa_m:sa_n:gap_mn:gap_nm
-    # records joined by "|", the record format of the exact-ledger benchmark
+@functools.lru_cache(maxsize=1)
+def _golden_exact_traces():
+    """16 exact steps on two seeded planes (n = 5, 7) and the rounded regular
+    9-gon of radius 1000."""
     from cwpoly.fuzz import random_cw_plane
 
     nine = [(round(1000 * math.cos(2 * math.pi * j / 9)),
@@ -230,10 +248,49 @@ def test_golden_exact_ledger():
               random_cw_plane(random.Random(602), 7, 7),
               build_plane(ConvexPolygon.from_points(nine))]
     assert [p.n for p in planes] == [5, 7, 9]
+    return [iterate_involutes(plane, max_steps=16, tol=1e-300) for plane in planes]
+
+
+def test_golden_exact_ledger():
+    # one line per input of k:sa_m:sa_n:gap_mn:gap_nm records joined by "|",
+    # the record format of the exact-ledger benchmark
     h = hashlib.sha256()
-    for plane in planes:
-        trace = iterate_involutes(plane, max_steps=16, tol=1e-300)
+    for trace in _golden_exact_traces():
         assert len(trace.steps) == 17
         h.update("|".join(f"{t.k}:{t.sa_m}:{t.sa_n}:{t.gap_mn}:{t.gap_nm}"
                           for t in trace.steps).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_LEDGER_SHA256
+
+
+# SHA-256 of float ladders, exact vertices and float ladder failures, recorded
+# before the ladder carried integer frames from one kernel to the next
+GOLDEN_VERTICES_SHA256 = "17c5936280242c5fc37f26e9b4f68bf687a4b0cbe108e0d4945cc8d59627e4e1"
+
+
+def _scaled_float(plane_r, s):
+    fb = get_backend("float")
+    paired = PairedPolygon([Vec2(float(p.x) * s, float(p.y) * s) for p in plane_r.P.vertices],
+                           plane_r.n, fb)
+    return build_plane(paired, 0.5)
+
+
+def test_golden_float_ladder_and_exact_vertices():
+    # the repr of every IterationStep field of 24 float steps at scales 1e-3
+    # and 1, the exact M(k) and N(k) of the golden ledger above, and the
+    # exception of two 1e3-scale float ladders that raise
+    h = hashlib.sha256()
+    fields = [f.name for f in dataclasses.fields(IterationStep)]
+    for plane in fuzz_planes(421, 3):
+        for s in (1e-3, 1.0):
+            trace = iterate_involutes(_scaled_float(plane, s), max_steps=24, tol=1e-300)
+            for step in trace.steps:
+                h.update(repr([getattr(step, f) for f in fields]).encode() + b"\n")
+    for trace in _golden_exact_traces():
+        for step in trace.steps:
+            h.update(repr((step.M, step.N)).encode() + b"\n")
+    planes = fuzz_planes(420, 5)
+    for plane in (planes[0], planes[4]):
+        with pytest.raises(GeometryError) as err:
+            iterate_involutes(_scaled_float(plane, 1e3), max_steps=40, tol=1e-300)
+        h.update(f"{type(err.value).__name__}: {err.value}".encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_VERTICES_SHA256

@@ -1,7 +1,10 @@
 """Report structure and whole-suite behaviour of the verifier."""
 from fractions import Fraction as F
 
-from cwpoly import ConvexPolygon, PairedPolygon, build_plane, vec
+import pytest
+
+import cwpoly.verify
+from cwpoly import ConvexPolygon, InputError, PairedPolygon, build_plane, vec
 from cwpoly.backend import get_backend
 from cwpoly.verify import run_verify
 
@@ -17,6 +20,17 @@ def test_triangle_report_all_pass(triangle_plane):
     assert "3/16" in gap.actual
     width = next(c for c in report.checks if c.check_id == "cw.constant_width")
     assert "a=1/2" in width.actual
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_rejects_iterate_steps_below_one(triangle_plane, monkeypatch, steps):
+    # a bad argument, raised before any check runs, not a failed ledger check
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cwpoly.verify, "is_constant_width", no_check)
+    with pytest.raises(InputError, match="iterate_steps must be at least 1"):
+        run_verify(triangle_plane, samples=2, iterate_steps=steps)
 
 
 def test_symmetric_degenerate_path(symmetric_plane):
