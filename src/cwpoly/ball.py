@@ -19,9 +19,11 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
-    coeff_along,
     det,
     dot,
+    frame_eq,
+    from_frame,
+    integer_frame,
     minkowski_sum,
 )
 
@@ -200,22 +202,41 @@ def build_plane(poly: ConvexPolygon | PairedPolygon, a: Scalar = None,
     return MinkowskiPlane(P=paired, U=u, V=v, n=paired.n, a=a, backend=backend)
 
 
-def support(points: Sequence[Vec2] | PairedPolygon | CenteredBall, f: Vec2) -> Scalar:
-    """Support value sup [p, f] over the vertices (determinant pairing)."""
+def det_table(xs: Sequence, ys: Sequence, fx: Sequence, fy: Sequence) -> list[list]:
+    """det(X_j, F_i) for every framed point X_j and every framed direction
+    F_i: row i lists the pairings of all points with F_i, over den_X den_F.
+    O(m^2) products of integers (of floats on a float frame, each the
+    float ``det``)."""
+    return [[x * b - y * a for x, y in zip(xs, ys)] for a, b in zip(fx, fy)]
+
+
+def framed_widths(xs: Sequence, ys: Sequence, den, v: CenteredBall) -> tuple[list, int]:
+    """Widths of framed points in the m dual directions V_i, from one
+    ``det_table``: max - min of row i, over den den_V."""
+    vx, vy, vden = v.frame()
+    return [max(row) - min(row) for row in det_table(xs, ys, vx, vy)], den * vden
+
+
+def _point_rows(points, f: Vec2) -> tuple[list, int]:
     pts = points.vertices if hasattr(points, "vertices") else points
     if not pts:
         raise InputError("support of an empty point set")
-    best = det(pts[0], f)
-    for p in pts[1:]:
-        c = det(p, f)
-        if c > best:
-            best = c
-    return best
+    xs, ys, den = integer_frame(pts)
+    fx, fy, fden = integer_frame([f])
+    return det_table(xs, ys, fx, fy)[0], den * fden
+
+
+def support(points: Sequence[Vec2] | PairedPolygon | CenteredBall, f: Vec2) -> Scalar:
+    """Support value sup [p, f] over the vertices (determinant pairing)."""
+    row, den = _point_rows(points, f)
+    return from_frame(max(row), den)
 
 
 def width(points, f: Vec2) -> Scalar:
-    """Width in dual direction f: support(P, f) + support(P, -f)."""
-    return support(points, f) + support(points, -f)
+    """Width in dual direction f: support(P, f) + support(P, -f), which is
+    max - min of the pairings [p, f]."""
+    row, den = _point_rows(points, f)
+    return from_frame(max(row) - min(row), den)
 
 
 @dataclass
@@ -233,27 +254,39 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
 
     Checks edge parallelism against U, then that all diagonals satisfy
     P_i - P_{i+n} = 2a U_i for one constant a > 0, and cross-checks that
-    P + (-P) is the homothety of U with ratio 4a.
+    P + (-P) is the homothety of U with ratio 4a.  Runs on the integer
+    frames of P and U: the a_i share one denominator, and P + (-P) is summed
+    on the numerators of P.
     """
     backend = paired.backend
     m = 2 * paired.n
     if len(u) != m:
         return WidthResult(False, reason="vertex count mismatch", witness=0)
-    pv, uv = paired.vertices, u.vertices
+    px, py, pden = integer_frame(paired.vertices)
+    ux, uy, uden = u.frame()
     sgn = backend.sign
     for i in range(m):
-        pe = pv[(i + 1) % m] - pv[i]
-        ue = uv[(i + 1) % m] - uv[i]
-        if not backend.is_zero(det(pe, ue)):
+        j = (i + 1) % m
+        pex, pey = px[j] - px[i], py[j] - py[i]
+        uex, uey = ux[j] - ux[i], uy[j] - uy[i]
+        if not backend.is_zero(pex * uey - pey * uex):
             return WidthResult(False, witness=i, reason="edge not parallel to ball edge")
-        if not (backend.is_zero(pe.x) and backend.is_zero(pe.y)) and sgn(dot(pe, ue)) <= 0:
+        if not (backend.is_zero(pex) and backend.is_zero(pey)) \
+                and sgn(pex * uex + pey * uey) <= 0:
             return WidthResult(False, witness=i, reason="edge orientation mismatch")
+    # a_i = nums / aden, along the dominant axis of U_i (``vertex_coeff_frame``)
+    verts, L = u.vertex_coeff_frame()
+    exact = u.backend.exact
+    aden = 2 * pden * L if exact else 1
     a = None
     for i in range(m):
-        diag = pv[i] - pv[(i + paired.n) % m]
-        if not backend.is_zero(det(diag, uv[i])):
+        k = (i + paired.n) % m
+        dx, dy = px[i] - px[k], py[i] - py[k]
+        vx, vy, axis, s = verts[i]
+        if not backend.is_zero(dx * vy - dy * vx):
             return WidthResult(False, witness=i, reason="diagonal not parallel to ball vertex")
-        ai = coeff_along(diag, uv[i], backend) / 2
+        t = dy if axis else dx
+        ai = t * s if exact else t / (s * pden) / 2
         if a is None:
             a = ai
         elif not backend.eq(a, ai):
@@ -262,15 +295,16 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
         return WidthResult(False, witness=0, reason="nonpositive width")
     # cross-check: P + (-P) is centered at origin and equals the 2a-homothety
     # of the ball up to vertex rotation
-    s = minkowski_sum(pv, [-p for p in pv], backend)
+    pts = [Vec2(x, y) for x, y in zip(px, py)]
+    s = minkowski_sum(pts, [-p for p in pts], backend)
     if len(s) != m:
         return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")
-    target = [w * (2 * a) for w in uv]
-    shift = None
+    # s / pden against 2a U = (2 a ux, 2 a uy) / (aden uden)
+    tden = aden * uden
+    target = [(2 * a * x, 2 * a * y) for x, y in zip(ux, uy)]
     for r in range(m):
-        if all(backend.same_point(s[(r + i) % m], target[i]) for i in range(m)):
-            shift = r
-            break
-    if shift is None:
-        return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")
-    return WidthResult(True, a=a)
+        if all(frame_eq(backend, s[(r + i) % m].x, pden, target[i][0], tden)
+               and frame_eq(backend, s[(r + i) % m].y, pden, target[i][1], tden)
+               for i in range(m)):
+            return WidthResult(True, a=from_frame(a, aden))
+    return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")

@@ -206,6 +206,15 @@ def framed_mixed_area(px: Sequence, py: Sequence, qx: Sequence, qy: Sequence):
     return acc
 
 
+def frame_eq(backend: Backend, a, da, b, db) -> bool:
+    """a / da == b / db for two framed values with positive denominators: by
+    cross-multiplication on integers, and by the backend's ``eq`` of the two
+    quotients on a float frame."""
+    if backend.exact:
+        return a * db == b * da
+    return backend.eq(a / da, b / db)
+
+
 def framed_coeff(wx, wy, dx, dy, backend: Backend):
     """The coefficient t of w = t*d as a pair (numerator, denominator).
 
@@ -389,7 +398,7 @@ class PairedPolygon:
 class CenteredBall:
     """Strictly convex CCW 2n-gon with central symmetry about the origin.
 
-    The ball's integer frame, edge determinants and edge coefficient frame
+    The ball's integer frame, edge determinants and coefficient frames
     are constants of the plane: they are computed on first use and kept, so
     the vertex list must not be changed afterwards.
     """
@@ -400,6 +409,7 @@ class CenteredBall:
     _frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _dets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _verts: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _second_dual: "CenteredBall | None" = field(default=None, init=False, repr=False,
                                                 compare=False)
 
@@ -450,20 +460,30 @@ class CenteredBall:
         """
         if self._edges is None:
             xs, ys, den = self.frame()
-            edges = []
-            for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
-                dx, dy = x1 - x0, y1 - y0
-                if not dx and not dy:
-                    raise InputError("cannot take a coefficient along the zero vector")
-                axis = 0 if abs(dx) >= abs(dy) else 1
-                edges.append((dx, dy, axis, dy if axis else dx))
-            if self.backend.exact:
-                L = math.lcm(*(abs(q) for *_, q in edges))
-                edges = [(dx, dy, axis, den * L // q) for dx, dy, axis, q in edges]
-            else:
-                L = 1
-            self._edges = (edges, L)
+            self._edges = self._coeff_frame(
+                [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1],
+                                                              ys[1:] + ys[:1])], den)
         return self._edges
+
+    def vertex_coeff_frame(self) -> tuple[list, int]:
+        """``edge_coeff_frame`` for coefficients along the vertices W_i
+        themselves: a vector a / den_x along W_i has coefficient a s / (den_x L)."""
+        if self._verts is None:
+            xs, ys, den = self.frame()
+            self._verts = self._coeff_frame(list(zip(xs, ys)), den)
+        return self._verts
+
+    def _coeff_frame(self, vectors: list, den) -> tuple[list, int]:
+        out = []
+        for dx, dy in vectors:
+            if not dx and not dy:
+                raise InputError("cannot take a coefficient along the zero vector")
+            axis = 0 if abs(dx) >= abs(dy) else 1
+            out.append((dx, dy, axis, dy if axis else dx))
+        if not self.backend.exact:
+            return out, 1
+        L = math.lcm(*(abs(q) for *_, q in out))
+        return [(dx, dy, axis, den * L // q) for dx, dy, axis, q in out], L
 
     def edge_dets(self) -> list[Scalar]:
         """det(W_i, W_{i+1}) for consecutive vertices; all positive."""

@@ -7,7 +7,8 @@ while beta[i] belongs to vertex i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .backend import Backend, Scalar
@@ -18,8 +19,8 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
+    frame_eq,
     frame_points,
-    framed_coeff,
     from_frame,
     integer_frame,
     polygon_area,
@@ -34,7 +35,9 @@ class CentralEquidistant:
     alphas[i] solves M_{i+1} - M_i = alpha_i (U_{i+1} - U_i); betas[i] is the
     half window sum of alpha * det(U_i, U_{i+1}) over the n edges following
     vertex i.  For centrally symmetric input M collapses to a point
-    (degenerate=True) and every coefficient is zero.
+    (degenerate=True) and every coefficient is zero.  The frames of M and
+    of the ladders are kept once computed, so the fields must not be
+    changed afterwards.
     """
 
     M: list[Vec2]
@@ -43,9 +46,27 @@ class CentralEquidistant:
     n: int
     backend: Backend
     degenerate: bool
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.M)
+
+    def frame(self) -> tuple[list, list, int]:
+        """``integer_frame`` of M, computed on first use and kept."""
+        return self._cached("M", lambda: integer_frame(self.M))
+
+    def alpha_frame(self) -> tuple[list, int]:
+        """``scalar_frame`` of the alphas, computed on first use and kept."""
+        return self._cached("alphas", lambda: scalar_frame(self.alphas))
+
+    def beta_frame(self) -> tuple[list, int]:
+        """``scalar_frame`` of the betas, computed on first use and kept."""
+        return self._cached("betas", lambda: scalar_frame(self.betas))
+
+    def _cached(self, key: str, make):
+        if key not in self._frames:
+            self._frames[key] = make()
+        return self._frames[key]
 
 
 def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list[Scalar]:
@@ -144,18 +165,44 @@ def min_convex_c(ce: CentralEquidistant) -> Scalar:
 def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend,
                edge_offset: int = 0) -> list[Scalar]:
     """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_{i+offset}."""
-    m = len(v.vertices)
-    xs, ys, den = integer_frame(points)
-    vx, vy, vden = v.frame()
+    nums, den = framed_lambdas(*integer_frame(points), v, backend, edge_offset)
+    _raise_not_parallel(nums, lambda i: points[i], v, edge_offset)
+    return [from_frame(t, den) for t in nums]
+
+
+def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall, backend: Backend,
+                   edge_offset: int = 0) -> tuple[list, int]:
+    """``lambdas_of`` on a framed open list: lambda_i = nums[i] / den_l.
+
+    Edge i must be parallel to V_{i+offset}, tested by cross-multiplication
+    as in ``framed_coeff``; where it is not, nums[i] is None and the caller
+    decides when to report it.  On a rational ball all coefficients share
+    den_l = den L (``CenteredBall.vertex_coeff_frame``); on a float ball
+    den_l = 1 and the lambdas are a / (q den).
+    """
+    verts, L = v.vertex_coeff_frame()
+    exact = v.backend.exact
+    m = len(verts)
     out = []
-    for i in range(len(points) - 1):
-        s = (i + edge_offset) % m
-        t = framed_coeff(xs[i + 1] - xs[i], ys[i + 1] - ys[i], vx[s], vy[s], backend)
-        if t is None:
-            raise IdentityError(f"vector {points[i + 1] - points[i]!r} is not parallel "
-                                f"to {v.vertices[s]!r}")
-        out.append(from_frame(t[0] * vden, t[1] * den))
-    return out
+    for i in range(len(xs) - 1):
+        dx, dy, axis, s = verts[(i + edge_offset) % m]
+        wx, wy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        if not backend.is_zero(wx * dy - wy * dx):
+            out.append(None)
+            continue
+        a = wy if axis else wx
+        out.append(a * s if exact else a / (s * den))
+    return out, den * L
+
+
+def _raise_not_parallel(nums: Sequence, point, v: CenteredBall, edge_offset: int = 0,
+                        order: Sequence[int] | None = None) -> None:
+    """IdentityError naming the first edge i (in ``order``, default 0, 1,
+    ...) whose framed lambda is None; ``point(i)`` gives vertex i."""
+    for i in (range(len(nums)) if order is None else order):
+        if nums[i] is None:
+            d = v.vertices[(i + edge_offset) % len(v.vertices)]
+            raise IdentityError(f"vector {point(i + 1) - point(i)!r} is not parallel to {d!r}")
 
 
 def v_length(arc: Sequence[Vec2], v: CenteredBall, edge_offset: int = 0,
@@ -170,9 +217,15 @@ def v_length(arc: Sequence[Vec2], v: CenteredBall, edge_offset: int = 0,
     pts = list(arc)
     if closed:
         pts = pts + [pts[0]]
-    lam = lambdas_of(pts, v, backend, edge_offset)
+    nums, den = framed_lambdas(*integer_frame(pts), v, backend, edge_offset)
+    _raise_not_parallel(nums, lambda i: pts[i], v, edge_offset)
+    return from_frame(_total(nums), den)
+
+
+def _total(values: Sequence):
+    """The sum of the values, added in list order from 0."""
     acc = 0
-    for t in lam:
+    for t in values:
         acc = acc + t
     return acc
 
@@ -183,14 +236,145 @@ class BarbierCheck:
     actual: Scalar
 
 
+@dataclass
+class HalfAreaCheck:
+    a1: Scalar
+    a2: Scalar
+    four_c_beta: Scalar
+
+
+class EquidistantFrame:
+    """The c-equidistant P(c) = M + cU of a central equidistant on one
+    integer frame, with the sums its identities read.
+
+    Every sum comes from this one frame, in O(m) per c:
+
+    * the closed-form half-arc lengths L_V(i, c) = sum_{j=i}^{i+n-1}
+      (alpha_j + c) det(U_j, U_{j+1}), as window sums (``window_sums``);
+    * the dual edge lengths lambda_j of P(c) itself, P_{j+1} - P_j = lambda_j
+      V_j, from one closed ``framed_lambdas`` pass; their window sums are the
+      same half-arc lengths measured directly, and their total is the
+      closed dual length;
+    * the half areas A1(i) of {P_i, ..., P_{i+n}}, closed by the diagonal,
+      as window sums of the shoelace terms plus the closing diagonal term.
+      A2(i) = A1(i + n).
+
+    P_i(c) = (xs[i], ys[i]) / den with den = den_M den_U den_c.  On a float
+    frame den = 1 and P_i(c) = M_i + U_i c, as ``equidistant`` computes it.
+    The sums are framed (numerators over one denominator); the public
+    functions of this module build one scalar per result from them.
+    """
+
+    def __init__(self, ce: CentralEquidistant, u: CenteredBall, c: Scalar):
+        self.ce, self.u, self.backend = ce, u, ce.backend
+        self.c = ce.backend.convert(c)
+        (self.cn,), self.cd = scalar_frame([self.c])
+        self.n, self.m = ce.n, 2 * ce.n
+        self._lambdas = (None, None)
+
+    @cached_property
+    def convex(self) -> bool:
+        """Whether P(c) is convex: c >= max(-alpha) (``min_convex_c``)."""
+        return not self.backend.lt(self.c, min_convex_c(self.ce))
+
+    @cached_property
+    def frame(self) -> tuple[list, list, int]:
+        mx, my, dm = self.ce.frame()
+        ux, uy, du = self.u.frame()
+        k, cu = du * self.cd, self.cn * dm
+        return ([x * k + a * cu for x, a in zip(mx, ux)],
+                [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
+
+    def point(self, i: int) -> Vec2:
+        xs, ys, den = self.frame
+        i %= self.m
+        return frame_points(xs[i:i + 1], ys[i:i + 1], den)[0]
+
+    @cached_property
+    def half_arc_lengths(self) -> tuple[list, int]:
+        """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
+        an, da = self.ce.alpha_frame()
+        dets, dd = self.u.edge_det_frame()
+        cd, ca = self.cd, self.cn * da
+        terms = [(a * cd + ca) * d for a, d in zip(an, dets)]
+        return window_sums(terms, self.n), da * cd * dd
+
+    def lambdas(self, v: CenteredBall) -> tuple[list, int]:
+        """``framed_lambdas`` of the closed P(c): None where edge j is not
+        parallel to V_j.  Kept for the last ball asked for."""
+        if self._lambdas[0] is not v:
+            xs, ys, den = self.frame
+            self._lambdas = (v, framed_lambdas(xs + xs[:1], ys + ys[:1], den, v,
+                                               self.backend))
+        return self._lambdas[1]
+
+    def raise_not_parallel(self, v: CenteredBall, order: Sequence[int] | None = None) -> None:
+        """IdentityError for the first edge in ``order`` (default: all m)
+        that is not parallel to its dual vertex, as ``lambdas_of`` words it."""
+        _raise_not_parallel(self.lambdas(v)[0], self.point, v, order=order)
+
+    def v_length(self, v: CenteredBall) -> Scalar:
+        """The dual length of the closed P(c), the total of its lambdas."""
+        nums, den = self.lambdas(v)
+        self.raise_not_parallel(v)
+        return from_frame(_total(nums), den)
+
+    @cached_property
+    def half_areas(self) -> tuple[list, int]:
+        """A1(i) = nums[i] / den for i = 0 .. m-1."""
+        xs, ys, den = self.frame
+        n, m = self.n, self.m
+        terms = [xs[j] * ys[(j + 1) % m] - ys[j] * xs[(j + 1) % m] for j in range(m)]
+        sums = window_sums(terms, n)
+        return ([s + (xs[(i + n) % m] * ys[i] - ys[(i + n) % m] * xs[i])
+                 for i, s in enumerate(sums)], 2 * den * den)
+
+    def area(self) -> Scalar:
+        """Shoelace area of P(c): A1(0) + A2(0)."""
+        nums, den = self.half_areas
+        return from_frame(nums[0] + nums[self.n], den)
+
+    def require_convex(self) -> None:
+        if not self.convex:
+            raise InputError("half-polygon areas need a convex equidistant")
+
+    def barbier(self, v: CenteredBall) -> BarbierCheck:
+        """Total dual length of P(c) against its closed form 2cA(U)."""
+        return BarbierCheck(expected=2 * self.c * polygon_area(self.u.vertices),
+                            actual=self.v_length(v))
+
+    def half_area_check(self, i: int) -> HalfAreaCheck:
+        self.require_convex()
+        nums, den = self.half_areas
+        i %= self.m
+        return HalfAreaCheck(a1=from_frame(nums[i], den),
+                             a2=from_frame(nums[(i + self.n) % self.m], den),
+                             four_c_beta=4 * self.c * self.ce.betas[i])
+
+    def chakerian_invariant(self) -> Scalar:
+        """A1(i, c) - c L_V(i, c), tested for every i; see ``chakerian_invariant``."""
+        self.require_convex()
+        backend, c, cn, cd = self.backend, self.c, self.cn, self.cd
+        h, dh = self.half_areas
+        arcs, da = self.half_arc_lengths
+        # A1(i) - c L_V(i) = values[i] / q
+        q = dh * cd * da
+        values = [a1 * cd * da - cn * lv * dh for a1, lv in zip(h, arcs)]
+        (closed,), dclosed = scalar_frame(
+            [2 * c * c * polygon_area(self.u.vertices) - self.area()])
+        for i, cur in enumerate(values):
+            if i and not frame_eq(backend, values[0], q, cur, q):
+                raise IdentityError(f"half-polygon invariant varies at index {i}")
+            # 2 c L_V(i) - 2 A1(i) = -2 values[i] / q
+            if not frame_eq(backend, -2 * cur, q, closed, dclosed):
+                raise IdentityError(f"half-polygon closed form fails at index {i}")
+        return from_frame(values[0], q)
+
+
 def barbier(ce: CentralEquidistant, u: CenteredBall, v: CenteredBall,
             c: Scalar) -> BarbierCheck:
     """Total dual length of the c-equidistant against its closed form 2cA(U)."""
-    c = ce.backend.convert(c)
-    expected = 2 * c * polygon_area(u.vertices)
-    pc = equidistant(ce, u, c)
-    actual = v_length(pc.vertices, v, backend=ce.backend, closed=True)
-    return BarbierCheck(expected=expected, actual=actual)
+    return EquidistantFrame(ce, u, c).barbier(v)
 
 
 def cusps_of_central(ce: CentralEquidistant) -> list[int] | None:
@@ -226,34 +410,6 @@ def cusps_of_central(ce: CentralEquidistant) -> list[int] | None:
     return sorted(out)
 
 
-@dataclass
-class HalfAreaCheck:
-    a1: Scalar
-    a2: Scalar
-    four_c_beta: Scalar
-
-
-def _convex_equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> list[Vec2]:
-    """Vertices of the c-equidistant, which must be convex (c >= max(-alpha))."""
-    if ce.backend.lt(c, min_convex_c(ce)):
-        raise InputError("half-polygon areas need a convex equidistant")
-    return equidistant(ce, u, c).vertices
-
-
-def _half(pc: Sequence[Vec2], n: int, i: int) -> list[Vec2]:
-    """The half {P_i, ..., P_{i+n}} of a closed 2n-list, closed by its diagonal."""
-    return [pc[j % (2 * n)] for j in range(i, i + n + 1)]
-
-
-def _half_area_check(ce: CentralEquidistant, pc: Sequence[Vec2], i: int,
-                     c: Scalar) -> HalfAreaCheck:
-    return HalfAreaCheck(
-        a1=polygon_area(_half(pc, ce.n, i)),
-        a2=polygon_area(_half(pc, ce.n, i + ce.n)),
-        four_c_beta=4 * c * ce.betas[i % (2 * ce.n)],
-    )
-
-
 def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,
                        c: Scalar) -> HalfAreaCheck:
     """Areas of the two halves of the c-equidistant cut by diagonal i.
@@ -262,31 +418,21 @@ def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,
     diagonal, A2 of the complementary list; their difference is 4 c beta_i.
     Requires a convex equidistant (c >= max(-alpha)).
     """
-    c = ce.backend.convert(c)
-    return _half_area_check(ce, _convex_equidistant(ce, u, c), i, c)
+    return EquidistantFrame(ce, u, c).half_area_check(i)
 
 
 def half_area_identities(ce: CentralEquidistant, u: CenteredBall,
                          c: Scalar) -> list[HalfAreaCheck]:
-    """``half_area_identity`` for i = 0 .. 2n-1, from one equidistant."""
-    c = ce.backend.convert(c)
-    pc = _convex_equidistant(ce, u, c)
-    return [_half_area_check(ce, pc, i, c) for i in range(2 * ce.n)]
-
-
-def _half_arc_length(ce: CentralEquidistant, dets: Sequence[Scalar], i: int,
-                     c: Scalar) -> Scalar:
-    m = 2 * ce.n
-    acc = 0
-    for j in range(i, i + ce.n):
-        acc = acc + (ce.alphas[j % m] + c) * dets[j % m]
-    return acc
+    """``half_area_identity`` for i = 0 .. 2n-1, from one equidistant frame."""
+    frame = EquidistantFrame(ce, u, c)
+    return [frame.half_area_check(i) for i in range(2 * ce.n)]
 
 
 def half_arc_length(ce: CentralEquidistant, u: CenteredBall, i: int,
                     c: Scalar) -> Scalar:
     """Dual length of the half arc {P_i(c), ..., P_{i+n}(c)}: cA(U) + 2 beta_i."""
-    return _half_arc_length(ce, u.edge_dets(), i, ce.backend.convert(c))
+    nums, den = EquidistantFrame(ce, u, c).half_arc_lengths
+    return from_frame(nums[i % (2 * ce.n)], den)
 
 
 def chakerian_invariant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> Scalar:
@@ -295,20 +441,4 @@ def chakerian_invariant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> S
     Raises IdentityError if the value varies with i, and cross-checks the
     closed form 2 c L_V(i, c) - 2 A1(i, c) = 2 c^2 A(U) - A(P(c)).
     """
-    backend = ce.backend
-    c = backend.convert(c)
-    pc = _convex_equidistant(ce, u, c)
-    closed = 2 * c * c * polygon_area(u.vertices) - polygon_area(pc)
-    dets = u.edge_dets()
-    value = None
-    for i in range(2 * ce.n):
-        a1 = polygon_area(_half(pc, ce.n, i))
-        lv = _half_arc_length(ce, dets, i, c)
-        cur = a1 - c * lv
-        if value is None:
-            value = cur
-        elif not backend.eq(value, cur):
-            raise IdentityError(f"half-polygon invariant varies at index {i}")
-        if not backend.eq(2 * c * lv - 2 * a1, closed):
-            raise IdentityError(f"half-polygon closed form fails at index {i}")
-    return value
+    return EquidistantFrame(ce, u, c).chakerian_invariant()

@@ -212,8 +212,37 @@ def _half_diameter_sq(frame, n: int):
 
 def _sqrt(num, den) -> float:
     """sqrt(num / den) as a float; the integer quotient is correctly rounded,
-    as ``float`` of the Fraction would be."""
-    return math.sqrt(num / den)
+    as ``float`` of the Fraction would be.  A quotient beyond float range
+    (a squared diameter above about 1.8e308) is rooted by ``math.isqrt`` of
+    its integer part instead, which is within one unit in the last place;
+    OverflowError is left only for a root beyond float range."""
+    try:
+        return math.sqrt(num / den)
+    except OverflowError:
+        return float(math.isqrt(num // den))
+
+
+def _sci(x) -> str:
+    """``f"{float(x):.3e}"``, also for an exact value beyond float range,
+    which is rounded half to even in the same format."""
+    try:
+        return f"{float(x):.3e}"
+    except OverflowError:
+        pass
+    x = Fraction(x)
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    q = x.numerator // x.denominator
+    e = int((q.bit_length() - 1) * 0.30102999566398120)  # about floor(log10 q)
+    while 10 ** e > q:
+        e -= 1
+    while 10 ** (e + 1) <= q:
+        e += 1
+    digits = round(x / 10 ** (e - 3))
+    if digits == 10 ** 4:
+        digits, e = 10 ** 3, e + 1
+    d = str(digits)
+    return f"{sign}{d[0]}.{d[1:]}e+{e}"
 
 
 def _below(num, den, bound: Fraction) -> bool:
@@ -326,7 +355,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     out.append(TraceCheck(
         "iterate.sumsquares_bound",
         backend.sign(slack) >= 0 and backend.eq(slack, residual),
-        f"slack={float(slack):.3e} residual={float(residual):.3e}"))
+        f"slack={_sci(slack)} residual={_sci(residual)}"))
 
     diams = []
     for s in trace.steps:

@@ -12,28 +12,29 @@ from .backend import Backend
 from .ball import (
     MinkowskiPlane,
     ball_from_dual,
+    det_table,
     dual_ball,
+    framed_widths,
     is_constant_width,
-    width,
 )
 from .core import (
+    CenteredBall,
     GeometryError,
     InputError,
-    det,
+    frame_eq,
+    integer_frame,
     minkowski_sum,
     mixed_area,
     polygon_area,
+    scalar_frame,
 )
 from .cw import (
-    barbier,
+    EquidistantFrame,
     central_equidistant,
-    chakerian_invariant,
     cusps_of_central,
     equidistant,
-    half_arc_length,
-    half_area_identities,
-    min_convex_c,
     v_length,
+    window_sums,
 )
 from .evolute import (
     containment_check,
@@ -150,27 +151,15 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             return f"no (index {res.witness}: {res.reason})", False
         if not eq(res.a, plane.a):
             return f"a={_s(backend, res.a)}", False
-        ws = [width(paired.vertices, v.vertices[i]) for i in range(m)]
-        ok = all(eq(w_, 2 * plane.a) for w_ in ws)
+        ws, wden = framed_widths(*integer_frame(paired.vertices), v)
+        (a,), aden = scalar_frame([plane.a])
+        ok = all(frame_eq(backend, w_, wden, 2 * a, aden) for w_ in ws)
         return f"yes(a={_s(backend, res.a)})" if ok else "width varies", ok
     guarded("cw.constant_width", f"yes(a={_s(backend, plane.a)})", chk_width)
 
     # --- dual ball ---------------------------------------------------------
-    def chk_dual_identity():
-        half = backend.convert("1/2")
-        for i in range(m):
-            for t in (0, 1, half):
-                p = u.vertices[i] * (1 - t) + u.vertices[(i + 1) % m] * t
-                if not eq(det(p, v.vertices[i]), 1):
-                    return f"edge {i} fails", False
-        for i in range(m):
-            for j in range(m):
-                if j in ((i) % m, (i + 1) % m):
-                    continue
-                if backend.sign(det(u.vertices[j], v.vertices[i]) - 1) > 0:
-                    return f"vertex {j} exceeds dual unit at edge {i}", False
-        return "all edges at dual norm 1", True
-    guarded("ball.dual_identity", "all edges at dual norm 1", chk_dual_identity)
+    guarded("ball.dual_identity", "all edges at dual norm 1",
+            lambda: _chk_dual_identity(u, v))
 
     def chk_involution():
         w = dual_ball(v)
@@ -203,54 +192,16 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("cw.central_v_length_zero", "0", chk_central_zero)
 
     cs = [plane.a, backend.convert(1), backend.convert(random_rational(rng))]
+    # one frame of the c-equidistant per c serves the five cw checks
+    frames = [EquidistantFrame(ce, u, c) for c in cs]
 
-    def chk_barbier():
-        for c in cs:
-            res = barbier(ce, u, v, c)
-            if not eq(res.expected, res.actual):
-                return f"c={_s(backend, c)}: {_s(backend, res.actual)}", False
-        return "2cA(U) at all c", True
-    guarded("cw.barbier", "2cA(U) at all c", chk_barbier)
-
-    def chk_half_arc():
-        for c in cs:
-            pc = equidistant(ce, u, c).vertices
-            for i in range(m):
-                li = half_arc_length(ce, u, i, c)
-                if not eq(li, c * area_u + 2 * ce.betas[i]):
-                    return f"i={i}", False
-                arc = [pc[j % m] for j in range(i, i + plane.n + 1)]
-                if not eq(v_length(arc, v, edge_offset=i, backend=backend), li):
-                    return f"direct sum differs at i={i}", False
-        return "cA(U) + 2beta_i", True
-    guarded("cw.half_arc_length", "cA(U) + 2beta_i", chk_half_arc)
-
-    def chk_half_area():
-        for c in cs:
-            if backend.lt(c, min_convex_c(ce)):
-                continue
-            for i, h in enumerate(half_area_identities(ce, u, c)):
-                if not eq(h.a1 - h.a2, h.four_c_beta):
-                    return f"i={i} c={_s(backend, c)}", False
-        return "A1 - A2 = 4c beta_i", True
-    guarded("cw.half_area", "A1 - A2 = 4c beta_i", chk_half_area)
-
-    def chk_chakerian():
-        vals = [chakerian_invariant(ce, u, c) for c in cs
-                if not backend.lt(c, min_convex_c(ce))]
-        return "constant over i", len(vals) > 0
-    guarded("cw.half_arc_invariant", "constant over i", chk_chakerian)
-
-    def chk_isoperimetric():
-        for c in cs:
-            if backend.lt(c, min_convex_c(ce)):
-                continue
-            pc = equidistant(ce, u, c).vertices
-            lv = v_length(pc, v, backend=backend, closed=True)
-            if backend.sign(lv * lv - 4 * area_u * polygon_area(pc)) < 0:
-                return f"fails at c={_s(backend, c)}", False
-        return "L^2 >= 4 A(U) A(P)", True
-    guarded("cw.isoperimetric", "L^2 >= 4 A(U) A(P)", chk_isoperimetric)
+    guarded("cw.barbier", "2cA(U) at all c", lambda: _chk_barbier(frames, v))
+    guarded("cw.half_arc_length", "cA(U) + 2beta_i",
+            lambda: _chk_half_arc(frames, v, area_u))
+    guarded("cw.half_area", "A1 - A2 = 4c beta_i", lambda: _chk_half_area(frames))
+    guarded("cw.half_arc_invariant", "constant over i", lambda: _chk_invariant(frames))
+    guarded("cw.isoperimetric", "L^2 >= 4 A(U) A(P)",
+            lambda: _chk_isoperimetric(frames, v, area_u))
 
     def chk_mixed():
         lv = v_length(paired.vertices, v, backend=backend, closed=True)
@@ -340,3 +291,97 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("iterate.ledger", "monotone areas, exact gaps, bounded sums", chk_iterate)
 
     return report
+
+
+# Checks that read framed values: each returns (actual, ok) as run_verify
+# reports it, and may raise GeometryError, which run_verify reports as an
+# error.  The cw checks take one EquidistantFrame per c, in the order the
+# values of c are tried.
+
+def _chk_dual_identity(u: CenteredBall, v: CenteredBall) -> tuple[str, bool]:
+    """[U_j, V_i] = 1 on edge i of U (j = i, i + 1) and <= 1 elsewhere.
+    [., V_i] is linear along edge i, so its two ends decide the whole edge."""
+    backend = u.backend
+    m = len(u.vertices)
+    ux, uy, uden = u.frame()
+    vx, vy, vden = v.frame()
+    rows = det_table(ux, uy, vx, vy)  # [U_j, V_i] = rows[i][j] / one
+    one = uden * vden
+    for i in range(m):
+        if not (backend.eq(rows[i][i], one) and backend.eq(rows[i][(i + 1) % m], one)):
+            return f"edge {i} fails", False
+    for i in range(m):
+        for j in range(m):
+            if j in (i, (i + 1) % m):
+                continue
+            if backend.sign(rows[i][j] - one) > 0:
+                return f"vertex {j} exceeds dual unit at edge {i}", False
+    return "all edges at dual norm 1", True
+
+
+def _chk_barbier(frames: list[EquidistantFrame], v: CenteredBall) -> tuple[str, bool]:
+    backend = frames[0].backend
+    for f in frames:
+        res = f.barbier(v)
+        if not backend.eq(res.expected, res.actual):
+            return f"c={_s(backend, f.c)}: {_s(backend, res.actual)}", False
+    return "2cA(U) at all c", True
+
+
+def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
+                  area_u) -> tuple[str, bool]:
+    """For each c and i: the closed form against cA(U) + 2 beta_i, then the
+    direct sum of the lambdas of edges i .. i+n-1 against the closed form."""
+    backend = frames[0].backend
+    bn, bden = frames[0].ce.beta_frame()
+    for f in frames:
+        n, m = f.n, f.m
+        arcs, aden = f.half_arc_lengths
+        lam, lden = f.lambdas(v)
+        bad = None in lam
+        direct = window_sums([0 if t is None else t for t in lam], n)
+        # c A(U) + 2 beta_i = (ca bden + 2 bn[i] caden) / (caden bden)
+        (ca,), caden = scalar_frame([f.c * area_u])
+        for i in range(m):
+            if not frame_eq(backend, arcs[i], aden, ca * bden + 2 * bn[i] * caden,
+                            caden * bden):
+                return f"i={i}", False
+            if bad:
+                f.raise_not_parallel(v, [(i + k) % m for k in range(n)])
+            if not frame_eq(backend, direct[i], lden, arcs[i], aden):
+                return f"direct sum differs at i={i}", False
+    return "cA(U) + 2beta_i", True
+
+
+def _chk_half_area(frames: list[EquidistantFrame]) -> tuple[str, bool]:
+    """A1(i) - A2(i) = 4 c beta_i for each convex equidistant and each i."""
+    backend = frames[0].backend
+    bn, bden = frames[0].ce.beta_frame()
+    for f in frames:
+        if not f.convex:
+            continue
+        n, m = f.n, f.m
+        h, hden = f.half_areas
+        for i in range(m):
+            # 4 c beta_i = 4 cn bn[i] / (cd bden)
+            if not frame_eq(backend, h[i] - h[(i + n) % m], hden,
+                            4 * f.cn * bn[i], f.cd * bden):
+                return f"i={i} c={_s(backend, f.c)}", False
+    return "A1 - A2 = 4c beta_i", True
+
+
+def _chk_invariant(frames: list[EquidistantFrame]) -> tuple[str, bool]:
+    vals = [f.chakerian_invariant() for f in frames if f.convex]
+    return "constant over i", len(vals) > 0
+
+
+def _chk_isoperimetric(frames: list[EquidistantFrame], v: CenteredBall,
+                       area_u) -> tuple[str, bool]:
+    backend = frames[0].backend
+    for f in frames:
+        if not f.convex:
+            continue
+        lv = f.v_length(v)
+        if backend.sign(lv * lv - 4 * area_u * f.area()) < 0:
+            return f"fails at c={_s(backend, f.c)}", False
+    return "L^2 >= 4 A(U) A(P)", True

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cwpoly
-from cwpoly import ConvexPolygon, build_plane
+from cwpoly import ConvexPolygon, PairedPolygon, Vec2, build_plane, vec
 
 
 @pytest.fixture
@@ -64,3 +64,17 @@ def fuzz_planes(seed: int, count: int, **kwargs):
 
     r = random.Random(seed)
     return [random_cw_plane(r, **kwargs) for _ in range(count)]
+
+
+def perturbed_planes():
+    """Claimed-paired planes built with strict=False that are not genuinely
+    constant-width: a nudged hexagon, and four fuzz planes with vertex 1
+    moved by (1/3, 1/5)."""
+    nudged = PairedPolygon(
+        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)], 3)
+    planes = [build_plane(nudged, F(1, 2), strict=False)]
+    for plane in fuzz_planes(777, 4):
+        pts = list(plane.P.vertices)
+        pts[1] = pts[1] + Vec2(F(1, 3), F(1, 5))
+        planes.append(build_plane(PairedPolygon(pts, plane.n), plane.a, strict=False))
+    return planes

@@ -19,9 +19,12 @@ from cwpoly import (
     vec,
     width,
 )
+from cwpoly.backend import get_backend
+from cwpoly.ball import WidthResult
+from cwpoly.core import CenteredBall, coeff_along, dot, minkowski_sum
 from cwpoly.fuzz import random_centered_ball
 
-from conftest import fuzz_planes
+from conftest import fuzz_planes, perturbed_planes
 
 
 def pts(seq):
@@ -216,3 +219,84 @@ def test_four_equivalences_agree():
             assert det(p[i] - p[(i + plane.n) % m], u[i]) == 0  # item (3)
         for f in plane.V.vertices:  # item (1)
             assert width(p, f) == 2 * plane.a
+
+
+def _ref_is_constant_width(paired, u):
+    """``is_constant_width`` on scalars: Vec2 differences, det and dot."""
+    backend = paired.backend
+    m = 2 * paired.n
+    if len(u) != m:
+        return WidthResult(False, reason="vertex count mismatch", witness=0)
+    pv, uv = paired.vertices, u.vertices
+    sgn = backend.sign
+    for i in range(m):
+        pe = pv[(i + 1) % m] - pv[i]
+        ue = uv[(i + 1) % m] - uv[i]
+        if not backend.is_zero(det(pe, ue)):
+            return WidthResult(False, witness=i, reason="edge not parallel to ball edge")
+        if not (backend.is_zero(pe.x) and backend.is_zero(pe.y)) and sgn(dot(pe, ue)) <= 0:
+            return WidthResult(False, witness=i, reason="edge orientation mismatch")
+    a = None
+    for i in range(m):
+        diag = pv[i] - pv[(i + paired.n) % m]
+        if not backend.is_zero(det(diag, uv[i])):
+            return WidthResult(False, witness=i, reason="diagonal not parallel to ball vertex")
+        ai = coeff_along(diag, uv[i], backend) / 2
+        if a is None:
+            a = ai
+        elif not backend.eq(a, ai):
+            return WidthResult(False, witness=i, reason="diagonal ratio is not constant")
+    if a is None or sgn(a) <= 0:
+        return WidthResult(False, witness=0, reason="nonpositive width")
+    s = minkowski_sum(pv, [-p for p in pv], backend)
+    if len(s) != m:
+        return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")
+    target = [w * (2 * a) for w in uv]
+    for r in range(m):
+        if all(backend.same_point(s[(r + i) % m], target[i]) for i in range(m)):
+            return WidthResult(True, a=a)
+    return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")
+
+
+def _float_plane(plane, scale):
+    fb = get_backend("float")
+    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
+                            for p in plane.P.vertices], plane.n, fb)
+    return build_plane(paired, 0.5)
+
+
+def _longer_edge_ball(u):
+    """The centred ball with U's edge directions whose edges 0 and n are
+    twice as long: its edges stay parallel to P's, its vertices do not."""
+    m = len(u.vertices)
+    edges = [u.vertices[(i + 1) % m] - u.vertices[i] for i in range(m)]
+    edges[0], edges[u.n] = edges[0] * 2, edges[u.n] * 2
+    w = Vec2(0, 0)
+    for e in edges[:u.n]:
+        w = w - e / 2
+    out = []
+    for e in edges:
+        out.append(w)
+        w = w + e
+    return CenteredBall(out, u.n, u.backend)
+
+
+def test_is_constant_width_matches_scalar_reference():
+    # the framed decision against the scalar one: the same result (a, or
+    # the witness and reason) on genuine planes, perturbed ones and balls
+    # that do not fit, exact and on float copies at two scales
+    planes = fuzz_planes(109, 10) + perturbed_planes()
+    planes += [_float_plane(p, s) for p in planes[:6] for s in (1e-3, 1.0)]
+    reasons = set()
+    for plane in planes:
+        uv, n = plane.U.vertices, plane.n
+        for u in (plane.U,
+                  CenteredBall([Vec2(w.x * 2, w.y) for w in uv], n, plane.backend),
+                  CenteredBall([-w for w in uv], n, plane.backend),
+                  CenteredBall([w * (i % 2 + 1) for i, w in enumerate(uv)], n, plane.backend),
+                  CenteredBall(uv[1:] + uv[:1], n, plane.backend),
+                  _longer_edge_ball(plane.U)):
+            res = is_constant_width(plane.P, u)
+            assert res == _ref_is_constant_width(plane.P, u)
+            reasons.add(res.reason)
+    assert len(reasons) >= 5

@@ -117,6 +117,23 @@ def test_verify_float_backend(triangle_doc, capsys):
     assert out["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "iterate"])
+def test_huge_triangle_exits_zero(tmp_path, capsys, command):
+    # every coordinate and diameter is a valid float, but the squared
+    # diameter 2e320 is not; the report must not need it as a float
+    path = tmp_path / "huge.json"
+    big = 10 ** 160
+    path.write_text(json.dumps({"vertices": [[0, 0], [big, 0], [0, big]]}))
+    assert main([command, str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if command == "verify":
+        assert out["summary"]["failed"] == 0
+    else:
+        assert math.isclose(out["steps"][0]["diameter"], math.sqrt(2) * 1e160 / 2,
+                            rel_tol=1e-15)
+        assert all(c["pass"] for c in out["checks"])
+
+
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_verify_near_symmetric_hexagon(tmp_path, capsys, backend):
     # the involute touches its central curve at points where a float step

@@ -186,24 +186,24 @@ def test_clean_rejects_degenerate():
 
 # --- chord counting ---------------------------------------------------------
 
-def _boundary_point(pts, t):
-    """Point at parameter t in [0,1) along the closed boundary (by edge share)."""
-    k = len(pts)
-    t *= k
-    i = int(t) % k
-    frac = t - int(t)
-    return pts[i] + (pts[(i + 1) % k] - pts[i]) * frac
-
-
 def _sampled_chord_oracle(x, pts, samples=4000):
     """Count chords by sign changes of the inside/outside indicator of the
-    reflected boundary -- an independent, approximate oracle."""
+    reflected boundary -- an independent, approximate oracle.
 
-    def inside(p):
-        k = len(pts)
+    Plain float arithmetic: the vertices, the exact edge vectors and 2x are
+    each rounded to float once, and every sample point and sign is then a
+    float expression of those.
+    """
+    k = len(pts)
+    px = [float(p.x) for p in pts]
+    py = [float(p.y) for p in pts]
+    ex = [float(pts[(i + 1) % k].x - pts[i].x) for i in range(k)]
+    ey = [float(pts[(i + 1) % k].y - pts[i].y) for i in range(k)]
+    x2, y2 = float(2 * x.x), float(2 * x.y)
+
+    def inside(qx, qy):
         for i in range(k):
-            e = pts[(i + 1) % k] - pts[i]
-            if float(det(e, p - pts[i])) < 0:
+            if ex[i] * (qy - py[i]) - ey[i] * (qx - px[i]) < 0:
                 return False
         return True
 
@@ -211,9 +211,11 @@ def _sampled_chord_oracle(x, pts, samples=4000):
     prev = None
     first = None
     for s in range(samples):
-        q = _boundary_point(pts, s / samples)
-        refl = Vec2(2 * x.x - q.x, 2 * x.y - q.y)
-        cur = inside(refl)
+        # the point at parameter s / samples along the boundary, by edge share
+        t = s / samples * k
+        i = int(t) % k
+        frac = t - int(t)
+        cur = inside(x2 - (px[i] + ex[i] * frac), y2 - (py[i] + ey[i] * frac))
         if first is None:
             first = cur
         elif cur != prev:

@@ -1,11 +1,18 @@
 """Central equidistant, equidistants, dual lengths, Barbier, half-polygon laws."""
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwpoly import (
+    GeometryError,
     IdentityError,
+    PairedPolygon,
+    Vec2,
+    build_plane,
     barbier,
     central_equidistant,
     chakerian_invariant,
@@ -19,9 +26,15 @@ from cwpoly import (
     v_length,
     vec,
 )
-from cwpoly.fuzz import random_rational
+from cwpoly import verify
+from cwpoly.backend import RATIONAL, get_backend
+from cwpoly.ball import det_table, framed_widths
+from cwpoly.core import from_frame, integer_frame
+from cwpoly.cw import EquidistantFrame, window_sums
+from cwpoly.fuzz import random_cw_plane, random_rational
+from cwpoly.verify import _s
 
-from conftest import fuzz_planes
+from conftest import fuzz_planes, perturbed_planes
 
 
 def test_central_triangle_golden(triangle_plane):
@@ -240,3 +253,259 @@ def test_isoperimetric_inequality():
         pc = equidistant(ce, plane.U, c).vertices
         lv = v_length(pc, plane.V, closed=True)
         assert lv * lv >= 4 * area_u * polygon_area(pc)
+
+
+# --- framed identity kernels against the per-i scalar references ------------
+# The references below are the identity checks of `verify` as they read on
+# scalars, one Fraction (or float) operation at a time.  The framed kernels
+# must give the same exact values, and the checks built on them the same
+# first failing index and text; on float copies, the same verdicts.
+
+def _ref_lambda(w, d, backend):
+    """lambda with w = lambda d, along the dominant axis of d."""
+    if not backend.is_zero(det(w, d)):
+        raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
+    return w.x / d.x if abs(d.x) >= abs(d.y) else w.y / d.y
+
+
+def _ref_v_length(pts, v, backend, offset=0):
+    m = len(v.vertices)
+    acc = 0
+    for i in range(len(pts) - 1):
+        acc = acc + _ref_lambda(pts[i + 1] - pts[i], v.vertices[(i + offset) % m], backend)
+    return acc
+
+
+def _ref_area(pts):
+    acc = 0
+    for i in range(len(pts)):
+        acc = acc + det(pts[i], pts[(i + 1) % len(pts)])
+    return acc / 2
+
+
+def _ref_equidistant(ce, u, c):
+    return [ce.M[i] + u.vertices[i] * c for i in range(2 * ce.n)]
+
+
+def _ref_half(pc, n, i):
+    return [pc[j % (2 * n)] for j in range(i, i + n + 1)]
+
+
+def _ref_closed_arc(ce, u, i, c):
+    m = 2 * ce.n
+    acc = 0
+    for j in range(i, i + ce.n):
+        acc = acc + (ce.alphas[j % m] + c) * det(u.vertices[j % m], u.vertices[(j + 1) % m])
+    return acc
+
+
+def _ref_cw_checks(ce, u, v, cs):
+    """(actual, ok) of the five cw checks of run_verify, per i on scalars."""
+    be = ce.backend
+    n, m = ce.n, 2 * ce.n
+    area_u = _ref_area(u.vertices)
+    convex = [c for c in cs if not be.lt(c, max(-a for a in ce.alphas))]
+
+    def barbier():
+        for c in cs:
+            pc = _ref_equidistant(ce, u, c)
+            actual = _ref_v_length(pc + pc[:1], v, be)
+            if not be.eq(2 * c * area_u, actual):
+                return f"c={_s(be, c)}: {_s(be, actual)}", False
+        return "2cA(U) at all c", True
+
+    def half_arc():
+        for c in cs:
+            pc = _ref_equidistant(ce, u, c)
+            for i in range(m):
+                li = _ref_closed_arc(ce, u, i, c)
+                if not be.eq(li, c * area_u + 2 * ce.betas[i]):
+                    return f"i={i}", False
+                if not be.eq(_ref_v_length(_ref_half(pc, n, i), v, be, i), li):
+                    return f"direct sum differs at i={i}", False
+        return "cA(U) + 2beta_i", True
+
+    def half_area():
+        for c in convex:
+            pc = _ref_equidistant(ce, u, c)
+            for i in range(m):
+                a1, a2 = _ref_area(_ref_half(pc, n, i)), _ref_area(_ref_half(pc, n, i + n))
+                if not be.eq(a1 - a2, 4 * c * ce.betas[i]):
+                    return f"i={i} c={_s(be, c)}", False
+        return "A1 - A2 = 4c beta_i", True
+
+    def invariant():
+        for c in convex:
+            pc = _ref_equidistant(ce, u, c)
+            closed = 2 * c * c * area_u - _ref_area(pc)
+            value = None
+            for i in range(m):
+                a1 = _ref_area(_ref_half(pc, n, i))
+                lv = _ref_closed_arc(ce, u, i, c)
+                cur = a1 - c * lv
+                if value is None:
+                    value = cur
+                elif not be.eq(value, cur):
+                    raise IdentityError(f"half-polygon invariant varies at index {i}")
+                if not be.eq(2 * c * lv - 2 * a1, closed):
+                    raise IdentityError(f"half-polygon closed form fails at index {i}")
+        return "constant over i", len(convex) > 0
+
+    def isoperimetric():
+        for c in convex:
+            pc = _ref_equidistant(ce, u, c)
+            lv = _ref_v_length(pc + pc[:1], v, be)
+            if be.sign(lv * lv - 4 * area_u * _ref_area(pc)) < 0:
+                return f"fails at c={_s(be, c)}", False
+        return "L^2 >= 4 A(U) A(P)", True
+
+    return [_guarded(fn) for fn in (barbier, half_arc, half_area, invariant, isoperimetric)]
+
+
+def _framed_cw_checks(ce, u, v, cs):
+    frames = [EquidistantFrame(ce, u, c) for c in cs]
+    area_u = polygon_area(u.vertices)
+    return [_guarded(lambda: verify._chk_barbier(frames, v)),
+            _guarded(lambda: verify._chk_half_arc(frames, v, area_u)),
+            _guarded(lambda: verify._chk_half_area(frames)),
+            _guarded(lambda: verify._chk_invariant(frames)),
+            _guarded(lambda: verify._chk_isoperimetric(frames, v, area_u))]
+
+
+def _ref_dual_identity(u, v):
+    be = u.backend
+    m = len(u.vertices)
+    uv, vv = u.vertices, v.vertices
+    half = be.convert("1/2")
+    for i in range(m):
+        for t in (0, 1, half):
+            p = uv[i] * (1 - t) + uv[(i + 1) % m] * t
+            if not be.eq(det(p, vv[i]), 1):
+                return f"edge {i} fails", False
+    for i in range(m):
+        for j in range(m):
+            if j not in (i, (i + 1) % m) and be.sign(det(uv[j], vv[i]) - 1) > 0:
+                return f"vertex {j} exceeds dual unit at edge {i}", False
+    return "all edges at dual norm 1", True
+
+
+def _guarded(fn):
+    try:
+        return fn()
+    except GeometryError as e:
+        return f"error: {e}", False
+
+
+def _cs(plane, rng):
+    be = plane.backend
+    return [plane.a, be.convert(1), be.convert(random_rational(rng, lo=-1))]
+
+
+def _variants(ce, rng):
+    """ce itself, and copies with one alpha, one beta or one vertex of M
+    changed (a changed M leaves edges of the equidistants not parallel to
+    V), and with M scaled by 2 (edges stay parallel, and only the direct
+    sums see the change)."""
+    m = 2 * ce.n
+    k = rng.randrange(m)
+    bump = ce.backend.convert(F(1, 7))
+    alphas, betas, M = list(ce.alphas), list(ce.betas), list(ce.M)
+    alphas[k] += bump
+    betas[k] -= bump
+    M[k] = M[k] + Vec2(bump, bump * 2)
+    return [ce, replace(ce, alphas=alphas), replace(ce, betas=betas), replace(ce, M=M),
+            replace(ce, M=[p * 2 for p in ce.M])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_framed_kernels_equal_scalar_reference(seed):
+    rng = random.Random(seed)
+    plane = random_cw_plane(rng, 3, 9)
+    u, v, n, m = plane.U, plane.V, plane.n, 2 * plane.n
+    ce = central_equidistant(plane)
+    for c in _cs(plane, rng):
+        f = EquidistantFrame(ce, u, c)
+        pc = _ref_equidistant(ce, u, c)
+        arcs, aden = f.half_arc_lengths
+        assert [from_frame(a, aden) for a in arcs] == [_ref_closed_arc(ce, u, i, c)
+                                                        for i in range(m)]
+        lam, lden = f.lambdas(v)
+        closed = pc + pc[:1]
+        assert [from_frame(t, lden) for t in lam] == [
+            _ref_lambda(closed[j + 1] - closed[j], v.vertices[j], RATIONAL) for j in range(m)]
+        assert [from_frame(s, lden) for s in window_sums(lam, n)] == [
+            _ref_v_length(_ref_half(pc, n, i), v, RATIONAL, i) for i in range(m)]
+        halves, hden = f.half_areas
+        assert [from_frame(h, hden) for h in halves] == [_ref_area(_ref_half(pc, n, i))
+                                                          for i in range(m)]
+        assert f.area() == _ref_area(pc)
+        assert barbier(ce, u, v, c).actual == _ref_v_length(closed, v, RATIONAL)
+        if f.convex:
+            want = _ref_area(_ref_half(pc, n, 0)) - c * _ref_closed_arc(ce, u, 0, c)
+            assert chakerian_invariant(ce, u, c) == want
+    xs, ys, den = integer_frame(plane.P.vertices)
+    widths, wden = framed_widths(xs, ys, den, v)
+    assert [from_frame(w, wden) for w in widths] == [
+        max(det(p, f) for p in plane.P.vertices) + max(det(p, -f) for p in plane.P.vertices)
+        for f in v.vertices]
+    ux, uy, uden = u.frame()
+    vx, vy, vden = v.frame()
+    assert [[from_frame(d, uden * vden) for d in row] for row in det_table(ux, uy, vx, vy)] \
+        == [[det(p, f) for p in u.vertices] for f in v.vertices]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_framed_checks_fail_where_the_reference_fails(seed):
+    # the same first failing index and text, on ce and on copies with one
+    # alpha, beta or vertex of M changed
+    rng = random.Random(seed)
+    plane = random_cw_plane(rng, 3, 9)
+    cs = _cs(plane, rng)
+    for ce in _variants(central_equidistant(plane), rng):
+        want = _ref_cw_checks(ce, plane.U, plane.V, cs)
+        assert _framed_cw_checks(ce, plane.U, plane.V, cs) == want
+    assert verify._chk_dual_identity(plane.U, plane.V) == _ref_dual_identity(plane.U, plane.V)
+
+
+def test_framed_checks_fail_in_reference_order_fuzz():
+    # the variants fail each of the five checks, the half-arc check in all
+    # three ways, and the dual identity fails on a perturbed plane
+    failed = set()
+    for i, plane in enumerate(fuzz_planes(215, 12)):
+        rng = random.Random(i)
+        cs = _cs(plane, rng)
+        for ce in _variants(central_equidistant(plane), rng):
+            got = _framed_cw_checks(ce, plane.U, plane.V, cs)
+            assert got == _ref_cw_checks(ce, plane.U, plane.V, cs)
+            failed |= {(k, actual.split(" ")[0].split("=")[0])
+                       for k, (actual, ok) in enumerate(got) if not ok}
+    assert failed >= {(0, "error:"), (1, "i"), (1, "direct"), (1, "error:"), (2, "i"),
+                      (3, "error:"), (4, "error:")}
+    dual = [verify._chk_dual_identity(p.U, p.V) for p in perturbed_planes()]
+    assert dual == [_ref_dual_identity(p.U, p.V) for p in perturbed_planes()]
+    assert any(not ok for _, ok in dual)
+
+
+def _float_copy(plane, scale):
+    fb = get_backend("float")
+    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
+                            for p in plane.P.vertices], plane.n, fb)
+    return build_plane(paired, 0.5)
+
+
+def test_framed_checks_float_verdicts_match_reference():
+    # on float copies at two scales the framed checks reach the verdict of
+    # the scalar float reference, on ce and on its changed copies
+    fb = get_backend("float")
+    for i, plane_r in enumerate(fuzz_planes(216, 10)):
+        for scale in (1e-3, 1.0):
+            plane = _float_copy(plane_r, scale)
+            rng = random.Random(i)
+            cs = [plane.a, fb.convert(1), fb.convert(random_rational(rng, lo=-1))]
+            for ce in _variants(central_equidistant(plane), rng):
+                got = [ok for _, ok in _framed_cw_checks(ce, plane.U, plane.V, cs)]
+                assert got == [ok for _, ok in _ref_cw_checks(ce, plane.U, plane.V, cs)]
+            assert verify._chk_dual_identity(plane.U, plane.V)[1] \
+                == _ref_dual_identity(plane.U, plane.V)[1]

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 import cwpoly.verify
-from cwpoly import ConvexPolygon, InputError, PairedPolygon, Vec2, build_plane, vec
+from cwpoly import ConvexPolygon, InputError, PairedPolygon, build_plane, vec
 from cwpoly.backend import get_backend
 from cwpoly.verify import run_verify
 
-from conftest import fuzz_planes
+from conftest import fuzz_planes, perturbed_planes
 
 
 def test_triangle_report_all_pass(triangle_plane):
@@ -62,20 +62,6 @@ def test_float_backend_tangential_containment():
     assert report.all_ok, [(c.check_id, c.actual) for c in report.checks if not c.ok]
 
 
-def _perturbed_planes():
-    """Claimed-paired planes built with strict=False that are not genuinely
-    constant-width: a nudged hexagon, and four fuzz planes with vertex 1
-    moved by (1/3, 1/5)."""
-    nudged = PairedPolygon(
-        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)], 3)
-    planes = [build_plane(nudged, F(1, 2), strict=False)]
-    for plane in fuzz_planes(777, 4):
-        pts = list(plane.P.vertices)
-        pts[1] = pts[1] + Vec2(F(1, 3), F(1, 5))
-        planes.append(build_plane(PairedPolygon(pts, plane.n), plane.a, strict=False))
-    return planes
-
-
 def _kgon_plane(k):
     pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
             round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
@@ -83,7 +69,7 @@ def _kgon_plane(k):
 
 
 def test_perturbed_paired_fails_with_witness():
-    plane = _perturbed_planes()[0]
+    plane = perturbed_planes()[0]
     report = run_verify(plane, seed=4)
     assert not report.all_ok
     width = next(c for c in report.checks if c.check_id == "cw.constant_width")
@@ -135,7 +121,7 @@ GOLDEN_SUITE_SHA256 = "dbaadf57c033dbc6152cbc9a3c04f1a211cac7f9b84fbc9e83b5e1ece
 
 def test_golden_verify_suite():
     planes = (fuzz_planes(611, 14, n_min=3, n_max=9) + [_kgon_plane(7), _kgon_plane(11)]
-              + _perturbed_planes())
+              + perturbed_planes())
     assert {p.n for p in planes[:14]} == set(range(3, 10))
     h = hashlib.sha256()
     for i, plane in enumerate(planes):
