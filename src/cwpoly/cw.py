@@ -4,10 +4,18 @@ identity, cusps, and the half-polygon area/length relations.
 All coefficient families follow the edge-slot convention of core: alpha[i]
 (and lambda[i], mu[i], V[i]) belong to the edge from vertex i to vertex i+1,
 while beta[i] belongs to vertex i.
+
+The identities run on integer frames (see ``core``).  ``EquidistantFrame``
+frames one c-equidistant M + cU and reads every identity of it from that
+frame as window sums: the closed-form half arcs, the dual edge lengths of
+one closed ``framed_lambdas`` pass (Barbier's total and the direct half-arc
+sums), the half areas and the half-polygon invariant.  ``barbier``,
+``half_arc_length``, ``half_area_identity(ies)`` and ``chakerian_invariant``
+are views of it, and ``lambdas_of`` and ``v_length`` of ``framed_lambdas``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -37,7 +45,7 @@ class CentralEquidistant:
     vertex i.  For centrally symmetric input M collapses to a point
     (degenerate=True) and every coefficient is zero.  The frames of M and
     of the ladders are kept once computed, so the fields must not be
-    changed afterwards.
+    changed afterwards (``dataclasses.replace`` makes a fresh copy).
     """
 
     M: list[Vec2]
@@ -46,27 +54,24 @@ class CentralEquidistant:
     n: int
     backend: Backend
     degenerate: bool
-    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.M)
 
+    @cached_property
     def frame(self) -> tuple[list, list, int]:
-        """``integer_frame`` of M, computed on first use and kept."""
-        return self._cached("M", lambda: integer_frame(self.M))
+        """``integer_frame`` of M."""
+        return integer_frame(self.M)
 
+    @cached_property
     def alpha_frame(self) -> tuple[list, int]:
-        """``scalar_frame`` of the alphas, computed on first use and kept."""
-        return self._cached("alphas", lambda: scalar_frame(self.alphas))
+        """``scalar_frame`` of the alphas."""
+        return scalar_frame(self.alphas)
 
+    @cached_property
     def beta_frame(self) -> tuple[list, int]:
-        """``scalar_frame`` of the betas, computed on first use and kept."""
-        return self._cached("betas", lambda: scalar_frame(self.betas))
-
-    def _cached(self, key: str, make):
-        if key not in self._frames:
-            self._frames[key] = make()
-        return self._frames[key]
+        """``scalar_frame`` of the betas."""
+        return scalar_frame(self.betas)
 
 
 def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list[Scalar]:
@@ -279,7 +284,7 @@ class EquidistantFrame:
 
     @cached_property
     def frame(self) -> tuple[list, list, int]:
-        mx, my, dm = self.ce.frame()
+        mx, my, dm = self.ce.frame
         ux, uy, du = self.u.frame()
         k, cu = du * self.cd, self.cn * dm
         return ([x * k + a * cu for x, a in zip(mx, ux)],
@@ -293,7 +298,7 @@ class EquidistantFrame:
     @cached_property
     def half_arc_lengths(self) -> tuple[list, int]:
         """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
-        an, da = self.ce.alpha_frame()
+        an, da = self.ce.alpha_frame
         dets, dd = self.u.edge_det_frame()
         cd, ca = self.cd, self.cn * da
         terms = [(a * cd + ca) * d for a, d in zip(an, dets)]

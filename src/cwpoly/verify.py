@@ -2,6 +2,12 @@
 maintains, run on a single instance and collected into a machine-readable
 report.  The rational backend demands exact equality; the float backend
 compares within its tolerance.
+
+The identity checks read framed values (see ``core``): the widths and the
+dual-ball identity one table of det(X_j, V_i), and the five checks of the
+c-equidistants one ``cw.EquidistantFrame`` per c.  They compare numerators
+by cross-multiplication (``core.frame_eq``), index by index in the order
+the report names the first failure.
 """
 from __future__ import annotations
 
@@ -333,7 +339,7 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
     """For each c and i: the closed form against cA(U) + 2 beta_i, then the
     direct sum of the lambdas of edges i .. i+n-1 against the closed form."""
     backend = frames[0].backend
-    bn, bden = frames[0].ce.beta_frame()
+    bn, bden = frames[0].ce.beta_frame
     for f in frames:
         n, m = f.n, f.m
         arcs, aden = f.half_arc_lengths
@@ -356,7 +362,7 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
 def _chk_half_area(frames: list[EquidistantFrame]) -> tuple[str, bool]:
     """A1(i) - A2(i) = 4 c beta_i for each convex equidistant and each i."""
     backend = frames[0].backend
-    bn, bden = frames[0].ce.beta_frame()
+    bn, bden = frames[0].ce.beta_frame
     for f in frames:
         if not f.convex:
             continue

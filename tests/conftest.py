@@ -78,3 +78,13 @@ def perturbed_planes():
         pts[1] = pts[1] + Vec2(F(1, 3), F(1, 5))
         planes.append(build_plane(PairedPolygon(pts, plane.n), plane.a, strict=False))
     return planes
+
+
+def float_copy(plane, scale):
+    """The plane's paired polygon as floats scaled by ``scale``, built
+    with a = 1/2."""
+    from cwpoly.backend import FLOAT
+
+    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, FLOAT)
+                            for p in plane.P.vertices], plane.n, FLOAT)
+    return build_plane(paired, 0.5)

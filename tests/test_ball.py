@@ -19,12 +19,11 @@ from cwpoly import (
     vec,
     width,
 )
-from cwpoly.backend import get_backend
 from cwpoly.ball import WidthResult
 from cwpoly.core import CenteredBall, coeff_along, dot, minkowski_sum
 from cwpoly.fuzz import random_centered_ball
 
-from conftest import fuzz_planes, perturbed_planes
+from conftest import float_copy, fuzz_planes, perturbed_planes
 
 
 def pts(seq):
@@ -258,13 +257,6 @@ def _ref_is_constant_width(paired, u):
     return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")
 
 
-def _float_plane(plane, scale):
-    fb = get_backend("float")
-    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
-                            for p in plane.P.vertices], plane.n, fb)
-    return build_plane(paired, 0.5)
-
-
 def _longer_edge_ball(u):
     """The centred ball with U's edge directions whose edges 0 and n are
     twice as long: its edges stay parallel to P's, its vertices do not."""
@@ -286,7 +278,7 @@ def test_is_constant_width_matches_scalar_reference():
     # the witness and reason) on genuine planes, perturbed ones and balls
     # that do not fit, exact and on float copies at two scales
     planes = fuzz_planes(109, 10) + perturbed_planes()
-    planes += [_float_plane(p, s) for p in planes[:6] for s in (1e-3, 1.0)]
+    planes += [float_copy(p, s) for p in planes[:6] for s in (1e-3, 1.0)]
     reasons = set()
     for plane in planes:
         uv, n = plane.U.vertices, plane.n

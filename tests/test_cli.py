@@ -117,16 +117,17 @@ def test_verify_float_backend(triangle_doc, capsys):
     assert out["summary"]["failed"] == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "iterate"])
-def test_huge_triangle_exits_zero(tmp_path, capsys, command):
+@pytest.mark.parametrize("args", [["verify"], ["iterate"], ["iterate", "--steps", "1"]])
+def test_huge_triangle_exits_zero(tmp_path, capsys, args):
     # every coordinate and diameter is a valid float, but the squared
-    # diameter 2e320 is not; the report must not need it as a float
+    # diameter 2e320 is not, nor after one step the ledger's slack; the
+    # report must not need either as a float
     path = tmp_path / "huge.json"
     big = 10 ** 160
     path.write_text(json.dumps({"vertices": [[0, 0], [big, 0], [0, big]]}))
-    assert main([command, str(path)]) == 0
+    assert main([args[0], str(path)] + args[1:]) == 0
     out = json.loads(capsys.readouterr().out)
-    if command == "verify":
+    if args[0] == "verify":
         assert out["summary"]["failed"] == 0
     else:
         assert math.isclose(out["steps"][0]["diameter"], math.sqrt(2) * 1e160 / 2,

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from cwpoly import (
     GeometryError,
     IdentityError,
-    PairedPolygon,
     Vec2,
-    build_plane,
     barbier,
     central_equidistant,
     chakerian_invariant,
@@ -27,14 +25,14 @@ from cwpoly import (
     vec,
 )
 from cwpoly import verify
-from cwpoly.backend import RATIONAL, get_backend
+from cwpoly.backend import RATIONAL
 from cwpoly.ball import det_table, framed_widths
-from cwpoly.core import from_frame, integer_frame
+from cwpoly.core import CenteredBall, from_frame, integer_frame
 from cwpoly.cw import EquidistantFrame, window_sums
 from cwpoly.fuzz import random_cw_plane, random_rational
 from cwpoly.verify import _s
 
-from conftest import fuzz_planes, perturbed_planes
+from conftest import float_copy, fuzz_planes, perturbed_planes
 
 
 def test_central_triangle_golden(triangle_plane):
@@ -417,6 +415,18 @@ def _variants(ce, rng):
             replace(ce, M=[p * 2 for p in ce.M])]
 
 
+def _dual_variants(plane, rng):
+    """V itself, V with V_k moved along U_k (edge k keeps [U_k, V_k] = 1 at
+    its first end only), and V with V_k scaled by 8/7."""
+    u, v = plane.U, plane.V
+    k = rng.randrange(2 * plane.n)
+    t = plane.backend.convert(F(1, 7))
+    along, scaled = list(v.vertices), list(v.vertices)
+    along[k] = along[k] + u.vertices[k] * t
+    scaled[k] = scaled[k] * (1 + t)
+    return [v] + [CenteredBall(vs, plane.n, plane.backend) for vs in (along, scaled)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_framed_kernels_equal_scalar_reference(seed):
@@ -466,7 +476,8 @@ def test_framed_checks_fail_where_the_reference_fails(seed):
     for ce in _variants(central_equidistant(plane), rng):
         want = _ref_cw_checks(ce, plane.U, plane.V, cs)
         assert _framed_cw_checks(ce, plane.U, plane.V, cs) == want
-    assert verify._chk_dual_identity(plane.U, plane.V) == _ref_dual_identity(plane.U, plane.V)
+    for v in _dual_variants(plane, rng):
+        assert verify._chk_dual_identity(plane.U, v) == _ref_dual_identity(plane.U, v)
 
 
 def test_framed_checks_fail_in_reference_order_fuzz():
@@ -488,24 +499,17 @@ def test_framed_checks_fail_in_reference_order_fuzz():
     assert any(not ok for _, ok in dual)
 
 
-def _float_copy(plane, scale):
-    fb = get_backend("float")
-    paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
-                            for p in plane.P.vertices], plane.n, fb)
-    return build_plane(paired, 0.5)
-
-
 def test_framed_checks_float_verdicts_match_reference():
     # on float copies at two scales the framed checks reach the verdict of
     # the scalar float reference, on ce and on its changed copies
-    fb = get_backend("float")
     for i, plane_r in enumerate(fuzz_planes(216, 10)):
         for scale in (1e-3, 1.0):
-            plane = _float_copy(plane_r, scale)
+            plane = float_copy(plane_r, scale)
             rng = random.Random(i)
-            cs = [plane.a, fb.convert(1), fb.convert(random_rational(rng, lo=-1))]
+            cs = _cs(plane, rng)
             for ce in _variants(central_equidistant(plane), rng):
                 got = [ok for _, ok in _framed_cw_checks(ce, plane.U, plane.V, cs)]
                 assert got == [ok for _, ok in _ref_cw_checks(ce, plane.U, plane.V, cs)]
-            assert verify._chk_dual_identity(plane.U, plane.V)[1] \
-                == _ref_dual_identity(plane.U, plane.V)[1]
+            for v in _dual_variants(plane, rng):
+                assert verify._chk_dual_identity(plane.U, v)[1] \
+                    == _ref_dual_identity(plane.U, v)[1]

@@ -24,6 +24,7 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
+from cwpoly.iterate import _sci
 
 from conftest import fuzz_planes
 
@@ -294,3 +295,12 @@ def test_golden_float_ladder_and_exact_vertices():
             iterate_involutes(_scaled_float(plane, 1e3), max_steps=40, tol=1e-300)
         h.update(f"{type(err.value).__name__}: {err.value}".encode() + b"\n")
     assert h.hexdigest() == GOLDEN_VERTICES_SHA256
+
+
+def test_sci_formats_beyond_float_range():
+    # the ledger detail's number format, in float range and past it
+    for x in (F(3, 7), F(-12345), F(2) ** 1000 * 3, F(10) ** 300 * F(99995, 10000)):
+        assert _sci(x) == f"{float(x):.3e}"
+    assert _sci(F(10) ** 400 * F(12345, 10000)) == "1.234e+400"  # half to even
+    assert _sci(-F(10) ** 309 * F(99996, 10000)) == "-1.000e+310"
+    assert _sci(F(2) ** 1100 + F(1, 3)) == "1.358e+331"
