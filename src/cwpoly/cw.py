@@ -349,6 +349,7 @@ class EquidistantFrame:
                             actual=self.v_length(v))
 
     def half_area_check(self, i: int) -> HalfAreaCheck:
+        """A1(i), A2(i) and 4 c beta_i; see ``half_area_identity``."""
         self.require_convex()
         nums, den = self.half_areas
         i %= self.m

@@ -1,7 +1,6 @@
 """Report structure and whole-suite behaviour of the verifier."""
 import hashlib
 import math
-from fractions import Fraction as F
 
 import pytest
 
