@@ -68,7 +68,6 @@ from .iterate import (
     IterationTrace,
     check_nesting,
     check_trace,
-    diameter,
     iterate_involutes,
     width_family,
 )

@@ -1,10 +1,12 @@
 """Minkowski unit balls for constant-width polygons.
 
-Given any convex polygon, ``reorder_parallel`` rewrites it as a 2n-list with
-opposite sides parallel (inserting degenerate sides where a direction has no
-opposite partner).  ``unit_ball`` then builds the centered polygon U in whose
-norm the polygon has constant width, and ``dual_ball`` builds the dual ball V
-under the determinant pairing f(.) = [., v].
+Given any convex polygon P, ``reorder_parallel`` rewrites it as a 2n-list
+with opposite sides parallel: P walked along the edge directions of
+P + (-P), which one ``core.edge_merge`` of P with -P lists, with a
+degenerate side wherever P lacks the direction.  ``unit_ball`` then builds
+the centered polygon U in whose norm the polygon has constant width, and
+``dual_ball`` builds the dual ball V under the determinant pairing
+f(.) = [., v].
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from typing import Sequence
 
 from .backend import Backend, RATIONAL, Scalar
 from .core import (
-    AngleKey,
     CenteredBall,
     ConvexPolygon,
     InputError,
@@ -21,6 +22,7 @@ from .core import (
     Vec2,
     det,
     dot,
+    edge_merge,
     frame_eq,
     from_frame,
     integer_frame,
@@ -52,61 +54,28 @@ class MinkowskiPlane:
 def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     """Rewrite a convex k-gon as a 2n-list with parallel opposite sides.
 
-    n = k - j where j counts the pairs of parallel opposite sides already
-    present.  Each direction class (mod 180 degrees) owns two opposite slots;
-    a class with a single edge gets a degenerate (repeated-point) side in the
-    opposite slot.  The walk starts at the edge of smallest direction angle
-    in [0, 180) so the output is deterministic.
+    One ``edge_merge`` of P with -P lists the 2n edge directions of
+    P + (-P), each with whether P has an edge there.  The walk starts at
+    P's lowest vertex, on P's first edge, and takes the directions in
+    order: it steps to the next vertex where P has the edge and repeats the
+    current vertex (a degenerate side) where it does not.  So n = k - j,
+    where j counts the pairs of parallel opposite sides of P.
     """
-    verts = poly.vertices
-    backend = poly.backend
-    k = len(verts)
-    edges = [verts[(i + 1) % k] - verts[i] for i in range(k)]
-
-    def upper(v: Vec2) -> bool:
-        s = backend.sign
-        return s(v.y) > 0 or (s(v.y) == 0 and s(v.x) > 0)
-
-    # direction classes mod 180, each represented by its upper-half vector
-    reps: list[Vec2] = []
-    for e in edges:
-        r = e if upper(e) else -e
-        if not any(backend.is_zero(det(r, s)) for s in reps):
-            reps.append(r)
-    reps.sort(key=AngleKey)
-    n = len(reps)
-    j = k - n
-    if n < 2:
-        raise InputError("polygon collapses to fewer than 2 directions")
-
-    # start edge: smallest full angle within [0, 180)
-    start_candidates = [i for i, e in enumerate(edges) if upper(e)]
-    start = min(start_candidates, key=lambda i: AngleKey(edges[i]))
-    start_class = next(t for t, r in enumerate(reps)
-                       if backend.is_zero(det(r, edges[start])))
-
-    # expected direction of each of the 2n slots, as a full-circle vector:
-    # slots start_class .. start_class+2n-1 over the doubled direction ladder
-    slot_dirs = []
-    for t in range(2 * n):
-        idx = start_class + t
-        rep = reps[idx % n]
-        slot_dirs.append(rep if (idx // n) % 2 == 0 else -rep)
-
-    out: list[Vec2] = [verts[start]]
-    li = start
-    consumed = 0
-    for t in range(2 * n):
-        e = edges[li % k]
-        if consumed < k and backend.is_zero(det(e, slot_dirs[t])) and backend.sign(dot(e, slot_dirs[t])) > 0:
-            out.append(verts[(li + 1) % k])
-            li += 1
-            consumed += 1
-        else:
-            out.append(out[-1])
-    if consumed != k or out[0] != out[-1]:
-        raise InputError("direction walk failed to close; polygon not convex?")
-    paired = PairedPolygon(out[:-1], n, backend)
+    verts, backend = poly.vertices, poly.backend
+    i0, _, merged = edge_merge(verts, [-p for p in verts], backend)
+    has = [own for _, own in merged]
+    # the sweep runs once around from 0 degrees, so its first and last edges
+    # are never compared; in float mode they can be parallel within the
+    # tolerance, and then they are one direction, kept where P has its edge
+    (first, _), (last, _) = merged[0], merged[-1]
+    if backend.is_zero(det(first, last)) and dot(first, last) > 0:
+        del has[-1 if has[0] else 0]
+    r = has.index(True)
+    out = []
+    for own in has[r:] + has[:r]:
+        out.append(verts[i0 % len(verts)])
+        i0 += own
+    paired = PairedPolygon(out, len(out) // 2, backend)
     paired.validate()
     return paired
 

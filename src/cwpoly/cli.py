@@ -22,7 +22,7 @@ from .docio import (
     scalar_json,
 )
 from .evolute import evolute, evolute_cusps, involute, signed_area, signed_area_gap
-from .iterate import check_trace, iterate_involutes, width_family
+from .iterate import _sci, check_trace, iterate_involutes, width_family
 from .svgout import Layer, render_svg
 from .verify import run_verify
 
@@ -155,6 +155,15 @@ def cmd_involute(args) -> int:
     return 0
 
 
+def _csv_float(x) -> str:
+    """A CSV field: the repr of float(x), or for an exact value beyond float
+    range its ``.3e`` form (``iterate._sci``)."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return _sci(x)
+
+
 def cmd_iterate(args) -> int:
     plane, backend = _plane(args)
     trace = iterate_involutes(plane, max_steps=args.steps, tol=args.tol)
@@ -194,7 +203,7 @@ def cmd_iterate(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as f:
             f.write("k,SA_M,SA_N,diameter\n")
             for s in trace.steps:
-                f.write(f"{s.k},{float(s.sa_m)!r},{float(s.sa_n)!r},{s.diam_m!r}\n")
+                f.write(f"{s.k},{_csv_float(s.sa_m)},{_csv_float(s.sa_n)},{s.diam_m!r}\n")
     layers = [
         Layer("polygon-p", [plane.P.vertices]),
         Layer("central-m", [trace.steps[0].M]),

@@ -215,34 +215,20 @@ def frame_eq(backend: Backend, a, da, b, db) -> bool:
     return backend.eq(a / da, b / db)
 
 
-def framed_coeff(wx, wy, dx, dy, backend: Backend):
-    """The coefficient t of w = t*d as a pair (numerator, denominator).
-
-    w and d are given by framed components (each on its own frame; the
-    caller scales the pair back).  Parallelism is tested by
-    cross-multiplication, det(w, d) = 0, which is exact on integers and
-    within the tolerance in float mode.  Returns None when w is not
-    parallel to d.  The dominant coordinate of d gives the ratio.
-    """
-    if not dx and not dy:
-        raise InputError("cannot take a coefficient along the zero vector")
-    if not backend.is_zero(wx * dy - wy * dx):
-        return None
-    return (wx, dx) if abs(dx) >= abs(dy) else (wy, dy)
-
-
 def coeff_along(w: Vec2, d: Vec2, backend: Backend) -> Scalar:
     """Solve w = t*d for t, requiring exact parallelism.
 
-    In rational mode det(w, d) must vanish exactly; in float mode it is
-    checked against the backend tolerance and the dominant coordinate of d
-    gives t.
+    On the integer frame of w and d, parallelism is tested by
+    cross-multiplication, det(w, d) = 0, which is exact in rational mode
+    and within the backend tolerance in float mode.  The dominant
+    coordinate of d gives t.
     """
-    xs, ys, _ = integer_frame((w, d))
-    t = framed_coeff(xs[0], ys[0], xs[1], ys[1], backend)
-    if t is None:
+    (wx, dx), (wy, dy), _ = integer_frame((w, d))
+    if not dx and not dy:
+        raise InputError("cannot take a coefficient along the zero vector")
+    if not backend.is_zero(wx * dy - wy * dx):
         raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
-    return from_frame(*t)
+    return from_frame(wx, dx) if abs(dx) >= abs(dy) else from_frame(wy, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +438,7 @@ class CenteredBall:
 
         Returns (edges, L) with edges[i] = (dx, dy, axis, s): the edge is
         (dx, dy) / den, axis is 0 when |dx| >= |dy| and 1 otherwise, and q
-        is the component on that axis, as ``framed_coeff`` picks it.  A
+        is the component on that axis, as ``coeff_along`` picks it.  A
         vector a / den_x along edge i has coefficient a den / (q den_x).  For
         a rational ball L = lcm |q| and s = den L / q, so the coefficients of
         one framed polygon share the denominator den_x L with numerators
@@ -507,7 +493,8 @@ def _lowest_index(points: Sequence[Vec2]) -> int:
 def minkowski_sum(p: Sequence[Vec2] | ConvexPolygon,
                   q: Sequence[Vec2] | ConvexPolygon,
                   backend: Backend = RATIONAL) -> list[Vec2]:
-    """Minkowski sum of two convex CCW polygons by the edge-merge sweep.
+    """Minkowski sum of two convex CCW polygons: the edges of ``edge_merge``
+    summed from the two lowest vertices.
 
     Either argument may be a single point (length-1 list), in which case the
     result is a translate.  Parallel same-direction edges are merged, so the
@@ -521,32 +508,47 @@ def minkowski_sum(p: Sequence[Vec2] | ConvexPolygon,
         return [v + pv[0] for v in qv]
     if len(qv) == 1:
         return [v + qv[0] for v in pv]
+    i, j, merged = edge_merge(pv, qv, backend)
+    out = [pv[i] + qv[j]]
+    for e, _ in merged[:-1]:
+        out.append(out[-1] + e)
+    return out
 
-    def edge_list(v: list[Vec2]) -> list[Vec2]:
+
+def edge_merge(p: Sequence[Vec2], q: Sequence[Vec2],
+               backend: Backend) -> tuple[int, int, list[tuple[Vec2, bool]]]:
+    """The edges of two convex CCW polygons in one angular sweep.
+
+    Each polygon lists its edges from its lowest vertex (least y, then least
+    x), p[i] and q[j], so both lists run in full-circle angle order from 0
+    degrees, and the sweep merges them in that order.  An edge of p and an
+    edge of q with the same direction (``backend.is_zero`` of their
+    determinant, positive dot product) become one edge, their sum.  Returns
+    (i, j, merged), where merged lists each edge with whether p has an edge
+    in its direction; from p[i] + q[j] the merged edges trace p + q.  Both
+    polygons need at least two distinct vertices.
+    """
+    def edge_list(v: Sequence[Vec2]) -> tuple[int, list[Vec2]]:
         i0 = _lowest_index(v)
         k = len(v)
-        return [v[(i0 + j + 1) % k] - v[(i0 + j) % k] for j in range(k)]
+        return i0, [v[(i0 + j + 1) % k] - v[(i0 + j) % k] for j in range(k)]
 
-    ep, eq = edge_list(pv), edge_list(qv)
-    start = pv[_lowest_index(pv)] + qv[_lowest_index(qv)]
-    merged: list[Vec2] = []
+    (i0, ep), (j0, eq) = edge_list(p), edge_list(q)
+    merged: list[tuple[Vec2, bool]] = []
     i = j = 0
     while i < len(ep) or j < len(eq):
         if i == len(ep):
-            take = eq[j]; j += 1
+            take = (eq[j], False); j += 1
         elif j == len(eq):
-            take = ep[i]; i += 1
+            take = (ep[i], True); i += 1
         elif backend.is_zero(det(ep[i], eq[j])) and dot(ep[i], eq[j]) > 0:
-            take = ep[i] + eq[j]; i += 1; j += 1
+            take = (ep[i] + eq[j], True); i += 1; j += 1
         elif angle_less(ep[i], eq[j]):
-            take = ep[i]; i += 1
+            take = (ep[i], True); i += 1
         else:
-            take = eq[j]; j += 1
+            take = (eq[j], False); j += 1
         merged.append(take)
-    out = [start]
-    for e in merged[:-1]:
-        out.append(out[-1] + e)
-    return out
+    return i0, j0, merged
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ frames one c-equidistant M + cU and reads every identity of it from that
 frame as window sums: the closed-form half arcs, the dual edge lengths of
 one closed ``framed_lambdas`` pass (Barbier's total and the direct half-arc
 sums), the half areas and the half-polygon invariant.  ``barbier``,
-``half_arc_length``, ``half_area_identity(ies)`` and ``chakerian_invariant``
+``half_arc_length``, ``half_area_identity`` and ``chakerian_invariant``
 are views of it, and ``lambdas_of`` and ``v_length`` of ``framed_lambdas``.
 """
 from __future__ import annotations
@@ -85,7 +85,7 @@ def framed_alphas(xs: list, ys: list, den, u: CenteredBall, backend: Backend,
     """``alphas_of`` on a framed closed list: alpha_i = nums[i] / den_a.
 
     Edge i, (wx, wy) / den, must be parallel to the ball's edge i, (dx, dy) /
-    den_u; that is tested by cross-multiplication, as in ``framed_coeff``.
+    den_u; that is tested by cross-multiplication, as in ``coeff_along``.
     The coefficient is a den_u / (q den), with a and q the components on the
     edge's dominant axis.  On a rational ball all of them share den_a = den
     L (``CenteredBall.edge_coeff_frame``); on a float ball den_a = 1 and the
@@ -167,20 +167,19 @@ def min_convex_c(ce: CentralEquidistant) -> Scalar:
     return max(-a for a in ce.alphas)
 
 
-def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend,
-               edge_offset: int = 0) -> list[Scalar]:
-    """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_{i+offset}."""
-    nums, den = framed_lambdas(*integer_frame(points), v, backend, edge_offset)
-    _raise_not_parallel(nums, lambda i: points[i], v, edge_offset)
+def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend) -> list[Scalar]:
+    """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_i."""
+    nums, den = framed_lambdas(*integer_frame(points), v, backend)
+    _raise_not_parallel(nums, lambda i: points[i], v)
     return [from_frame(t, den) for t in nums]
 
 
-def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall, backend: Backend,
-                   edge_offset: int = 0) -> tuple[list, int]:
+def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall,
+                   backend: Backend) -> tuple[list, int]:
     """``lambdas_of`` on a framed open list: lambda_i = nums[i] / den_l.
 
-    Edge i must be parallel to V_{i+offset}, tested by cross-multiplication
-    as in ``framed_coeff``; where it is not, nums[i] is None and the caller
+    Edge i must be parallel to V_i, tested by cross-multiplication as in
+    ``coeff_along``; where it is not, nums[i] is None and the caller
     decides when to report it.  On a rational ball all coefficients share
     den_l = den L (``CenteredBall.vertex_coeff_frame``); on a float ball
     den_l = 1 and the lambdas are a / (q den).
@@ -190,7 +189,7 @@ def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall, backend: Ba
     m = len(verts)
     out = []
     for i in range(len(xs) - 1):
-        dx, dy, axis, s = verts[(i + edge_offset) % m]
+        dx, dy, axis, s = verts[i % m]
         wx, wy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
         if not backend.is_zero(wx * dy - wy * dx):
             out.append(None)
@@ -200,30 +199,28 @@ def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall, backend: Ba
     return out, den * L
 
 
-def _raise_not_parallel(nums: Sequence, point, v: CenteredBall, edge_offset: int = 0,
+def _raise_not_parallel(nums: Sequence, point, v: CenteredBall,
                         order: Sequence[int] | None = None) -> None:
     """IdentityError naming the first edge i (in ``order``, default 0, 1,
     ...) whose framed lambda is None; ``point(i)`` gives vertex i."""
     for i in (range(len(nums)) if order is None else order):
         if nums[i] is None:
-            d = v.vertices[(i + edge_offset) % len(v.vertices)]
+            d = v.vertices[i % len(v.vertices)]
             raise IdentityError(f"vector {point(i + 1) - point(i)!r} is not parallel to {d!r}")
 
 
-def v_length(arc: Sequence[Vec2], v: CenteredBall, edge_offset: int = 0,
-             backend: Backend | None = None, closed: bool = False) -> Scalar:
+def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scalar:
     """Signed dual-ball length of a polygonal arc.
 
-    The arc's edge i must be parallel to the dual vertex V_{i+edge_offset};
-    negative coefficients (arcs past cusps) are allowed.  With closed=True
-    the wrap-around edge is included.
+    The arc's edge i must be parallel to the dual vertex V_i; negative
+    coefficients (arcs past cusps) are allowed.  With closed=True the
+    wrap-around edge is included.
     """
-    backend = backend or v.backend
     pts = list(arc)
     if closed:
         pts = pts + [pts[0]]
-    nums, den = framed_lambdas(*integer_frame(pts), v, backend, edge_offset)
-    _raise_not_parallel(nums, lambda i: pts[i], v, edge_offset)
+    nums, den = framed_lambdas(*integer_frame(pts), v, v.backend)
+    _raise_not_parallel(nums, lambda i: pts[i], v)
     return from_frame(_total(nums), den)
 
 
@@ -425,13 +422,6 @@ def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,
     Requires a convex equidistant (c >= max(-alpha)).
     """
     return EquidistantFrame(ce, u, c).half_area_check(i)
-
-
-def half_area_identities(ce: CentralEquidistant, u: CenteredBall,
-                         c: Scalar) -> list[HalfAreaCheck]:
-    """``half_area_identity`` for i = 0 .. 2n-1, from one equidistant frame."""
-    frame = EquidistantFrame(ce, u, c)
-    return [frame.half_area_check(i) for i in range(2 * ce.n)]
 
 
 def half_arc_length(ce: CentralEquidistant, u: CenteredBall, i: int,

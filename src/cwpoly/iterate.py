@@ -59,10 +59,6 @@ def framed_diameter_sq(xs, ys):
     return best
 
 
-def diameter(points) -> float:
-    return math.sqrt(float(diameter_sq(points)))
-
-
 @dataclass
 class IterationStep:
     """One rung of the ledger: N(k) and M(k) with areas, diameters, gaps.

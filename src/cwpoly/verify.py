@@ -193,7 +193,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     area_u = polygon_area(u.vertices)
 
     def chk_central_zero():
-        lv = v_length(ce.M, v, backend=backend, closed=True)
+        lv = v_length(ce.M, v, closed=True)
         return _s(backend, lv), eq(lv, 0)
     guarded("cw.central_v_length_zero", "0", chk_central_zero)
 
@@ -210,7 +210,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             lambda: _chk_isoperimetric(frames, v, area_u))
 
     def chk_mixed():
-        lv = v_length(paired.vertices, v, backend=backend, closed=True)
+        lv = v_length(paired.vertices, v, closed=True)
         if not eq(mixed_area(paired.vertices, u.vertices), lv / 2):
             return "A(P,U) != L_V(P)/2", False
         s = minkowski_sum(paired.vertices, u.vertices, backend)

@@ -1,8 +1,11 @@
 """Pairing normal form, unit and dual balls, support and width."""
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwpoly import (
     ConvexPolygon,
@@ -14,14 +17,16 @@ from cwpoly import (
     det,
     dual_ball,
     is_constant_width,
+    reorder_parallel,
     support,
     unit_ball,
     vec,
     width,
 )
+from cwpoly.backend import FLOAT
 from cwpoly.ball import WidthResult
 from cwpoly.core import CenteredBall, coeff_along, dot, minkowski_sum
-from cwpoly.fuzz import random_centered_ball
+from cwpoly.fuzz import random_centered_ball, random_convex_polygon
 
 from conftest import float_copy, fuzz_planes, perturbed_planes
 
@@ -64,6 +69,54 @@ def test_reorder_degenerate_side_support_line():
             signs = {backend.sign(det(d, q - base)) for q in p.vertices}
             assert 0 in signs  # the touching vertex itself
             assert not (1 in signs and -1 in signs)  # supporting, never cutting
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.sampled_from(["P", "P+(-P)", "K-gon"]))
+def test_reorder_parallel_walks_p_along_p_plus_minus_p(seed, k, kind):
+    # the paired form is P walked along the edge directions of P + (-P),
+    # repeating a vertex where P has no edge
+    if kind == "K-gon":
+        k += seed % 40
+        poly = ConvexPolygon.from_points(
+            [(round(1000 * math.cos(2 * math.pi * j / k)),
+              round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)])
+    else:
+        poly = random_convex_polygon(random.Random(seed), k)
+        if kind == "P+(-P)":
+            poly = ConvexPolygon.from_points(
+                minkowski_sum(poly.vertices, [-p for p in poly.vertices]))
+    plane = build_plane(poly)
+    v, out, m = poly.vertices, plane.P.vertices, 2 * plane.n
+    low = min(range(len(v)), key=lambda i: (v[i].y, v[i].x))
+    assert out[0] == v[low]
+    assert [p for i, p in enumerate(out) if p != out[(i + 1) % m]] == v[low:] + v[:low]
+    edges = [v[(i + 1) % len(v)] - v[i] for i in range(len(v))]
+    assert plane.n == len({e.y / e.x if e.x else None for e in edges})
+    target = [p / (2 * plane.a) for p in minkowski_sum(v, [-p for p in v])]
+    uv = plane.U.vertices
+    assert len(target) == m and any(uv[r:] + uv[:r] == target for r in range(m))
+
+
+@pytest.mark.parametrize("pts, n, order", [
+    # P's first edge horizontal, its top edge within the tolerance of it
+    ([[8, -17], [15, -17], [19, -15], [19, 4], [17, 14], [11, 15], [-8, 17],
+      [-15, 17.0000000001], [-19, 15], [-19, -4], [-17, -14], [-11, -15]], 6, range(12)),
+    # the same, with a direction of -P between P's first two edges
+    ([[0.0, 0.0], [18.0, 0.0], [21.000000000001442, 7.999999999997369], [1.0, 8.0],
+      [-2.0, 4.0]], 4, [0, 1, 1, 2, 2, 3, 4, 4]),
+    # top edge horizontal, the edge into P's lowest vertex within the tolerance of it
+    ([[0.0, 0.0], [2.9999999999593343, -9.135812331412048e-11], [3.0, 22.0], [-3.0, 22.0],
+      [-9.0, 21.0]], 4, [1, 2, 2, 3, 4, 4, 0, 1]),
+], ids=["top", "top-with-gap", "bottom"])
+def test_reorder_float_seam_is_one_direction(pts, n, order):
+    # in float mode an edge within the tolerance of horizontal sorts first or
+    # last in the angular sweep; the two ends of the sweep are one direction
+    paired = reorder_parallel(ConvexPolygon.from_points(pts, FLOAT))
+    assert paired.n == n
+    assert [(p.x, p.y) for p in paired.vertices] == [tuple(map(float, pts[i])) for i in order]
+    # exactly, the near-parallel edges are not parallel
+    assert build_plane(ConvexPolygon.from_points(pts)).n > n
 
 
 def test_paired_invariants_on_fuzz():

@@ -14,6 +14,7 @@ from cwpoly.backend import RATIONAL
 from cwpoly.cli import main
 from cwpoly.docio import document_json, dump_json, load_document
 from cwpoly.fuzz import random_convex_polygon
+from cwpoly.iterate import _sci
 
 
 @pytest.fixture
@@ -117,15 +118,19 @@ def test_verify_float_backend(triangle_doc, capsys):
     assert out["summary"]["failed"] == 0
 
 
-@pytest.mark.parametrize("args", [["verify"], ["iterate"], ["iterate", "--steps", "1"]])
+@pytest.mark.parametrize("args", [["verify"], ["iterate"], ["iterate", "--steps", "1"],
+                                  ["iterate", "--steps", "1", "--csv"]])
 def test_huge_triangle_exits_zero(tmp_path, capsys, args):
     # every coordinate and diameter is a valid float, but the squared
-    # diameter 2e320 is not, nor after one step the ledger's slack; the
-    # report must not need either as a float
+    # diameter 2e320 is not, nor after one step the ledger's slack, nor the
+    # signed areas (about 1e319) of the CSV; the report must not need any
+    # of them as a float
     path = tmp_path / "huge.json"
+    csv = tmp_path / "trace.csv"
     big = 10 ** 160
     path.write_text(json.dumps({"vertices": [[0, 0], [big, 0], [0, big]]}))
-    assert main([args[0], str(path)] + args[1:]) == 0
+    extra = [str(csv)] if args[-1] == "--csv" else []
+    assert main([args[0], str(path)] + args[1:] + extra) == 0
     out = json.loads(capsys.readouterr().out)
     if args[0] == "verify":
         assert out["summary"]["failed"] == 0
@@ -133,6 +138,11 @@ def test_huge_triangle_exits_zero(tmp_path, capsys, args):
         assert math.isclose(out["steps"][0]["diameter"], math.sqrt(2) * 1e160 / 2,
                             rel_tol=1e-15)
         assert all(c["pass"] for c in out["checks"])
+    if extra:
+        rows = csv.read_text().splitlines()
+        assert rows[1:] == [f"{s['k']},{_sci(F(s['sa_m']))},{_sci(F(s['sa_n']))},{s['diameter']!r}"
+                            for s in out["steps"]]
+        assert rows[1].split(",")[1:3] == ["2.500e+319", "1.000e+320"]
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])

@@ -112,7 +112,7 @@ def test_v_length_half_arc_triangle(triangle_plane):
     li = half_arc_length(ce, triangle_plane.U, 0, F(1, 2))
     assert li == 2
     arc = [triangle_plane.P.vertices[j % 6] for j in range(0, 4)]
-    assert v_length(arc, triangle_plane.V, edge_offset=0) == 2
+    assert v_length(arc, triangle_plane.V) == 2
 
 
 def test_half_arc_closed_form():
