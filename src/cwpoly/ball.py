@@ -11,6 +11,7 @@ f(.) = [., v].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .backend import Backend, RATIONAL, Scalar
@@ -20,10 +21,9 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
-    det,
-    dot,
     edge_merge,
     frame_eq,
+    framed_coeffs,
     from_frame,
     integer_frame,
     minkowski_sum,
@@ -47,8 +47,8 @@ class MinkowskiPlane:
 
     @property
     def W(self) -> CenteredBall:
-        """The ball dual to V; see ``second_dual``."""
-        return second_dual(self.U)
+        """The ball dual to V; see ``CenteredBall.second_dual``."""
+        return self.U.second_dual
 
 
 def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
@@ -64,12 +64,6 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     verts, backend = poly.vertices, poly.backend
     i0, _, merged = edge_merge(verts, [-p for p in verts], backend)
     has = [own for _, own in merged]
-    # the sweep runs once around from 0 degrees, so its first and last edges
-    # are never compared; in float mode they can be parallel within the
-    # tolerance, and then they are one direction, kept where P has its edge
-    (first, _), (last, _) = merged[0], merged[-1]
-    if backend.is_zero(det(first, last)) and dot(first, last) > 0:
-        del has[-1 if has[0] else 0]
     r = has.index(True)
     out = []
     for own in has[r:] + has[:r]:
@@ -109,42 +103,19 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
     """
     m = 2 * u.n
     w = u.vertices
-    out = []
-    for i in range(m):
-        d = det(w[i], w[(i + 1) % m])
-        if d == 0:
-            raise InputError(f"degenerate ball edge at index {i}")
-        out.append((w[(i + 1) % m] - w[i]) / d)
-    ball = CenteredBall(out, u.n, u.backend)
+    d = u.edge_dets
+    ball = CenteredBall([(w[(i + 1) % m] - w[i]) / d[i] for i in range(m)], u.n, u.backend)
     if validate:
         ball.validate()
     return ball
-
-
-def second_dual(u: CenteredBall) -> CenteredBall:
-    """The ball W = dual_ball(dual_ball(u)), read off U with no arithmetic.
-
-    W_i = U_{i+n+1} = -U_{i+1}.  W is U again, indexed by the edges of V, so
-    (V, W) is a ball pair of the same kind as (U, V): the edge world of U is
-    the vertex world of V.  W is built once per U and kept with it, so its
-    frame and edge determinants are also computed once.
-    """
-    if u._second_dual is None:
-        m = 2 * u.n
-        u._second_dual = CenteredBall([u.vertices[(i + u.n + 1) % m] for i in range(m)],
-                                      u.n, u.backend)
-    return u._second_dual
 
 
 def ball_from_dual(v: CenteredBall) -> CenteredBall:
     """Recover the primal ball: U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i)."""
     m = 2 * v.n
     w = v.vertices
-    out = []
-    for i in range(m):
-        d = det(w[(i - 1) % m], w[i])
-        out.append(-(w[i] - w[(i - 1) % m]) / d)
-    ball = CenteredBall(out, v.n, v.backend)
+    d = v.edge_dets
+    ball = CenteredBall([-(w[i] - w[i - 1]) / d[i - 1] for i in range(m)], v.n, v.backend)
     ball.validate()
     return ball
 
@@ -182,7 +153,7 @@ def det_table(xs: Sequence, ys: Sequence, fx: Sequence, fy: Sequence) -> list[li
 def framed_widths(xs: Sequence, ys: Sequence, den, v: CenteredBall) -> tuple[list, int]:
     """Widths of framed points in the m dual directions V_i, from one
     ``det_table``: max - min of row i, over den den_V."""
-    vx, vy, vden = v.frame()
+    vx, vy, vden = v.frame
     return [max(row) - min(row) for row in det_table(xs, ys, vx, vy)], den * vden
 
 
@@ -232,7 +203,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     if len(u) != m:
         return WidthResult(False, reason="vertex count mismatch", witness=0)
     px, py, pden = integer_frame(paired.vertices)
-    ux, uy, uden = u.frame()
+    ux, uy, uden = u.frame
     sgn = backend.sign
     for i in range(m):
         j = (i + 1) % m
@@ -243,19 +214,17 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
         if not (backend.is_zero(pex) and backend.is_zero(pey)) \
                 and sgn(pex * uex + pey * uey) <= 0:
             return WidthResult(False, witness=i, reason="edge orientation mismatch")
-    # a_i = nums / aden, along the dominant axis of U_i (``vertex_coeff_frame``)
-    verts, L = u.vertex_coeff_frame()
-    exact = u.backend.exact
-    aden = 2 * pden * L if exact else 1
+    # 2 a_i = nums[i] / cden, the coefficient of diagonal i along U_i
+    n = paired.n
+    nums, cden = framed_coeffs(u.vertex_coeff_frame, map(sub, px, px[n:] + px[:n]),
+                               map(sub, py, py[n:] + py[:n]), pden, backend)
+    exact = backend.exact
+    aden = 2 * cden if exact else 1
     a = None
-    for i in range(m):
-        k = (i + paired.n) % m
-        dx, dy = px[i] - px[k], py[i] - py[k]
-        vx, vy, axis, s = verts[i]
-        if not backend.is_zero(dx * vy - dy * vx):
+    for i, t in enumerate(nums):
+        if t is None:
             return WidthResult(False, witness=i, reason="diagonal not parallel to ball vertex")
-        t = dy if axis else dx
-        ai = t * s if exact else t / (s * pden) / 2
+        ai = t if exact else t / 2
         if a is None:
             a = ai
         elif not backend.eq(a, ai):

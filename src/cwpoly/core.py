@@ -17,6 +17,10 @@ results are the plain float evaluation of each formula.  The chord count
 (``ChordFrame``) is exact on both backends: it snaps float input to its
 exact rational value and frames it.
 
+Each ball (``CenteredBall``) owns the constants the kernels read from it
+as cached properties, and ``framed_coeffs`` solves every coefficient along
+a ball's edges or vertices: the alphas, lambdas and half-width a.
+
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
 * vertex-indexed families live in plain lists, slot ``i`` <-> vertex ``i``;
@@ -29,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import cycle
 from typing import Iterable, Sequence
 
 from .backend import Backend, RATIONAL, Scalar
@@ -87,9 +93,6 @@ class Vec2:
 
     def __repr__(self):
         return f"Vec2({self.x!r}, {self.y!r})"
-
-    def norm2(self) -> Scalar:
-        return self.x * self.x + self.y * self.y
 
 
 def vec(x, y, backend: Backend = RATIONAL) -> Vec2:
@@ -384,20 +387,15 @@ class PairedPolygon:
 class CenteredBall:
     """Strictly convex CCW 2n-gon with central symmetry about the origin.
 
-    The ball's integer frame, edge determinants and coefficient frames
-    are constants of the plane: they are computed on first use and kept, so
-    the vertex list must not be changed afterwards.
+    The ball's constants (its integer frame, edge determinants, coefficient
+    frames, area and second dual) are cached properties: each is computed
+    on first use and kept, so the vertex list must not be changed
+    afterwards.
     """
 
     vertices: list[Vec2]
     n: int
     backend: Backend = RATIONAL
-    _frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _dets: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _verts: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _second_dual: "CenteredBall | None" = field(default=None, init=False, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != 2 * self.n:
@@ -418,23 +416,38 @@ class CenteredBall:
             if be.sign(det(v[i], v[(i + 1) % m])) <= 0:
                 raise InputError(f"ball not strictly convex about origin at index {i}")
 
+    @cached_property
     def frame(self) -> tuple[list, list, int]:
         """``integer_frame`` of the vertices."""
-        if self._frame is None:
-            self._frame = integer_frame(self.vertices)
-        return self._frame
+        return integer_frame(self.vertices)
 
+    @cached_property
     def edge_det_frame(self) -> tuple[list, int]:
         """Framed edge determinants: det(W_i, W_{i+1}) = nums[i] / den."""
-        if self._dets is None:
-            xs, ys, den = self.frame()
-            nums = [x0 * y1 - y0 * x1
-                    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
-            self._dets = (nums, den * den, [from_frame(e, den * den) for e in nums])
-        return self._dets[0], self._dets[1]
+        xs, ys, den = self.frame
+        return ([x0 * y1 - y0 * x1
+                 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])],
+                den * den)
 
+    @cached_property
+    def edge_dets(self) -> list[Scalar]:
+        """det(W_i, W_{i+1}) for consecutive vertices, the divisors of the
+        dual ball and of the curvature radii.  A valid ball has them all
+        positive; a zero one raises InputError naming its index."""
+        nums, den = self.edge_det_frame
+        if 0 in nums:
+            raise InputError(f"degenerate ball edge at index {nums.index(0)}")
+        return [from_frame(e, den) for e in nums]
+
+    @cached_property
+    def area(self) -> Scalar:
+        """``polygon_area`` of the vertices."""
+        return polygon_area(self.vertices)
+
+    @cached_property
     def edge_coeff_frame(self) -> tuple[list, int]:
-        """What a coefficient along each edge U_{i+1} - U_i needs, on the frame.
+        """The coefficient frame of the edges U_{i+1} - U_i: what
+        ``framed_coeffs`` needs to solve vectors along them.
 
         Returns (edges, L) with edges[i] = (dx, dy, axis, s): the edge is
         (dx, dy) / den, axis is 0 when |dx| >= |dy| and 1 otherwise, and q
@@ -444,20 +457,17 @@ class CenteredBall:
         one framed polygon share the denominator den_x L with numerators
         a s.  For a float ball L = 1 and s = q.
         """
-        if self._edges is None:
-            xs, ys, den = self.frame()
-            self._edges = self._coeff_frame(
-                [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1],
-                                                              ys[1:] + ys[:1])], den)
-        return self._edges
+        xs, ys, den = self.frame
+        return self._coeff_frame(
+            [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1],
+                                                          ys[1:] + ys[:1])], den)
 
+    @cached_property
     def vertex_coeff_frame(self) -> tuple[list, int]:
         """``edge_coeff_frame`` for coefficients along the vertices W_i
         themselves: a vector a / den_x along W_i has coefficient a s / (den_x L)."""
-        if self._verts is None:
-            xs, ys, den = self.frame()
-            self._verts = self._coeff_frame(list(zip(xs, ys)), den)
-        return self._verts
+        xs, ys, den = self.frame
+        return self._coeff_frame(list(zip(xs, ys)), den)
 
     def _coeff_frame(self, vectors: list, den) -> tuple[list, int]:
         out = []
@@ -471,10 +481,40 @@ class CenteredBall:
         L = math.lcm(*(abs(q) for *_, q in out))
         return [(dx, dy, axis, den * L // q) for dx, dy, axis, q in out], L
 
-    def edge_dets(self) -> list[Scalar]:
-        """det(W_i, W_{i+1}) for consecutive vertices; all positive."""
-        self.edge_det_frame()
-        return list(self._dets[2])
+    @cached_property
+    def second_dual(self) -> "CenteredBall":
+        """The ball W = dual_ball(dual_ball(self)), read off with no arithmetic.
+
+        W_i = U_{i+n+1} = -U_{i+1}.  W is U again, indexed by the edges of V,
+        so (V, W) is a ball pair of the same kind as (U, V): the edge world
+        of U is the vertex world of V.  W is built once per U and kept with
+        it, so its own constants are also computed once.
+        """
+        m = 2 * self.n
+        return CenteredBall([self.vertices[(i + self.n + 1) % m] for i in range(m)],
+                            self.n, self.backend)
+
+
+def framed_coeffs(coeff_frame: tuple[list, int], wxs: Iterable, wys: Iterable, den,
+                  backend: Backend) -> tuple[list, int]:
+    """Coefficients of framed vectors w_i = (wxs[i], wys[i]) / den along the
+    directions d_(i mod m) of a ball's coefficient frame (``CenteredBall``'s
+    ``edge_coeff_frame`` or ``vertex_coeff_frame``): w_i = nums[i] d / (den L).
+
+    Parallelism is tested by cross-multiplication, as in ``coeff_along``;
+    where w_i is not parallel to its direction, nums[i] is None and the
+    caller decides how to report it.  nums[i] is a s, with a the component
+    of w_i on the direction's dominant axis; on a float frame it is the
+    coefficient a / (q den) itself, and L = 1.
+    """
+    entries, L = coeff_frame
+    dirs = cycle(entries)
+    if backend.exact:
+        return [(wy if axis else wx) * s if wx * dy == wy * dx else None
+                for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L
+    eq = backend.eq
+    return [(wy if axis else wx) / (s * den) if eq(wx * dy, wy * dx) else None
+            for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +567,10 @@ def edge_merge(p: Sequence[Vec2], q: Sequence[Vec2],
     (i, j, merged), where merged lists each edge with whether p has an edge
     in its direction; from p[i] + q[j] the merged edges trace p + q.  Both
     polygons need at least two distinct vertices.
+
+    The sweep never compares its first and last edges.  In float mode they
+    can be an edge of p and one of q parallel within the tolerance; then
+    they are one direction, in the slot of p's edge, and j moves to match.
     """
     def edge_list(v: Sequence[Vec2]) -> tuple[int, list[Vec2]]:
         i0 = _lowest_index(v)
@@ -548,7 +592,15 @@ def edge_merge(p: Sequence[Vec2], q: Sequence[Vec2],
         else:
             take = (eq[j], False); j += 1
         merged.append(take)
-    return i0, j0, merged
+    (first, own), (last, last_own) = merged[0], merged[-1]
+    if own != last_own and backend.is_zero(det(first, last)) and dot(first, last) > 0:
+        if own:  # q's last edge, which ends at q[j0], joins p's first
+            merged[0] = (first + merged.pop()[0], True)
+            j0 -= 1
+        else:  # q's first edge, from q[j0], joins p's last
+            merged[-1] = (merged.pop(0)[0] + last, True)
+            j0 += 1
+    return i0, j0 % len(q), merged
 
 
 # ---------------------------------------------------------------------------

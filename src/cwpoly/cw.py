@@ -12,11 +12,14 @@ one closed ``framed_lambdas`` pass (Barbier's total and the direct half-arc
 sums), the half areas and the half-polygon invariant.  ``barbier``,
 ``half_arc_length``, ``half_area_identity`` and ``chakerian_invariant``
 are views of it, and ``lambdas_of`` and ``v_length`` of ``framed_lambdas``.
+The alphas (``framed_alphas``) and the lambdas are both solved by
+``core.framed_coeffs``, along the edges of U and the vertices of V.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Sequence
 
 from .backend import Backend, Scalar
@@ -29,9 +32,9 @@ from .core import (
     Vec2,
     frame_eq,
     frame_points,
+    framed_coeffs,
     from_frame,
     integer_frame,
-    polygon_area,
     scalar_frame,
 )
 
@@ -84,30 +87,22 @@ def framed_alphas(xs: list, ys: list, den, u: CenteredBall, backend: Backend,
                   points: Sequence[Vec2] | None = None) -> tuple[list, int]:
     """``alphas_of`` on a framed closed list: alpha_i = nums[i] / den_a.
 
-    Edge i, (wx, wy) / den, must be parallel to the ball's edge i, (dx, dy) /
-    den_u; that is tested by cross-multiplication, as in ``coeff_along``.
-    The coefficient is a den_u / (q den), with a and q the components on the
-    edge's dominant axis.  On a rational ball all of them share den_a = den
-    L (``CenteredBall.edge_coeff_frame``); on a float ball den_a = 1 and the
-    alphas are a / (q den).  The points, when given, name a failing edge in
-    the error message; otherwise it is built from the frame.
+    ``framed_coeffs`` solves edge i of the list along the ball's edge i
+    (``CenteredBall.edge_coeff_frame``).  An edge that is not parallel to
+    its ball edge raises IdentityError, at the first such edge.  The points,
+    when given, name it in the error message; otherwise it is built from
+    the frame.
     """
-    edges, L = u.edge_coeff_frame()
-    exact = u.backend.exact
-    m = len(xs)
-    out = []
-    for i in range(m):
-        j = i + 1 if i + 1 < m else 0
-        wx, wy = xs[j] - xs[i], ys[j] - ys[i]
-        dx, dy, axis, s = edges[i]
-        if not backend.is_zero(wx * dy - wy * dx):
-            p, q = ((points[i], points[j]) if points is not None
-                    else frame_points((xs[i], xs[j]), (ys[i], ys[j]), den))
-            uv = u.vertices
-            raise IdentityError(f"vector {q - p!r} is not parallel to {uv[j] - uv[i]!r}")
-        a = wy if axis else wx
-        out.append(a * s if exact else a / (s * den))
-    return out, den * L
+    nums, aden = framed_coeffs(u.edge_coeff_frame, map(sub, xs[1:] + xs[:1], xs),
+                               map(sub, ys[1:] + ys[:1], ys), den, backend)
+    if None in nums:
+        i = nums.index(None)
+        j = (i + 1) % len(xs)
+        p, q = ((points[i], points[j]) if points is not None
+                else frame_points((xs[i], xs[j]), (ys[i], ys[j]), den))
+        uv = u.vertices
+        raise IdentityError(f"vector {q - p!r} is not parallel to {uv[j] - uv[i]!r}")
+    return nums, aden
 
 
 def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -130,7 +125,7 @@ def framed_betas(nums: list, den, u: CenteredBall) -> tuple[list, int]:
     """``betas_of`` on framed alphas nums / den: the window sums of alpha_j
     times the framed edge determinant, over 2 den den_det.  A float frame
     keeps den = 1, so float betas are the quotients."""
-    dets, dden = u.edge_det_frame()
+    dets, dden = u.edge_det_frame
     sums = window_sums([a * d for a, d in zip(nums, dets)], len(nums) // 2)
     scale = 2 * den * dden
     if sums and isinstance(sums[0], float):
@@ -178,25 +173,12 @@ def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall,
                    backend: Backend) -> tuple[list, int]:
     """``lambdas_of`` on a framed open list: lambda_i = nums[i] / den_l.
 
-    Edge i must be parallel to V_i, tested by cross-multiplication as in
-    ``coeff_along``; where it is not, nums[i] is None and the caller
-    decides when to report it.  On a rational ball all coefficients share
-    den_l = den L (``CenteredBall.vertex_coeff_frame``); on a float ball
-    den_l = 1 and the lambdas are a / (q den).
+    ``framed_coeffs`` solves edge i of the list along V_i
+    (``CenteredBall.vertex_coeff_frame``); where it is not parallel,
+    nums[i] is None and the caller decides when to report it.
     """
-    verts, L = v.vertex_coeff_frame()
-    exact = v.backend.exact
-    m = len(verts)
-    out = []
-    for i in range(len(xs) - 1):
-        dx, dy, axis, s = verts[i % m]
-        wx, wy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-        if not backend.is_zero(wx * dy - wy * dx):
-            out.append(None)
-            continue
-        a = wy if axis else wx
-        out.append(a * s if exact else a / (s * den))
-    return out, den * L
+    return framed_coeffs(v.vertex_coeff_frame, map(sub, xs[1:], xs), map(sub, ys[1:], ys),
+                         den, backend)
 
 
 def _raise_not_parallel(nums: Sequence, point, v: CenteredBall,
@@ -282,7 +264,7 @@ class EquidistantFrame:
     @cached_property
     def frame(self) -> tuple[list, list, int]:
         mx, my, dm = self.ce.frame
-        ux, uy, du = self.u.frame()
+        ux, uy, du = self.u.frame
         k, cu = du * self.cd, self.cn * dm
         return ([x * k + a * cu for x, a in zip(mx, ux)],
                 [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
@@ -296,7 +278,7 @@ class EquidistantFrame:
     def half_arc_lengths(self) -> tuple[list, int]:
         """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
         an, da = self.ce.alpha_frame
-        dets, dd = self.u.edge_det_frame()
+        dets, dd = self.u.edge_det_frame
         cd, ca = self.cd, self.cn * da
         terms = [(a * cd + ca) * d for a, d in zip(an, dets)]
         return window_sums(terms, self.n), da * cd * dd
@@ -342,7 +324,7 @@ class EquidistantFrame:
 
     def barbier(self, v: CenteredBall) -> BarbierCheck:
         """Total dual length of P(c) against its closed form 2cA(U)."""
-        return BarbierCheck(expected=2 * self.c * polygon_area(self.u.vertices),
+        return BarbierCheck(expected=2 * self.c * self.u.area,
                             actual=self.v_length(v))
 
     def half_area_check(self, i: int) -> HalfAreaCheck:
@@ -364,7 +346,7 @@ class EquidistantFrame:
         q = dh * cd * da
         values = [a1 * cd * da - cn * lv * dh for a1, lv in zip(h, arcs)]
         (closed,), dclosed = scalar_frame(
-            [2 * c * c * polygon_area(self.u.vertices) - self.area()])
+            [2 * c * c * self.u.area - self.area()])
         for i, cur in enumerate(values):
             if i and not frame_eq(backend, values[0], q, cur, q):
                 raise IdentityError(f"half-polygon invariant varies at index {i}")

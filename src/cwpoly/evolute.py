@@ -8,15 +8,16 @@ involute of an edge-indexed central polygon goes back to the vertex-indexed
 world; iterating the two maps drives everything to a point.
 
 The edge world needs no maps of its own: it is the vertex world of the ball
-pair (V, W), where W = dual_ball(V) is U reindexed, W_i = U_{i+n+1} = -U_{i+1}
-(``ball.second_dual``).  Vertex slot i of (V, W) is edge slot i of U, and
-edge slot i of (V, W) is vertex slot i + 1 of U.  So an edge-world map is the
-vertex-world map on (V, W) with its edge-indexed results read one slot
-later: the coefficients b_i of X_i - X_{i-1} along V_i - V_{i-1} are
-``alphas_of(X, V)[i - 1]``, the evolute of an edge-world polygon at vertex i
-is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is ``involute`` on
-(V, W), one slot later.  ``signed_area_gap`` and ``convex_parent_of_m`` serve
-both worlds unchanged, given (V, W) for the edge world.
+pair (V, W), where W = dual_ball(V) is U reindexed, W_i = U_{i+n+1} =
+-U_{i+1} (``CenteredBall.second_dual``).  Vertex slot i of (V, W) is edge
+slot i of U, and edge slot i of (V, W) is vertex slot i + 1 of U.  So an
+edge-world map is the vertex-world map on (V, W) with its edge-indexed
+results read one slot later: the coefficients b_i of X_i - X_{i-1} along
+V_i - V_{i-1} are ``alphas_of(X, V)[i - 1]``, the evolute of an edge-world
+polygon at vertex i is ``evolute(X, V, W).E[i - 1]``, and
+``dual_involute`` is ``involute`` on (V, W), one slot later.
+``signed_area_gap`` and ``convex_parent_of_m`` serve both worlds
+unchanged, given (V, W) for the edge world.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .backend import Backend, Scalar
-from .ball import second_dual
 from .core import (
     CenteredBall,
     ChordFrame,
@@ -75,7 +75,7 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     m = len(points)
     n = m // 2
     uv = u.vertices
-    d = u.edge_dets()
+    d = u.edge_dets
     lam = lambdas_of(list(points) + [points[0]], v, backend)
     mus = [lam[i] / d[i] for i in range(m)]
     out = []
@@ -133,7 +133,7 @@ def framed_involute(xs: list, ys: list, xden, bs: list, bden, d: CenteredBall,
     """
     m = len(xs)
     n = m // 2
-    dx, dy, dden = d.frame()
+    dx, dy, dden = d.frame
     bd = bden * dden
     if bd % xden == 0:
         den, sx, sb = bd, bd // xden, 1
@@ -195,7 +195,7 @@ def framed_dual_involute(xs: list, ys: list, den, u: CenteredBall, v: CenteredBa
     """``dual_involute`` on a framed input: returns (frame of M', frame of the
     (V, W) betas b), with mu = -b."""
     be = framed_betas(*framed_alphas(xs, ys, den, v, backend), v)
-    mx, my, mden = framed_involute(xs, ys, den, *be, second_dual(u), backend)
+    mx, my, mden = framed_involute(xs, ys, den, *be, u.second_dual, backend)
     return (_later(mx), _later(my), mden), be
 
 
@@ -224,7 +224,7 @@ def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
 
 def framed_signed_area_gap(nums: list, den, v: CenteredBall) -> Scalar:
     """``signed_area_gap`` of framed betas nums / den."""
-    dets, dden = v.edge_det_frame()
+    dets, dden = v.edge_det_frame
     acc = 0
     for i, b in enumerate(nums[:len(nums) // 2]):
         acc = acc + b * b * dets[i - 1]

@@ -22,20 +22,18 @@ _STYLES = {
 }
 _DEFAULT_STYLE = 'fill="none" stroke="#888888" stroke-width="1.0"'
 _EQUIDISTANT_STYLE = 'fill="none" stroke="#666666" stroke-width="1.0" stroke-dasharray="3 3"'
+_SIZE = 640  # the larger side of the picture, in SVG user units
 
 
 @dataclass
 class Layer:
     layer_id: str
     polylines: list[list[Vec2]] = field(default_factory=list)
-    closed: bool = True
 
 
 def _style_for(layer_id: str) -> str:
     if layer_id in _STYLES:
         return _STYLES[layer_id]
-    if layer_id.startswith("iterate-k"):
-        return _DEFAULT_STYLE
     if layer_id.startswith("equidistant-"):
         return _EQUIDISTANT_STYLE
     return _DEFAULT_STYLE
@@ -46,7 +44,7 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def render_svg(layers: Sequence[Layer], size: int = 640) -> str:
+def render_svg(layers: Sequence[Layer]) -> str:
     """Render layers to an SVG 1.1 document string."""
     pts = [p for layer in layers for line in layer.polylines for p in line]
     if not pts:
@@ -60,7 +58,7 @@ def render_svg(layers: Sequence[Layer], size: int = 640) -> str:
     pad = 0.05 * max(w, h)
     view_w = w + 2 * pad
     view_h = h + 2 * pad
-    scale = size / max(view_w, view_h)
+    scale = _SIZE / max(view_w, view_h)
 
     def tx(p: Vec2) -> tuple[float, float]:
         # flip y so the picture matches mathematical orientation
@@ -77,10 +75,7 @@ def render_svg(layers: Sequence[Layer], size: int = 640) -> str:
         out.append(f'<g id="{layer.layer_id}" {_style_for(layer.layer_id)}>')
         for line in layer.polylines:
             coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (tx(p) for p in line))
-            if layer.closed:
-                out.append(f'<polygon points="{coords}"/>')
-            else:
-                out.append(f'<polyline points="{coords}"/>')
+            out.append(f'<polygon points="{coords}"/>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

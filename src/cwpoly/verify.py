@@ -190,7 +190,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     except GeometryError as e:
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
         return report
-    area_u = polygon_area(u.vertices)
+    area_u = u.area
 
     def chk_central_zero():
         lv = v_length(ce.M, v, closed=True)
@@ -309,8 +309,8 @@ def _chk_dual_identity(u: CenteredBall, v: CenteredBall) -> tuple[str, bool]:
     [., V_i] is linear along edge i, so its two ends decide the whole edge."""
     backend = u.backend
     m = len(u.vertices)
-    ux, uy, uden = u.frame()
-    vx, vy, vden = v.frame()
+    ux, uy, uden = u.frame
+    vx, vy, vden = v.frame
     rows = det_table(ux, uy, vx, vy)  # [U_j, V_i] = rows[i][j] / one
     one = uden * vden
     for i in range(m):

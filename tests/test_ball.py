@@ -115,6 +115,10 @@ def test_reorder_float_seam_is_one_direction(pts, n, order):
     paired = reorder_parallel(ConvexPolygon.from_points(pts, FLOAT))
     assert paired.n == n
     assert [(p.x, p.y) for p in paired.vertices] == [tuple(map(float, pts[i])) for i in order]
+    # P + (-P) folds the same seam, so it has the 2n vertices of the ball
+    plane = build_plane(paired)
+    assert len(minkowski_sum(paired.vertices, [-p for p in paired.vertices], FLOAT)) == 2 * n
+    assert is_constant_width(paired, plane.U) == WidthResult(True, a=0.5)
     # exactly, the near-parallel edges are not parallel
     assert build_plane(ConvexPolygon.from_points(pts)).n > n
 

@@ -245,6 +245,23 @@ def test_exit_3_perturbed_paired(tmp_path, capsys):
     assert "index" in width_check["actual"]
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_exit_3_paired_with_collinear_vertices(tmp_path, capsys, backend):
+    # U passes its paired checks, but three of its vertices are collinear,
+    # so the dual ball V has a zero edge determinant: every check that
+    # divides by it fails with the ball's one zero test, not a traceback
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps([["1/2", "-1/2"], ["1/2", "0"], ["1/2", "1/2"],
+                                ["-1/2", "1/2"], ["-1/2", "0"], ["-1/2", "-1/2"]]))
+    assert main(["verify", str(path), "--paired", "--backend", backend]) == 3
+    captured = capsys.readouterr()
+    assert "verify: 5 of 22 checks failed" in captured.err
+    out = json.loads(captured.out)
+    failed = {c["check_id"]: c["actual"] for c in out["checks"] if not c["pass"]}
+    for check_id in ("ball.dual_involution", "ball.dual_recovery", "involute.structure"):
+        assert failed[check_id] == "error: degenerate ball edge at index 0"
+
+
 def test_json_roundtrip_value_identical(tmp_path):
     doc = {"vertices": [["1/3", "2/7"], [1, 0], [0.5, "5/2"], [0, 1]]}
     path = tmp_path / "poly.json"

@@ -55,7 +55,7 @@ def test_beta_antiperiodic_and_ladder():
     for plane in fuzz_planes(201, 30):
         ce = central_equidistant(plane)
         n, m = plane.n, 2 * plane.n
-        d = plane.U.edge_dets()
+        d = plane.U.edge_dets
         for i in range(n):
             assert ce.alphas[i + n] == -ce.alphas[i]
             assert ce.betas[i + n] == -ce.betas[i]
@@ -459,8 +459,8 @@ def test_framed_kernels_equal_scalar_reference(seed):
     assert [from_frame(w, wden) for w in widths] == [
         max(det(p, f) for p in plane.P.vertices) + max(det(p, -f) for p in plane.P.vertices)
         for f in v.vertices]
-    ux, uy, uden = u.frame()
-    vx, vy, vden = v.frame()
+    ux, uy, uden = u.frame
+    vx, vy, vden = v.frame
     assert [[from_frame(d, uden * vden) for d in row] for row in det_table(ux, uy, vx, vy)] \
         == [[det(p, f) for p in u.vertices] for f in v.vertices]
 

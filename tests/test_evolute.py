@@ -1,5 +1,6 @@
 """Evolute, involute, signed areas, the area gap, and containment."""
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,8 +26,10 @@ from cwpoly import (
     vec,
 )
 from cwpoly.backend import get_backend
+from cwpoly.core import integer_frame, scalar_frame
 from cwpoly.cw import alphas_of
-from cwpoly.evolute import edge_world_coeffs
+from cwpoly.evolute import edge_world_coeffs, involute_points
+from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import convex_parent_of_m
 
 from conftest import fuzz_planes
@@ -103,6 +106,22 @@ def test_involute_constant_dual_width_structure():
             dv = vv[i] - vv[(i - 1) % m]
             assert det(step, dv) == 0
             assert step == dv * ce.betas[i]
+
+
+def test_involute_of_translate_on_general_denominator():
+    # a translate of M has the same alphas, so the same betas; its frame's
+    # denominator no longer divides den(beta) den(V), and framed_involute
+    # takes the common denominator den(X) den(beta) den(V)
+    plane = random_cw_plane(random.Random(1), 3, 5)
+    ce = central_equidistant(plane)
+    shift = Vec2(F(1, 7), F(2, 7))
+    moved = [p + shift for p in ce.M]
+    assert alphas_of(moved, plane.U, plane.backend) == ce.alphas
+    xden = integer_frame(moved)[2]
+    assert (scalar_frame(ce.betas)[1] * plane.V.frame[2]) % xden != 0
+    got = involute_points(moved, ce.betas, plane.V, plane.backend)
+    vv = plane.V.vertices
+    assert got == [moved[i] + vv[i] * ce.betas[i] for i in range(2 * plane.n)]
 
 
 def test_float_involute_halves_equal():
