@@ -323,9 +323,7 @@ class ConvexPolygon:
 
     @classmethod
     def from_points(cls, points: Iterable, backend: Backend = RATIONAL) -> "ConvexPolygon":
-        raw = [p if isinstance(p, Vec2) else vec(p[0], p[1], backend) for p in points]
-        raw = [Vec2(backend.convert(p.x), backend.convert(p.y)) for p in raw]
-        verts, notes = clean_convex(raw, backend)
+        verts, notes = clean_convex([vec(x, y, backend) for x, y in points], backend)
         return cls(verts, backend, notes)
 
     def __len__(self):

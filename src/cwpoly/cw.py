@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
@@ -362,6 +362,20 @@ def barbier(ce: CentralEquidistant, u: CenteredBall, v: CenteredBall,
     return EquidistantFrame(ce, u, c).barbier(v)
 
 
+def ladder_cusps(values: Iterable[Scalar], n: int, backend: Backend) -> list[int] | None:
+    """Slots 0 <= i < n where a closed coefficient ladder changes sign.
+
+    Zero entries are skipped: a sign change between a nonzero entry j and
+    the next nonzero entry (cyclically) lies at slot (j + 1) mod n.  Returns
+    None when every entry is zero.
+    """
+    nonzero = [(j, s) for j, x in enumerate(values) if (s := backend.sign(x))]
+    if not nonzero:
+        return None
+    return sorted({(j + 1) % n for (j, s), (_, t) in zip(nonzero, nonzero[1:] + nonzero[:1])
+                   if s != t})
+
+
 def cusps_of_central(ce: CentralEquidistant) -> list[int] | None:
     """Vertex indices 0 <= i < n where M has a cusp.
 
@@ -369,30 +383,13 @@ def cusps_of_central(ce: CentralEquidistant) -> list[int] | None:
     the same open half-plane of the diagonal through P_i and P_{i+n}.  Since
     the diagonal is parallel to U_i and a neighbouring edge of M is
     alpha_j (U_{j+1} - U_j), this is exactly a sign change of the alpha
-    ladder across vertex i; the ladder form stays well defined when M has
-    repeated consecutive vertices (alpha = 0 plateaus).  Returns None for
-    degenerate (single-point) M.
+    ladder across vertex i (``ladder_cusps``); the ladder form stays well
+    defined when M has repeated consecutive vertices (alpha = 0 plateaus).
+    The evolute's cusps are the same rule on the ball pair (V, W); see
+    ``evolute.evolute_cusps``.  Returns None for degenerate (single-point)
+    M, and for a float M whose alphas all lie within the tolerance of zero.
     """
-    if ce.degenerate:
-        return None
-    backend = ce.backend
-    m = 2 * ce.n
-    signs = [backend.sign(a) for a in ce.alphas]
-    out = set()
-    prev_sign = None
-    prev_edge = None
-    start = next(j for j in range(m) if signs[j] != 0)
-    for t in range(start, start + m):
-        j = t % m
-        if signs[j] == 0:
-            continue
-        if prev_sign is not None and signs[j] != prev_sign:
-            # change localizes at the vertex group (prev_edge, j]
-            out.add((prev_edge + 1) % m % ce.n)
-        prev_sign, prev_edge = signs[j], j
-    if signs[start] != prev_sign:
-        out.add((prev_edge + 1) % m % ce.n)
-    return sorted(out)
+    return None if ce.degenerate else ladder_cusps(ce.alphas, ce.n, ce.backend)
 
 
 def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,

@@ -17,12 +17,14 @@ V_i - V_{i-1} are ``alphas_of(X, V)[i - 1]``, the evolute of an edge-world
 polygon at vertex i is ``evolute(X, V, W).E[i - 1]``, and
 ``dual_involute`` is ``involute`` on (V, W), one slot later.
 ``signed_area_gap`` and ``convex_parent_of_m`` serve both worlds
-unchanged, given (V, W) for the edge world.
+unchanged, given (V, W) for the edge world, and ``cw.ladder_cusps`` gives
+the cusps of both (``evolute_cusps``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .backend import Backend, Scalar
@@ -42,7 +44,14 @@ from .core import (
     reduce_frame,
     scalar_frame,
 )
-from .cw import CentralEquidistant, alphas_of, framed_alphas, framed_betas, lambdas_of
+from .cw import (
+    CentralEquidistant,
+    alphas_of,
+    framed_alphas,
+    framed_betas,
+    ladder_cusps,
+    lambdas_of,
+)
 
 
 @dataclass
@@ -326,30 +335,16 @@ def evolute_cusps(ev: Evolute) -> list[int] | None:
     E_i is a cusp when its neighbouring distinct vertices lie strictly in
     the same open half-plane of the line through E_i parallel to the side
     P_i P_{i+1} (the ball edge direction when that side is degenerate).
-    Because consecutive evolute vertices differ by (mu_i - mu_{i+1}) U_{i+1}
-    and det(V_i, U_i) = det(V_i, U_{i+1}) = -1, this is exactly a strict
-    local extremum of the mu ladder, evaluated on maximal runs of equal
-    values so that repeated evolute vertices are handled.  Returns None for
-    a degenerate (single-point) evolute.
+    This is the cusp rule of M (``cw.cusps_of_central``) in the edge world,
+    that is on the ball pair (V, W): E_{j+1} - E_j = (mu_j - mu_{j+1})
+    U_{j+1}, and U_{j+1} is a negative multiple of the dual edge
+    V_{j+1} - V_j, so mu_{j+1} - mu_j has the sign of
+    ``alphas_of(E, V)[j]``.  The cusps are the sign changes
+    (``ladder_cusps``) of these differences; they need no solve along V,
+    whose parallel test can fail on a float evolute.  Returns None for a
+    degenerate (single-point) evolute.
     """
     if ev.degenerate:
         return None
-    backend = ev.backend
-    m = 2 * ev.n
     mus = ev.mus
-    boundary = next((j for j in range(m) if not backend.eq(mus[j], mus[(j - 1) % m])), None)
-    if boundary is None:
-        return None
-    runs: list[tuple] = []  # (value, first slot)
-    for t in range(boundary, boundary + m):
-        j = t % m
-        if not runs or not backend.eq(mus[j], runs[-1][0]):
-            runs.append((mus[j], j))
-    out = set()
-    r = len(runs)
-    for idx, (value, slot) in enumerate(runs):
-        prev_v = runs[(idx - 1) % r][0]
-        next_v = runs[(idx + 1) % r][0]
-        if backend.sign(prev_v - value) * backend.sign(next_v - value) > 0:
-            out.add(slot % ev.n)
-    return sorted(out)
+    return ladder_cusps(map(sub, mus[1:] + mus[:1], mus), ev.n, ev.backend)

@@ -65,6 +65,50 @@ def test_central_triangle_values(triangle_doc, capsys):
     assert out["cusps"] == [0, 1, 2]
 
 
+def test_evolute_triangle(triangle_doc, tmp_path, capsys):
+    svg = tmp_path / "ev.svg"
+    assert main(["evolute", triangle_doc, "--svg", str(svg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cusps"] == [0, 1, 2]
+    assert len(out["mus"]) == 2 * out["n"] == 6
+    assert 'id="evolute-e"' in svg.read_text()
+
+
+@pytest.mark.parametrize("cmd, code", [("central", 0), ("verify", 3)])
+def test_float_paired_alphas_all_near_zero(tmp_path, capsys, cmd, code):
+    # M is not a single point under same_point, yet every alpha lies within
+    # the float tolerance of zero: there is no sign to change, so no cusps
+    path = tmp_path / "flat.json"
+    path.write_text("[[1399.9999999979,-799.9999999988],[1299.99999999775,-399.9999999982],"
+                    "[-100.00000000015,400.0000000006],[-1400.0000000021,800.0000000012],"
+                    "[-1300.00000000225,400.0000000018],[99.99999999985,-399.9999999994]]")
+    assert main([cmd, str(path), "--backend", "float", "--paired"]) == code
+    captured = capsys.readouterr()
+    if cmd == "central":
+        assert json.loads(captured.out)["cusps"] is None
+    else:
+        assert "verify: 6 of 22 checks failed" in captured.err
+
+
+# SHA-256 of stdout, SVG and CSV of the rational `cw iterate --steps 2` on the
+# triangle, with the default --c, --d and --tol
+GOLDEN_ITERATE_SHA256 = {
+    "stdout": "bb329ba5e6c2b8116338a79aa43d3bbfd7a806aeefc827960474ae0078f84cb4",
+    "svg": "a2cba05f775307e27b8522c4fa3ab259b871d7a1858838c32476166bec09e80b",
+    "csv": "9c8c2273a08911e89cc81bc4e613d5ab63602f36de1f7e28b6bedfaaff27f97a",
+}
+
+
+def test_iterate_golden_bytes(triangle_doc, tmp_path, capsys):
+    svg, csv = tmp_path / "it.svg", tmp_path / "it.csv"
+    assert main(["iterate", triangle_doc, "--steps", "2",
+                 "--svg", str(svg), "--csv", str(csv)]) == 0
+    got = {"stdout": capsys.readouterr().out.encode(),
+           "svg": svg.read_bytes(), "csv": csv.read_bytes()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_ITERATE_SHA256
+    assert b'id="iterate-k1"' in got["svg"] and b'id="iterate-k2"' in got["svg"]
+
+
 def test_iterate_trace_and_csv(triangle_doc, tmp_path, capsys):
     csv_path = tmp_path / "trace.csv"
     assert main(["iterate", triangle_doc, "--steps", "6", "--csv", str(csv_path)]) == 0
@@ -243,6 +287,17 @@ def test_exit_3_perturbed_paired(tmp_path, capsys):
     assert "cw.constant_width" in failed
     width_check = next(c for c in out["checks"] if c["check_id"] == "cw.constant_width")
     assert "index" in width_check["actual"]
+
+
+def test_exit_3_central_paired_not_parallel(tmp_path, capsys):
+    # the nudged hexagon's M has an edge not parallel to its ball edge
+    path = tmp_path / "nudged.json"
+    path.write_text(json.dumps(
+        {"vertices": [[3, 0], [5, 2], [4, 5], [1, 4], [-1, 2], [0, 0]]}))
+    assert main(["central", str(path), "--paired"]) == 3
+    assert capsys.readouterr().err == (
+        "identity failure: vector Vec2(Fraction(0, 1), Fraction(1, 2)) is not parallel"
+        " to Vec2(Fraction(-2, 1), Fraction(5, 1))\n")
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])

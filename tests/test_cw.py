@@ -25,10 +25,10 @@ from cwpoly import (
     vec,
 )
 from cwpoly import verify
-from cwpoly.backend import RATIONAL
+from cwpoly.backend import FLOAT, RATIONAL
 from cwpoly.ball import det_table, framed_widths
 from cwpoly.core import CenteredBall, from_frame, integer_frame
-from cwpoly.cw import EquidistantFrame, window_sums
+from cwpoly.cw import EquidistantFrame, ladder_cusps, window_sums
 from cwpoly.fuzz import random_cw_plane, random_rational
 from cwpoly.verify import _s
 
@@ -154,6 +154,16 @@ def test_cusps_triangle(triangle_plane):
 
 def test_cusps_symmetric_degenerate(symmetric_plane):
     assert cusps_of_central(central_equidistant(symmetric_plane)) is None
+
+
+def test_ladder_cusps_sign_changes_and_all_zero():
+    # zeros are skipped: the changes after entry 0 and, wrapping, after
+    # entry 3 both land at slot 1 = 4 mod 3
+    assert ladder_cusps([F(1), 0, F(-2), F(-1), 0, 0], 3, RATIONAL) == [1]
+    assert ladder_cusps([F(1), 0, 0, F(2)], 2, RATIONAL) == []
+    assert ladder_cusps([0] * 6, 3, RATIONAL) is None
+    # float entries within the tolerance of zero count as zero
+    assert ladder_cusps([1e-12, -1e-12] * 3, 3, FLOAT) is None
 
 
 def test_cusps_odd_at_least_three():

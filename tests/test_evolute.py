@@ -27,7 +27,7 @@ from cwpoly import (
 )
 from cwpoly.backend import get_backend
 from cwpoly.core import integer_frame, scalar_frame
-from cwpoly.cw import alphas_of
+from cwpoly.cw import alphas_of, ladder_cusps
 from cwpoly.evolute import edge_world_coeffs, involute_points
 from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import convex_parent_of_m
@@ -315,6 +315,17 @@ def test_evolute_cusps_odd_and_dominate():
             continue
         assert len(ec) % 2 == 1
         assert len(ec) >= len(mc)
+
+
+def test_evolute_cusps_are_alpha_sign_changes_on_v():
+    # the two-world identity: the evolute's cusps are the cusp rule of M on
+    # the ball pair (V, W), the sign changes of alphas_of(E, V)
+    for plane in fuzz_planes(308, 300, n_min=3, n_max=12):
+        ev = evolute(plane.P.vertices, plane.U, plane.V)
+        if ev.degenerate:
+            continue
+        alphas = alphas_of(ev.E, plane.V, plane.backend)
+        assert evolute_cusps(ev) == ladder_cusps(alphas, plane.n, plane.backend)
 
 
 def test_evolute_cusps_match_halfplane_test_when_distinct():
