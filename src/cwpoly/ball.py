@@ -11,6 +11,7 @@ f(.) = [., v].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
@@ -111,11 +112,10 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
 
 
 def ball_from_dual(v: CenteredBall) -> CenteredBall:
-    """Recover the primal ball: U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i)."""
-    m = 2 * v.n
-    w = v.vertices
-    d = v.edge_dets
-    ball = CenteredBall([-(w[i] - w[i - 1]) / d[i - 1] for i in range(m)], v.n, v.backend)
+    """Recover the primal ball: U_i = -W_{i-1} for W = dual_ball(v), that is
+    U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i)."""
+    w = dual_ball(v, validate=False).vertices
+    ball = CenteredBall([-w[i - 1] for i in range(len(w))], v.n, v.backend)
     ball.validate()
     return ball
 
@@ -134,7 +134,6 @@ def build_plane(poly: ConvexPolygon | PairedPolygon, a: Scalar = None,
         paired = reorder_parallel(poly)
     backend = paired.backend
     if a is None:
-        from fractions import Fraction
         a = Fraction(1, 2)
     a = backend.convert(a)
     u = unit_ball(paired, a, validate=strict)
@@ -194,7 +193,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
 
     Checks edge parallelism against U, then that all diagonals satisfy
     P_i - P_{i+n} = 2a U_i for one constant a > 0, and cross-checks that
-    P + (-P) is the homothety of U with ratio 4a.  Runs on the integer
+    P + (-P) is the homothety of U with ratio 2a.  Runs on the integer
     frames of P and U: the a_i share one denominator, and P + (-P) is summed
     on the numerators of P.
     """

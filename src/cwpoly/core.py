@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .backend import Backend, RATIONAL, Scalar
 
@@ -52,17 +52,11 @@ class IdentityError(GeometryError):
     """A mathematical identity that must hold failed (CLI exit code 3)."""
 
 
-class Vec2:
+class Vec2(NamedTuple):
     """Immutable 2-vector over the active scalar type."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Scalar, y: Scalar):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Vec2 is immutable")
+    x: Scalar
+    y: Scalar
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -80,16 +74,6 @@ class Vec2:
 
     def __truediv__(self, s: Scalar) -> "Vec2":
         return Vec2(self.x / s, self.y / s)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vec2) and self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
     def __repr__(self):
         return f"Vec2({self.x!r}, {self.y!r})"
@@ -349,9 +333,6 @@ class PairedPolygon:
         if self.n < 2:
             raise InputError("paired polygon needs n >= 2")
 
-    def __len__(self):
-        return len(self.vertices)
-
     def edge(self, i: int) -> Vec2:
         m = 2 * self.n
         return self.vertices[(i + 1) % m] - self.vertices[i % m]
@@ -403,15 +384,16 @@ class CenteredBall:
         return len(self.vertices)
 
     def validate(self) -> None:
-        m = 2 * self.n
-        v = self.vertices
-        be = self.backend
-        for i in range(self.n):
-            w = v[(i + self.n) % m]
-            if not be.same_point(w, -v[i]):
+        """Central symmetry on the cached ``frame``, then strict convexity
+        about the origin: every numerator of the cached ``edge_det_frame``
+        (whose denominator is positive) is positive."""
+        xs, ys, _ = self.frame
+        be, n = self.backend, self.n
+        for i in range(n):
+            if not (be.eq(xs[i + n], -xs[i]) and be.eq(ys[i + n], -ys[i])):
                 raise InputError(f"ball not centrally symmetric at index {i}")
-        for i in range(m):
-            if be.sign(det(v[i], v[(i + 1) % m])) <= 0:
+        for i, e in enumerate(self.edge_det_frame[0]):
+            if be.sign(e) <= 0:
                 raise InputError(f"ball not strictly convex about origin at index {i}")
 
     @cached_property

@@ -13,7 +13,10 @@ sums), the half areas and the half-polygon invariant.  ``barbier``,
 ``half_arc_length``, ``half_area_identity`` and ``chakerian_invariant``
 are views of it, and ``lambdas_of`` and ``v_length`` of ``framed_lambdas``.
 The alphas (``framed_alphas``) and the lambdas are both solved by
-``core.framed_coeffs``, along the edges of U and the vertices of V.
+``core.framed_coeffs``, along the edges of U and the vertices of V, and
+both report an edge that is not parallel through ``_not_parallel``.  Every
+offset X + cD (the equidistants, the convex parents of the region test and
+the width family of the iteration) is ``offset_points``.
 """
 from __future__ import annotations
 
@@ -58,9 +61,6 @@ class CentralEquidistant:
     backend: Backend
     degenerate: bool
 
-    def __len__(self):
-        return len(self.M)
-
     @cached_property
     def frame(self) -> tuple[list, list, int]:
         """``integer_frame`` of M."""
@@ -90,19 +90,25 @@ def framed_alphas(xs: list, ys: list, den, u: CenteredBall, backend: Backend,
     ``framed_coeffs`` solves edge i of the list along the ball's edge i
     (``CenteredBall.edge_coeff_frame``).  An edge that is not parallel to
     its ball edge raises IdentityError, at the first such edge.  The points,
-    when given, name it in the error message; otherwise it is built from
+    when given, name it in the error message; otherwise they are built from
     the frame.
     """
     nums, aden = framed_coeffs(u.edge_coeff_frame, map(sub, xs[1:] + xs[:1], xs),
                                map(sub, ys[1:] + ys[:1], ys), den, backend)
     if None in nums:
         i = nums.index(None)
-        j = (i + 1) % len(xs)
-        p, q = ((points[i], points[j]) if points is not None
-                else frame_points((xs[i], xs[j]), (ys[i], ys[j]), den))
         uv = u.vertices
-        raise IdentityError(f"vector {q - p!r} is not parallel to {uv[j] - uv[i]!r}")
+        raise _not_parallel(points if points is not None else frame_points(xs, ys, den),
+                            i, uv[(i + 1) % len(uv)] - uv[i])
     return nums, aden
+
+
+def _not_parallel(points: Sequence[Vec2], i: int, d: Vec2) -> IdentityError:
+    """The error for edge i of a point list, from points[i] to points[(i + 1)
+    mod m], which is not parallel to d; the closing edge of a closed m-gon
+    ends at points[0]."""
+    q = points[(i + 1) % len(points)]
+    return IdentityError(f"vector {q - points[i]!r} is not parallel to {d!r}")
 
 
 def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -152,9 +158,13 @@ def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPol
     Convex exactly when c >= -alpha_i for every edge; smaller c produces
     cusped (self-intersecting) vertex lists, which are still returned.
     """
-    c = ce.backend.convert(c)
-    pts = [ce.M[i] + u.vertices[i] * c for i in range(len(ce.M))]
-    return PairedPolygon(pts, ce.n, ce.backend)
+    return PairedPolygon(offset_points(ce.M, u, ce.backend.convert(c)), ce.n, ce.backend)
+
+
+def offset_points(points: Sequence[Vec2], d: CenteredBall, c: Scalar) -> list[Vec2]:
+    """X_i + c D_i: the c-equidistant of a central polygon X in the ball D."""
+    dv = d.vertices
+    return [p + dv[i] * c for i, p in enumerate(points)]
 
 
 def min_convex_c(ce: CentralEquidistant) -> Scalar:
@@ -165,7 +175,7 @@ def min_convex_c(ce: CentralEquidistant) -> Scalar:
 def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend) -> list[Scalar]:
     """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_i."""
     nums, den = framed_lambdas(*integer_frame(points), v, backend)
-    _raise_not_parallel(nums, lambda i: points[i], v)
+    _raise_not_parallel(nums, lambda: points, v)
     return [from_frame(t, den) for t in nums]
 
 
@@ -181,14 +191,14 @@ def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall,
                          den, backend)
 
 
-def _raise_not_parallel(nums: Sequence, point, v: CenteredBall,
+def _raise_not_parallel(nums: Sequence, points, v: CenteredBall,
                         order: Sequence[int] | None = None) -> None:
-    """IdentityError naming the first edge i (in ``order``, default 0, 1,
-    ...) whose framed lambda is None; ``point(i)`` gives vertex i."""
+    """``_not_parallel`` at the first edge i (in ``order``, default 0, 1,
+    ...) whose framed lambda is None; ``points()`` gives the point list, and
+    is called only then."""
     for i in (range(len(nums)) if order is None else order):
         if nums[i] is None:
-            d = v.vertices[i % len(v.vertices)]
-            raise IdentityError(f"vector {point(i + 1) - point(i)!r} is not parallel to {d!r}")
+            raise _not_parallel(points(), i, v.vertices[i % len(v.vertices)])
 
 
 def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scalar:
@@ -202,7 +212,7 @@ def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scal
     if closed:
         pts = pts + [pts[0]]
     nums, den = framed_lambdas(*integer_frame(pts), v, v.backend)
-    _raise_not_parallel(nums, lambda i: pts[i], v)
+    _raise_not_parallel(nums, lambda: pts, v)
     return from_frame(_total(nums), den)
 
 
@@ -269,11 +279,6 @@ class EquidistantFrame:
         return ([x * k + a * cu for x, a in zip(mx, ux)],
                 [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
 
-    def point(self, i: int) -> Vec2:
-        xs, ys, den = self.frame
-        i %= self.m
-        return frame_points(xs[i:i + 1], ys[i:i + 1], den)[0]
-
     @cached_property
     def half_arc_lengths(self) -> tuple[list, int]:
         """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
@@ -295,7 +300,8 @@ class EquidistantFrame:
     def raise_not_parallel(self, v: CenteredBall, order: Sequence[int] | None = None) -> None:
         """IdentityError for the first edge in ``order`` (default: all m)
         that is not parallel to its dual vertex, as ``lambdas_of`` words it."""
-        _raise_not_parallel(self.lambdas(v)[0], self.point, v, order=order)
+        _raise_not_parallel(self.lambdas(v)[0], lambda: frame_points(*self.frame), v,
+                            order=order)
 
     def v_length(self, v: CenteredBall) -> Scalar:
         """The dual length of the closed P(c), the total of its lambdas."""

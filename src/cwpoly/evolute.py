@@ -22,6 +22,7 @@ the cusps of both (``evolute_cusps``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -63,9 +64,6 @@ class Evolute:
     n: int
     backend: Backend
     degenerate: bool
-
-    def __len__(self):
-        return len(self.E)
 
 
 def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
@@ -112,9 +110,6 @@ class Involute:
     backend: Backend
     degenerate: bool
 
-    def __len__(self):
-        return len(self.N)
-
 
 def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
                     d: CenteredBall, backend: Backend) -> list[Vec2]:
@@ -134,20 +129,17 @@ def framed_involute(xs: list, ys: list, xden, bs: list, bden, d: CenteredBall,
     """``involute_points`` on a framed X and framed betas; returns N's frame.
 
     Both forms are built and compared on one common denominator of X and
-    beta D: den(beta) den(D) when it is a multiple of den(X), as it is for
-    the betas of X itself, else den(X) den(beta) den(D).  N_{i+n} = N_i is
-    checked on the same numerators for all 2n slots.  The first n vertices
-    are then divided by their content (``reduce_frame``) and listed twice,
-    so the frame is exactly ``integer_frame`` of the stored vertices.
+    beta D, lcm(den(X), den(beta) den(D)); for the betas of X itself it is
+    den(beta) den(D).  N_{i+n} = N_i is checked on the same numerators for
+    all 2n slots.  The first n vertices are then divided by their content
+    (``reduce_frame``) and listed twice, so the frame is exactly
+    ``integer_frame`` of the stored vertices.
     """
     m = len(xs)
     n = m // 2
     dx, dy, dden = d.frame
-    bd = bden * dden
-    if bd % xden == 0:
-        den, sx, sb = bd, bd // xden, 1
-    else:
-        den, sx, sb = xden * bd, bd, xden
+    den = math.lcm(xden, bden * dden)
+    sx, sb = den // xden, den // (bden * dden)
     nx, ny = [], []
     for i in range(m):
         j = i + 1 if i + 1 < m else 0

@@ -18,14 +18,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
 from .core import InputError, PairedPolygon, Vec2, doubled_points, from_frame, integer_frame
-from .cw import CentralEquidistant, alphas_of, central_equidistant, framed_alphas, framed_betas
+from .cw import (
+    CentralEquidistant,
+    alphas_of,
+    central_equidistant,
+    framed_alphas,
+    framed_betas,
+    offset_points,
+)
 from .evolute import (
     _later,
+    containment_check,
     evolute,
     framed_dual_involute,
     framed_involute,
@@ -220,25 +229,18 @@ def _sqrt(num, den) -> float:
 
 def _sci(x) -> str:
     """``f"{float(x):.3e}"``, also for an exact value beyond float range,
-    which is rounded half to even in the same format."""
+    which is one ``decimal`` division rounded half to even to 4 significant
+    digits."""
     try:
         return f"{float(x):.3e}"
     except OverflowError:
         pass
     x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    q = x.numerator // x.denominator
-    e = int((q.bit_length() - 1) * 0.30102999566398120)  # about floor(log10 q)
-    while 10 ** e > q:
-        e -= 1
-    while 10 ** (e + 1) <= q:
-        e += 1
-    digits = round(x / 10 ** (e - 3))
-    if digits == 10 ** 4:
-        digits, e = 10 ** 3, e + 1
-    d = str(digits)
-    return f"{sign}{d[0]}.{d[1:]}e+{e}"
+    with localcontext() as ctx:
+        ctx.prec = 4
+        ctx.Emax = MAX_EMAX
+        ctx.rounding = ROUND_HALF_EVEN
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.3e}"
 
 
 def _below(num, den, bound: Fraction) -> bool:
@@ -261,12 +263,8 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     c = backend.convert(c)
     d = backend.convert(d)
     step = trace.steps[k]
-    m = 2 * plane.n
-    p_k = PairedPolygon([step.M[i] + plane.U.vertices[i] * c for i in range(m)],
-                        plane.n, backend)
-    q_k = PairedPolygon([step.N[i] + plane.V.vertices[i] * d for i in range(m)],
-                        plane.n, backend)
-    return p_k, q_k
+    return (PairedPolygon(offset_points(step.M, plane.U, c), plane.n, backend),
+            PairedPolygon(offset_points(step.N, plane.V, d), plane.n, backend))
 
 
 def convex_parent_of_m(m_points, u, backend) -> list[Vec2]:
@@ -275,9 +273,8 @@ def convex_parent_of_m(m_points, u, backend) -> list[Vec2]:
 
     Given V for u, the convex dual-width equidistant of an edge-world polygon.
     """
-    al = alphas_of(m_points, u, backend)
-    c = max(-a for a in al) + 1
-    return [m_points[i] + u.vertices[i] * c for i in range(len(m_points))]
+    c = max(-a for a in alphas_of(m_points, u, backend)) + 1
+    return offset_points(m_points, u, c)
 
 
 @dataclass
@@ -377,8 +374,6 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
     and exact coordinates grow with k, so callers bound the number of steps
     examined.
     """
-    from .evolute import containment_check
-
     backend = trace.backend
     out: list[TraceCheck] = []
     limit = len(trace.steps) if max_steps is None else min(len(trace.steps), max_steps + 1)

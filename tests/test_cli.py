@@ -74,6 +74,23 @@ def test_evolute_triangle(triangle_doc, tmp_path, capsys):
     assert 'id="evolute-e"' in svg.read_text()
 
 
+def test_involute_triangle(triangle_doc, tmp_path, capsys):
+    svg = tmp_path / "inv.svg"
+    assert main(["involute", triangle_doc, "--svg", str(svg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"n", "involute", "betas", "degenerate", "signed_area_central",
+                        "signed_area_involute", "signed_area_gap"}
+    assert len(out["involute"]) == len(out["betas"]) == 2 * out["n"] == 6
+    assert out["degenerate"] is False
+    sa_m, sa_n, gap = (F(out[k]) for k in ("signed_area_central", "signed_area_involute",
+                                          "signed_area_gap"))
+    assert (sa_m, sa_n, gap) == (F(1, 4), F(1, 16), F(3, 16))
+    assert gap == sa_m - sa_n
+    text = svg.read_text()
+    for group in ("polygon-p", "central-m", "involute-n"):
+        assert f'id="{group}"' in text
+
+
 @pytest.mark.parametrize("cmd, code", [("central", 0), ("verify", 3)])
 def test_float_paired_alphas_all_near_zero(tmp_path, capsys, cmd, code):
     # M is not a single point under same_point, yet every alpha lies within

@@ -28,7 +28,7 @@ from cwpoly import verify
 from cwpoly.backend import FLOAT, RATIONAL
 from cwpoly.ball import det_table, framed_widths
 from cwpoly.core import CenteredBall, from_frame, integer_frame
-from cwpoly.cw import EquidistantFrame, ladder_cusps, window_sums
+from cwpoly.cw import EquidistantFrame, alphas_of, framed_alphas, ladder_cusps, window_sums
 from cwpoly.fuzz import random_cw_plane, random_rational
 from cwpoly.verify import _s
 
@@ -104,6 +104,44 @@ def test_v_length_rejects_nonparallel(triangle_plane):
     arc = [vec(0, 0), vec(1, 1)]
     with pytest.raises(IdentityError):
         v_length(arc, triangle_plane.V)
+
+
+def _closing_edge_only(directions):
+    """X_0 = 0 and X_{i+1} = X_i + t_i d_i for i < m - 1, with t_0 = 2 and
+    every other t_i = 1.  Edges 0 .. m-2 are parallel to their directions.
+    The directions sum to zero (the edges of a ball, or the vertices of a
+    centered one), so the closing edge X_0 - X_{m-1} is d_{m-1} - d_0, which
+    is not parallel to d_{m-1} when d_0 and d_{m-1} are not parallel."""
+    pts = [directions[0] * 0]
+    for i, d in enumerate(directions[:-1]):
+        pts.append(pts[-1] + (d * 2 if i == 0 else d))
+    return pts
+
+
+@pytest.mark.parametrize("scale", [None, 1.0])
+def test_not_parallel_on_closing_edge(scale):
+    # the one non-parallel edge is the closing edge m-1, from X_{m-1} back to
+    # X_0: the alphas along U's edges and the closed dual length along V's
+    # vertices raise IdentityError naming it
+    for plane in fuzz_planes(9, 6):
+        plane = plane if scale is None else float_copy(plane, scale)
+        be, uv, vv = plane.backend, plane.U.vertices, plane.V.vertices
+        m = len(uv)
+        pts = _closing_edge_only([uv[(i + 1) % m] - uv[i] for i in range(m)])
+        text = f"vector {pts[0] - pts[-1]!r} is not parallel to {uv[0] - uv[-1]!r}"
+        with pytest.raises(IdentityError) as e:
+            alphas_of(pts, plane.U, be)
+        assert str(e.value) == text
+        # without the points, the error is worded from the frame
+        with pytest.raises(IdentityError) as e:
+            framed_alphas(*integer_frame(pts), plane.U, be)
+        assert str(e.value) == text
+        pts = _closing_edge_only(vv)
+        with pytest.raises(IdentityError) as e:
+            v_length(pts, plane.V, closed=True)
+        assert str(e.value) == f"vector {pts[0] - pts[-1]!r} is not parallel to {vv[-1]!r}"
+        # the open list has no closing edge
+        v_length(pts, plane.V)
 
 
 def test_v_length_half_arc_triangle(triangle_plane):

@@ -110,8 +110,9 @@ def test_involute_constant_dual_width_structure():
 
 def test_involute_of_translate_on_general_denominator():
     # a translate of M has the same alphas, so the same betas; its frame's
-    # denominator no longer divides den(beta) den(V), and framed_involute
-    # takes the common denominator den(X) den(beta) den(V)
+    # denominator no longer divides den(beta) den(V), so the one common
+    # denominator of framed_involute, lcm(den(X), den(beta) den(V)), is
+    # larger than den(beta) den(V)
     plane = random_cw_plane(random.Random(1), 3, 5)
     ce = central_equidistant(plane)
     shift = Vec2(F(1, 7), F(2, 7))

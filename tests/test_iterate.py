@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwpoly import (
     ConvexPolygon,
@@ -304,3 +306,45 @@ def test_sci_formats_beyond_float_range():
     assert _sci(F(10) ** 400 * F(12345, 10000)) == "1.234e+400"  # half to even
     assert _sci(-F(10) ** 309 * F(99996, 10000)) == "-1.000e+310"
     assert _sci(F(2) ** 1100 + F(1, 3)) == "1.358e+331"
+
+
+def _sci_reference(x) -> str:
+    """The earlier ``_sci``: an exponent search on the integer part, then
+    half-even rounding of x / 10^(e-3) as a Fraction."""
+    try:
+        return f"{float(x):.3e}"
+    except OverflowError:
+        pass
+    x = F(x)
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    q = x.numerator // x.denominator
+    e = int((q.bit_length() - 1) * 0.30102999566398120)  # about floor(log10 q)
+    while 10 ** e > q:
+        e -= 1
+    while 10 ** (e + 1) <= q:
+        e += 1
+    digits = round(x / 10 ** (e - 3))
+    if digits == 10 ** 4:
+        digits, e = 10 ** 3, e + 1
+    d = str(digits)
+    return f"{sign}{d[0]}.{d[1:]}e+{e}"
+
+
+_exponents = st.integers(min_value=300, max_value=1500)
+_ties = st.builds(lambda k, e: F(2 * k + 1, 2) * F(10) ** (e - 3),
+                  st.integers(min_value=1000, max_value=9999), _exponents)
+_near_ties = st.builds(lambda t, d: t + F(d, 10 ** 40), _ties,
+                       st.integers(min_value=-5, max_value=5))
+_general = st.builds(lambda a, b, e: F(a, b) * F(10) ** e,
+                     st.integers(min_value=1, max_value=10 ** 30),
+                     st.integers(min_value=1, max_value=10 ** 30), _exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ties, _near_ties, _general), st.booleans())
+def test_sci_matches_reference(x, negative):
+    # one decimal division gives the same text as the exponent search and
+    # the Fraction rounding, exact ties (half to even) included
+    x = -x if negative else x
+    assert _sci(x) == _sci_reference(x)
