@@ -13,9 +13,10 @@ over one denominator, and each new polygon is reduced by one content gcd
 (``reduce_frame``), which gives exactly ``integer_frame`` of its vertices.
 Float input gets the frame den = 1 with its coordinates unchanged, so the
 float backend runs the same loops, in the same expression order, and its
-results are the plain float evaluation of each formula.  The chord count
-(``ChordFrame``) is exact on both backends: it snaps float input to its
-exact rational value and frames it.
+results are the plain float evaluation of each formula.  The chord counts
+(``ChordFrame``, and ``WindingFrame`` for a paired boundary) are exact on
+both backends: they snap float input to its exact rational value and
+frame it.
 
 Each ball (``CenteredBall``) owns the constants the kernels read from it
 as cached properties, and ``framed_coeffs`` solves every coefficient along
@@ -673,18 +674,39 @@ def _seg_intersections(a, b, c, d, hits: set) -> bool:
     return False
 
 
-class ChordFrame:
+class _FramedBoundary:
+    """A boundary on its integer frame: vertices ``q`` as integer pairs over
+    ``den``, and a midpoint x given as (cx, cy, s) with 2x = (cx, cy) /
+    (den s) for a positive integer s."""
+
+    den: int
+    q: list
+    qset: set
+
+    def point(self, cx: int, cy: int, s: int) -> Vec2:
+        """The point x of (cx, cy, s), as Fractions."""
+        d = 2 * s * self.den
+        return Vec2(Fraction(cx, d), Fraction(cy, d))
+
+    def centre(self, cx: int, cy: int, s: int) -> bool:
+        """Whether x is a centre of symmetry of the vertex set."""
+        if cx % s or cy % s:
+            return False
+        cx, cy = cx // s, cy // s
+        return all((cx - x, cy - y) in self.qset for x, y in self.q)
+
+
+class ChordFrame(_FramedBoundary):
     """A convex polygon boundary on its integer frame, for counting the
     chords of many midpoints.
 
     The distinct boundary vertices are put on one denominator ``den``
     (float coordinates are snapped to their exact rational values first),
     and the bounding boxes of all pairs of boundary edges are summed once.
-    A midpoint x is given on that frame as (cx, cy, s) with 2x = (cx, cy) /
-    (den s) for a positive integer s.  The box test of an edge pair then
-    compares the boundary's own integers with floor and ceiling of (cx, cy)
-    / s, which is exact because the box bounds are integers; only the edge
-    pairs that pass it are scaled by s for the exact intersection.
+    The box test of an edge pair compares the boundary's own integers with
+    floor and ceiling of (cx, cy) / s, which is exact because the box
+    bounds are integers; only the edge pairs that pass it are scaled by s
+    for the exact intersection.
     """
 
     def __init__(self, boundary: Sequence[Vec2]):
@@ -703,11 +725,6 @@ class ChordFrame:
                       for lx, hx, ly, hy, a, b in boxes
                       for ex, fx, ey, fy, e, f in boxes]
 
-    def point(self, cx: int, cy: int, s: int) -> Vec2:
-        """The point x of (cx, cy, s), as Fractions."""
-        d = 2 * s * self.den
-        return Vec2(Fraction(cx, d), Fraction(cy, d))
-
     def count(self, cx: int, cy: int, s: int = 1) -> RegionTest:
         """Chords of the boundary with midpoint x, 2x = (cx, cy) / (den s).
 
@@ -715,12 +732,11 @@ class ChordFrame:
         pairwise, O(m^2), skipping pairs whose bounding boxes miss; each
         unordered pair {p, 2x - p} of intersection points is one chord.
         """
+        if self.centre(cx, cy, s):
+            return RegionTest(chords=None, overlap=True, symmetric=True)
         lo_cx, lo_cy = cx // s, cy // s
         hi_cx = lo_cx if lo_cx * s == cx else lo_cx + 1
         hi_cy = lo_cy if lo_cy * s == cy else lo_cy + 1
-        if lo_cx == hi_cx and lo_cy == hi_cy and all(
-                (lo_cx - x, lo_cy - y) in self.qset for x, y in self.q):
-            return RegionTest(chords=None, overlap=True, symmetric=True)
         hits: set = set()
         for lo_x, hi_x, lo_y, hi_y, a, b, e, f in self.pairs:
             if lo_cx < lo_x or hi_cx > hi_x or lo_cy < lo_y or hi_cy > hi_y:
@@ -732,6 +748,115 @@ class ChordFrame:
                 return RegionTest(chords=None, overlap=True, symmetric=False)
         fixed = 1 if point_key(cx, cy, 2) in hits else 0
         return RegionTest(chords=(len(hits) + fixed) // 2, overlap=False, symmetric=False)
+
+
+class WindingFrame(_FramedBoundary):
+    """A strictly convex paired boundary on its integer frame, for counting
+    the chords of many midpoints in O(m) each.
+
+    The boundary q_0 ... q_{2n-1} has its edges i and i + n exactly
+    antiparallel (``chord_frame`` tests this and strict convexity), and
+    ``orient`` is its orientation, 1 or -1.  Its diagonal midpoints
+    M_i = (q_i + q_{i+n}) / 2 close up after n steps, and the midpoints of
+    the chords from edge i to edge i + n fill the segment S_i from
+    (q_i + q_{i+n+1}) / 2 to (q_{i+1} + q_{i+n}) / 2, which holds the edge
+    M_i M_{i+1} in its interior.  The chords with midpoint x are then:
+
+    * a continuum (overlap) when x lies on an open S_i;
+    * otherwise 2|w| + 1, where w != 0 is the winding number of the
+      n-cycle M_0 ... M_{n-1} about x;
+    * when w = 0, one inside the boundary or at a vertex (the chord of
+      length 0), a continuum on an open edge, and none outside.
+
+    This is the count of ``ChordFrame``, which the tests keep as its
+    oracle.  Every test runs on the doubled midpoints q_i + q_{i+n} and S_i
+    ends, compared with (cx, cy) after one product by s.
+    """
+
+    def __init__(self, xs: list, ys: list, den: int, orient: int):
+        m, n = len(xs), len(xs) // 2
+        self.den, self.orient = den, orient
+        q = self.q = list(zip(xs, ys))
+        self.qset = set(q)
+        mid = [(xs[i] + xs[i + n], ys[i] + ys[i + n]) for i in range(n)]
+        self.segments = []
+        for i in range(n):
+            ax, ay = xs[i] + xs[(i + n + 1) % m], ys[i] + ys[(i + n + 1) % m]
+            dx, dy = xs[i + 1] + xs[i + n] - ax, ys[i + 1] + ys[i + n] - ay
+            (mx, my), (nx, ny) = mid[i], mid[(i + 1) % n]
+            along = (nx - mx) * dx + (ny - my) * dy > 0  # M_i M_{i+1} runs along S_i
+            self.segments.append((dx, dy, dx * ay - dy * ax, dx * ax + dy * ay,
+                                  dx * dx + dy * dy, my, ny, along))
+        edges = [(xs[(j + 1) % m] - x, ys[(j + 1) % m] - y) for j, (x, y) in enumerate(q)]
+        self.edges = [(ex, ey, 2 * (ex * y - ey * x)) for (x, y), (ex, ey) in zip(q, edges)]
+
+    def count(self, cx: int, cy: int, s: int = 1) -> RegionTest:
+        """Chords of the boundary with midpoint x, 2x = (cx, cy) / (den s),
+        by the open S_i, the winding number of M about x and, when that is
+        0, the side of x against each boundary edge: O(m)."""
+        if self.centre(cx, cy, s):
+            return RegionTest(chords=None, overlap=True, symmetric=True)
+        w = 0
+        for dx, dy, k, kt, dd, y0, y1, along in self.segments:
+            side = dx * cy - dy * cx - s * k  # [d, X - s A], A the start of S_i
+            if side == 0:
+                if 0 < dx * cx + dy * cy - s * kt < s * dd:
+                    return RegionTest(chords=None, overlap=True, symmetric=False)
+            elif (up := s * y0 <= cy) != (s * y1 <= cy) and up == ((side > 0) == along):
+                # the edge M_i M_{i+1} crosses the ray from x, up with x on
+                # its left or down with x on its right
+                w += 1 if up else -1
+        if w:
+            return RegionTest(chords=2 * abs(w) + 1, overlap=False, symmetric=False)
+        on_boundary = False
+        for ex, ey, k in self.edges:
+            side = (ex * cy - ey * cx - s * k) * self.orient  # [e_j, X - 2s q_j]
+            if side < 0:
+                return RegionTest(chords=0, overlap=False, symmetric=False)
+            on_boundary = on_boundary or side == 0
+        if on_boundary and (cx % (2 * s) or cy % (2 * s)
+                            or (cx // (2 * s), cy // (2 * s)) not in self.qset):
+            return RegionTest(chords=None, overlap=True, symmetric=False)
+        return RegionTest(chords=1, overlap=False, symmetric=False)
+
+
+def _convex_pairing(xs: list, ys: list) -> int:
+    """The orientation (1 counterclockwise, -1 clockwise) of a closed
+    integer list that is a strictly convex 2n-gon, n >= 2, whose edges i
+    and i + n are exactly antiparallel; 0 for any other list."""
+    m, n = len(xs), len(xs) // 2
+    if m % 2 or n < 2:
+        return 0
+    e = [(xs[(j + 1) % m] - x, ys[(j + 1) % m] - y) for j, (x, y) in enumerate(zip(xs, ys))]
+    area = sum(x * ey - y * ex for x, y, (ex, ey) in zip(xs, ys, e))
+    o = (area > 0) - (area < 0)
+
+    def cross(a, b):
+        return o * (a[0] * b[1] - a[1] * b[0])
+
+    # each edge turns strictly to the side of o from the one before, and
+    # edges 1 .. n - 1 stay strictly on that side of edge 0, so the
+    # directions turn once around (edge i + n repeats the turns of edge i)
+    if o and all(cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] < 0 for a, b in zip(e, e[n:])) \
+            and all(cross(e[j - 1], e[j]) > 0 for j in range(1, n + 1)) \
+            and all(cross(e[0], e[j]) > 0 for j in range(1, n)):
+        return o
+    return 0
+
+
+def chord_frame(boundary: Sequence[Vec2]) -> ChordFrame | WindingFrame:
+    """The chord counter for many midpoints against one boundary.
+
+    A ``WindingFrame`` when the snapped boundary is paired: a strictly
+    convex 2n-gon, n >= 2, whose edges i and i + n are exactly
+    antiparallel (one O(m) exact test on its integer frame).  Every
+    rational parent of the region test is paired; any other boundary, in
+    practice a float parent whose rounding broke a pair, gets the O(m^2)
+    ``ChordFrame``.
+    """
+    xs, ys, den = integer_frame(exact_points(boundary))
+    orient = _convex_pairing(xs, ys)
+    return WindingFrame(xs, ys, den, orient) if orient else ChordFrame(boundary)
 
 
 def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:

@@ -31,11 +31,11 @@ from typing import Sequence
 from .backend import Backend, Scalar
 from .core import (
     CenteredBall,
-    ChordFrame,
     IdentityError,
     InputError,
     PairedPolygon,
     Vec2,
+    chord_frame,
     doubled_points,
     exact_points,
     framed_mixed_area,
@@ -251,16 +251,20 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     the parent entirely).  Both backends sample exactly: float coordinates
     of the curve, like those of the parent, are snapped to their exact
     rational values.  The parent boundary is put on its integer frame once
-    per call (``ChordFrame``), with the bounding boxes of its edge pairs.  A
-    segment [a, b] is framed on its own, and its sample at t = p/L is the
-    integer combination 2x dL = 2(A (L - p) + B p) of its numerators A, B
-    over their denominator d, with L one of 1, 2 and samples + 1; no
-    Fraction is built but for a witness.  Each sample still costs the
-    O(m^2) edge-pair scan of the chord test.  Float rounding places
-    tangential samples (curve touching the region boundary) off the
-    boundary, so a float curve's sample that tests exterior is retested at
-    t + (1/2 - t) / 10^7 on its own segment, which lies in the closed
-    region; min_chords is taken after that retest.
+    per call (``core.chord_frame``).  A paired parent, a strictly convex
+    2n-gon whose edges i and i + n are exactly antiparallel, counts each
+    sample in O(m) by the winding number of its diagonal midpoints M
+    (``core.WindingFrame``); every rational parent is paired.  Any other
+    parent, in practice a float one whose rounding broke a pair, keeps the
+    O(m^2) edge-pair scan (``core.ChordFrame``).  A segment [a, b] is framed
+    on its own, and its sample at t = p/L is the integer combination
+    2x dL = 2(A (L - p) + B p) of its numerators A, B over their
+    denominator d, with L one of 1, 2 and samples + 1; no Fraction is built
+    but for a witness.  Float rounding places tangential samples (curve
+    touching the region boundary) off the boundary, so a float curve's
+    sample that tests exterior is retested at t + (1/2 - t) / 10^7 on its
+    own segment, which lies in the closed region; min_chords is taken after
+    that retest.
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
@@ -270,7 +274,7 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     parent_pts = parent.vertices if isinstance(parent, PairedPolygon) else list(parent)
     grid = {Fraction(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
     grid.setdefault(Fraction(1, 2), (1, 2))
-    frame = ChordFrame(parent_pts)
+    frame = chord_frame(parent_pts)
     k = 2 * frame.den
     seen: set = set()
     witnesses: list[Vec2] = []

@@ -370,9 +370,9 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
     of M(k) the exterior of N(k); the convex parents needed by the chord test
     are rebuilt at a safe width.  Each check frames its parent once and
     tests the vertices and edge midpoints (``containment_check`` with
-    samples=0); every tested point still costs an O(m^2) edge-pair scan,
-    and exact coordinates grow with k, so callers bound the number of steps
-    examined.
+    samples=0).  Both parents are paired, so on the rational backend each
+    tested point costs one O(n) winding count (``core.WindingFrame``); exact
+    coordinates grow with k, so callers bound the number of steps examined.
     """
     backend = trace.backend
     out: list[TraceCheck] = []

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwpoly import (
     ConvexPolygon,
     InputError,
     PairedPolygon,
+    RegionTest,
     Vec2,
     build_plane,
     central_equidistant,
@@ -26,13 +29,14 @@ from cwpoly import (
     vec,
 )
 from cwpoly.backend import get_backend
-from cwpoly.core import integer_frame, scalar_frame
+from cwpoly.core import ChordFrame, WindingFrame, chord_frame, integer_frame, scalar_frame
 from cwpoly.cw import alphas_of, ladder_cusps
 from cwpoly.evolute import edge_world_coeffs, involute_points
 from cwpoly.fuzz import random_cw_plane
-from cwpoly.iterate import convex_parent_of_m
+from cwpoly.iterate import check_nesting, convex_parent_of_m, iterate_involutes
+from cwpoly.verify import run_verify
 
-from conftest import fuzz_planes
+from conftest import float_copy, fuzz_planes
 
 
 def test_evolute_triangle_golden(triangle_plane):
@@ -294,6 +298,115 @@ def test_containment_matches_reference():
             assert all(type(w.x) is F for w in res.witnesses)
             outside += bool(res.witnesses)
     assert outside >= len(planes) // 2
+
+
+def _winding_probes(q, n, rng):
+    """Points of the paired boundary q where the winding rule has a case of
+    its own: M's vertices and edge points, points just off M's edges, the
+    ends and midpoint of each S_i, points on the lines of M's edges and of
+    the S_i past their ends, the crossings of M's edge lines, the
+    boundary's vertices and edge midpoints, points outside it, and generic
+    points inside it."""
+    m = 2 * n
+    mid = [(q[i] + q[i + n]) * F(1, 2) for i in range(n)]
+    pts = []
+    for i in range(n):
+        a, b = mid[i], mid[(i + 1) % n]
+        sa, sb = (q[i] + q[(i + n + 1) % m]) * F(1, 2), (q[i + 1] + q[i + n]) * F(1, 2)
+        pts += [a, a + (b - a) * F(rng.randint(1, 9), 10), sa, sb, (sa + sb) * F(1, 2)]
+        # just off either side of M's edge, where the winding numbers differ by 1
+        off = (sb - sa) * F(1, 10 ** 9)
+        pts += [(a + b) * F(1, 2) + Vec2(-off.y, off.x) * e for e in (1, -1)]
+        for t in (F(-1, 2), F(3, 2), F(-3), F(4)):
+            pts += [a + (b - a) * t, sa + (sb - sa) * t]
+        for j in range(i + 2, n):
+            c, d = mid[j], mid[(j + 1) % n]
+            den = det(b - a, d - c)
+            if den:
+                pts.append(a + (b - a) * (det(c - a, d - c) / den))
+    for j in range(m):
+        pts += [q[j], (q[j] + q[(j + 1) % m]) * F(1, 2), q[j] * 2 - mid[j % n]]
+    for _ in range(3 * n):
+        i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(n)
+        u, v = F(rng.randint(0, 20), 20), F(rng.randint(0, 20), 20)
+        pts.append(q[i] + (q[j] - q[i]) * u + (mid[k] - q[i]) * v * (1 - u))
+    return pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(),
+       st.fractions(F(1, 16), 2, max_denominator=16), st.randoms(use_true_random=False))
+def test_winding_frame_matches_chord_frame(seed, edge_world, clockwise, extra, rng):
+    # the O(m) winding rule against the O(m^2) edge-pair count, on the
+    # convex parents M + cU and N + cV of an exact plane, either way round,
+    # at every kind of point the rule treats apart
+    plane = random_cw_plane(random.Random(seed), n_min=3, n_max=8)
+    ce = central_equidistant(plane)
+    curve, ball = (involute(ce, plane.V).N, plane.V) if edge_world else (ce.M, plane.U)
+    c = max(abs(a) for a in alphas_of(curve, ball, plane.backend)) + extra
+    q = [p + d * c for p, d in zip(curve, ball.vertices)][::-1 if clockwise else 1]
+    oracle, frame = ChordFrame(q), chord_frame(q)
+    assert isinstance(frame, WindingFrame)
+    kinds = set()
+    for x in _winding_probes(q, plane.n, rng):
+        (cx,), (cy,), s = integer_frame([x])
+        args = 2 * frame.den * cx, 2 * frame.den * cy, s
+        want = oracle.count(*args)
+        assert frame.count(*args) == want, x
+        kinds.add(None if want.overlap else min(want.chords, 3))
+    assert kinds == ({None, 0, 1} if ce.degenerate else {None, 0, 1, 3})
+
+
+def _closed(edges):
+    pts = [vec(0, 0)]
+    for dx, dy in edges[:-1]:
+        pts.append(pts[-1] + vec(dx, dy))
+    return pts
+
+
+def test_winding_frame_needs_a_strictly_convex_paired_boundary():
+    # a paired hexagon with a vertex in the middle of two of its sides
+    # pairs edge 0 with edges 3 and 4, which the S_i of the rule miss; a
+    # paired 10-gon that turns left but three times around, and one that
+    # turns both ways, are not convex; an odd list and a 4-list on a line
+    # are not paired.  All keep the edge-pair scan.
+    flat = _closed([(1, 0), (2, 0), (-1, 2), (-2, 0), (-1, 0), (1, -2)])
+    assert ChordFrame(flat).count(0, 2) == RegionTest(None, True, False)
+    half = [(10, 0), (-3, 10), (-8, -6), (8, -6), (3, 10)]
+    star = _closed(half + [(-x, -y) for x, y in half])
+    zigzag = _closed([(2, 0), (-1, 1), (1, 1), (-2, 0), (1, -1), (-1, -1)])
+    line = _closed([(1, 0), (1, 0), (-1, 0), (-1, 0)])
+    for q in (flat, star, zigzag, flat[:5], line):
+        assert type(chord_frame(q)) is ChordFrame
+    hexagon = _closed([(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)])
+    assert type(chord_frame(hexagon)) is WindingFrame
+    assert type(chord_frame(hexagon[::-1])) is WindingFrame
+
+
+def test_paired_parents_skip_the_edge_pair_scan(monkeypatch):
+    # rational containment, in run_verify and in check_nesting, takes the
+    # O(m) winding count and never builds the O(m^2) ChordFrame; a float
+    # parent whose rounding broke an antiparallel pair still falls back to it
+    built = []
+    init = ChordFrame.__init__
+
+    def spy(self, boundary):
+        built.append(len(boundary))
+        init(self, boundary)
+
+    monkeypatch.setattr(ChordFrame, "__init__", spy)
+    plane = _kgon_plane(7)
+    report = run_verify(plane, samples=2, iterate_steps=2)
+    assert [c.ok for c in report.checks if c.check_id == "containment.involute_in_central"] == [True]
+    trace = iterate_involutes(plane, max_steps=2)
+    nesting = check_nesting(trace, plane)
+    assert nesting and all(c.ok for c in nesting)
+    assert built == []
+    fplane = float_copy(plane, 1e-3)
+    ce = central_equidistant(fplane)
+    parent = convex_parent_of_m(ce.M, fplane.U, fplane.backend)
+    assert containment_check(involute(ce, fplane.V).N, parent, samples=0).contained
+    assert built == [len(parent)]
 
 
 def test_evolute_cusps_triangle(triangle_plane):
