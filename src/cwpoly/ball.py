@@ -218,7 +218,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     nums, cden = framed_coeffs(u.vertex_coeff_frame, map(sub, px, px[n:] + px[:n]),
                                map(sub, py, py[n:] + py[:n]), pden, backend)
     exact = backend.exact
-    aden = 2 * cden if exact else 1
+    aden = 2 * cden if exact else cden
     a = None
     for i, t in enumerate(nums):
         if t is None:

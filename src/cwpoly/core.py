@@ -1,22 +1,23 @@
 """Planar geometry substrate: vectors, convex polygons, areas, Minkowski sums,
 and the chord-midpoint region test.
 
-Exact kernels run in an integer frame.  ``integer_frame`` puts a polygon on
-one shared denominator: p_i = (xs[i], ys[i]) / den with integer xs, ys.  The
-kernels (areas, coefficients along edges, and in ``cw``, ``evolute`` and
-``iterate`` the coefficient ladders, area gaps, involutes and diameters) do
-their sums and products on those integers.  Each public function is
-``integer_frame`` -> kernel -> ``from_frame``, one ``Fraction`` per result
-instead of a gcd per intermediate sum.  The involute ladder passes frames
-from one kernel to the next: a coefficient ladder stays a list of integers
-over one denominator, and each new polygon is reduced by one content gcd
-(``reduce_frame``), which gives exactly ``integer_frame`` of its vertices.
-Float input gets the frame den = 1 with its coordinates unchanged, so the
-float backend runs the same loops, in the same expression order, and its
-results are the plain float evaluation of each formula.  The chord counts
-(``ChordFrame``, and ``WindingFrame`` for a paired boundary) are exact on
-both backends: they snap float input to its exact rational value and
-frame it.
+Exact kernels run in an integer frame.  A ``Frame`` is a point list on one
+shared denominator, p_i = (xs[i], ys[i]) / den with integer xs, ys, and a
+``ScalarFrame`` a list of scalars nums[i] / den; ``integer_frame`` and
+``scalar_frame`` build them.  Each formula is one public function: it takes
+a point list (or scalars) or a frame, frames it once, does its sums and
+products on the integers, and returns a frame, or one scalar built by
+``from_frame``, instead of a gcd per intermediate sum.  The involute ladder
+passes frames from one function to the next; callers that need ``Vec2`` or
+``Fraction`` values convert once (``Frame.points``, ``ScalarFrame.values``).
+Each new polygon is reduced by one content gcd (``Frame.reduced``), which
+gives exactly ``integer_frame`` of its vertices.  A frame knows whether it
+is exact: float input gets the frame den = 1.0 with its coordinates
+unchanged, so the float backend runs the same loops, in the same expression
+order, its results are the plain float evaluation of each formula, and
+every value framed on it is a float.  The chord counts (``ChordFrame``, and
+``WindingFrame`` for a paired boundary) are exact on both backends: they
+snap float input to its exact rational value and frame it.
 
 Each ball (``CenteredBall``) owns the constants the kernels read from it
 as cached properties, and ``framed_coeffs`` solves every coefficient along
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle
+from operator import truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .backend import Backend, RATIONAL, Scalar
@@ -93,105 +95,136 @@ def dot(u: Vec2, v: Vec2) -> Scalar:
     return u.x * v.x + u.y * v.y
 
 
-def scalar_frame(values: Sequence[Scalar]) -> tuple[list, int]:
-    """One shared denominator for a list of scalars: values[i] = nums[i] / den.
+class Frame(NamedTuple):
+    """A point list on one shared denominator: p_i = (xs[i], ys[i]) / den.
+
+    An exact frame has int xs, ys over a positive int den.  A float frame
+    keeps its float coordinates over den = 1.0, so every denominator built
+    from it is a float, and ``from_frame`` of any value framed on it is a
+    float.  ``integer_frame`` builds frames.
+    """
+
+    xs: list
+    ys: list
+    den: int | float
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.den, float)
+
+    def points(self) -> list[Vec2]:
+        """The points (xs[i], ys[i]) / den, as ``from_frame`` builds them."""
+        q, den = Fraction if self.exact else truediv, self.den
+        return [Vec2(q(x, den), q(y, den)) for x, y in zip(self.xs, self.ys)]
+
+    def half(self) -> "Frame":
+        """The first half of the list: the distinct points of a doubled frame,
+        one that lists its first half twice."""
+        n = len(self.xs) // 2
+        return Frame(self.xs[:n], self.ys[:n], self.den)
+
+    def doubled(self) -> list[Vec2]:
+        """The points of a doubled frame: its first half built once and
+        repeated."""
+        return self.half().points() * 2
+
+    def reduced(self) -> "Frame":
+        """The frame divided by its content g = gcd(den, xs, ys).
+
+        The reduced denominator den / g is the lcm of the denominators of the
+        reduced coordinates, so the result is exactly ``integer_frame`` of the
+        points it holds.  A float frame passes unchanged.
+        """
+        xs, ys, den = self
+        if den == 1 or (g := math.gcd(den, *xs, *ys)) == 1:
+            return self
+        return Frame([x // g for x in xs], [y // g for y in ys], den // g)
+
+
+class ScalarFrame(NamedTuple):
+    """A list of scalars on one shared denominator: values[i] = nums[i] / den,
+    ints over a positive int den, or floats over den = 1.0 as in ``Frame``.
+    ``scalar_frame`` builds them, and the coefficient ladders are returned
+    as them."""
+
+    nums: list
+    den: int | float
+
+    def values(self) -> list[Scalar]:
+        """The scalars nums[i] / den, as ``from_frame`` builds them."""
+        den = self.den
+        q = truediv if isinstance(den, float) else Fraction
+        return [q(v, den) for v in self.nums]
+
+
+def scalar_frame(values: Sequence[Scalar] | ScalarFrame) -> ScalarFrame:
+    """One shared denominator for a list of scalars; a ScalarFrame passes
+    unchanged.
 
     For rational (Fraction or int) values den is the lcm of the distinct
-    denominators and nums are ints.  A list holding a float gets den = 1 and
-    its values unchanged.
+    denominators and nums are ints.  A list holding a float gets den = 1.0
+    and its values unchanged.
     """
+    if isinstance(values, ScalarFrame):
+        return values
     if values and isinstance(values[0], float):
-        return list(values), 1
+        return ScalarFrame(list(values), 1.0)
     try:
         dens = {v.denominator for v in values}
     except AttributeError:  # a float further down the list
-        return list(values), 1
+        return ScalarFrame(list(values), 1.0)
     if len(dens) == 1:
         den = dens.pop()
-        return [v.numerator for v in values], den
+        return ScalarFrame([v.numerator for v in values], den)
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
-    return [v.numerator * scale[v.denominator] for v in values], den
+    return ScalarFrame([v.numerator * scale[v.denominator] for v in values], den)
 
 
-def integer_frame(points: Sequence[Vec2]) -> tuple[list, list, int]:
-    """One shared denominator for a point list: p_i = (xs[i], ys[i]) / den.
+def integer_frame(points: Sequence[Vec2] | Frame) -> Frame:
+    """One shared denominator for a point list; a Frame passes unchanged.
 
     For rational coordinates den is the lcm of the distinct coordinate
-    denominators, and xs, ys are ints.  For float input den = 1 and the
+    denominators, and xs, ys are ints.  For float input den = 1.0 and the
     coordinates pass through unchanged.
     """
+    if isinstance(points, Frame):
+        return points
     nums, den = scalar_frame([c for p in points for c in (p.x, p.y)])
-    return nums[0::2], nums[1::2], den
+    return Frame(nums[0::2], nums[1::2], den)
 
 
 def from_frame(num, den) -> Scalar:
-    """num / den for a framed result: one Fraction from integers, or the
-    float quotient when the numerator came from a float frame."""
-    return num / den if isinstance(num, float) else Fraction(num, den)
+    """num / den for a framed result: one Fraction over an int denominator,
+    or the float quotient over a denominator built from a float frame."""
+    return num / den if isinstance(den, float) else Fraction(num, den)
 
 
-def frame_points(xs: Sequence, ys: Sequence, den) -> list[Vec2]:
-    """The points (xs[i], ys[i]) / den of a frame, as ``from_frame`` builds them."""
-    return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in zip(xs, ys)]
-
-
-def doubled_points(xs: Sequence, ys: Sequence, den) -> list[Vec2]:
-    """The points of a frame that lists its first half twice: that half is
-    built once and repeated."""
-    n = len(xs) // 2
-    return frame_points(xs[:n], ys[:n], den) * 2
-
-
-def reduce_frame(xs: list, ys: list, den) -> tuple[list, list, int]:
-    """The frame divided by its content g = gcd(den, xs, ys).
-
-    The reduced denominator den / g is the lcm of the denominators of the
-    reduced coordinates, so the result is exactly ``integer_frame`` of the
-    points it holds.  A float frame (den = 1) passes unchanged.
-    """
-    if den == 1:
-        return xs, ys, den
-    g = math.gcd(den, *xs, *ys)
-    if g == 1:
-        return xs, ys, den
-    return [x // g for x in xs], [y // g for y in ys], den // g
-
-
-def polygon_area(points: Sequence[Vec2]) -> Scalar:
-    """Signed shoelace area of a closed vertex list (positive iff CCW)."""
-    k = len(points)
-    if k < 3:
+def polygon_area(points: Sequence[Vec2] | Frame) -> Scalar:
+    """Signed shoelace area of a closed vertex list (positive iff CCW): the
+    mixed area A(P, P)."""
+    f = integer_frame(points)
+    if len(f.xs) < 3:
         raise InputError("polygon_area needs at least 3 vertices")
-    xs, ys, den = integer_frame(points)
-    acc = xs[-1] * ys[0] - ys[-1] * xs[0]
-    for i in range(k - 1):
-        acc = acc + (xs[i] * ys[i + 1] - ys[i] * xs[i + 1])
-    return from_frame(acc, 2 * den * den)
+    return mixed_area(f, f)
 
 
-def mixed_area(p: Sequence[Vec2], q: Sequence[Vec2]) -> Scalar:
+def mixed_area(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Scalar:
     """Mixed area of two closed polygons listed with matching parallel edges.
 
-    Computed as (1/2) sum_i [q_i, p_{i+1} - p_i]; the symmetric companion
-    formula (1/2) sum_i [p_{i+1}, q_{i+1} - q_i] gives the same value and is
-    exercised by the test suite.  For p == q this is the signed shoelace area.
+    Computed as (1/2) sum_i [q_i, p_{i+1} - p_i] on the frames of p and q;
+    the symmetric companion formula (1/2) sum_i [p_{i+1}, q_{i+1} - q_i]
+    gives the same value and is exercised by the test suite.  For p == q
+    this is the signed shoelace area.
     """
-    k = len(p)
-    if len(q) != k:
-        raise InputError(f"mixed_area: length mismatch ({k} vs {len(q)})")
-    px, py, pden = integer_frame(p)
-    qx, qy, qden = (px, py, pden) if q is p else integer_frame(q)
-    return from_frame(framed_mixed_area(px, py, qx, qy), 2 * pden * qden)
-
-
-def framed_mixed_area(px: Sequence, py: Sequence, qx: Sequence, qy: Sequence):
-    """sum_i [q_i, p_{i+1} - p_i] on framed numerators: twice the mixed area
-    times the product of the two frames' denominators."""
+    fp = integer_frame(p)
+    (px, py, pden), (qx, qy, qden) = fp, fp if q is p else integer_frame(q)
+    if len(qx) != len(px):
+        raise InputError(f"mixed_area: length mismatch ({len(px)} vs {len(qx)})")
     acc = 0
     for x, y, a, b, c, d in zip(qx, qy, px, px[1:] + px[:1], py, py[1:] + py[:1]):
         acc = acc + (x * (d - c) - y * (b - a))
-    return acc
+    return from_frame(acc, 2 * pden * qden)
 
 
 def frame_eq(backend: Backend, a, da, b, db) -> bool:
@@ -393,32 +426,32 @@ class CenteredBall:
         for i in range(n):
             if not (be.eq(xs[i + n], -xs[i]) and be.eq(ys[i + n], -ys[i])):
                 raise InputError(f"ball not centrally symmetric at index {i}")
-        for i, e in enumerate(self.edge_det_frame[0]):
+        for i, e in enumerate(self.edge_det_frame.nums):
             if be.sign(e) <= 0:
                 raise InputError(f"ball not strictly convex about origin at index {i}")
 
     @cached_property
-    def frame(self) -> tuple[list, list, int]:
+    def frame(self) -> Frame:
         """``integer_frame`` of the vertices."""
         return integer_frame(self.vertices)
 
     @cached_property
-    def edge_det_frame(self) -> tuple[list, int]:
+    def edge_det_frame(self) -> ScalarFrame:
         """Framed edge determinants: det(W_i, W_{i+1}) = nums[i] / den."""
         xs, ys, den = self.frame
-        return ([x0 * y1 - y0 * x1
-                 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])],
-                den * den)
+        return ScalarFrame([x0 * y1 - y0 * x1
+                            for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])],
+                           den * den)
 
     @cached_property
     def edge_dets(self) -> list[Scalar]:
         """det(W_i, W_{i+1}) for consecutive vertices, the divisors of the
         dual ball and of the curvature radii.  A valid ball has them all
         positive; a zero one raises InputError naming its index."""
-        nums, den = self.edge_det_frame
-        if 0 in nums:
-            raise InputError(f"degenerate ball edge at index {nums.index(0)}")
-        return [from_frame(e, den) for e in nums]
+        dets = self.edge_det_frame
+        if 0 in dets.nums:
+            raise InputError(f"degenerate ball edge at index {dets.nums.index(0)}")
+        return dets.values()
 
     @cached_property
     def area(self) -> Scalar:
@@ -477,7 +510,7 @@ class CenteredBall:
 
 
 def framed_coeffs(coeff_frame: tuple[list, int], wxs: Iterable, wys: Iterable, den,
-                  backend: Backend) -> tuple[list, int]:
+                  backend: Backend) -> ScalarFrame:
     """Coefficients of framed vectors w_i = (wxs[i], wys[i]) / den along the
     directions d_(i mod m) of a ball's coefficient frame (``CenteredBall``'s
     ``edge_coeff_frame`` or ``vertex_coeff_frame``): w_i = nums[i] d / (den L).
@@ -491,11 +524,11 @@ def framed_coeffs(coeff_frame: tuple[list, int], wxs: Iterable, wys: Iterable, d
     entries, L = coeff_frame
     dirs = cycle(entries)
     if backend.exact:
-        return [(wy if axis else wx) * s if wx * dy == wy * dx else None
-                for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L
+        return ScalarFrame([(wy if axis else wx) * s if wx * dy == wy * dx else None
+                            for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
     eq = backend.eq
-    return [(wy if axis else wx) / (s * den) if eq(wx * dy, wy * dx) else None
-            for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L
+    return ScalarFrame([(wy if axis else wx) / (s * den) if eq(wx * dy, wy * dx) else None
+                        for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
 
 
 # ---------------------------------------------------------------------------

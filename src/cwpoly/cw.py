@@ -8,15 +8,16 @@ while beta[i] belongs to vertex i.
 The identities run on integer frames (see ``core``).  ``EquidistantFrame``
 frames one c-equidistant M + cU and reads every identity of it from that
 frame as window sums: the closed-form half arcs, the dual edge lengths of
-one closed ``framed_lambdas`` pass (Barbier's total and the direct half-arc
+one closed ``lambdas_of`` pass (Barbier's total and the direct half-arc
 sums), the half areas and the half-polygon invariant.  ``barbier``,
 ``half_arc_length``, ``half_area_identity`` and ``chakerian_invariant``
-are views of it, and ``lambdas_of`` and ``v_length`` of ``framed_lambdas``.
-The alphas (``framed_alphas``) and the lambdas are both solved by
-``core.framed_coeffs``, along the edges of U and the vertices of V, and
-both report an edge that is not parallel through ``_not_parallel``.  Every
-offset X + cD (the equidistants, the convex parents of the region test and
-the width family of the iteration) is ``offset_points``.
+are views of it.  ``alphas_of``, ``betas_of`` and ``lambdas_of`` take a
+point list (or scalars) or a frame and return a ``ScalarFrame``.  The
+alphas and the lambdas are both solved by ``core.framed_coeffs``, along the
+edges of U and the vertices of V, and both report an edge that is not
+parallel through ``_not_parallel``.  Every offset X + cD (the equidistants,
+the convex parents of the region test and the width family of the
+iteration) is ``offset_points``.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ from .core import (
     PairedPolygon,
     Vec2,
     frame_eq,
-    frame_points,
+    Frame,
+    ScalarFrame,
     framed_coeffs,
     from_frame,
     integer_frame,
@@ -62,45 +64,40 @@ class CentralEquidistant:
     degenerate: bool
 
     @cached_property
-    def frame(self) -> tuple[list, list, int]:
+    def frame(self) -> Frame:
         """``integer_frame`` of M."""
         return integer_frame(self.M)
 
     @cached_property
-    def alpha_frame(self) -> tuple[list, int]:
+    def alpha_frame(self) -> ScalarFrame:
         """``scalar_frame`` of the alphas."""
         return scalar_frame(self.alphas)
 
     @cached_property
-    def beta_frame(self) -> tuple[list, int]:
+    def beta_frame(self) -> ScalarFrame:
         """``scalar_frame`` of the betas."""
         return scalar_frame(self.betas)
 
 
-def alphas_of(points: Sequence[Vec2], u: CenteredBall, backend: Backend) -> list[Scalar]:
-    """Edge coefficients of a closed list against the ball's edges."""
-    nums, den = framed_alphas(*integer_frame(points), u, backend, points)
-    return [from_frame(a, den) for a in nums]
-
-
-def framed_alphas(xs: list, ys: list, den, u: CenteredBall, backend: Backend,
-                  points: Sequence[Vec2] | None = None) -> tuple[list, int]:
-    """``alphas_of`` on a framed closed list: alpha_i = nums[i] / den_a.
+def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall,
+              backend: Backend) -> ScalarFrame:
+    """Edge coefficients of a closed list against the ball's edges, framed:
+    alpha_i = nums[i] / den.
 
     ``framed_coeffs`` solves edge i of the list along the ball's edge i
     (``CenteredBall.edge_coeff_frame``).  An edge that is not parallel to
-    its ball edge raises IdentityError, at the first such edge.  The points,
-    when given, name it in the error message; otherwise they are built from
-    the frame.
+    its ball edge raises IdentityError, at the first such edge; the message
+    names the points, built from the frame when a frame is given.
     """
-    nums, aden = framed_coeffs(u.edge_coeff_frame, map(sub, xs[1:] + xs[:1], xs),
-                               map(sub, ys[1:] + ys[:1], ys), den, backend)
-    if None in nums:
-        i = nums.index(None)
+    xs, ys, den = f = integer_frame(points)
+    al = framed_coeffs(u.edge_coeff_frame, map(sub, xs[1:] + xs[:1], xs),
+                       map(sub, ys[1:] + ys[:1], ys), den, backend)
+    if None in al.nums:
+        i = al.nums.index(None)
         uv = u.vertices
-        raise _not_parallel(points if points is not None else frame_points(xs, ys, den),
-                            i, uv[(i + 1) % len(uv)] - uv[i])
-    return nums, aden
+        raise _not_parallel(f.points() if points is f else points, i,
+                            uv[(i + 1) % len(uv)] - uv[i])
+    return al
 
 
 def _not_parallel(points: Sequence[Vec2], i: int, d: Vec2) -> IdentityError:
@@ -121,22 +118,18 @@ def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
     return [cs[i + n] - cs[i] for i in range(m)]
 
 
-def betas_of(alphas: Sequence[Scalar], u: CenteredBall) -> list[Scalar]:
-    """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1})."""
-    nums, den = framed_betas(*scalar_frame(alphas), u)
-    return [from_frame(b, den) for b in nums]
-
-
-def framed_betas(nums: list, den, u: CenteredBall) -> tuple[list, int]:
-    """``betas_of`` on framed alphas nums / den: the window sums of alpha_j
-    times the framed edge determinant, over 2 den den_det.  A float frame
-    keeps den = 1, so float betas are the quotients."""
+def betas_of(alphas: Sequence[Scalar] | ScalarFrame, u: CenteredBall) -> ScalarFrame:
+    """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1}),
+    framed: the window sums of alpha_j times the framed edge determinant,
+    over 2 den den_det.  On a float frame the betas are the quotients
+    themselves, over den = 1.0."""
+    nums, den = scalar_frame(alphas)
     dets, dden = u.edge_det_frame
     sums = window_sums([a * d for a, d in zip(nums, dets)], len(nums) // 2)
     scale = 2 * den * dden
-    if sums and isinstance(sums[0], float):
-        return [s / scale for s in sums], 1
-    return sums, scale
+    if isinstance(scale, float):
+        return ScalarFrame([s / scale for s in sums], 1.0)
+    return ScalarFrame(sums, scale)
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
@@ -148,7 +141,7 @@ def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
     degenerate = all(backend.same_point(mid[i], mid[0]) for i in range(1, m))
     al = alphas_of(mid, u, backend)
     be = betas_of(al, u)
-    return CentralEquidistant(M=mid, alphas=al, betas=be, n=plane.n,
+    return CentralEquidistant(M=mid, alphas=al.values(), betas=be.values(), n=plane.n,
                               backend=backend, degenerate=degenerate)
 
 
@@ -172,21 +165,17 @@ def min_convex_c(ce: CentralEquidistant) -> Scalar:
     return max(-a for a in ce.alphas)
 
 
-def lambdas_of(points: Sequence[Vec2], v: CenteredBall, backend: Backend) -> list[Scalar]:
-    """Signed dual-ball edge lengths: P_{i+1} - P_i = lambda_i V_i."""
-    nums, den = framed_lambdas(*integer_frame(points), v, backend)
-    _raise_not_parallel(nums, lambda: points, v)
-    return [from_frame(t, den) for t in nums]
-
-
-def framed_lambdas(xs: Sequence, ys: Sequence, den, v: CenteredBall,
-                   backend: Backend) -> tuple[list, int]:
-    """``lambdas_of`` on a framed open list: lambda_i = nums[i] / den_l.
+def lambdas_of(points: Sequence[Vec2] | Frame, v: CenteredBall,
+               backend: Backend) -> ScalarFrame:
+    """Signed dual-ball edge lengths of an open list, framed: P_{i+1} - P_i =
+    lambda_i V_i with lambda_i = nums[i] / den.
 
     ``framed_coeffs`` solves edge i of the list along V_i
     (``CenteredBall.vertex_coeff_frame``); where it is not parallel,
-    nums[i] is None and the caller decides when to report it.
+    nums[i] is None, and the caller reports it (``_raise_not_parallel``)
+    when it needs that lambda.
     """
+    xs, ys, den = integer_frame(points)
     return framed_coeffs(v.vertex_coeff_frame, map(sub, xs[1:], xs), map(sub, ys[1:], ys),
                          den, backend)
 
@@ -211,7 +200,7 @@ def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scal
     pts = list(arc)
     if closed:
         pts = pts + [pts[0]]
-    nums, den = framed_lambdas(*integer_frame(pts), v, v.backend)
+    nums, den = lambdas_of(pts, v, v.backend)
     _raise_not_parallel(nums, lambda: pts, v)
     return from_frame(_total(nums), den)
 
@@ -246,7 +235,7 @@ class EquidistantFrame:
     * the closed-form half-arc lengths L_V(i, c) = sum_{j=i}^{i+n-1}
       (alpha_j + c) det(U_j, U_{j+1}), as window sums (``window_sums``);
     * the dual edge lengths lambda_j of P(c) itself, P_{j+1} - P_j = lambda_j
-      V_j, from one closed ``framed_lambdas`` pass; their window sums are the
+      V_j, from one closed ``lambdas_of`` pass; their window sums are the
       same half-arc lengths measured directly, and their total is the
       closed dual length;
     * the half areas A1(i) of {P_i, ..., P_{i+n}}, closed by the diagonal,
@@ -272,36 +261,35 @@ class EquidistantFrame:
         return not self.backend.lt(self.c, min_convex_c(self.ce))
 
     @cached_property
-    def frame(self) -> tuple[list, list, int]:
+    def frame(self) -> Frame:
         mx, my, dm = self.ce.frame
         ux, uy, du = self.u.frame
         k, cu = du * self.cd, self.cn * dm
-        return ([x * k + a * cu for x, a in zip(mx, ux)],
-                [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
+        return Frame([x * k + a * cu for x, a in zip(mx, ux)],
+                     [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
 
     @cached_property
-    def half_arc_lengths(self) -> tuple[list, int]:
+    def half_arc_lengths(self) -> ScalarFrame:
         """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
         an, da = self.ce.alpha_frame
         dets, dd = self.u.edge_det_frame
         cd, ca = self.cd, self.cn * da
         terms = [(a * cd + ca) * d for a, d in zip(an, dets)]
-        return window_sums(terms, self.n), da * cd * dd
+        return ScalarFrame(window_sums(terms, self.n), da * cd * dd)
 
-    def lambdas(self, v: CenteredBall) -> tuple[list, int]:
-        """``framed_lambdas`` of the closed P(c): None where edge j is not
-        parallel to V_j.  Kept for the last ball asked for."""
+    def lambdas(self, v: CenteredBall) -> ScalarFrame:
+        """``lambdas_of`` the closed P(c): None where edge j is not parallel
+        to V_j.  Kept for the last ball asked for."""
         if self._lambdas[0] is not v:
             xs, ys, den = self.frame
-            self._lambdas = (v, framed_lambdas(xs + xs[:1], ys + ys[:1], den, v,
-                                               self.backend))
+            self._lambdas = (v, lambdas_of(Frame(xs + xs[:1], ys + ys[:1], den), v,
+                                           self.backend))
         return self._lambdas[1]
 
     def raise_not_parallel(self, v: CenteredBall, order: Sequence[int] | None = None) -> None:
         """IdentityError for the first edge in ``order`` (default: all m)
         that is not parallel to its dual vertex, as ``lambdas_of`` words it."""
-        _raise_not_parallel(self.lambdas(v)[0], lambda: frame_points(*self.frame), v,
-                            order=order)
+        _raise_not_parallel(self.lambdas(v).nums, self.frame.points, v, order=order)
 
     def v_length(self, v: CenteredBall) -> Scalar:
         """The dual length of the closed P(c), the total of its lambdas."""
@@ -310,14 +298,14 @@ class EquidistantFrame:
         return from_frame(_total(nums), den)
 
     @cached_property
-    def half_areas(self) -> tuple[list, int]:
+    def half_areas(self) -> ScalarFrame:
         """A1(i) = nums[i] / den for i = 0 .. m-1."""
         xs, ys, den = self.frame
         n, m = self.n, self.m
         terms = [xs[j] * ys[(j + 1) % m] - ys[j] * xs[(j + 1) % m] for j in range(m)]
         sums = window_sums(terms, n)
-        return ([s + (xs[(i + n) % m] * ys[i] - ys[(i + n) % m] * xs[i])
-                 for i, s in enumerate(sums)], 2 * den * den)
+        return ScalarFrame([s + (xs[(i + n) % m] * ys[i] - ys[(i + n) % m] * xs[i])
+                            for i, s in enumerate(sums)], 2 * den * den)
 
     def area(self) -> Scalar:
         """Shoelace area of P(c): A1(0) + A2(0)."""

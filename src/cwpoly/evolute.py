@@ -13,12 +13,15 @@ pair (V, W), where W = dual_ball(V) is U reindexed, W_i = U_{i+n+1} =
 slot i of U, and edge slot i of (V, W) is vertex slot i + 1 of U.  So an
 edge-world map is the vertex-world map on (V, W) with its edge-indexed
 results read one slot later: the coefficients b_i of X_i - X_{i-1} along
-V_i - V_{i-1} are ``alphas_of(X, V)[i - 1]``, the evolute of an edge-world
-polygon at vertex i is ``evolute(X, V, W).E[i - 1]``, and
-``dual_involute`` is ``involute`` on (V, W), one slot later.
-``signed_area_gap`` and ``convex_parent_of_m`` serve both worlds
-unchanged, given (V, W) for the edge world, and ``cw.ladder_cusps`` gives
-the cusps of both (``evolute_cusps``).
+V_i - V_{i-1} are the alphas of X on (V, W) one slot later
+(``edge_world_coeffs``), the evolute of an edge-world polygon at vertex i
+is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is
+``involute_points`` on (V, W), one slot later.  ``signed_area_gap`` and
+``convex_parent_of_m`` serve both worlds unchanged, given (V, W) for the
+edge world, and ``cw.ladder_cusps`` gives the cusps of both
+(``evolute_cusps``).  ``involute_points``, ``dual_involute``,
+``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
+frame (see ``core``); the involutes return frames.
 """
 from __future__ import annotations
 
@@ -35,21 +38,21 @@ from .core import (
     InputError,
     PairedPolygon,
     Vec2,
+    Frame,
+    ScalarFrame,
     chord_frame,
-    doubled_points,
     exact_points,
-    framed_mixed_area,
     from_frame,
     integer_frame,
+    mixed_area,
     point_key,
-    reduce_frame,
     scalar_frame,
 )
 from .cw import (
     CentralEquidistant,
+    _raise_not_parallel,
     alphas_of,
-    framed_alphas,
-    framed_betas,
+    betas_of,
     ladder_cusps,
     lambdas_of,
 )
@@ -83,8 +86,10 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     n = m // 2
     uv = u.vertices
     d = u.edge_dets
-    lam = lambdas_of(list(points) + [points[0]], v, backend)
-    mus = [lam[i] / d[i] for i in range(m)]
+    closed = list(points) + [points[0]]
+    lam = lambdas_of(closed, v, backend)
+    _raise_not_parallel(lam.nums, lambda: closed, v)
+    mus = [t / di for t, di in zip(lam.values(), d)]
     out = []
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]
@@ -111,48 +116,43 @@ class Involute:
     degenerate: bool
 
 
-def involute_points(points: Sequence[Vec2], betas: Sequence[Scalar],
-                    d: CenteredBall, backend: Backend) -> list[Vec2]:
-    """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X.
+def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | ScalarFrame,
+                    d: CenteredBall, backend: Backend) -> Frame:
+    """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X, framed.
 
     The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
-    vertex world and W for the edge world (see the module docstring).  N
-    repeats after n slots (N_{i+n} = N_i) and is returned as its first n
-    vertices twice, so float rounding cannot make its halves differ.
-    """
-    return doubled_points(*framed_involute(*integer_frame(points), *scalar_frame(betas), d,
-                                           backend))
-
-
-def framed_involute(xs: list, ys: list, xden, bs: list, bden, d: CenteredBall,
-                    backend: Backend) -> tuple[list, list, int]:
-    """``involute_points`` on a framed X and framed betas; returns N's frame.
-
-    Both forms are built and compared on one common denominator of X and
+    vertex world and W for the edge world (see the module docstring).  Both
+    forms are built and compared on one common denominator of X and
     beta D, lcm(den(X), den(beta) den(D)); for the betas of X itself it is
-    den(beta) den(D).  N_{i+n} = N_i is checked on the same numerators for
-    all 2n slots.  The first n vertices are then divided by their content
-    (``reduce_frame``) and listed twice, so the frame is exactly
-    ``integer_frame`` of the stored vertices.
+    den(beta) den(D).  N repeats after n slots (N_{i+n} = N_i), which is
+    checked on the same numerators for all 2n slots.  The first n vertices
+    are then divided by their content (``Frame.reduced``) and listed twice,
+    so the frame is exactly ``integer_frame`` of its points, and float
+    rounding cannot make its halves differ.
     """
+    xs, ys, xden = x = integer_frame(points)
+    bs, bden = scalar_frame(betas)
     m = len(xs)
     n = m // 2
     dx, dy, dden = d.frame
-    den = math.lcm(xden, bden * dden)
-    sx, sb = den // xden, den // (bden * dden)
+    den = xden
+    if x.exact:  # X and beta on the common denominator
+        den = math.lcm(xden, bden * dden)
+        sx, sb = den // xden, den // (bden * dden)
+        xs, ys, bs = [v * sx for v in xs], [v * sx for v in ys], [b * sb for b in bs]
     nx, ny = [], []
     for i in range(m):
         j = i + 1 if i + 1 < m else 0
-        n1x, n1y = xs[i] * sx + dx[i] * bs[i] * sb, ys[i] * sx + dy[i] * bs[i] * sb
-        n2x, n2y = xs[j] * sx + dx[i] * bs[j] * sb, ys[j] * sx + dy[i] * bs[j] * sb
+        n1x, n1y = xs[i] + dx[i] * bs[i], ys[i] + dy[i] * bs[i]
+        n2x, n2y = xs[j] + dx[i] * bs[j], ys[j] + dy[i] * bs[j]
         if not (backend.eq(n1x, n2x) and backend.eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
         if i >= n and not (backend.eq(n1x, nx[i - n]) and backend.eq(n1y, ny[i - n])):
             raise IdentityError(f"involute halves differ at edge {i - n}")
         nx.append(n1x)
         ny.append(n1y)
-    nx, ny, den = reduce_frame(nx[:n], ny[:n], den)
-    return nx * 2, ny * 2, den
+    nx, ny, den = Frame(nx[:n], ny[:n], den).reduced()
+    return Frame(nx * 2, ny * 2, den)
 
 
 def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
@@ -162,7 +162,7 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     computed and must agree exactly; the result has zero diagonals.
     """
     backend = ce.backend
-    out = involute_points(ce.M, ce.betas, v, backend)
+    out = involute_points(ce.frame, ce.beta_frame, v, backend).doubled()
     degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
     return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
                     degenerate=degenerate)
@@ -176,55 +176,40 @@ def _later(values: list) -> list:
 def edge_world_coeffs(points: Sequence[Vec2], v: CenteredBall,
                       backend: Backend) -> list[Scalar]:
     """Coefficients b_i with X_i - X_{i-1} = b_i (V_i - V_{i-1})."""
-    return _later(alphas_of(points, v, backend))
+    return _later(alphas_of(points, v, backend).values())
 
 
-def dual_involute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
-                  backend: Backend):
+def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
+                  backend: Backend) -> tuple[Frame, ScalarFrame]:
     """Involute of an edge-indexed central polygon (edge world -> vertex world).
 
-    ``involute`` on the ball pair (V, W), one slot later.  Returns
-    (vertices M', mu) with M'_i = N_i + mu_i U_i, whose evolute is the input;
-    mu is the alpha ladder of M' and minus the (V, W) betas of the input.
+    ``involute_points`` on the ball pair (V, W), one slot later.  Returns
+    the frames of M' and of mu, M'_i = N_i + mu_i U_i, whose evolute is the
+    input; mu is the alpha ladder of M' and minus the (V, W) betas of the
+    input.
     """
-    m_frame, (bs, bden) = framed_dual_involute(*integer_frame(points), u, v, backend)
-    return doubled_points(*m_frame), [-from_frame(b, bden) for b in bs]
+    x = integer_frame(points)
+    bs, bden = be = betas_of(alphas_of(x, v, backend), v)
+    mx, my, mden = involute_points(x, be, u.second_dual, backend)
+    return Frame(_later(mx), _later(my), mden), ScalarFrame([-b for b in bs], bden)
 
 
-def framed_dual_involute(xs: list, ys: list, den, u: CenteredBall, v: CenteredBall,
-                         backend: Backend):
-    """``dual_involute`` on a framed input: returns (frame of M', frame of the
-    (V, W) betas b), with mu = -b."""
-    be = framed_betas(*framed_alphas(xs, ys, den, v, backend), v)
-    mx, my, mden = framed_involute(xs, ys, den, *be, u.second_dual, backend)
-    return (_later(mx), _later(my), mden), be
-
-
-def signed_area(points: Sequence[Vec2]) -> Scalar:
+def signed_area(points: Sequence[Vec2] | Frame) -> Scalar:
     """Signed area SA(X) = -A(X, X) of a closed (doubled) central polygon.
 
     Nonnegative for central equidistants and their involutes.
     """
-    return framed_signed_area(*integer_frame(points))
+    return -mixed_area(points, points)
 
 
-def framed_signed_area(xs: list, ys: list, den) -> Scalar:
-    """``signed_area`` of a framed polygon."""
-    return -from_frame(framed_mixed_area(xs, ys, xs, ys), 2 * den * den)
-
-
-def signed_area_gap(betas: Sequence[Scalar], v: CenteredBall) -> Scalar:
+def signed_area_gap(betas: Sequence[Scalar] | ScalarFrame, v: CenteredBall) -> Scalar:
     """Right side of the area drop under one involute step:
     sum over half the vertices of beta_i^2 det(V_{i-1}, V_i).
 
     For the edge-world step pass the mu ladder and W: det(W_{i-1}, W_i) =
     det(U_i, U_{i+1}).
     """
-    return framed_signed_area_gap(*scalar_frame(betas), v)
-
-
-def framed_signed_area_gap(nums: list, den, v: CenteredBall) -> Scalar:
-    """``signed_area_gap`` of framed betas nums / den."""
+    nums, den = scalar_frame(betas)
     dets, dden = v.edge_det_frame
     acc = 0
     for i, b in enumerate(nums[:len(nums) // 2]):

@@ -7,12 +7,12 @@ squares, the bounded regions nest, and both sequences collapse to a single
 point O, the central point of the polygon.
 
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
-beta ladder passes from one kernel to the next as integers over one
-denominator, and every new polygon is reduced by one content gcd.  A
+beta ladder passes from one public function to the next as a ``Frame`` or
+``ScalarFrame``, and every new polygon is reduced by one content gcd.  A
 ``Fraction`` is built only where a value leaves the ladder: the stored
 vertices of M(k) and N(k) and the four ledger scalars of each step.
 ``check_trace`` recomputes the ledger from the stored vertices, framing
-each polygon once.
+each polygon once and passing that frame to the same public functions.
 """
 from __future__ import annotations
 
@@ -20,26 +20,26 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import InputError, PairedPolygon, Vec2, doubled_points, from_frame, integer_frame
+from .core import Frame, InputError, PairedPolygon, ScalarFrame, Vec2, integer_frame
 from .cw import (
     CentralEquidistant,
     alphas_of,
+    betas_of,
     central_equidistant,
-    framed_alphas,
-    framed_betas,
     offset_points,
 )
 from .evolute import (
     _later,
     containment_check,
+    dual_involute,
     evolute,
-    framed_dual_involute,
-    framed_involute,
-    framed_signed_area,
-    framed_signed_area_gap,
+    involute_points,
+    signed_area,
+    signed_area_gap,
 )
 
 DEFAULT_TOL = 1e-9
@@ -47,15 +47,11 @@ DEFAULT_STEPS_RATIONAL = 64
 DEFAULT_STEPS_FLOAT = 10_000
 
 
-def diameter_sq(points) -> Scalar:
-    """Max squared Euclidean distance over pairs of a nonempty point list
-    (exact in rational mode, on the integer frame of the points)."""
+def diameter_sq(points: Sequence[Vec2] | Frame) -> ScalarFrame:
+    """Max squared Euclidean distance over pairs of a nonempty point list,
+    framed: the one value nums[0] / den, exact in rational mode, on the
+    integer frame of the points."""
     xs, ys, den = integer_frame(points)
-    return from_frame(framed_diameter_sq(xs, ys), den * den)
-
-
-def framed_diameter_sq(xs, ys):
-    """``diameter_sq`` of framed points, times den^2."""
     best = xs[0] - xs[0]  # zero, as an int or a float like the frame
     for i in range(len(xs)):
         xi, yi = xs[i], ys[i]
@@ -65,7 +61,7 @@ def framed_diameter_sq(xs, ys):
             v = dx * dx + dy * dy
             if v > best:
                 best = v
-    return best
+    return ScalarFrame([best], den * den)
 
 
 @dataclass
@@ -165,62 +161,55 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
 
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
-    k is the number of steps taken.  Each polygon passes from kernel to
-    kernel as its integer frame, and the alpha and beta ladders as integers
-    over one denominator; the stored vertices and the ledger scalars are
-    built from those frames.  M(k) and N(k) repeat after n vertices (X_{i+n}
-    = X_i), and ``framed_involute`` and ``evolute`` return them as their
-    first n vertices twice, so every stored polygon, the evolute N(0)
-    included, is doubled, and its diameter runs over those n.  In exact
-    arithmetic the two halves are already equal; in float this keeps
+    k is the number of steps taken.  Each polygon passes from one public
+    function to the next as its ``Frame``, and the alpha and beta ladders as
+    ``ScalarFrame``s; the stored vertices and the ledger scalars are built
+    from those frames.  M(k) and N(k) repeat after n vertices (X_{i+n} =
+    X_i), and ``involute_points`` and ``evolute`` return them as their first
+    n vertices twice, so every stored polygon, the evolute N(0) included, is
+    doubled; it is built and measured from its first half (``Frame.half``).
+    In exact arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
     instead of letting it drift off that space, where the step amplifies it.
     The squared diameter of each M(k) is measured once and serves the stop
     test and ``diam_m``.
     """
     backend = plane.backend
-    n = plane.n
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
-    cur = list(ce.M)
-    e = ev.E
-    m_frame, n_frame = integer_frame(cur), integer_frame(e)
-    d2 = _half_diameter_sq(m_frame, n)
-    sa_m, sa_n = framed_signed_area(*m_frame), framed_signed_area(*n_frame)
+    m_frame, n_frame = ce.frame, integer_frame(ev.E)
+    d2 = diameter_sq(m_frame.half())
+    sa_m, sa_n = signed_area(m_frame), signed_area(n_frame)
     steps = [IterationStep(
-        k=0, M=cur, N=e, sa_m=sa_m, sa_n=sa_n,
+        k=0, M=list(ce.M), N=ev.E, sa_m=sa_m, sa_n=sa_n,
         gap_mn=0, gap_nm=sa_n - sa_m,
-        diam_m=_sqrt(*d2), diam_n=_sqrt(*_half_diameter_sq(n_frame, n)),
+        diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
     for k in range(1, max_steps + 1):
-        if _below(*d2, tol2):
+        if _below(d2, tol2):
             break
-        be = framed_betas(*framed_alphas(*m_frame, u, backend), u)
-        n_frame = framed_involute(*m_frame, *be, v, backend)
-        # the (V, W) betas b of N(k+1); gap_nm squares mu = -b
-        m_frame, dual_be = framed_dual_involute(*n_frame, u, v, backend)
-        d2 = _half_diameter_sq(m_frame, n)
+        be = betas_of(alphas_of(m_frame, u, backend), u)
+        n_frame = involute_points(m_frame, be, v, backend)
+        m_frame, mu = dual_involute(n_frame, u, v, backend)
+        m_half, n_half = m_frame.half(), n_frame.half()
+        d2 = diameter_sq(m_half)
         steps.append(IterationStep(
-            k=k, M=doubled_points(*m_frame), N=doubled_points(*n_frame),
-            sa_m=framed_signed_area(*m_frame), sa_n=framed_signed_area(*n_frame),
-            gap_mn=framed_signed_area_gap(*be, v), gap_nm=framed_signed_area_gap(*dual_be, w),
-            diam_m=_sqrt(*d2), diam_n=_sqrt(*_half_diameter_sq(n_frame, n)),
+            k=k, M=m_half.points() * 2, N=n_half.points() * 2,
+            sa_m=signed_area(m_frame), sa_n=signed_area(n_frame),
+            gap_mn=signed_area_gap(be, v), gap_nm=signed_area_gap(mu, w),
+            diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_half)),
         ))
-    return len(steps) - 1, steps, "tol" if _below(*d2, tol2) else "max_steps"
+    return len(steps) - 1, steps, "tol" if _below(d2, tol2) else "max_steps"
 
 
-def _half_diameter_sq(frame, n: int):
-    """(num, den) of the squared diameter of the first n framed points."""
-    xs, ys, den = frame
-    return framed_diameter_sq(xs[:n], ys[:n]), den * den
-
-
-def _sqrt(num, den) -> float:
-    """sqrt(num / den) as a float; the integer quotient is correctly rounded,
-    as ``float`` of the Fraction would be.  A quotient beyond float range
-    (a squared diameter above about 1.8e308) is rooted by ``math.isqrt`` of
-    its integer part instead, which is within one unit in the last place;
-    OverflowError is left only for a root beyond float range."""
+def _sqrt(value: ScalarFrame) -> float:
+    """sqrt(num / den) of a framed value as a float; the integer quotient is
+    correctly rounded, as ``float`` of the Fraction would be.  A quotient
+    beyond float range (a squared diameter above about 1.8e308) is rooted
+    by ``math.isqrt`` of its integer part instead, which is within one unit
+    in the last place; OverflowError is left only for a root beyond float
+    range."""
+    (num,), den = value
     try:
         return math.sqrt(num / den)
     except OverflowError:
@@ -243,9 +232,10 @@ def _sci(x) -> str:
         return f"{Decimal(x.numerator) / Decimal(x.denominator):.3e}"
 
 
-def _below(num, den, bound: Fraction) -> bool:
+def _below(value: ScalarFrame, bound: Fraction) -> bool:
     """num / den < bound, exactly, for a framed value with den > 0."""
-    if isinstance(num, float):
+    (num,), den = value
+    if isinstance(den, float):
         return num / den < bound
     return num * bound.denominator < bound.numerator * den
 
@@ -273,7 +263,7 @@ def convex_parent_of_m(m_points, u, backend) -> list[Vec2]:
 
     Given V for u, the convex dual-width equidistant of an edge-world polygon.
     """
-    c = max(-a for a in alphas_of(m_points, u, backend)) + 1
+    c = max(-a for a in alphas_of(m_points, u, backend).values()) + 1
     return offset_points(m_points, u, c)
 
 
@@ -303,8 +293,8 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     steps = trace.steps
     m_frames = [integer_frame(s.M) for s in steps]
     n_frames = [None] + [integer_frame(s.N) for s in steps[1:]]
-    sa_m = [framed_signed_area(*f) for f in m_frames]
-    sa_n = [None] + [framed_signed_area(*f) for f in n_frames[1:]]
+    sa_m = [signed_area(f) for f in m_frames]
+    sa_n = [None] + [signed_area(f) for f in n_frames[1:]]
 
     chain: list[Scalar] = []
     for idx in range(len(steps)):
@@ -323,15 +313,15 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     for idx in range(1, len(steps)):
         cur = steps[idx]
         # the edge-world coefficients b_i of N(k), one slot after its alphas
-        be, bden = framed_alphas(*n_frames[idx], v, backend, cur.N)
+        be, bden = alphas_of(n_frames[idx], v, backend)
         lhs = sa_m[idx - 1] - sa_n[idx]
-        rhs = framed_signed_area_gap(_later(be), bden, v)
+        rhs = signed_area_gap(ScalarFrame(_later(be), bden), v)
         if not backend.eq(lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
         lhs2 = sa_n[idx] - sa_m[idx]
-        rhs2 = framed_signed_area_gap(*framed_alphas(*m_frames[idx], u, backend, cur.M), w)
+        rhs2 = signed_area_gap(alphas_of(m_frames[idx], u, backend), w)
         if not backend.eq(lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"

@@ -256,7 +256,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
-        back, _ = dual_involute(ev.E, u, v, backend)
+        back = dual_involute(ev.E, u, v, backend)[0].doubled()
         ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "involute of the evolute is M", ok
     guarded("involute.of_evolute", "involute of the evolute is M",

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwpoly import (
@@ -18,22 +18,17 @@ from cwpoly import (
     mixed_area,
     point_region_test,
     polygon_area,
+    signed_area,
     vec,
 )
 from cwpoly.backend import FLOAT, RATIONAL
-from cwpoly.core import RegionTest, coeff_along, integer_frame, reduce_frame
-from cwpoly.cw import alphas_of, betas_of, central_equidistant, framed_alphas, framed_betas
-from cwpoly.evolute import (
-    dual_involute,
-    framed_dual_involute,
-    framed_involute,
-    involute_points,
-    signed_area_gap,
-)
-from cwpoly.fuzz import random_centered_ball, random_convex_polygon
+from cwpoly.core import Frame, RegionTest, coeff_along, integer_frame, scalar_frame
+from cwpoly.cw import alphas_of, betas_of, central_equidistant, lambdas_of
+from cwpoly.evolute import dual_involute, involute_points, signed_area_gap
+from cwpoly.fuzz import random_centered_ball, random_convex_polygon, random_cw_plane
 from cwpoly.iterate import diameter_sq
 
-from conftest import fuzz_planes
+from conftest import float_copy, fuzz_planes
 
 TRI = [Vec2(F(0), F(0)), Vec2(F(1), F(0)), Vec2(F(0), F(1))]
 HEX_U = [Vec2(F(x), F(y)) for x, y in
@@ -338,7 +333,7 @@ def test_integer_frame_shares_one_denominator(pts):
 def test_reduce_frame_gives_integer_frame(pts, c):
     # one content gcd takes any multiple of a point list's frame back to it
     xs, ys, den = integer_frame(pts)
-    got = reduce_frame([x * c for x in xs], [y * c for y in ys], den * c)
+    got = Frame([x * c for x in xs], [y * c for y in ys], den * c).reduced()
     assert got == (xs, ys, den)
     assert all(type(v) is int for v in got[0] + got[1] + [got[2]])
 
@@ -350,13 +345,13 @@ def test_involute_kernels_return_integer_frame():
         m_pts = central_equidistant(plane).M
         m_frame = integer_frame(m_pts)
         for _ in range(3):
-            be = framed_betas(*framed_alphas(*m_frame, u, RATIONAL), u)
-            n_frame = framed_involute(*m_frame, *be, v, RATIONAL)
+            be = betas_of(alphas_of(m_frame, u, RATIONAL), u)
+            n_frame = involute_points(m_frame, be, v, RATIONAL)
             n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u, RATIONAL), u), v,
-                                    RATIONAL)
+                                    RATIONAL).doubled()
             assert n_frame == integer_frame(n_pts)
-            m_frame = framed_dual_involute(*n_frame, u, v, RATIONAL)[0]
-            m_pts = dual_involute(n_pts, u, v, RATIONAL)[0]
+            m_frame = dual_involute(n_frame, u, v, RATIONAL)[0]
+            m_pts = dual_involute(n_pts, u, v, RATIONAL)[0].doubled()
             assert m_frame == integer_frame(m_pts)
 
 
@@ -371,16 +366,17 @@ def test_framed_areas_and_diameter_exact(p, q4, r4):
     for got, want in ((polygon_area(p), ref_shoelace(_exact(p))),
                       (mixed_area(q4, r4), ref_mixed(_exact(q4), _exact(r4))),
                       (mixed_area(p, p), ref_mixed(_exact(p), _exact(p))),
-                      (diameter_sq(p), ref_diameter_sq(_exact(p)))):
+                      (diameter_sq(p).values()[0], ref_diameter_sq(_exact(p)))):
         assert type(got) is F and got == want
 
 
 @given(_polys(float_coords), _polys(float_coords, 4, 4), _polys(float_coords, 4, 4))
 def test_framed_areas_and_diameter_float_bitwise(p, q4, r4):
-    for got, want in ((polygon_area(p), ref_shoelace(p)),
+    # polygon_area is mixed_area(p, p), the one shoelace
+    for got, want in ((polygon_area(p), ref_mixed(p, p)),
                       (mixed_area(q4, r4), ref_mixed(q4, r4)),
                       (mixed_area(p, p), ref_mixed(p, p)),
-                      (diameter_sq(p), ref_diameter_sq(p))):
+                      (diameter_sq(p).values()[0], ref_diameter_sq(p))):
         assert got == want and type(got) is type(want)
 
 
@@ -394,7 +390,7 @@ def test_framed_ladders_exact(seed, n, data):
     pts = [Vec2(F(data.draw(mixed_coords)), F(data.draw(mixed_coords)))]
     for i in range(2 * n - 1):
         pts.append(pts[-1] + (uv[i + 1] - uv[i]) * alphas[i])
-    got = alphas_of(pts, u, RATIONAL)
+    got = alphas_of(pts, u, RATIONAL).values()
     assert got == alphas and all(type(a) is F for a in got)
     gap = signed_area_gap(alphas, u)
     assert type(gap) is F and gap == ref_gap(alphas, uv)
@@ -421,7 +417,7 @@ def test_framed_ladders_float_bitwise(seed, n, data):
         w, d = pts[(i + 1) % m] - pts[i], uv[(i + 1) % m] - uv[i]
         want.append(w.x / d.x if abs(d.x) >= abs(d.y) else w.y / d.y)
         assert coeff_along(w, d, FLOAT) == want[-1]
-    assert alphas_of(pts, u, FLOAT) == want
+    assert alphas_of(pts, u, FLOAT).values() == want
 
 
 def test_framed_coeff_not_parallel_message():
@@ -481,3 +477,60 @@ def test_region_symmetric_center_on_finer_frame():
     # near the center: the reflected square shares the vertical sides
     assert chord_count(Vec2(F(1, 2), F(4, 7)), sq) == RegionTest(None, True, False)
     assert chord_count(Vec2(F(1, 3), F(1, 4)), sq) == RegionTest(1, False, False)
+
+
+# --- one function per formula: a point list and its Frame give one result ------
+
+def _same(got, want, exact):
+    # exactly equal on the rational backend; bitwise (repr) on the float one
+    assert got == want
+    if not exact:
+        assert repr(got) == repr(want)
+
+
+def _raises_same(fn, *variants):
+    texts = set()
+    for args in variants:
+        with pytest.raises(IdentityError) as e:
+            fn(*args)
+        texts.add(str(e.value))
+    assert len(texts) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([None, 1e-3, 1.0]))
+def test_merged_functions_agree_on_points_and_frames(seed, scale):
+    plane = random_cw_plane(random.Random(seed), 3, 7)
+    if scale is not None:
+        plane = float_copy(plane, scale)
+    be, u, v = plane.backend, plane.U, plane.V
+    ce = central_equidistant(plane)
+    m_pts, p_pts = ce.M, plane.P.vertices
+    n_pts = involute_points(m_pts, ce.betas, v, be).points()
+    closed = p_pts + p_pts[:1]
+    fm, fp, fn, fc = (integer_frame(x) for x in (m_pts, p_pts, n_pts, closed))
+    betas = betas_of(ce.alphas, u).values()
+    fb = scalar_frame(betas)
+    cases = [
+        (alphas_of, (m_pts, u, be), (fm, u, be)),
+        (betas_of, (ce.alphas, u), (scalar_frame(ce.alphas), u)),
+        (lambdas_of, (closed, v, be), (fc, v, be)),
+        (involute_points, (m_pts, betas, v, be), (fm, fb, v, be)),
+        (dual_involute, (n_pts, u, v, be), (fn, u, v, be)),
+        (signed_area, (m_pts,), (fm,)),
+        (signed_area_gap, (betas, v), (fb, v)),
+        (mixed_area, (p_pts, u.vertices), (fp, u.frame)),
+        (polygon_area, (p_pts,), (fp,)),
+        (diameter_sq, (p_pts,), (fp,)),
+    ]
+    for fn_, from_points, from_frame_ in cases:
+        _same(fn_(*from_points), fn_(*from_frame_), be.exact)
+    # a vertex moved off its ball edges: the same error from either form
+    bump = be.convert(F(1, 7))
+    bad = list(m_pts)
+    bad[1] = bad[1] + Vec2(bump, 2 * bump)
+    _raises_same(alphas_of, (bad, u, be), (integer_frame(bad), u, be))
+    bad_n = list(n_pts)
+    bad_n[1] = bad_n[1] + Vec2(bump, 2 * bump)
+    _raises_same(dual_involute, (bad_n, u, v, be), (integer_frame(bad_n), u, v, be))
+    _raises_same(involute_points, (bad, betas, v, be), (integer_frame(bad), fb, v, be))

@@ -28,7 +28,7 @@ from cwpoly import verify
 from cwpoly.backend import FLOAT, RATIONAL
 from cwpoly.ball import det_table, framed_widths
 from cwpoly.core import CenteredBall, from_frame, integer_frame
-from cwpoly.cw import EquidistantFrame, alphas_of, framed_alphas, ladder_cusps, window_sums
+from cwpoly.cw import EquidistantFrame, alphas_of, ladder_cusps, window_sums
 from cwpoly.fuzz import random_cw_plane, random_rational
 from cwpoly.verify import _s
 
@@ -100,6 +100,16 @@ def test_v_length_central_is_zero():
         assert v_length(ce.M, plane.V, closed=True) == 0
 
 
+def test_v_length_of_one_point_has_the_backend_type(triangle_plane):
+    # a one-point arc has no edge, so its length is the empty sum: 0.0 on
+    # the float backend, a Fraction on the rational one
+    got = v_length([triangle_plane.P.vertices[0]], triangle_plane.V)
+    assert type(got) is F and got == 0
+    plane = float_copy(triangle_plane, 1.0)
+    got = v_length([plane.P.vertices[0]], plane.V)
+    assert type(got) is float and got == 0.0
+
+
 def test_v_length_rejects_nonparallel(triangle_plane):
     arc = [vec(0, 0), vec(1, 1)]
     with pytest.raises(IdentityError):
@@ -132,9 +142,9 @@ def test_not_parallel_on_closing_edge(scale):
         with pytest.raises(IdentityError) as e:
             alphas_of(pts, plane.U, be)
         assert str(e.value) == text
-        # without the points, the error is worded from the frame
+        # given a Frame, the error is worded from the frame's points
         with pytest.raises(IdentityError) as e:
-            framed_alphas(*integer_frame(pts), plane.U, be)
+            alphas_of(integer_frame(pts), plane.U, be)
         assert str(e.value) == text
         pts = _closing_edge_only(vv)
         with pytest.raises(IdentityError) as e:

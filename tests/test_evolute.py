@@ -77,7 +77,7 @@ def test_evolute_without_dual_ball_agrees(quad_plane):
     # P_{i+1} - P_i = mu_i (U_{i+1} - U_i)
     pts, u = quad_plane.P.vertices, quad_plane.U
     ev = evolute(pts, u, quad_plane.V)
-    mus = alphas_of(pts, u, quad_plane.backend)
+    mus = alphas_of(pts, u, quad_plane.backend).values()
     assert ev.mus == mus
     assert ev.E == [pts[i] - u.vertices[i] * mus[i] for i in range(len(pts))]
 
@@ -115,16 +115,16 @@ def test_involute_constant_dual_width_structure():
 def test_involute_of_translate_on_general_denominator():
     # a translate of M has the same alphas, so the same betas; its frame's
     # denominator no longer divides den(beta) den(V), so the one common
-    # denominator of framed_involute, lcm(den(X), den(beta) den(V)), is
+    # denominator of involute_points, lcm(den(X), den(beta) den(V)), is
     # larger than den(beta) den(V)
     plane = random_cw_plane(random.Random(1), 3, 5)
     ce = central_equidistant(plane)
     shift = Vec2(F(1, 7), F(2, 7))
     moved = [p + shift for p in ce.M]
-    assert alphas_of(moved, plane.U, plane.backend) == ce.alphas
+    assert alphas_of(moved, plane.U, plane.backend).values() == ce.alphas
     xden = integer_frame(moved)[2]
     assert (scalar_frame(ce.betas)[1] * plane.V.frame[2]) % xden != 0
-    got = involute_points(moved, ce.betas, plane.V, plane.backend)
+    got = involute_points(moved, ce.betas, plane.V, plane.backend).doubled()
     vv = plane.V.vertices
     assert got == [moved[i] + vv[i] * ce.betas[i] for i in range(2 * plane.n)]
 
@@ -137,7 +137,7 @@ def test_float_involute_halves_equal():
         n = plane.n
         inv = involute(central_equidistant(plane), plane.V)
         assert inv.N[n:] == inv.N[:n]
-        back, _ = dual_involute(inv.N, plane.U, plane.V, plane.backend)
+        back = dual_involute(inv.N, plane.U, plane.V, plane.backend)[0].doubled()
         assert back[n:] == back[:n]
 
 
@@ -149,7 +149,7 @@ def test_involute_evolute_roundtrip():
         back = evolute(inv.N, plane.V, plane.W, plane.backend).E
         assert back[-1:] + back[:-1] == ce.M
         ev = evolute(plane.P.vertices, plane.U, plane.V)
-        back, _ = dual_involute(ev.E, plane.U, plane.V, plane.backend)
+        back = dual_involute(ev.E, plane.U, plane.V, plane.backend)[0].doubled()
         assert back == ce.M
         # edge coefficients of the involute are the betas of M
         assert edge_world_coeffs(inv.N, plane.V, plane.backend) == ce.betas
@@ -343,7 +343,7 @@ def test_winding_frame_matches_chord_frame(seed, edge_world, clockwise, extra, r
     plane = random_cw_plane(random.Random(seed), n_min=3, n_max=8)
     ce = central_equidistant(plane)
     curve, ball = (involute(ce, plane.V).N, plane.V) if edge_world else (ce.M, plane.U)
-    c = max(abs(a) for a in alphas_of(curve, ball, plane.backend)) + extra
+    c = max(abs(a) for a in alphas_of(curve, ball, plane.backend).values()) + extra
     q = [p + d * c for p, d in zip(curve, ball.vertices)][::-1 if clockwise else 1]
     oracle, frame = ChordFrame(q), chord_frame(q)
     assert isinstance(frame, WindingFrame)
@@ -438,7 +438,7 @@ def test_evolute_cusps_are_alpha_sign_changes_on_v():
         ev = evolute(plane.P.vertices, plane.U, plane.V)
         if ev.degenerate:
             continue
-        alphas = alphas_of(ev.E, plane.V, plane.backend)
+        alphas = alphas_of(ev.E, plane.V, plane.backend).values()
         assert evolute_cusps(ev) == ladder_cusps(alphas, plane.n, plane.backend)
 
 

@@ -1,14 +1,16 @@
-"""The names the benchmark's per-layer tracer patches exist in the package."""
+"""The names the benchmark's per-layer tracer patches exist in the package,
+the tracer sees the ladder's public functions, and the size sweep runs."""
 import importlib
 import importlib.util
 from pathlib import Path
 
 from cwpoly import iterate, iterate_involutes, kernels
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 def _tracer_module():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -30,3 +32,25 @@ def test_traced_ladder_counts_steps(triangle_plane):
         trace = iterate_involutes(triangle_plane, max_steps=5, tol=1e-300)
     assert tr.stats["kernels.iterate_float"][0] == 1
     assert len(results) == 1 and results[0][0] == len(trace.steps) - 1 == 5
+
+
+def test_tracer_sees_the_ladder(quad_plane):
+    # each step of the ladder calls the public functions, so the tracer
+    # counts them: per step two diameters, one dual involute, one alpha
+    # ladder, and the central equidistant's alphas before the first step
+    with _tracer_module().Tracer() as tr:
+        iterate_involutes(quad_plane, max_steps=5, tol=1e-300)
+    calls = {name: stat[0] for name, stat in tr.stats.items()}
+    assert calls["iterate.diameter_sq"] == 12
+    assert calls["evolute.dual_involute"] == 5
+    assert calls["cw.alphas_of"] > 1
+
+
+def test_sweep_times_every_stage(monkeypatch):
+    # the per-stage sweep calls evolute(points, U, V, backend) and
+    # convex_parent_of_m(M, U, backend); on the 5-gon every stage runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sweep = importlib.import_module("sweep")
+    row = sweep.sweep_one(5)
+    assert set(row["seconds"]) == set(sweep.STAGES) and not row["skipped"]
+    assert row["checks_ok"] is True
