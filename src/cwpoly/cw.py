@@ -195,9 +195,14 @@ def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scal
 
     The arc's edge i must be parallel to the dual vertex V_i; negative
     coefficients (arcs past cusps) are allowed.  With closed=True the
-    wrap-around edge is included.
+    wrap-around edge is included.  An arc with no edges has length zero in
+    the ball's backend; closing an empty arc raises InputError.
     """
     pts = list(arc)
+    if not pts:
+        if closed:
+            raise InputError("v_length cannot close an arc with no points")
+        return v.backend.convert(0)
     if closed:
         pts = pts + [pts[0]]
     nums, den = lambdas_of(pts, v, v.backend)

@@ -9,10 +9,13 @@ point O, the central point of the polygon.
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
 ``ScalarFrame``, and every new polygon is reduced by one content gcd.  A
-``Fraction`` is built only where a value leaves the ladder: the stored
-vertices of M(k) and N(k) and the four ledger scalars of each step.
-``check_trace`` recomputes the ledger from the stored vertices, framing
-each polygon once and passing that frame to the same public functions.
+step stores M(k) and N(k) as those frames, and builds their vertices, the
+only ``Fraction`` points of the ladder, when a caller first reads
+``step.M`` or ``step.N``; the four ledger scalars of each step are built
+as the step is made.  ``check_trace`` recomputes the ledger from the
+stored frames, or frames a polygon once from its vertices when the step
+was given a vertex list, and passes each frame to the same public
+functions.
 """
 from __future__ import annotations
 
@@ -64,6 +67,34 @@ def diameter_sq(points: Sequence[Vec2] | Frame) -> ScalarFrame:
     return ScalarFrame([best], den * den)
 
 
+class _Polygon:
+    """A polygon field of ``IterationStep`` that may be given a doubled
+    ``Frame``, one whose second half repeats its first.
+
+    Reading the field returns the vertex list: a list the field was given,
+    or the frame's vertices, built on the first read (``Frame.doubled``)
+    and kept.  The frame is kept as well, for ``IterationStep._frame``.
+    The class-level read raises AttributeError, so the dataclass field has
+    no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, step, owner=None):
+        if step is None:
+            raise AttributeError(self.name)
+        frame, points = step.__dict__[self.slot]
+        if points is None:
+            points = frame.doubled()
+            step.__dict__[self.slot] = (frame, points)
+        return points
+
+    def __set__(self, step, value):
+        step.__dict__[self.slot] = ((value, None) if isinstance(value, Frame)
+                                    else (None, value))
+
+
 @dataclass
 class IterationStep:
     """One rung of the ledger: N(k) and M(k) with areas, diameters, gaps.
@@ -71,17 +102,24 @@ class IterationStep:
     gap_mn = SA(M(k-1)) - SA(N(k)) and gap_nm = SA(N(k)) - SA(M(k)); both are
     sums of squares weighted by ball determinants and vanish only at a point.
     At k = 0, N(0) is the evolute of the input polygon and gap_mn is zero.
+    M and N may be given as doubled ``Frame``s; they read as vertex lists.
     """
 
     k: int
-    M: list[Vec2]
-    N: list[Vec2]
+    M: list[Vec2] = _Polygon()
+    N: list[Vec2] = _Polygon()
     sa_m: Scalar
     sa_n: Scalar
     gap_mn: Scalar
     gap_nm: Scalar
     diam_m: float
     diam_n: float
+
+    def _frame(self, name: str) -> Frame:
+        """The frame of polygon "M" or "N": the ``Frame`` the field was
+        given, or ``integer_frame`` of the vertex list it was given."""
+        frame, points = self.__dict__["_" + name]
+        return integer_frame(points) if frame is None else frame
 
 
 @dataclass
@@ -163,12 +201,15 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  Each polygon passes from one public
     function to the next as its ``Frame``, and the alpha and beta ladders as
-    ``ScalarFrame``s; the stored vertices and the ledger scalars are built
-    from those frames.  M(k) and N(k) repeat after n vertices (X_{i+n} =
-    X_i), and ``involute_points`` and ``evolute`` return them as their first
-    n vertices twice, so every stored polygon, the evolute N(0) included, is
-    doubled; it is built and measured from its first half (``Frame.half``).
-    In exact arithmetic the two halves are already equal; in float this keeps
+    ``ScalarFrame``s; the ledger scalars are built from those frames.  For
+    k >= 1 a step stores M(k) and N(k) as frames and builds their vertices
+    only when they are read (``IterationStep``); step 0 stores the vertex
+    lists of M(0) and of the evolute.  M(k) and N(k) repeat after n
+    vertices (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return
+    them as their first n vertices twice, so every stored polygon, the
+    evolute N(0) included, is doubled; its vertices are built and its
+    diameter measured from its first half (``Frame.half``).  In exact
+    arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
     instead of letting it drift off that space, where the step amplifies it.
     The squared diameter of each M(k) is measured once and serves the stop
@@ -194,7 +235,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         m_half, n_half = m_frame.half(), n_frame.half()
         d2 = diameter_sq(m_half)
         steps.append(IterationStep(
-            k=k, M=m_half.points() * 2, N=n_half.points() * 2,
+            k=k, M=m_frame, N=n_frame,
             sa_m=signed_area(m_frame), sa_n=signed_area(n_frame),
             gap_mn=signed_area_gap(be, v), gap_nm=signed_area_gap(mu, w),
             diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_half)),
@@ -280,9 +321,11 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     Recomputes every signed area and coefficient ladder from the stored
     polygons and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
-    non-increasing diameters.  Each stored polygon is framed once, from its
-    vertices, and its signed area and coefficient ladder come from that
-    frame.
+    non-increasing diameters.  Each polygon's signed area and coefficient
+    ladder come from its frame: the frame the step stores, or, for a step
+    given a vertex list (step 0, or one rebuilt by ``dataclasses.replace``),
+    the frame of those vertices, built once.  A stored frame is the
+    integer frame of the vertices it builds, so both give the same ledger.
     """
     backend = trace.backend
     u, v, w = plane.U, plane.V, plane.W
@@ -291,8 +334,8 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     # the frame and SA of every stored polygon, computed once: M(k) at
     # index k, and N(k) for k > 0 (index 0 is unused)
     steps = trace.steps
-    m_frames = [integer_frame(s.M) for s in steps]
-    n_frames = [None] + [integer_frame(s.N) for s in steps[1:]]
+    m_frames = [s._frame("M") for s in steps]
+    n_frames = [None] + [s._frame("N") for s in steps[1:]]
     sa_m = [signed_area(f) for f in m_frames]
     sa_n = [None] + [signed_area(f) for f in n_frames[1:]]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cwpoly import (
     GeometryError,
     IdentityError,
+    InputError,
     Vec2,
     barbier,
     central_equidistant,
@@ -108,6 +109,16 @@ def test_v_length_of_one_point_has_the_backend_type(triangle_plane):
     plane = float_copy(triangle_plane, 1.0)
     got = v_length([plane.P.vertices[0]], plane.V)
     assert type(got) is float and got == 0.0
+
+
+def test_v_length_of_an_empty_arc(triangle_plane):
+    # an empty arc has no edge either: its length is the backend's zero, and
+    # it has no first point to close with
+    for plane, kind in ((triangle_plane, F), (float_copy(triangle_plane, 1.0), float)):
+        got = v_length([], plane.V)
+        assert type(got) is kind and got == 0
+        with pytest.raises(InputError, match="no points"):
+            v_length([], plane.V, closed=True)
 
 
 def test_v_length_rejects_nonparallel(triangle_plane):

@@ -26,9 +26,10 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
+from cwpoly.core import integer_frame
 from cwpoly.iterate import _sci
 
-from conftest import fuzz_planes
+from conftest import float_copy, fuzz_planes
 
 
 def test_symmetric_converges_immediately(symmetric_plane):
@@ -90,6 +91,32 @@ def test_check_trace_catches_scaled_polygon():
             checks = check_trace(dataclasses.replace(trace, steps=steps), plane)
             gaps = next(c for c in checks if c.check_id == "iterate.gap_identities")
             assert not gaps.ok and gaps.detail == want
+
+
+def test_check_trace_reads_stored_frames_as_vertices():
+    # a step stores M(k) and N(k) as frames; check_trace reads those frames,
+    # and a step rebuilt from the vertex lists gives the same checks
+    planes = fuzz_planes(411, 6)
+    planes += [float_copy(p, s) for s in (1e-3, 1.0) for p in planes]
+    for plane in planes:
+        trace = iterate_involutes(plane, max_steps=8, tol=1e-300)
+        fresh = check_trace(trace, plane)
+        for s in trace.steps:
+            assert s.M == s.M and s.N == s.N
+            assert s._frame("M") == integer_frame(s.M)
+            assert s._frame("N") == integer_frame(s.N)
+        steps = [dataclasses.replace(s, M=list(s.M), N=list(s.N)) for s in trace.steps]
+        assert check_trace(dataclasses.replace(trace, steps=steps), plane) == fresh
+        assert all(c.ok for c in fresh)
+
+
+def test_iteration_step_fields_are_pinned():
+    # the golden float hash reprs the fields in this order, and M and N take
+    # no default though their class attributes are descriptors
+    fields = dataclasses.fields(IterationStep)
+    assert [f.name for f in fields] == ["k", "M", "N", "sa_m", "sa_n", "gap_mn",
+                                        "gap_nm", "diam_m", "diam_n"]
+    assert all(f.default is dataclasses.MISSING for f in fields)
 
 
 def test_nested_regions_fuzz():
