@@ -24,7 +24,6 @@ from .core import (
     Vec2,
     edge_merge,
     frame_eq,
-    framed_coeffs,
     from_frame,
     integer_frame,
     minkowski_sum,
@@ -194,10 +193,10 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     Checks edge parallelism against U, then that all diagonals satisfy
     P_i - P_{i+n} = 2a U_i for one constant a > 0, and cross-checks that
     P + (-P) is the homothety of U with ratio 2a.  Runs on the integer
-    frames of P and U: the a_i share one denominator, and P + (-P) is summed
-    on the numerators of P.
+    frames of P and U, with U's backend: the a_i share one denominator, and
+    P + (-P) is summed on the numerators of P.
     """
-    backend = paired.backend
+    backend = u.backend
     m = 2 * paired.n
     if len(u) != m:
         return WidthResult(False, reason="vertex count mismatch", witness=0)
@@ -215,8 +214,8 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
             return WidthResult(False, witness=i, reason="edge orientation mismatch")
     # 2 a_i = nums[i] / cden, the coefficient of diagonal i along U_i
     n = paired.n
-    nums, cden = framed_coeffs(u.vertex_coeff_frame, map(sub, px, px[n:] + px[:n]),
-                               map(sub, py, py[n:] + py[:n]), pden, backend)
+    nums, cden = u.vertex_coeffs(map(sub, px, px[n:] + px[:n]), map(sub, py, py[n:] + py[:n]),
+                                 pden)
     exact = backend.exact
     aden = 2 * cden if exact else cden
     a = None

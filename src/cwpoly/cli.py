@@ -115,7 +115,7 @@ def cmd_central(args) -> int:
 def cmd_evolute(args) -> int:
     plane, backend = _plane(args)
     ce = central_equidistant(plane)
-    ev = evolute(plane.P.vertices, plane.U, plane.V, backend)
+    ev = evolute(plane.P.vertices, plane.U, plane.V)
     payload = {
         "n": plane.n,
         "evolute": points_json(ev.E, backend),

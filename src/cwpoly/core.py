@@ -19,9 +19,11 @@ every value framed on it is a float.  The chord counts (``ChordFrame``, and
 ``WindingFrame`` for a paired boundary) are exact on both backends: they
 snap float input to its exact rational value and frame it.
 
-Each ball (``CenteredBall``) owns the constants the kernels read from it
-as cached properties, and ``framed_coeffs`` solves every coefficient along
-a ball's edges or vertices: the alphas, lambdas and half-width a.
+Each ball (``CenteredBall``) owns its scalar backend and the constants the
+kernels read from it, as cached properties, and its ``edge_coeffs`` and
+``vertex_coeffs`` solve every coefficient along its edges or vertices: the
+alphas, lambdas and half-width a.  A kernel given a ball reads the backend
+from it; no caller passes the backend again.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -458,27 +460,42 @@ class CenteredBall:
         """``polygon_area`` of the vertices."""
         return polygon_area(self.vertices)
 
-    @cached_property
-    def edge_coeff_frame(self) -> tuple[list, int]:
-        """The coefficient frame of the edges U_{i+1} - U_i: what
-        ``framed_coeffs`` needs to solve vectors along them.
+    def own_backend(self, backend: Backend | None) -> Backend:
+        """The ball's backend; a ``backend`` given as well must be that one."""
+        if backend not in (None, self.backend):
+            raise InputError(f"backend {backend.name} is not the ball's ({self.backend.name})")
+        return self.backend
 
-        Returns (edges, L) with edges[i] = (dx, dy, axis, s): the edge is
-        (dx, dy) / den, axis is 0 when |dx| >= |dy| and 1 otherwise, and q
-        is the component on that axis, as ``coeff_along`` picks it.  A
-        vector a / den_x along edge i has coefficient a den / (q den_x).  For
-        a rational ball L = lcm |q| and s = den L / q, so the coefficients of
-        one framed polygon share the denominator den_x L with numerators
-        a s.  For a float ball L = 1 and s = q.
-        """
+    def edge_coeffs(self, wxs: Iterable, wys: Iterable, den) -> ScalarFrame:
+        """The coefficients t_i of framed vectors w_i = (wxs[i], wys[i]) / den
+        along the ball's edges, w_i = t_i (U_{i+1} - U_i) with i mod 2n, as a
+        ``ScalarFrame``.  Parallelism is tested by cross-multiplication, as in
+        ``coeff_along``, with the ball's backend; where w_i is not parallel
+        to its edge, nums[i] is None and the caller decides how to report it."""
+        return self._coeffs(self._edge_coeff_frame, wxs, wys, den)
+
+    def vertex_coeffs(self, wxs: Iterable, wys: Iterable, den) -> ScalarFrame:
+        """``edge_coeffs`` along the vertices U_i themselves."""
+        return self._coeffs(self._vertex_coeff_frame, wxs, wys, den)
+
+    @cached_property
+    def _edge_coeff_frame(self) -> tuple[list, int]:
+        """The coefficient frame (edges, L) of ``edge_coeffs``.  edges[i] is
+        (dx, dy, axis, s), where edge i is (dx, dy) / den, axis is 0 when
+        |dx| >= |dy| and 1 otherwise, and q is the component on that axis,
+        as ``coeff_along`` picks it.  A vector a / den_x along edge i has
+        coefficient a den / (q den_x).  For a rational ball L = lcm |q| and
+        s = den L / q, so the coefficients of one framed polygon share the
+        denominator den_x L with numerators a s.  For a float ball L = 1 and
+        s = q."""
         xs, ys, den = self.frame
         return self._coeff_frame(
             [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1],
                                                           ys[1:] + ys[:1])], den)
 
     @cached_property
-    def vertex_coeff_frame(self) -> tuple[list, int]:
-        """``edge_coeff_frame`` for coefficients along the vertices W_i
+    def _vertex_coeff_frame(self) -> tuple[list, int]:
+        """``_edge_coeff_frame`` for coefficients along the vertices W_i
         themselves: a vector a / den_x along W_i has coefficient a s / (den_x L)."""
         xs, ys, den = self.frame
         return self._coeff_frame(list(zip(xs, ys)), den)
@@ -495,6 +512,16 @@ class CenteredBall:
         L = math.lcm(*(abs(q) for *_, q in out))
         return [(dx, dy, axis, den * L // q) for dx, dy, axis, q in out], L
 
+    def _coeffs(self, coeff_frame: tuple, wxs: Iterable, wys: Iterable, den) -> ScalarFrame:
+        entries, L = coeff_frame
+        dirs = cycle(entries)
+        if self.backend.exact:
+            return ScalarFrame([(wy if axis else wx) * s if wx * dy == wy * dx else None
+                                for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
+        eq = self.backend.eq
+        return ScalarFrame([(wy if axis else wx) / (s * den) if eq(wx * dy, wy * dx) else None
+                            for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
+
     @cached_property
     def second_dual(self) -> "CenteredBall":
         """The ball W = dual_ball(dual_ball(self)), read off with no arithmetic.
@@ -507,28 +534,6 @@ class CenteredBall:
         m = 2 * self.n
         return CenteredBall([self.vertices[(i + self.n + 1) % m] for i in range(m)],
                             self.n, self.backend)
-
-
-def framed_coeffs(coeff_frame: tuple[list, int], wxs: Iterable, wys: Iterable, den,
-                  backend: Backend) -> ScalarFrame:
-    """Coefficients of framed vectors w_i = (wxs[i], wys[i]) / den along the
-    directions d_(i mod m) of a ball's coefficient frame (``CenteredBall``'s
-    ``edge_coeff_frame`` or ``vertex_coeff_frame``): w_i = nums[i] d / (den L).
-
-    Parallelism is tested by cross-multiplication, as in ``coeff_along``;
-    where w_i is not parallel to its direction, nums[i] is None and the
-    caller decides how to report it.  nums[i] is a s, with a the component
-    of w_i on the direction's dominant axis; on a float frame it is the
-    coefficient a / (q den) itself, and L = 1.
-    """
-    entries, L = coeff_frame
-    dirs = cycle(entries)
-    if backend.exact:
-        return ScalarFrame([(wy if axis else wx) * s if wx * dy == wy * dx else None
-                            for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
-    eq = backend.eq
-    return ScalarFrame([(wy if axis else wx) / (s * den) if eq(wx * dy, wy * dx) else None
-                        for (dx, dy, axis, s), wx, wy in zip(dirs, wxs, wys)], den * L)
 
 
 # ---------------------------------------------------------------------------

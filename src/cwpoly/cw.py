@@ -13,11 +13,12 @@ sums), the half areas and the half-polygon invariant.  ``barbier``,
 ``half_arc_length``, ``half_area_identity`` and ``chakerian_invariant``
 are views of it.  ``alphas_of``, ``betas_of`` and ``lambdas_of`` take a
 point list (or scalars) or a frame and return a ``ScalarFrame``.  The
-alphas and the lambdas are both solved by ``core.framed_coeffs``, along the
-edges of U and the vertices of V, and both report an edge that is not
-parallel through ``_not_parallel``.  Every offset X + cD (the equidistants,
-the convex parents of the region test and the width family of the
-iteration) is ``offset_points``.
+alphas and lambdas are solved by the ball on its backend, along the edges
+of U (``CenteredBall.edge_coeffs``) and the vertices of V
+(``vertex_coeffs``), and both report an edge that is not parallel through
+``_not_parallel``.  Every offset X + cD (the equidistants, the convex
+parents of the region test and the width family of the iteration) is
+``offset_points``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .core import (
     frame_eq,
     Frame,
     ScalarFrame,
-    framed_coeffs,
     from_frame,
     integer_frame,
     scalar_frame,
@@ -79,19 +79,17 @@ class CentralEquidistant:
         return scalar_frame(self.betas)
 
 
-def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall,
-              backend: Backend) -> ScalarFrame:
+def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
     """Edge coefficients of a closed list against the ball's edges, framed:
     alpha_i = nums[i] / den.
 
-    ``framed_coeffs`` solves edge i of the list along the ball's edge i
-    (``CenteredBall.edge_coeff_frame``).  An edge that is not parallel to
-    its ball edge raises IdentityError, at the first such edge; the message
-    names the points, built from the frame when a frame is given.
+    ``u.edge_coeffs`` solves edge i of the list along the ball's edge i.  An
+    edge that is not parallel to its ball edge raises IdentityError, at the
+    first such edge; the message names the points, built from the frame
+    when a frame is given.
     """
     xs, ys, den = f = integer_frame(points)
-    al = framed_coeffs(u.edge_coeff_frame, map(sub, xs[1:] + xs[:1], xs),
-                       map(sub, ys[1:] + ys[:1], ys), den, backend)
+    al = u.edge_coeffs(map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys), den)
     if None in al.nums:
         i = al.nums.index(None)
         uv = u.vertices
@@ -139,7 +137,7 @@ def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
     pv = paired.vertices
     mid = [(pv[i] + pv[(i + plane.n) % m]) / 2 for i in range(m)]
     degenerate = all(backend.same_point(mid[i], mid[0]) for i in range(1, m))
-    al = alphas_of(mid, u, backend)
+    al = alphas_of(mid, u)
     be = betas_of(al, u)
     return CentralEquidistant(M=mid, alphas=al.values(), betas=be.values(), n=plane.n,
                               backend=backend, degenerate=degenerate)
@@ -165,19 +163,16 @@ def min_convex_c(ce: CentralEquidistant) -> Scalar:
     return max(-a for a in ce.alphas)
 
 
-def lambdas_of(points: Sequence[Vec2] | Frame, v: CenteredBall,
-               backend: Backend) -> ScalarFrame:
+def lambdas_of(points: Sequence[Vec2] | Frame, v: CenteredBall) -> ScalarFrame:
     """Signed dual-ball edge lengths of an open list, framed: P_{i+1} - P_i =
     lambda_i V_i with lambda_i = nums[i] / den.
 
-    ``framed_coeffs`` solves edge i of the list along V_i
-    (``CenteredBall.vertex_coeff_frame``); where it is not parallel,
-    nums[i] is None, and the caller reports it (``_raise_not_parallel``)
-    when it needs that lambda.
+    ``v.vertex_coeffs`` solves edge i of the list along V_i; where it is not
+    parallel, nums[i] is None, and the caller reports it
+    (``_raise_not_parallel``) when it needs that lambda.
     """
     xs, ys, den = integer_frame(points)
-    return framed_coeffs(v.vertex_coeff_frame, map(sub, xs[1:], xs), map(sub, ys[1:], ys),
-                         den, backend)
+    return v.vertex_coeffs(map(sub, xs[1:], xs), map(sub, ys[1:], ys), den)
 
 
 def _raise_not_parallel(nums: Sequence, points, v: CenteredBall,
@@ -205,7 +200,7 @@ def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scal
         return v.backend.convert(0)
     if closed:
         pts = pts + [pts[0]]
-    nums, den = lambdas_of(pts, v, v.backend)
+    nums, den = lambdas_of(pts, v)
     _raise_not_parallel(nums, lambda: pts, v)
     return from_frame(_total(nums), den)
 
@@ -287,8 +282,7 @@ class EquidistantFrame:
         to V_j.  Kept for the last ball asked for."""
         if self._lambdas[0] is not v:
             xs, ys, den = self.frame
-            self._lambdas = (v, lambdas_of(Frame(xs + xs[:1], ys + ys[:1], den), v,
-                                           self.backend))
+            self._lambdas = (v, lambdas_of(Frame(xs + xs[:1], ys + ys[:1], den), v))
         return self._lambdas[1]
 
     def raise_not_parallel(self, v: CenteredBall, order: Sequence[int] | None = None) -> None:

@@ -21,7 +21,8 @@ is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is
 edge world, and ``cw.ladder_cusps`` gives the cusps of both
 (``evolute_cusps``).  ``involute_points``, ``dual_involute``,
 ``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
-frame (see ``core``); the involutes return frames.
+frame (see ``core``); the involutes return frames.  Every function here that
+is given a ball computes on the ball's backend (``CenteredBall.backend``).
 """
 from __future__ import annotations
 
@@ -79,17 +80,17 @@ def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
     The evolute of every equidistant of P equals the evolute of P.  Both
     forms are checked on all m slots; E repeats after n slots (E_{i+n} =
     E_i, exactly in rational mode), so E is stored as its first n vertices
-    twice, and float rounding cannot make its halves differ.
+    twice, and float rounding cannot make its halves differ.  It runs on
+    U's backend; ``backend``, if given, must be that one (InputError).
     """
-    backend = backend or u.backend
+    backend = u.own_backend(backend)
     m = len(points)
     n = m // 2
     uv = u.vertices
-    d = u.edge_dets
     closed = list(points) + [points[0]]
-    lam = lambdas_of(closed, v, backend)
+    lam = lambdas_of(closed, v)
     _raise_not_parallel(lam.nums, lambda: closed, v)
-    mus = [t / di for t, di in zip(lam.values(), d)]
+    mus = [t / di for t, di in zip(lam.values(), u.edge_dets)]
     out = []
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]
@@ -117,7 +118,7 @@ class Involute:
 
 
 def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | ScalarFrame,
-                    d: CenteredBall, backend: Backend) -> Frame:
+                    d: CenteredBall) -> Frame:
     """N_i = X_i + beta_i D_i for a vertex-indexed central polygon X, framed.
 
     The companion form X_{i+1} + beta_{i+1} D_i must agree.  D is V for the
@@ -130,6 +131,7 @@ def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | Sc
     so the frame is exactly ``integer_frame`` of its points, and float
     rounding cannot make its halves differ.
     """
+    eq = d.backend.eq
     xs, ys, xden = x = integer_frame(points)
     bs, bden = scalar_frame(betas)
     m = len(xs)
@@ -145,9 +147,9 @@ def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | Sc
         j = i + 1 if i + 1 < m else 0
         n1x, n1y = xs[i] + dx[i] * bs[i], ys[i] + dy[i] * bs[i]
         n2x, n2y = xs[j] + dx[i] * bs[j], ys[j] + dy[i] * bs[j]
-        if not (backend.eq(n1x, n2x) and backend.eq(n1y, n2y)):
+        if not (eq(n1x, n2x) and eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
-        if i >= n and not (backend.eq(n1x, nx[i - n]) and backend.eq(n1y, ny[i - n])):
+        if i >= n and not (eq(n1x, nx[i - n]) and eq(n1y, ny[i - n])):
             raise IdentityError(f"involute halves differ at edge {i - n}")
         nx.append(n1x)
         ny.append(n1y)
@@ -162,7 +164,7 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     computed and must agree exactly; the result has zero diagonals.
     """
     backend = ce.backend
-    out = involute_points(ce.frame, ce.beta_frame, v, backend).doubled()
+    out = involute_points(ce.frame, ce.beta_frame, v).doubled()
     degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
     return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
                     degenerate=degenerate)
@@ -173,14 +175,15 @@ def _later(values: list) -> list:
     return values[-1:] + values[:-1]
 
 
-def edge_world_coeffs(points: Sequence[Vec2], v: CenteredBall,
-                      backend: Backend) -> list[Scalar]:
-    """Coefficients b_i with X_i - X_{i-1} = b_i (V_i - V_{i-1})."""
-    return _later(alphas_of(points, v, backend).values())
+def edge_world_coeffs(points: Sequence[Vec2] | Frame, v: CenteredBall) -> ScalarFrame:
+    """Coefficients b_i with X_i - X_{i-1} = b_i (V_i - V_{i-1}), framed: the
+    alphas of X on (V, W), one slot later."""
+    nums, den = alphas_of(points, v)
+    return ScalarFrame(_later(nums), den)
 
 
-def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
-                  backend: Backend) -> tuple[Frame, ScalarFrame]:
+def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall,
+                  v: CenteredBall) -> tuple[Frame, ScalarFrame]:
     """Involute of an edge-indexed central polygon (edge world -> vertex world).
 
     ``involute_points`` on the ball pair (V, W), one slot later.  Returns
@@ -189,8 +192,8 @@ def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBa
     input.
     """
     x = integer_frame(points)
-    bs, bden = be = betas_of(alphas_of(x, v, backend), v)
-    mx, my, mden = involute_points(x, be, u.second_dual, backend)
+    bs, bden = be = betas_of(alphas_of(x, v), v)
+    mx, my, mden = involute_points(x, be, u.second_dual)
     return Frame(_later(mx), _later(my), mden), ScalarFrame([-b for b in bs], bden)
 
 

@@ -36,9 +36,9 @@ from .cw import (
     offset_points,
 )
 from .evolute import (
-    _later,
     containment_check,
     dual_involute,
+    edge_world_coeffs,
     evolute,
     involute_points,
     signed_area,
@@ -174,7 +174,7 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         raise InputError(f"tol must be finite and positive, got {tol!r}")
 
     ce = central_equidistant(plane)
-    ev = evolute(plane.P.vertices, plane.U, plane.V, backend)
+    ev = evolute(plane.P.vertices, plane.U, plane.V)
     _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
@@ -215,7 +215,6 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     The squared diameter of each M(k) is measured once and serves the stop
     test and ``diam_m``.
     """
-    backend = plane.backend
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
     m_frame, n_frame = ce.frame, integer_frame(ev.E)
@@ -229,9 +228,9 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     for k in range(1, max_steps + 1):
         if _below(d2, tol2):
             break
-        be = betas_of(alphas_of(m_frame, u, backend), u)
-        n_frame = involute_points(m_frame, be, v, backend)
-        m_frame, mu = dual_involute(n_frame, u, v, backend)
+        be = betas_of(alphas_of(m_frame, u), u)
+        n_frame = involute_points(m_frame, be, v)
+        m_frame, mu = dual_involute(n_frame, u, v)
         m_half, n_half = m_frame.half(), n_frame.half()
         d2 = diameter_sq(m_half)
         steps.append(IterationStep(
@@ -298,13 +297,15 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
             PairedPolygon(offset_points(step.N, plane.V, d), plane.n, backend))
 
 
-def convex_parent_of_m(m_points, u, backend) -> list[Vec2]:
+def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:
     """A convex equidistant of a vertex-world central polygon (for region tests):
     width one more than the largest -alpha.
 
     Given V for u, the convex dual-width equidistant of an edge-world polygon.
+    It runs on u's backend; ``backend``, if given, must be that one (InputError).
     """
-    c = max(-a for a in alphas_of(m_points, u, backend).values()) + 1
+    u.own_backend(backend)
+    c = max(-a for a in alphas_of(m_points, u).values()) + 1
     return offset_points(m_points, u, c)
 
 
@@ -355,16 +356,14 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
         cur = steps[idx]
-        # the edge-world coefficients b_i of N(k), one slot after its alphas
-        be, bden = alphas_of(n_frames[idx], v, backend)
         lhs = sa_m[idx - 1] - sa_n[idx]
-        rhs = signed_area_gap(ScalarFrame(_later(be), bden), v)
+        rhs = signed_area_gap(edge_world_coeffs(n_frames[idx], v), v)
         if not backend.eq(lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
         lhs2 = sa_n[idx] - sa_m[idx]
-        rhs2 = signed_area_gap(alphas_of(m_frames[idx], u, backend), w)
+        rhs2 = signed_area_gap(alphas_of(m_frames[idx], u), w)
         if not backend.eq(lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"
@@ -407,16 +406,15 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
     tested point costs one O(n) winding count (``core.WindingFrame``); exact
     coordinates grow with k, so callers bound the number of steps examined.
     """
-    backend = trace.backend
     out: list[TraceCheck] = []
     limit = len(trace.steps) if max_steps is None else min(len(trace.steps), max_steps + 1)
     for idx in range(1, limit):
         prev, cur = trace.steps[idx - 1], trace.steps[idx]
-        parent_m = convex_parent_of_m(prev.M, plane.U, backend)
+        parent_m = convex_parent_of_m(prev.M, plane.U)
         res = containment_check(cur.N, parent_m, samples=0)
         out.append(TraceCheck(f"iterate.nesting_n{cur.k}_in_m{prev.k}", res.contained,
                               f"{res.tested} vertices"))
-        parent_n = convex_parent_of_m(cur.N, plane.V, backend)
+        parent_n = convex_parent_of_m(cur.N, plane.V)
         res = containment_check(cur.M, parent_n, samples=0)
         out.append(TraceCheck(f"iterate.nesting_m{cur.k}_in_n{cur.k}", res.contained,
                               f"{res.tested} vertices"))

@@ -185,7 +185,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     # coefficient ladders unsolvable; report and stop instead of raising
     try:
         ce = central_equidistant(plane)
-        ev = evolute(paired.vertices, u, v, backend)
+        ev = evolute(paired.vertices, u, v)
         inv = involute(ce, v)
     except GeometryError as e:
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
@@ -239,7 +239,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_evolute_shared():
         c2 = cs[1]
-        ev2 = evolute(equidistant(ce, u, c2).vertices, u, v, backend)
+        ev2 = evolute(equidistant(ce, u, c2).vertices, u, v)
         ok = all(backend.same_point(ev2.E[i], ev.E[i]) for i in range(m))
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",
@@ -250,13 +250,13 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             if not backend.same_point(inv.N[i], inv.N[i + plane.n]):
                 return f"diagonal {i} nonzero", False
         # the edge-world evolute is the (V, W) evolute, one slot later
-        back = evolute(inv.N, v, plane.W, backend).E
+        back = evolute(inv.N, v, plane.W).E
         ok = all(backend.same_point(back[i - 1], ce.M[i]) for i in range(m))
         return "zero diagonals; evolute is M", ok
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
-        back = dual_involute(ev.E, u, v, backend)[0].doubled()
+        back = dual_involute(ev.E, u, v)[0].doubled()
         ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "involute of the evolute is M", ok
     guarded("involute.of_evolute", "involute of the evolute is M",
@@ -273,7 +273,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("areas.signed_gap", "SA(M) - SA(N) = sum beta^2 det(V,V)", chk_areas)
 
     def chk_containment():
-        parent = convex_parent_of_m(ce.M, u, backend)
+        parent = convex_parent_of_m(ce.M, u)
         res = containment_check(inv.N, parent, samples=samples)
         return (f"{res.tested} samples, min chords {res.min_chords}", res.contained)
     guarded("containment.involute_in_central", "no exterior samples", chk_containment)

@@ -143,7 +143,7 @@ def test_criterion_06_containment_200():
     for idx, plane in enumerate(_planes(1006, 200)):
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        parent = convex_parent_of_m(ce.M, plane.U, plane.backend)
+        parent = convex_parent_of_m(ce.M, plane.U)
         res = containment_check(inv.N, parent, samples=16)
         if not res.contained:
             failures.append((idx, res.witnesses[:2]))

@@ -251,6 +251,12 @@ def test_is_constant_width_mismatched_ball():
     assert not res.ok and res.witness is not None
 
 
+def test_is_constant_width_vertex_count_mismatch(triangle_plane, quad_plane):
+    # a ball of another n is reported, not indexed out of range
+    res = is_constant_width(quad_plane.P, triangle_plane.U)
+    assert res == WidthResult(False, witness=0, reason="vertex count mismatch")
+
+
 def test_is_constant_width_perturbed_paired():
     # a paired hexagon with one vertex nudged: no longer parallel opposite sides
     p = PairedPolygon(

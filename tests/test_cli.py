@@ -267,6 +267,14 @@ def test_exit_2_degenerate_diagonal(tmp_path, capsys):
     assert main(["central", str(path)]) == 2
 
 
+@pytest.mark.parametrize("a", ["0", "-1/2"])
+def test_exit_2_nonpositive_half_width(triangle_doc, capsys, a):
+    assert main(["ball", triangle_doc, f"--a={a}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == "error: half-width parameter a must be positive"
+
+
 @pytest.mark.parametrize("flags", [
     ["ball", "--a", "x"],
     ["ball", "--a", "1/0"],

@@ -21,8 +21,16 @@ from cwpoly import (
     signed_area,
     vec,
 )
-from cwpoly.backend import FLOAT, RATIONAL
-from cwpoly.core import Frame, RegionTest, coeff_along, integer_frame, scalar_frame
+from cwpoly.backend import FLOAT, RATIONAL, get_backend
+from cwpoly.core import (
+    CenteredBall,
+    Frame,
+    PairedPolygon,
+    RegionTest,
+    coeff_along,
+    integer_frame,
+    scalar_frame,
+)
 from cwpoly.cw import alphas_of, betas_of, central_equidistant, lambdas_of
 from cwpoly.evolute import dual_involute, involute_points, signed_area_gap
 from cwpoly.fuzz import random_centered_ball, random_convex_polygon, random_cw_plane
@@ -345,13 +353,12 @@ def test_involute_kernels_return_integer_frame():
         m_pts = central_equidistant(plane).M
         m_frame = integer_frame(m_pts)
         for _ in range(3):
-            be = betas_of(alphas_of(m_frame, u, RATIONAL), u)
-            n_frame = involute_points(m_frame, be, v, RATIONAL)
-            n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u, RATIONAL), u), v,
-                                    RATIONAL).doubled()
+            be = betas_of(alphas_of(m_frame, u), u)
+            n_frame = involute_points(m_frame, be, v)
+            n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u), u), v).doubled()
             assert n_frame == integer_frame(n_pts)
-            m_frame = dual_involute(n_frame, u, v, RATIONAL)[0]
-            m_pts = dual_involute(n_pts, u, v, RATIONAL)[0].doubled()
+            m_frame = dual_involute(n_frame, u, v)[0]
+            m_pts = dual_involute(n_pts, u, v)[0].doubled()
             assert m_frame == integer_frame(m_pts)
 
 
@@ -390,7 +397,7 @@ def test_framed_ladders_exact(seed, n, data):
     pts = [Vec2(F(data.draw(mixed_coords)), F(data.draw(mixed_coords)))]
     for i in range(2 * n - 1):
         pts.append(pts[-1] + (uv[i + 1] - uv[i]) * alphas[i])
-    got = alphas_of(pts, u, RATIONAL).values()
+    got = alphas_of(pts, u).values()
     assert got == alphas and all(type(a) is F for a in got)
     gap = signed_area_gap(alphas, u)
     assert type(gap) is F and gap == ref_gap(alphas, uv)
@@ -417,7 +424,7 @@ def test_framed_ladders_float_bitwise(seed, n, data):
         w, d = pts[(i + 1) % m] - pts[i], uv[(i + 1) % m] - uv[i]
         want.append(w.x / d.x if abs(d.x) >= abs(d.y) else w.y / d.y)
         assert coeff_along(w, d, FLOAT) == want[-1]
-    assert alphas_of(pts, u, FLOAT).values() == want
+    assert alphas_of(pts, u).values() == want
 
 
 def test_framed_coeff_not_parallel_message():
@@ -431,7 +438,7 @@ def test_framed_coeff_not_parallel_message():
         pts.append(pts[-1] + (uv[i + 1] - uv[i]))
     pts[3] = pts[3] + Vec2(F(1, 3), F(0))
     with pytest.raises(IdentityError) as e:
-        alphas_of(pts, u, RATIONAL)
+        alphas_of(pts, u)
     w, d = pts[3] - pts[2], uv[3] - uv[2]
     assert str(e.value) == f"vector {w!r} is not parallel to {d!r}"
 
@@ -506,17 +513,17 @@ def test_merged_functions_agree_on_points_and_frames(seed, scale):
     be, u, v = plane.backend, plane.U, plane.V
     ce = central_equidistant(plane)
     m_pts, p_pts = ce.M, plane.P.vertices
-    n_pts = involute_points(m_pts, ce.betas, v, be).points()
+    n_pts = involute_points(m_pts, ce.betas, v).points()
     closed = p_pts + p_pts[:1]
     fm, fp, fn, fc = (integer_frame(x) for x in (m_pts, p_pts, n_pts, closed))
     betas = betas_of(ce.alphas, u).values()
     fb = scalar_frame(betas)
     cases = [
-        (alphas_of, (m_pts, u, be), (fm, u, be)),
+        (alphas_of, (m_pts, u), (fm, u)),
         (betas_of, (ce.alphas, u), (scalar_frame(ce.alphas), u)),
-        (lambdas_of, (closed, v, be), (fc, v, be)),
-        (involute_points, (m_pts, betas, v, be), (fm, fb, v, be)),
-        (dual_involute, (n_pts, u, v, be), (fn, u, v, be)),
+        (lambdas_of, (closed, v), (fc, v)),
+        (involute_points, (m_pts, betas, v), (fm, fb, v)),
+        (dual_involute, (n_pts, u, v), (fn, u, v)),
         (signed_area, (m_pts,), (fm,)),
         (signed_area_gap, (betas, v), (fb, v)),
         (mixed_area, (p_pts, u.vertices), (fp, u.frame)),
@@ -529,8 +536,55 @@ def test_merged_functions_agree_on_points_and_frames(seed, scale):
     bump = be.convert(F(1, 7))
     bad = list(m_pts)
     bad[1] = bad[1] + Vec2(bump, 2 * bump)
-    _raises_same(alphas_of, (bad, u, be), (integer_frame(bad), u, be))
+    _raises_same(alphas_of, (bad, u), (integer_frame(bad), u))
     bad_n = list(n_pts)
     bad_n[1] = bad_n[1] + Vec2(bump, 2 * bump)
-    _raises_same(dual_involute, (bad_n, u, v, be), (integer_frame(bad_n), u, v, be))
-    _raises_same(involute_points, (bad, betas, v, be), (integer_frame(bad), fb, v, be))
+    _raises_same(dual_involute, (bad_n, u, v), (integer_frame(bad_n), u, v))
+    _raises_same(involute_points, (bad, betas, v), (integer_frame(bad), fb, v))
+
+
+# --- input validation ---------------------------------------------------------
+
+def _input_error(fn, *args) -> str:
+    with pytest.raises(InputError) as e:
+        fn(*args)
+    return str(e.value)
+
+
+def test_polygon_area_of_two_points_raises():
+    assert _input_error(polygon_area, TRI[:2]) == "polygon_area needs at least 3 vertices"
+
+
+def test_paired_polygon_needs_2n_vertices():
+    assert (_input_error(PairedPolygon, TRI, 2)
+            == "paired polygon must have exactly 2n vertices")
+
+
+def test_paired_polygon_needs_n_at_least_2():
+    assert _input_error(PairedPolygon, TRI[:2], 1) == "paired polygon needs n >= 2"
+
+
+def test_centered_ball_needs_2n_vertices():
+    assert (_input_error(CenteredBall, HEX_U[:4], 3)
+            == "centered ball must have exactly 2n vertices")
+
+
+def test_minkowski_sum_of_nothing_raises():
+    assert _input_error(minkowski_sum, [], TRI) == "minkowski_sum needs nonempty inputs"
+
+
+def test_minkowski_sum_of_one_point_translates():
+    # a one-point first argument translates the second polygon
+    t = Vec2(F(3), F(-1, 2))
+    assert minkowski_sum([t], TRI) == [p + t for p in TRI]
+
+
+def test_chord_count_needs_a_polygon_boundary():
+    assert (_input_error(chord_count, Vec2(F(0), F(0)), TRI[:2])
+            == "chord_count needs a genuine polygon boundary")
+
+
+def test_get_backend_unknown_name():
+    with pytest.raises(ValueError) as e:
+        get_backend("bogus")
+    assert str(e.value) == "unknown backend 'bogus' (expected 'rational' or 'float')"

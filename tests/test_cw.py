@@ -146,16 +146,16 @@ def test_not_parallel_on_closing_edge(scale):
     # vertices raise IdentityError naming it
     for plane in fuzz_planes(9, 6):
         plane = plane if scale is None else float_copy(plane, scale)
-        be, uv, vv = plane.backend, plane.U.vertices, plane.V.vertices
+        uv, vv = plane.U.vertices, plane.V.vertices
         m = len(uv)
         pts = _closing_edge_only([uv[(i + 1) % m] - uv[i] for i in range(m)])
         text = f"vector {pts[0] - pts[-1]!r} is not parallel to {uv[0] - uv[-1]!r}"
         with pytest.raises(IdentityError) as e:
-            alphas_of(pts, plane.U, be)
+            alphas_of(pts, plane.U)
         assert str(e.value) == text
         # given a Frame, the error is worded from the frame's points
         with pytest.raises(IdentityError) as e:
-            alphas_of(integer_frame(pts), plane.U, be)
+            alphas_of(integer_frame(pts), plane.U)
         assert str(e.value) == text
         pts = _closing_edge_only(vv)
         with pytest.raises(IdentityError) as e:
@@ -582,3 +582,11 @@ def test_framed_checks_float_verdicts_match_reference():
             for v in _dual_variants(plane, rng):
                 assert verify._chk_dual_identity(plane.U, v)[1] \
                     == _ref_dual_identity(plane.U, v)[1]
+
+
+def test_half_area_identity_below_min_convex_c_raises(quad_plane):
+    # the half areas need a convex equidistant, c >= max(-alpha)
+    ce = central_equidistant(quad_plane)
+    with pytest.raises(InputError) as e:
+        half_area_identity(ce, quad_plane.U, 0, min_convex_c(ce) - F(1, 8))
+    assert str(e.value) == "half-polygon areas need a convex equidistant"

@@ -35,7 +35,7 @@ def _objects(plane):
     ce = central_equidistant(plane)
     ev = evolute(plane.P.vertices, plane.U, plane.V)
     inv = involute(ce, plane.V)
-    parent = convex_parent_of_m(ce.M, plane.U, plane.backend)
+    parent = convex_parent_of_m(ce.M, plane.U)
     res = containment_check(inv.N, parent, samples=2)
     cusps = [None if c is None else len(c) for c in (cusps_of_central(ce), evolute_cusps(ev))]
     m2 = iterate_involutes(plane, max_steps=2, tol=1e-300).steps[-1].M

@@ -28,7 +28,7 @@ from cwpoly import (
     signed_area_gap,
     vec,
 )
-from cwpoly.backend import get_backend
+from cwpoly.backend import FLOAT, RATIONAL, get_backend
 from cwpoly.core import ChordFrame, WindingFrame, chord_frame, integer_frame, scalar_frame
 from cwpoly.cw import alphas_of, ladder_cusps
 from cwpoly.evolute import edge_world_coeffs, involute_points
@@ -77,7 +77,7 @@ def test_evolute_without_dual_ball_agrees(quad_plane):
     # P_{i+1} - P_i = mu_i (U_{i+1} - U_i)
     pts, u = quad_plane.P.vertices, quad_plane.U
     ev = evolute(pts, u, quad_plane.V)
-    mus = alphas_of(pts, u, quad_plane.backend).values()
+    mus = alphas_of(pts, u).values()
     assert ev.mus == mus
     assert ev.E == [pts[i] - u.vertices[i] * mus[i] for i in range(len(pts))]
 
@@ -121,10 +121,10 @@ def test_involute_of_translate_on_general_denominator():
     ce = central_equidistant(plane)
     shift = Vec2(F(1, 7), F(2, 7))
     moved = [p + shift for p in ce.M]
-    assert alphas_of(moved, plane.U, plane.backend).values() == ce.alphas
+    assert alphas_of(moved, plane.U).values() == ce.alphas
     xden = integer_frame(moved)[2]
     assert (scalar_frame(ce.betas)[1] * plane.V.frame[2]) % xden != 0
-    got = involute_points(moved, ce.betas, plane.V, plane.backend).doubled()
+    got = involute_points(moved, ce.betas, plane.V).doubled()
     vv = plane.V.vertices
     assert got == [moved[i] + vv[i] * ce.betas[i] for i in range(2 * plane.n)]
 
@@ -137,7 +137,7 @@ def test_float_involute_halves_equal():
         n = plane.n
         inv = involute(central_equidistant(plane), plane.V)
         assert inv.N[n:] == inv.N[:n]
-        back = dual_involute(inv.N, plane.U, plane.V, plane.backend)[0].doubled()
+        back = dual_involute(inv.N, plane.U, plane.V)[0].doubled()
         assert back[n:] == back[:n]
 
 
@@ -146,13 +146,13 @@ def test_involute_evolute_roundtrip():
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
         # the edge-world evolute is the (V, W) evolute, one slot later
-        back = evolute(inv.N, plane.V, plane.W, plane.backend).E
+        back = evolute(inv.N, plane.V, plane.W).E
         assert back[-1:] + back[:-1] == ce.M
         ev = evolute(plane.P.vertices, plane.U, plane.V)
-        back = dual_involute(ev.E, plane.U, plane.V, plane.backend)[0].doubled()
+        back = dual_involute(ev.E, plane.U, plane.V)[0].doubled()
         assert back == ce.M
         # edge coefficients of the involute are the betas of M
-        assert edge_world_coeffs(inv.N, plane.V, plane.backend) == ce.betas
+        assert edge_world_coeffs(inv.N, plane.V).values() == ce.betas
 
 
 def test_signed_area_triangle_values(triangle_plane):
@@ -192,7 +192,7 @@ def test_dual_area_gap_fuzz_exact():
     for plane in fuzz_planes(306, 30):
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        back, mus = dual_involute(inv.N, plane.U, plane.V, plane.backend)
+        back, mus = dual_involute(inv.N, plane.U, plane.V)
         assert signed_area(inv.N) - signed_area(back) == signed_area_gap(mus, plane.W)
 
 
@@ -214,7 +214,7 @@ def test_containment_fuzz():
     for plane in fuzz_planes(307, 25):
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        parent = convex_parent_of_m(ce.M, plane.U, plane.backend)
+        parent = convex_parent_of_m(ce.M, plane.U)
         res = containment_check(inv.N, parent, samples=6)
         assert res.contained, plane.P.vertices
 
@@ -289,7 +289,7 @@ def test_containment_matches_reference():
     for plane in planes:
         ce = central_equidistant(plane)
         inv = involute(ce, plane.V)
-        parent = convex_parent_of_m(ce.M, plane.U, plane.backend)
+        parent = convex_parent_of_m(ce.M, plane.U)
         center = ce.M[0] + (ce.M[plane.n] - ce.M[0]) * F(1, 2)
         for curve in (inv.N, _pushed_out(inv.N, center)):
             res = containment_check(curve, parent, samples=16)
@@ -343,7 +343,7 @@ def test_winding_frame_matches_chord_frame(seed, edge_world, clockwise, extra, r
     plane = random_cw_plane(random.Random(seed), n_min=3, n_max=8)
     ce = central_equidistant(plane)
     curve, ball = (involute(ce, plane.V).N, plane.V) if edge_world else (ce.M, plane.U)
-    c = max(abs(a) for a in alphas_of(curve, ball, plane.backend).values()) + extra
+    c = max(abs(a) for a in alphas_of(curve, ball).values()) + extra
     q = [p + d * c for p, d in zip(curve, ball.vertices)][::-1 if clockwise else 1]
     oracle, frame = ChordFrame(q), chord_frame(q)
     assert isinstance(frame, WindingFrame)
@@ -404,7 +404,7 @@ def test_paired_parents_skip_the_edge_pair_scan(monkeypatch):
     assert built == []
     fplane = float_copy(plane, 1e-3)
     ce = central_equidistant(fplane)
-    parent = convex_parent_of_m(ce.M, fplane.U, fplane.backend)
+    parent = convex_parent_of_m(ce.M, fplane.U)
     assert containment_check(involute(ce, fplane.V).N, parent, samples=0).contained
     assert built == [len(parent)]
 
@@ -438,7 +438,7 @@ def test_evolute_cusps_are_alpha_sign_changes_on_v():
         ev = evolute(plane.P.vertices, plane.U, plane.V)
         if ev.degenerate:
             continue
-        alphas = alphas_of(ev.E, plane.V, plane.backend).values()
+        alphas = alphas_of(ev.E, plane.V).values()
         assert evolute_cusps(ev) == ladder_cusps(alphas, plane.n, plane.backend)
 
 
@@ -464,3 +464,23 @@ def test_evolute_cusps_match_halfplane_test_when_distinct():
                 literal.add(i)
         if usable:
             assert set(evolute_cusps(ev)) == literal
+
+
+def test_backend_argument_must_be_the_balls(quad_plane):
+    # evolute and convex_parent_of_m compute on the ball's backend; the
+    # trailing backend they still accept is None or that one, and any other
+    # backend raises InputError
+    fplane = float_copy(quad_plane, 1.0)
+    for plane, other in ((quad_plane, FLOAT), (fplane, RATIONAL)):
+        pts, u, v = plane.P.vertices, plane.U, plane.V
+        m = central_equidistant(plane).M
+        text = f"backend {other.name} is not the ball's ({u.backend.name})"
+        with pytest.raises(InputError) as e:
+            evolute(pts, u, v, other)
+        assert str(e.value) == text
+        with pytest.raises(InputError) as e:
+            convex_parent_of_m(m, u, other)
+        assert str(e.value) == text
+        ev = evolute(pts, u, v)
+        assert ev == evolute(pts, u, v, u.backend) and ev.backend is u.backend
+        assert convex_parent_of_m(m, u) == convex_parent_of_m(m, u, u.backend)
