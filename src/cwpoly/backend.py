@@ -24,16 +24,11 @@ DEFAULT_EPS = 1e-9
 
 
 class Backend:
-    """Base interface; use the RATIONAL / FLOAT singletons or get_backend()."""
+    """Base interface; use the RATIONAL / FLOAT singletons or get_backend().
+    Each backend defines ``convert``, ``eq``, ``sign`` and ``to_json``."""
 
     name: str
     exact: bool
-
-    def convert(self, value) -> Scalar:
-        raise NotImplementedError
-
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        raise NotImplementedError
 
     def is_zero(self, a: Scalar) -> bool:
         return self.eq(a, 0)
@@ -42,17 +37,11 @@ class Backend:
         """Coordinatewise ``eq`` of two Vec2 (literal ``==`` when exact)."""
         return self.eq(p.x, q.x) and self.eq(p.y, q.y)
 
-    def sign(self, a: Scalar) -> int:
-        raise NotImplementedError
-
     def le(self, a: Scalar, b: Scalar) -> bool:
         return self.sign(a - b) <= 0
 
     def lt(self, a: Scalar, b: Scalar) -> bool:
         return self.sign(a - b) < 0
-
-    def to_json(self, a: Scalar):
-        raise NotImplementedError
 
 
 class RationalBackend(Backend):

@@ -8,6 +8,7 @@ as JSON, with optional SVG and CSV side outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .backend import get_backend, parse_scalar
@@ -28,6 +29,8 @@ from .verify import run_verify
 
 
 def _add_common(p: argparse.ArgumentParser, with_a: bool = True):
+    # argparse's negative numbers, and -p/q, are flag values, not options
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("input", help="polygon document (JSON)")
     p.add_argument("--backend", choices=["rational", "float"], default="rational")
     p.add_argument("--paired", action="store_true",

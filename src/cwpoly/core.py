@@ -9,7 +9,10 @@ a point list (or scalars) or a frame, frames it once, does its sums and
 products on the integers, and returns a frame, or one scalar built by
 ``from_frame``, instead of a gcd per intermediate sum.  The involute ladder
 passes frames from one function to the next; callers that need ``Vec2`` or
-``Fraction`` values convert once (``Frame.points``, ``ScalarFrame.values``).
+``Fraction`` values convert once, by ``from_frame`` (``Frame.points``,
+``ScalarFrame.values``).  The cross terms det(p_j, p_{j+1}) of a closed
+frame (the ball's edge determinants, the half areas of ``cw``, the
+orientation of a chord boundary) are ``cross_terms``.
 Each new polygon is reduced by one content gcd (``Frame.reduced``), which
 gives exactly ``integer_frame`` of its vertices.  A frame knows whether it
 is exact: float input gets the frame den = 1.0 with its coordinates
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle
-from operator import truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .backend import Backend, RATIONAL, Scalar
@@ -116,8 +118,8 @@ class Frame(NamedTuple):
 
     def points(self) -> list[Vec2]:
         """The points (xs[i], ys[i]) / den, as ``from_frame`` builds them."""
-        q, den = Fraction if self.exact else truediv, self.den
-        return [Vec2(q(x, den), q(y, den)) for x, y in zip(self.xs, self.ys)]
+        den = self.den
+        return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in zip(self.xs, self.ys)]
 
     def half(self) -> "Frame":
         """The first half of the list: the distinct points of a doubled frame,
@@ -154,9 +156,7 @@ class ScalarFrame(NamedTuple):
 
     def values(self) -> list[Scalar]:
         """The scalars nums[i] / den, as ``from_frame`` builds them."""
-        den = self.den
-        q = truediv if isinstance(den, float) else Fraction
-        return [q(v, den) for v in self.nums]
+        return [from_frame(v, self.den) for v in self.nums]
 
 
 def scalar_frame(values: Sequence[Scalar] | ScalarFrame) -> ScalarFrame:
@@ -200,6 +200,11 @@ def from_frame(num, den) -> Scalar:
     """num / den for a framed result: one Fraction over an int denominator,
     or the float quotient over a denominator built from a float frame."""
     return num / den if isinstance(den, float) else Fraction(num, den)
+
+
+def cross_terms(xs: Sequence, ys: Sequence) -> list:
+    """det(p_j, p_{j+1}) = xs[j] ys[j+1] - ys[j] xs[j+1] for each j of a closed list."""
+    return [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
 
 
 def polygon_area(points: Sequence[Vec2] | Frame) -> Scalar:
@@ -269,18 +274,6 @@ def angle_less(u: Vec2, v: Vec2) -> bool:
     if hu != hv:
         return hu
     return det(u, v) > 0
-
-
-class AngleKey:
-    """Sort key wrapping ``angle_less``, the exact full-circle angle order."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: Vec2):
-        self.v = v
-
-    def __lt__(self, other: "AngleKey") -> bool:
-        return angle_less(self.v, other.v)
 
 
 def clean_convex(points: Sequence[Vec2], backend: Backend):
@@ -441,9 +434,7 @@ class CenteredBall:
     def edge_det_frame(self) -> ScalarFrame:
         """Framed edge determinants: det(W_i, W_{i+1}) = nums[i] / den."""
         xs, ys, den = self.frame
-        return ScalarFrame([x0 * y1 - y0 * x1
-                            for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])],
-                           den * den)
+        return ScalarFrame(cross_terms(xs, ys), den * den)
 
     @cached_property
     def edge_dets(self) -> list[Scalar]:
@@ -793,12 +784,13 @@ class WindingFrame(_FramedBoundary):
     the chords of many midpoints in O(m) each.
 
     The boundary q_0 ... q_{2n-1} has its edges i and i + n exactly
-    antiparallel (``chord_frame`` tests this and strict convexity), and
-    ``orient`` is its orientation, 1 or -1.  Its diagonal midpoints
-    M_i = (q_i + q_{i+n}) / 2 close up after n steps, and the midpoints of
-    the chords from edge i to edge i + n fill the segment S_i from
-    (q_i + q_{i+n+1}) / 2 to (q_{i+1} + q_{i+n}) / 2, which holds the edge
-    M_i M_{i+1} in its interior.  The chords with midpoint x are then:
+    antiparallel (``chord_frame`` builds the ``edges`` once and tests this
+    and strict convexity on them), and ``orient`` is its orientation, 1 or
+    -1.  Its diagonal midpoints M_i = (q_i + q_{i+n}) / 2 close up after n
+    steps, and the midpoints of the chords from edge i to edge i + n fill
+    the segment S_i from (q_i + q_{i+n+1}) / 2 to (q_{i+1} + q_{i+n}) / 2,
+    which holds the edge M_i M_{i+1} in its interior.  The chords with
+    midpoint x are then:
 
     * a continuum (overlap) when x lies on an open S_i;
     * otherwise 2|w| + 1, where w != 0 is the winding number of the
@@ -811,7 +803,7 @@ class WindingFrame(_FramedBoundary):
     ends, compared with (cx, cy) after one product by s.
     """
 
-    def __init__(self, xs: list, ys: list, den: int, orient: int):
+    def __init__(self, xs: list, ys: list, den: int, orient: int, edges: list):
         m, n = len(xs), len(xs) // 2
         self.den, self.orient = den, orient
         q = self.q = list(zip(xs, ys))
@@ -825,7 +817,6 @@ class WindingFrame(_FramedBoundary):
             along = (nx - mx) * dx + (ny - my) * dy > 0  # M_i M_{i+1} runs along S_i
             self.segments.append((dx, dy, dx * ay - dy * ax, dx * ax + dy * ay,
                                   dx * dx + dy * dy, my, ny, along))
-        edges = [(xs[(j + 1) % m] - x, ys[(j + 1) % m] - y) for j, (x, y) in enumerate(q)]
         self.edges = [(ex, ey, 2 * (ex * y - ey * x)) for (x, y), (ex, ey) in zip(q, edges)]
 
     def count(self, cx: int, cy: int, s: int = 1) -> RegionTest:
@@ -858,15 +849,14 @@ class WindingFrame(_FramedBoundary):
         return RegionTest(chords=1, overlap=False, symmetric=False)
 
 
-def _convex_pairing(xs: list, ys: list) -> int:
+def _convex_pairing(xs: list, ys: list, e: list) -> int:
     """The orientation (1 counterclockwise, -1 clockwise) of a closed
-    integer list that is a strictly convex 2n-gon, n >= 2, whose edges i
-    and i + n are exactly antiparallel; 0 for any other list."""
+    integer list, with edges e, that is a strictly convex 2n-gon, n >= 2,
+    whose edges i and i + n are exactly antiparallel; 0 for any other list."""
     m, n = len(xs), len(xs) // 2
     if m % 2 or n < 2:
         return 0
-    e = [(xs[(j + 1) % m] - x, ys[(j + 1) % m] - y) for j, (x, y) in enumerate(zip(xs, ys))]
-    area = sum(x * ey - y * ex for x, y, (ex, ey) in zip(xs, ys, e))
+    area = sum(cross_terms(xs, ys))
     o = (area > 0) - (area < 0)
 
     def cross(a, b):
@@ -893,8 +883,9 @@ def chord_frame(boundary: Sequence[Vec2]) -> ChordFrame | WindingFrame:
     ``ChordFrame``.
     """
     xs, ys, den = integer_frame(exact_points(boundary))
-    orient = _convex_pairing(xs, ys)
-    return WindingFrame(xs, ys, den, orient) if orient else ChordFrame(boundary)
+    e = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
+    orient = _convex_pairing(xs, ys, e)
+    return WindingFrame(xs, ys, den, orient, e) if orient else ChordFrame(boundary)
 
 
 def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:

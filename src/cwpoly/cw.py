@@ -16,9 +16,9 @@ point list (or scalars) or a frame and return a ``ScalarFrame``.  The
 alphas and lambdas are solved by the ball on its backend, along the edges
 of U (``CenteredBall.edge_coeffs``) and the vertices of V
 (``vertex_coeffs``), and both report an edge that is not parallel through
-``_not_parallel``.  Every offset X + cD (the equidistants, the convex
-parents of the region test and the width family of the iteration) is
-``offset_points``.
+``_not_parallel``.  Every offset X + cD (the equidistants and their
+``EquidistantFrame``, the convex parents of the region test and the width
+family of the iteration) is ``offset_points``, which returns its frame.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .core import (
     frame_eq,
     Frame,
     ScalarFrame,
+    cross_terms,
     from_frame,
     integer_frame,
     scalar_frame,
@@ -149,13 +150,20 @@ def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPol
     Convex exactly when c >= -alpha_i for every edge; smaller c produces
     cusped (self-intersecting) vertex lists, which are still returned.
     """
-    return PairedPolygon(offset_points(ce.M, u, ce.backend.convert(c)), ce.n, ce.backend)
+    return PairedPolygon(offset_points(ce.frame, u, ce.backend.convert(c)).points(),
+                         ce.n, ce.backend)
 
 
-def offset_points(points: Sequence[Vec2], d: CenteredBall, c: Scalar) -> list[Vec2]:
-    """X_i + c D_i: the c-equidistant of a central polygon X in the ball D."""
-    dv = d.vertices
-    return [p + dv[i] * c for i, p in enumerate(points)]
+def offset_points(points: Sequence[Vec2] | Frame, d: CenteredBall, c: Scalar) -> Frame:
+    """X_i + c D_i, the c-equidistant of a central polygon X in the ball D,
+    as the frame over den(X) den(D) den(c).  On a float frame den = 1.0 and
+    each coordinate is x + a c, as ``Vec2`` arithmetic computes it."""
+    mx, my, dm = integer_frame(points)
+    ux, uy, du = d.frame
+    (cn,), cd = scalar_frame([c])
+    k, cu = du * cd, cn * dm
+    return Frame([x * k + a * cu for x, a in zip(mx, ux)],
+                 [y * k + b * cu for y, b in zip(my, uy)], dm * du * cd)
 
 
 def min_convex_c(ce: CentralEquidistant) -> Scalar:
@@ -242,9 +250,9 @@ class EquidistantFrame:
       as window sums of the shoelace terms plus the closing diagonal term.
       A2(i) = A1(i + n).
 
-    P_i(c) = (xs[i], ys[i]) / den with den = den_M den_U den_c.  On a float
-    frame den = 1 and P_i(c) = M_i + U_i c, as ``equidistant`` computes it.
-    The sums are framed (numerators over one denominator); the public
+    P_i(c) = (xs[i], ys[i]) / den is the frame of ``offset_points``, with den
+    = den_M den_U den_c (1.0 on a float frame), and ``equidistant`` reads
+    its points.  The sums are framed (numerators over one denominator); the public
     functions of this module build one scalar per result from them.
     """
 
@@ -262,11 +270,8 @@ class EquidistantFrame:
 
     @cached_property
     def frame(self) -> Frame:
-        mx, my, dm = self.ce.frame
-        ux, uy, du = self.u.frame
-        k, cu = du * self.cd, self.cn * dm
-        return Frame([x * k + a * cu for x, a in zip(mx, ux)],
-                     [y * k + b * cu for y, b in zip(my, uy)], dm * du * self.cd)
+        """``offset_points`` of M's frame: P(c) over den_M den_U den_c."""
+        return offset_points(self.ce.frame, self.u, self.c)
 
     @cached_property
     def half_arc_lengths(self) -> ScalarFrame:
@@ -301,8 +306,7 @@ class EquidistantFrame:
         """A1(i) = nums[i] / den for i = 0 .. m-1."""
         xs, ys, den = self.frame
         n, m = self.n, self.m
-        terms = [xs[j] * ys[(j + 1) % m] - ys[j] * xs[(j + 1) % m] for j in range(m)]
-        sums = window_sums(terms, n)
+        sums = window_sums(cross_terms(xs, ys), n)
         return ScalarFrame([s + (xs[(i + n) % m] * ys[i] - ys[(i + n) % m] * xs[i])
                             for i, s in enumerate(sums)], 2 * den * den)
 

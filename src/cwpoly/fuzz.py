@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .backend import Backend, RATIONAL
 from .ball import MinkowskiPlane, build_plane
-from .core import AngleKey, CenteredBall, ConvexPolygon, InputError, Vec2, det
+from .core import CenteredBall, ConvexPolygon, InputError, Vec2, angle_less, det
+
+# sort key of the exact full-circle angle order of nonzero vectors
+_angle_key = cmp_to_key(lambda u, v: angle_less(v, u) - angle_less(u, v))
 
 
 def random_convex_polygon(rng: random.Random, k: int, span: int = 24,
@@ -30,7 +34,7 @@ def random_convex_polygon(rng: random.Random, k: int, span: int = 24,
         vecs = [Vec2(a, b) for a, b in zip(dx, dy) if (a, b) != (0, 0)]
         if len(vecs) < 3:
             continue
-        vecs.sort(key=AngleKey)
+        vecs.sort(key=_angle_key)
         pts = [Vec2(0, 0)]
         for v in vecs[:-1]:
             pts.append(pts[-1] + v)
@@ -90,7 +94,7 @@ def random_centered_ball(rng: random.Random, n: int, span: int = 12,
             if any(det(cand, w) == 0 for w in vecs):
                 continue
             vecs.append(cand)
-        vecs.sort(key=AngleKey)
+        vecs.sort(key=_angle_key)
         edges = vecs + [-v for v in vecs]
         half = Vec2(0, 0)
         for v in vecs:

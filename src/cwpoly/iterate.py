@@ -293,8 +293,8 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     c = backend.convert(c)
     d = backend.convert(d)
     step = trace.steps[k]
-    return (PairedPolygon(offset_points(step.M, plane.U, c), plane.n, backend),
-            PairedPolygon(offset_points(step.N, plane.V, d), plane.n, backend))
+    return (PairedPolygon(offset_points(step._frame("M"), plane.U, c).points(), plane.n, backend),
+            PairedPolygon(offset_points(step._frame("N"), plane.V, d).points(), plane.n, backend))
 
 
 def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:
@@ -305,8 +305,9 @@ def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2
     It runs on u's backend; ``backend``, if given, must be that one (InputError).
     """
     u.own_backend(backend)
-    c = max(-a for a in alphas_of(m_points, u).values()) + 1
-    return offset_points(m_points, u, c)
+    f = integer_frame(m_points)
+    c = max(-a for a in alphas_of(f, u).values()) + 1
+    return offset_points(f, u, c).points()
 
 
 @dataclass

@@ -38,7 +38,6 @@ from .cw import (
     EquidistantFrame,
     central_equidistant,
     cusps_of_central,
-    equidistant,
     v_length,
     window_sums,
 )
@@ -104,12 +103,7 @@ class Report:
 
 
 def _s(backend: Backend, value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    try:
-        return str(backend.to_json(value))
-    except (TypeError, ValueError):
-        return str(value)
+    return str(backend.to_json(value))
 
 
 def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
@@ -238,8 +232,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("evolute.mu_pair_sums", "mu_i + mu_{i+n} = 2a", chk_mu_pairs)
 
     def chk_evolute_shared():
-        c2 = cs[1]
-        ev2 = evolute(equidistant(ce, u, c2).vertices, u, v)
+        ev2 = evolute(frames[1].frame.points(), u, v)  # the equidistant at c = 1
         ok = all(backend.same_point(ev2.E[i], ev.E[i]) for i in range(m))
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",

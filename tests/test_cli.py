@@ -275,6 +275,29 @@ def test_exit_2_nonpositive_half_width(triangle_doc, capsys, a):
     assert out.err.splitlines()[-1] == "error: half-width parameter a must be positive"
 
 
+def test_negative_half_width_as_separate_word(triangle_doc, capsys):
+    # -p/q after --a is its value, not an option, and reaches the value check
+    assert main(["ball", triangle_doc, "--a", "-1/2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == "error: half-width parameter a must be positive"
+
+
+@pytest.mark.parametrize("split, joined", [
+    (["central", "--c", "-1/2"], ["central", "--c=-1/2"]),
+    (["iterate", "--steps", "2", "--c", "-1/2", "--d", "-3/4"],
+     ["iterate", "--steps", "2", "--c=-1/2", "--d=-3/4"]),
+], ids=["central", "iterate"])
+def test_negative_fraction_as_separate_word(triangle_doc, tmp_path, capsys, split, joined):
+    # --c -1/2 prints the same bytes, and draws the same SVG, as --c=-1/2
+    outs = []
+    for k, argv in enumerate((split, joined)):
+        svg = tmp_path / f"{k}.svg"
+        assert main([argv[0], triangle_doc, *argv[1:], "--svg", str(svg)]) == 0
+        outs.append((capsys.readouterr().out, svg.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("flags", [
     ["ball", "--a", "x"],
     ["ball", "--a", "1/0"],
@@ -471,7 +494,7 @@ _document = st.one_of(
     st.dictionaries(st.text(max_size=3), _junk, max_size=2), _junk)
 # mostly valid scalars, so that the geometry runs as well as the parsers
 _scalar = st.sampled_from(["1/2", "1", "3/7", "0.25"] * 3
-                          + ["0", "-1", "x", "1/0", "1e-3", "inf", "nan"])
+                          + ["0", "-1", "-1/2", "x", "1/0", "1e-3", "inf", "nan"])
 
 
 @st.composite

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwpoly import (
@@ -28,9 +28,10 @@ from cwpoly import (
 from cwpoly import verify
 from cwpoly.backend import FLOAT, RATIONAL
 from cwpoly.ball import det_table, framed_widths
-from cwpoly.core import CenteredBall, from_frame, integer_frame
+from cwpoly.core import CenteredBall, cross_terms, from_frame, integer_frame
 from cwpoly.cw import EquidistantFrame, alphas_of, ladder_cusps, window_sums
 from cwpoly.fuzz import random_cw_plane, random_rational
+from cwpoly.iterate import convex_parent_of_m, iterate_involutes, width_family
 from cwpoly.verify import _s
 
 from conftest import float_copy, fuzz_planes, perturbed_planes
@@ -590,3 +591,48 @@ def test_half_area_identity_below_min_convex_c_raises(quad_plane):
     with pytest.raises(InputError) as e:
         half_area_identity(ce, quad_plane.U, 0, min_convex_c(ce) - F(1, 8))
     assert str(e.value) == "half-polygon areas need a convex equidistant"
+
+
+def _ref_offset(points, d, c):
+    """X_i + c D_i, one Vec2 operation at a time."""
+    return [p + d.vertices[i] * c for i, p in enumerate(points)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([None, 1e-3, 1.0, 1e3]),
+       st.sampled_from([F(1, 2), 1, F(-3, 7), 0, F(5, 3)]))
+@example(14, 1e3, F(-3, 7))  # planes whose float copies at 1e3 build
+@example(21, 1e3, F(5, 3))
+def test_offset_points_is_the_vertex_offset_bitwise(seed, scale, c):
+    # every X + cD of the package (equidistant, the frame of
+    # EquidistantFrame, convex_parent_of_m and both polygons of
+    # width_family) is one framed offset; its points have the repr of the
+    # vertex offset on exact planes and on float copies, and the cross terms
+    # of a frame are det(p_j, p_{j+1}) of its numerators in every slot
+    plane = random_cw_plane(random.Random(seed))
+    try:
+        if scale is not None:
+            plane = float_copy(plane, scale)
+        ce = central_equidistant(plane)
+        trace = iterate_involutes(plane, max_steps=2)
+    except GeometryError:
+        return  # the absolute float tolerance fails at 1e3 (ROADMAP direction 1)
+    u, v, be = plane.U, plane.V, plane.backend
+    cc = be.convert(c)
+    want = repr(_ref_equidistant(ce, u, cc))
+    assert repr(equidistant(ce, u, c).vertices) == want
+    assert repr(EquidistantFrame(ce, u, c).frame.points()) == want
+    parent_c = max(-a for a in ce.alphas) + 1
+    assert repr(convex_parent_of_m(ce.M, u)) == repr(_ref_equidistant(ce, u, parent_c))
+    for k, step in enumerate(trace.steps):
+        p, q = width_family(trace, plane, k, c, c)
+        assert repr(p.vertices) == repr(_ref_offset(step.M, u, cc))
+        assert repr(q.vertices) == repr(_ref_offset(step.N, v, cc))
+    for pts in (ce.M, equidistant(ce, u, c).vertices, u.vertices, trace.final.N):
+        xs, ys, den = integer_frame(pts)
+        q = [Vec2(x, y) for x, y in zip(xs, ys)]
+        m = len(q)
+        assert cross_terms(xs, ys) == [det(q[j], q[(j + 1) % m]) for j in range(m)]
+        if be.exact:
+            assert [from_frame(t, den * den) for t in cross_terms(xs, ys)] \
+                == [det(pts[j], pts[(j + 1) % m]) for j in range(m)]

@@ -2,8 +2,12 @@
 import random
 from fractions import Fraction as F
 
-from cwpoly import det, polygon_area
-from cwpoly.fuzz import random_centered_ball, random_convex_polygon, random_cw_plane
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cwpoly import Vec2, det, polygon_area
+from cwpoly.core import angle_less
+from cwpoly.fuzz import _angle_key, random_centered_ball, random_convex_polygon, random_cw_plane
 
 
 def test_random_polygons_strictly_convex():
@@ -39,3 +43,17 @@ def test_random_planes_in_range_and_reproducible():
         plane = random_cw_plane(rng, n_min=3, n_max=8)
         assert 3 <= plane.n <= 8
         assert plane.a == F(1, 2)
+
+
+_direction = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: v != (0, 0))
+
+
+@given(st.lists(st.tuples(_direction, st.integers(1, 3)), max_size=24))
+def test_angle_key_sorts_by_angle_less(vectors):
+    # the generators sort edge vectors with this key: in the sorted list no
+    # vector comes before an earlier one in the full-circle angle order,
+    # over all four quadrants, with multiples of one direction side by side
+    vecs = [Vec2(x * k, y * k) for (x, y), k in vectors]
+    out = sorted(vecs, key=_angle_key)
+    assert not any(angle_less(out[j], out[i])
+                   for i in range(len(out)) for j in range(i + 1, len(out)))

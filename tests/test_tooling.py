@@ -2,6 +2,7 @@
 the tracer sees the ladder's public functions, and the size sweep runs."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from cwpoly import iterate, iterate_involutes, kernels
@@ -54,3 +55,15 @@ def test_sweep_times_every_stage(monkeypatch):
     row = sweep.sweep_one(5)
     assert set(row["seconds"]) == set(sweep.STAGES) and not row["skipped"]
     assert row["checks_ok"] is True
+
+
+def test_cli_imports_only_the_standard_library(run_python):
+    # the package has no runtime dependency: a fresh interpreter that
+    # imports the CLI, as every cold `cw` process does, loads no top-level
+    # module but cwpoly and the standard library's
+    out = run_python("-c", "import sys; before = set(sys.modules); import cwpoly.cli; "
+                           "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    assert out.returncode == 0, out.stderr
+    new = out.stdout.split()
+    assert "cwpoly" in new
+    assert [m for m in new if m != "cwpoly" and m not in sys.stdlib_module_names] == []
