@@ -27,6 +27,7 @@ from .core import (
     from_frame,
     integer_frame,
     minkowski_sum,
+    scalar_frame,
 )
 
 
@@ -75,21 +76,27 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
 
 
 def unit_ball(paired: PairedPolygon, a: Scalar, validate: bool = True) -> CenteredBall:
-    """Centered ball U with U_i = (P_i - P_{i+n}) / (2a), origin at (0,0)."""
+    """Centered ball U with U_i = (P_i - P_{i+n}) / (2a), origin at (0,0).
+
+    Each coordinate is one ``from_frame`` of a diagonal of P's frame times
+    the numerator of 1 / (2a), over den(P) den(1 / (2a)); on a float frame,
+    the diagonal times 1 / (2a).
+    """
     backend = paired.backend
     a = backend.convert(a)
     if backend.sign(a) <= 0:
         raise InputError("half-width parameter a must be positive")
-    m = 2 * paired.n
-    v = paired.vertices
-    scale = 1 / (2 * a)
+    n, m = paired.n, 2 * paired.n
+    xs, ys, den = integer_frame(paired.vertices)
+    (sn,), sd = scalar_frame([1 / (2 * a)])
+    den *= sd
     out = []
     for i in range(m):
-        d = v[i] - v[(i + paired.n) % m]
-        if backend.is_zero(d.x) and backend.is_zero(d.y):
+        dx, dy = xs[i] - xs[(i + n) % m], ys[i] - ys[(i + n) % m]
+        if backend.is_zero(dx) and backend.is_zero(dy):
             raise InputError(f"degenerate diagonal at index {i}")
-        out.append(d * scale)
-    ball = CenteredBall(out, paired.n, backend)
+        out.append(Vec2(from_frame(dx * sn, den), from_frame(dy * sn, den)))
+    ball = CenteredBall(out, n, backend)
     if validate:
         ball.validate()
     return ball
@@ -99,12 +106,17 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
     """Dual ball V with V_i = (U_{i+1} - U_i) / det(U_i, U_{i+1}).
 
     Edge-indexed: vertex V_i of the dual corresponds to the edge U_i U_{i+1}.
-    Every point of every edge of V has dual norm exactly 1 against U.
+    Every point of every edge of V has dual norm exactly 1 against U.  On
+    U's frame, det_i = d_i / den^2, so each coordinate is one ``from_frame``,
+    V_i = (U_{i+1} - U_i) den / d_i on the numerators; on a float frame
+    (den = 1.0) it is the float quotient.  A zero d_i raises InputError
+    (``CenteredBall.divisor_frame``).
     """
-    m = 2 * u.n
-    w = u.vertices
-    d = u.edge_dets
-    ball = CenteredBall([(w[(i + 1) % m] - w[i]) / d[i] for i in range(m)], u.n, u.backend)
+    xs, ys, den = u.frame
+    dets = u.divisor_frame.nums
+    ball = CenteredBall([Vec2(from_frame((x1 - x0) * den, d), from_frame((y1 - y0) * den, d))
+                         for x0, y0, x1, y1, d in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1],
+                                                      dets)], u.n, u.backend)
     if validate:
         ball.validate()
     return ball

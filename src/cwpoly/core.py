@@ -436,20 +436,33 @@ class CenteredBall:
         xs, ys, den = self.frame
         return ScalarFrame(cross_terms(xs, ys), den * den)
 
-    @cached_property
-    def edge_dets(self) -> list[Scalar]:
-        """det(W_i, W_{i+1}) for consecutive vertices, the divisors of the
-        dual ball and of the curvature radii.  A valid ball has them all
-        positive; a zero one raises InputError naming its index."""
+    @property
+    def divisor_frame(self) -> ScalarFrame:
+        """``edge_det_frame`` read as the divisors of the dual ball and of the
+        curvature radii.  A valid ball has them all positive; a zero one
+        raises InputError naming its index."""
         dets = self.edge_det_frame
         if 0 in dets.nums:
             raise InputError(f"degenerate ball edge at index {dets.nums.index(0)}")
-        return dets.values()
+        return dets
+
+    @cached_property
+    def edge_dets(self) -> list[Scalar]:
+        """det(W_i, W_{i+1}) for consecutive vertices: the values of
+        ``divisor_frame``."""
+        return self.divisor_frame.values()
 
     @cached_property
     def area(self) -> Scalar:
         """``polygon_area`` of the vertices."""
         return polygon_area(self.vertices)
+
+    def require_length(self, what: str, count: int, noun: str = "points") -> None:
+        """InputError naming both lengths unless a list given to ``what``
+        holds ``count`` = 2n entries, one per vertex of the ball."""
+        if count != len(self.vertices):
+            raise InputError(f"{what}: length mismatch ({count} {noun} vs "
+                             f"{len(self.vertices)} ball vertices)")
 
     def own_backend(self, backend: Backend | None) -> Backend:
         """The ball's backend; a ``backend`` given as well must be that one."""

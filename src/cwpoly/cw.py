@@ -87,9 +87,11 @@ def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
     ``u.edge_coeffs`` solves edge i of the list along the ball's edge i.  An
     edge that is not parallel to its ball edge raises IdentityError, at the
     first such edge; the message names the points, built from the frame
-    when a frame is given.
+    when a frame is given.  A list whose length is not the ball's 2n raises
+    InputError.
     """
     xs, ys, den = f = integer_frame(points)
+    u.require_length("alphas_of", len(xs))
     al = u.edge_coeffs(map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys), den)
     if None in al.nums:
         i = al.nums.index(None)
@@ -132,11 +134,16 @@ def betas_of(alphas: Sequence[Scalar] | ScalarFrame, u: CenteredBall) -> ScalarF
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
-    """Midpoints of the diagonals, plus the alpha and beta ladders."""
-    paired, u, backend = plane.P, plane.U, plane.backend
-    m = 2 * plane.n
-    pv = paired.vertices
-    mid = [(pv[i] + pv[(i + plane.n) % m]) / 2 for i in range(m)]
+    """Midpoints of the diagonals, plus the alpha and beta ladders.
+
+    Each midpoint coordinate is one ``from_frame`` of the diagonal sum on
+    P's frame, over 2 den(P); on a float frame, the float sum halved."""
+    u, backend, n = plane.U, plane.backend, plane.n
+    m = 2 * n
+    xs, ys, den = integer_frame(plane.P.vertices)
+    den *= 2
+    mid = [Vec2(from_frame(xs[i] + xs[(i + n) % m], den), from_frame(ys[i] + ys[(i + n) % m], den))
+           for i in range(m)]
     degenerate = all(backend.same_point(mid[i], mid[0]) for i in range(1, m))
     al = alphas_of(mid, u)
     be = betas_of(al, u)

@@ -19,10 +19,14 @@ is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is
 ``involute_points`` on (V, W), one slot later.  ``signed_area_gap`` and
 ``convex_parent_of_m`` serve both worlds unchanged, given (V, W) for the
 edge world, and ``cw.ladder_cusps`` gives the cusps of both
-(``evolute_cusps``).  ``involute_points``, ``dual_involute``,
+(``evolute_cusps``).  ``evolute``, ``involute_points``, ``dual_involute``,
 ``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
-frame (see ``core``); the involutes return frames.  Every function here that
-is given a ball computes on the ball's backend (``CenteredBall.backend``).
+frame (see ``core``) and compute on its integers; the involutes return
+frames, and ``evolute`` builds one Fraction per coordinate of E and per
+curvature radius.  Every function here that is given a ball computes on the
+ball's backend (``CenteredBall.backend``), and one given a list whose
+length is not the ball's 2n raises InputError
+(``CenteredBall.require_length``).
 """
 from __future__ import annotations
 
@@ -70,37 +74,61 @@ class Evolute:
     degenerate: bool
 
 
-def evolute(points: Sequence[Vec2], u: CenteredBall, v: CenteredBall,
+def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
             backend: Backend | None = None) -> Evolute:
-    """Evolute of a closed constant-U-width vertex list, given the dual ball V.
+    """Evolute of a closed constant-U-width vertex list or frame, given the
+    dual ball V.
 
     mu_i = lambda_i / det(U_i, U_{i+1}), so no division by a vanishing edge
     coordinate; it solves P_{i+1} - P_i = mu_i (U_{i+1} - U_i).  E_i = P_i -
-    mu_i U_i and the companion form E_i = P_{i+1} - mu_i U_{i+1} must agree.
-    The evolute of every equidistant of P equals the evolute of P.  Both
-    forms are checked on all m slots; E repeats after n slots (E_{i+n} =
-    E_i, exactly in rational mode), so E is stored as its first n vertices
-    twice, and float rounding cannot make its halves differ.  It runs on
-    U's backend; ``backend``, if given, must be that one (InputError).
+    mu_i U_i and the companion form E_i = P_{i+1} - mu_i U_{i+1} must agree
+    on all m slots.  The evolute of every equidistant of P equals the
+    evolute of P.  In rational mode mu_i = a_i / b_i stays on the integers
+    of the frames (a_i = lambda numerator times den(det), b_i = den(lambda)
+    times the framed det_i), the two forms are compared by
+    cross-multiplication, and each coordinate of E is one Fraction; a float
+    frame evaluates the formulas directly.  E repeats after n slots
+    (E_{i+n} = E_i, exactly in rational mode), so E is stored as its first
+    n vertices twice, and float rounding cannot make its halves differ.  A
+    list whose length is not U's 2n, or a zero det(U_i, U_{i+1}) after the
+    lambda solve, raises InputError.  It runs on U's backend; ``backend``,
+    if given, must be that one (InputError).
     """
     backend = u.own_backend(backend)
-    m = len(points)
+    xs, ys, xden = x = integer_frame(points)
+    m = len(xs)
     n = m // 2
-    uv = u.vertices
-    closed = list(points) + [points[0]]
-    lam = lambdas_of(closed, v)
-    _raise_not_parallel(lam.nums, lambda: closed, v)
-    mus = [t / di for t, di in zip(lam.values(), u.edge_dets)]
-    out = []
-    for i in range(m):
-        e1 = points[i] - uv[i] * mus[i]
-        e2 = points[(i + 1) % m] - uv[(i + 1) % m] * mus[i]
-        if not backend.same_point(e1, e2):
-            raise IdentityError(f"evolute defining forms disagree at edge {i}")
-        out.append(e1)
-    out = out[:n] * 2
-    degenerate = all(backend.same_point(out[i], out[0]) for i in range(1, m))
-    return Evolute(E=out, mus=mus, n=n, backend=backend, degenerate=degenerate)
+    u.require_length("evolute", m)
+    closed = Frame(xs + xs[:1], ys + ys[:1], xden)
+    lnums, lden = lambdas_of(closed, v)
+    _raise_not_parallel(lnums, lambda: closed.points() if points is x
+                        else list(points) + [points[0]], v)
+    dets, dden = u.divisor_frame
+    ux, uy, uden = u.frame
+    if backend.exact:
+        mus = [Fraction(t * dden, lden * d) for t, d in zip(lnums, dets)]
+        ks = [lden * d * uden for d in dets]  # b_i den(U)
+        hs = [t * dden * xden for t in lnums]  # a_i den(P)
+        for i in range(m):
+            j = i + 1 if i + 1 < m else 0
+            k, h = ks[i], hs[i]
+            if (xs[j] - xs[i]) * k != h * (ux[j] - ux[i]) \
+                    or (ys[j] - ys[i]) * k != h * (uy[j] - uy[i]):
+                raise IdentityError(f"evolute defining forms disagree at edge {i}")
+        out = [Vec2(Fraction(xs[i] * ks[i] - hs[i] * ux[i], xden * ks[i]),
+                    Fraction(ys[i] * ks[i] - hs[i] * uy[i], xden * ks[i])) for i in range(n)]
+    else:
+        eq = backend.eq
+        mus = [(t / lden) / (d / dden) for t, d in zip(lnums, dets)]
+        for i in range(m):
+            j = i + 1 if i + 1 < m else 0
+            mu = mus[i]
+            if not (eq(xs[i] - ux[i] * mu, xs[j] - ux[j] * mu)
+                    and eq(ys[i] - uy[i] * mu, ys[j] - uy[j] * mu)):
+                raise IdentityError(f"evolute defining forms disagree at edge {i}")
+        out = [Vec2(xs[i] - ux[i] * mus[i], ys[i] - uy[i] * mus[i]) for i in range(n)]
+    degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
+    return Evolute(E=out * 2, mus=mus, n=n, backend=backend, degenerate=degenerate)
 
 
 @dataclass
@@ -129,13 +157,16 @@ def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | Sc
     checked on the same numerators for all 2n slots.  The first n vertices
     are then divided by their content (``Frame.reduced``) and listed twice,
     so the frame is exactly ``integer_frame`` of its points, and float
-    rounding cannot make its halves differ.
+    rounding cannot make its halves differ.  Points or betas whose length is
+    not D's 2n raise InputError.
     """
     eq = d.backend.eq
     xs, ys, xden = x = integer_frame(points)
     bs, bden = scalar_frame(betas)
     m = len(xs)
     n = m // 2
+    d.require_length("involute_points", m)
+    d.require_length("involute_points", len(bs), "betas")
     dx, dy, dden = d.frame
     den = xden
     if x.exact:  # X and beta on the common denominator
@@ -189,9 +220,10 @@ def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall,
     ``involute_points`` on the ball pair (V, W), one slot later.  Returns
     the frames of M' and of mu, M'_i = N_i + mu_i U_i, whose evolute is the
     input; mu is the alpha ladder of M' and minus the (V, W) betas of the
-    input.
+    input.  A list whose length is not V's 2n raises InputError.
     """
     x = integer_frame(points)
+    v.require_length("dual_involute", len(x.xs))
     bs, bden = be = betas_of(alphas_of(x, v), v)
     mx, my, mden = involute_points(x, be, u.second_dual)
     return Frame(_later(mx), _later(my), mden), ScalarFrame([-b for b in bs], bden)

@@ -232,7 +232,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("evolute.mu_pair_sums", "mu_i + mu_{i+n} = 2a", chk_mu_pairs)
 
     def chk_evolute_shared():
-        ev2 = evolute(frames[1].frame.points(), u, v)  # the equidistant at c = 1
+        ev2 = evolute(frames[1].frame, u, v)  # the equidistant at c = 1
         ok = all(backend.same_point(ev2.E[i], ev.E[i]) for i in range(m))
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -64,6 +65,13 @@ def fuzz_planes(seed: int, count: int, **kwargs):
 
     r = random.Random(seed)
     return [random_cw_plane(r, **kwargs) for _ in range(count)]
+
+
+def kgon_plane(k: int):
+    """The regular k-gon of radius 1000, rounded to integer coordinates."""
+    pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
+            round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
+    return build_plane(ConvexPolygon.from_points(pts))
 
 
 def perturbed_planes():

@@ -14,6 +14,7 @@ from cwpoly import (
     Vec2,
     ball_from_dual,
     build_plane,
+    central_equidistant,
     det,
     dual_ball,
     is_constant_width,
@@ -28,7 +29,7 @@ from cwpoly.ball import WidthResult
 from cwpoly.core import CenteredBall, coeff_along, dot, minkowski_sum
 from cwpoly.fuzz import random_centered_ball, random_convex_polygon
 
-from conftest import float_copy, fuzz_planes, perturbed_planes
+from conftest import float_copy, fuzz_planes, kgon_plane, perturbed_planes
 
 
 def pts(seq):
@@ -355,3 +356,26 @@ def test_is_constant_width_matches_scalar_reference():
             assert res == _ref_is_constant_width(plane.P, u)
             reasons.add(res.reason)
     assert len(reasons) >= 5
+
+
+def test_framed_balls_and_midpoints_match_vec2_reference():
+    # unit_ball, dual_ball (and ball_from_dual through it) and the midpoints
+    # of central_equidistant build one Fraction per coordinate from the
+    # frame of P or U; they equal the Vec2 formulas exactly, and their float
+    # copies at scales 1e-3 and 1 have the same bits
+    def ref_dual(u):
+        w, d, m = u.vertices, u.edge_dets, len(u)
+        return [(w[(i + 1) % m] - w[i]) / d[i] for i in range(m)]
+
+    for plane in fuzz_planes(913, 30) + [kgon_plane(k) for k in (7, 9, 11, 17, 41)]:
+        for p in (plane, float_copy(plane, 1e-3), float_copy(plane, 1.0)):
+            v, n, m = p.P.vertices, p.n, 2 * p.n
+            for a in (p.a, p.backend.convert(F(1, 3))):
+                assert repr(unit_ball(p.P, a, validate=False).vertices) == \
+                    repr([(v[i] - v[(i + n) % m]) * (1 / (2 * a)) for i in range(m)])
+            assert repr(central_equidistant(p).M) == \
+                repr([(v[i] + v[(i + n) % m]) / 2 for i in range(m)])
+            assert repr(p.V.vertices) == repr(ref_dual(p.U))
+            assert repr(dual_ball(p.V).vertices) == repr(ref_dual(p.V))
+            back = ref_dual(p.V)
+            assert repr(ball_from_dual(p.V).vertices) == repr([-back[i - 1] for i in range(m)])

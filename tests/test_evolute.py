@@ -1,5 +1,4 @@
 """Evolute, involute, signed areas, the area gap, and containment."""
-import math
 import random
 from fractions import Fraction as F
 
@@ -7,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwpoly.verify
 from cwpoly import (
     ConvexPolygon,
+    IdentityError,
     InputError,
     PairedPolygon,
     RegionTest,
@@ -18,6 +19,7 @@ from cwpoly import (
     containment_check,
     cusps_of_central,
     det,
+    dual_ball,
     dual_involute,
     equidistant,
     evolute,
@@ -26,17 +28,25 @@ from cwpoly import (
     point_region_test,
     signed_area,
     signed_area_gap,
+    unit_ball,
     vec,
 )
 from cwpoly.backend import FLOAT, RATIONAL, get_backend
-from cwpoly.core import ChordFrame, WindingFrame, chord_frame, integer_frame, scalar_frame
-from cwpoly.cw import alphas_of, ladder_cusps
+from cwpoly.core import (
+    ChordFrame,
+    Frame,
+    WindingFrame,
+    chord_frame,
+    integer_frame,
+    scalar_frame,
+)
+from cwpoly.cw import alphas_of, ladder_cusps, lambdas_of
 from cwpoly.evolute import edge_world_coeffs, involute_points
 from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import check_nesting, convex_parent_of_m, iterate_involutes
 from cwpoly.verify import run_verify
 
-from conftest import float_copy, fuzz_planes
+from conftest import float_copy, fuzz_planes, kgon_plane
 
 
 def test_evolute_triangle_golden(triangle_plane):
@@ -261,12 +271,6 @@ def _reference_containment(curve, parent, samples):
     return not witnesses, tested, min_chords, witnesses
 
 
-def _kgon_plane(k):
-    pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
-            round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
-    return build_plane(ConvexPolygon.from_points(pts))
-
-
 def _scaled_float_plane(plane, scale):
     fb = get_backend("float")
     paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
@@ -283,7 +287,7 @@ def test_containment_matches_reference():
     # the framed containment check against the sample-by-sample reference:
     # exact fuzz planes, their float copies at two scales, the rounded 7-
     # and 11-gons, and curves pushed partly outside the region
-    exact = fuzz_planes(311, 6) + [_kgon_plane(7), _kgon_plane(11)]
+    exact = fuzz_planes(311, 6) + [kgon_plane(7), kgon_plane(11)]
     planes = exact + [_scaled_float_plane(p, s) for p in exact[:4] for s in (1e-3, 1.0)]
     outside = 0
     for plane in planes:
@@ -395,7 +399,7 @@ def test_paired_parents_skip_the_edge_pair_scan(monkeypatch):
         init(self, boundary)
 
     monkeypatch.setattr(ChordFrame, "__init__", spy)
-    plane = _kgon_plane(7)
+    plane = kgon_plane(7)
     report = run_verify(plane, samples=2, iterate_steps=2)
     assert [c.ok for c in report.checks if c.check_id == "containment.involute_in_central"] == [True]
     trace = iterate_involutes(plane, max_steps=2)
@@ -484,3 +488,131 @@ def test_backend_argument_must_be_the_balls(quad_plane):
         ev = evolute(pts, u, v)
         assert ev == evolute(pts, u, v, u.backend) and ev.backend is u.backend
         assert convex_parent_of_m(m, u) == convex_parent_of_m(m, u, u.backend)
+
+
+def _ref_evolute(points, u, v):
+    # the evolute by its Vec2 formulas: mu_i = lambda_i / det(U_i, U_{i+1}),
+    # E_i = P_i - mu_i U_i, checked against P_{i+1} - mu_i U_{i+1}
+    same = u.backend.same_point
+    m = len(points)
+    uv = u.vertices
+    lam = lambdas_of(list(points) + [points[0]], v).values()
+    mus = [t / d for t, d in zip(lam, u.edge_dets)]
+    out = []
+    for i in range(m):
+        e1 = points[i] - uv[i] * mus[i]
+        assert same(e1, points[(i + 1) % m] - uv[(i + 1) % m] * mus[i])
+        out.append(e1)
+    out = out[:m // 2] * 2
+    return out, mus, all(same(p, out[0]) for p in out[1:])
+
+
+def _evolute_cases():
+    # P, its c = 1 equidistant and the involute N over (V, W), exact and as
+    # float copies at scales 1e-3 and 1
+    for plane in fuzz_planes(912, 30) + [kgon_plane(k) for k in (7, 9, 11, 17)]:
+        for p in (plane, float_copy(plane, 1e-3), float_copy(plane, 1.0)):
+            ce = central_equidistant(p)
+            yield p.P.vertices, p.U, p.V
+            yield equidistant(ce, p.U, 1).vertices, p.U, p.V
+            yield involute(ce, p.V).N, p.V, p.W
+
+
+def test_framed_evolute_matches_vec2_reference():
+    cases = 0
+    for pts, u, v in _evolute_cases():
+        ev = evolute(pts, u, v)
+        E, mus, degenerate = _ref_evolute(pts, u, v)
+        assert (repr(ev.E), repr(ev.mus), ev.degenerate) == (repr(E), repr(mus), degenerate)
+        assert repr(evolute(integer_frame(pts), u, v)) == repr(ev)
+        cases += 1
+    assert cases == 34 * 3 * 3
+
+
+def test_rational_evolute_and_dual_ball_do_no_vec2_arithmetic(monkeypatch):
+    # the evolute and the dual ball run on integer frames: no Vec2 -, * or /
+    # in evolute, dual_ball, or the evolute calls of run_verify
+    calls = []
+    inside = []
+
+    def spying(name):
+        op = getattr(Vec2, name)
+
+        def spy(*args):
+            if inside:
+                calls.append(name)
+            return op(*args)
+        return spy
+
+    for name in ("__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(Vec2, name, spying(name))
+    plane = kgon_plane(9)
+    inside.append(True)
+    ev = evolute(plane.P.vertices, plane.U, plane.V)
+    dual_ball(plane.U)
+    dual_ball(plane.V)
+    inside.clear()
+    assert not ev.degenerate and calls == []
+    real = cwpoly.verify.evolute
+    evolutes = []
+
+    def spied_evolute(*args):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+            evolutes.append(args[0])
+
+    monkeypatch.setattr(cwpoly.verify, "evolute", spied_evolute)
+    report = run_verify(plane, samples=2, iterate_steps=2)
+    assert report.all_ok
+    assert len(evolutes) == 3 and any(isinstance(x, Frame) for x in evolutes)
+    assert calls == []
+    # the spies do count: the reference formulas use Vec2 arithmetic
+    inside.append(True)
+    _ref_evolute(plane.P.vertices, plane.U, plane.V)
+    assert calls
+
+
+def test_zero_edge_determinant_is_an_input_error():
+    # U_0 and U_1 lie on one line through the origin, det(U_0, U_1) = 0;
+    # unit_ball builds such a ball when it is not validated
+    p = PairedPolygon([vec(1, 0), vec(2, 0), vec(0, 1), vec(-1, 0), vec(-2, 0), vec(0, -1)], 3)
+    with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
+        build_plane(p, F(1, 2), strict=False)
+    u = unit_ball(p, F(1, 2), validate=False)
+    with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
+        dual_ball(u, validate=False)
+    v = build_plane(ConvexPolygon.from_points([(0, 0), (1, 0), (0, 1)]), F(1, 2)).V
+    with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
+        evolute([vec(1, 1)] * 6, u, v)
+    # an edge not parallel to its V_i is reported first
+    with pytest.raises(IdentityError, match="is not parallel"):
+        evolute(p.vertices, u, v)
+
+
+def test_length_mismatch_is_an_input_error(quad_plane):
+    plane = quad_plane
+    u, v = plane.U, plane.V
+    ce = central_equidistant(plane)
+    pts = plane.P.vertices
+    short = pts[:-1]
+    text = "{}: length mismatch ({} {} vs 8 ball vertices)"
+    for arg in (short, integer_frame(short), pts + pts[:2]):
+        k = len(integer_frame(arg).xs)
+        with pytest.raises(InputError) as e:
+            evolute(arg, u, v)
+        assert str(e.value) == text.format("evolute", k, "points")
+        with pytest.raises(InputError) as e:
+            involute_points(arg, ce.betas, v)
+        assert str(e.value) == text.format("involute_points", k, "points")
+        with pytest.raises(InputError) as e:
+            dual_involute(arg, u, v)
+        assert str(e.value) == text.format("dual_involute", k, "points")
+        with pytest.raises(InputError) as e:
+            alphas_of(arg, u)
+        assert str(e.value) == text.format("alphas_of", k, "points")
+    with pytest.raises(InputError) as e:
+        involute_points(ce.M, ce.betas[:-1], v)
+    assert str(e.value) == text.format("involute_points", 7, "betas")

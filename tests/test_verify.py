@@ -1,6 +1,5 @@
 """Report structure and whole-suite behaviour of the verifier."""
 import hashlib
-import math
 
 import pytest
 
@@ -9,7 +8,7 @@ from cwpoly import ConvexPolygon, InputError, PairedPolygon, build_plane, vec
 from cwpoly.backend import get_backend
 from cwpoly.verify import run_verify
 
-from conftest import fuzz_planes, perturbed_planes
+from conftest import fuzz_planes, kgon_plane, perturbed_planes
 
 
 def test_triangle_report_all_pass(triangle_plane):
@@ -59,12 +58,6 @@ def test_float_backend_tangential_containment():
     plane = build_plane(poly, 0.5)
     report = run_verify(plane, seed=8, samples=4)
     assert report.all_ok, [(c.check_id, c.actual) for c in report.checks if not c.ok]
-
-
-def _kgon_plane(k):
-    pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
-            round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
-    return build_plane(ConvexPolygon.from_points(pts))
 
 
 def test_perturbed_paired_fails_with_witness():
@@ -119,7 +112,7 @@ GOLDEN_SUITE_SHA256 = "dbaadf57c033dbc6152cbc9a3c04f1a211cac7f9b84fbc9e83b5e1ece
 
 
 def test_golden_verify_suite():
-    planes = (fuzz_planes(611, 14, n_min=3, n_max=9) + [_kgon_plane(7), _kgon_plane(11)]
+    planes = (fuzz_planes(611, 14, n_min=3, n_max=9) + [kgon_plane(7), kgon_plane(11)]
               + perturbed_planes())
     assert {p.n for p in planes[:14]} == set(range(3, 10))
     h = hashlib.sha256()
