@@ -135,9 +135,13 @@ def build_plane(poly: ConvexPolygon | PairedPolygon, a: Scalar = None,
                 strict: bool = True) -> MinkowskiPlane:
     """Full norm structure for a polygon: paired form, ball U, dual ball V.
 
-    With strict=False the ball invariants are not validated at construction,
-    so a claimed-paired polygon that is not genuinely constant-width can be
-    diagnosed afterwards by is_constant_width instead of failing here.
+    With strict=False, ``validate()`` of U and of V is skipped: a
+    claimed-paired polygon whose ball is not strictly convex is built, and
+    can be diagnosed afterwards by is_constant_width.  What the balls
+    divide by is still tested, so a zero diagonal of P raises
+    InputError("degenerate diagonal at index i") and a zero det(U_i,
+    U_{i+1}), the divisor of ``dual_ball``, raises InputError("degenerate
+    ball edge at index i").
     """
     if isinstance(poly, PairedPolygon):
         paired = poly

@@ -221,10 +221,18 @@ def mixed_area(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Scalar:
 
     Computed as (1/2) sum_i [q_i, p_{i+1} - p_i] on the frames of p and q;
     the symmetric companion formula (1/2) sum_i [p_{i+1}, q_{i+1} - q_i]
-    gives the same value and is exercised by the test suite.  For p == q
-    this is the signed shoelace area.
+    gives the same value and is exercised by the test suite.  For q is p
+    this is the signed shoelace area, which an exact frame sums as its
+    ``cross_terms`` over 2 den^2; a doubled frame, one whose second half
+    equals its first, as the cross terms of its first half over den^2.
     """
     fp = integer_frame(p)
+    if q is p and fp.exact:
+        xs, ys, den = fp
+        h = len(xs) // 2
+        if xs[h:] == xs[:h] and ys[h:] == ys[:h]:
+            return Fraction(sum(cross_terms(xs[:h], ys[:h])), den * den)
+        return Fraction(sum(cross_terms(xs, ys)), 2 * den * den)
     (px, py, pden), (qx, qy, qden) = fp, fp if q is p else integer_frame(q)
     if len(qx) != len(px):
         raise InputError(f"mixed_area: length mismatch ({len(px)} vs {len(qx)})")

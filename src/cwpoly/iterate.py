@@ -8,13 +8,14 @@ point O, the central point of the polygon.
 
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
-``ScalarFrame``, and every new polygon is reduced by one content gcd.  A
-step stores M(k) and N(k) as those frames, and builds their vertices, the
-only ``Fraction`` points of the ladder, when a caller first reads
-``step.M`` or ``step.N``; the four ledger scalars of each step are built
-as the step is made.  ``check_trace`` recomputes the ledger from the
-stored frames, or frames a polygon once from its vertices when the step
-was given a vertex list, and passes each frame to the same public
+``ScalarFrame``, and every new polygon is reduced by one content gcd.
+Every step, step 0 included, stores M(k) and N(k) as those frames, and
+builds their vertices, the only ``Fraction`` points of the ladder, when a
+caller first reads ``step.M`` or ``step.N``; the four ledger scalars of
+each step are built as the step is made, and the central point O is read
+from the frame of the last M(k).  ``check_trace`` recomputes the ledger
+from the stored frames, or frames a polygon once from its vertices when
+the step was given a vertex list, and passes each frame to the same public
 functions.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import Frame, InputError, PairedPolygon, ScalarFrame, Vec2, integer_frame
+from .core import Frame, InputError, PairedPolygon, ScalarFrame, Vec2, from_frame, integer_frame
 from .cw import (
     CentralEquidistant,
     alphas_of,
@@ -145,12 +146,14 @@ class IterationTrace:
         return self.steps[-1]
 
 
-def _centroid(points) -> Vec2:
-    sx = sy = 0
-    for p in points:
-        sx = sx + p.x
-        sy = sy + p.y
-    return Vec2(sx / len(points), sy / len(points))
+def _centroid(frame: Frame) -> Vec2:
+    """The mean of a frame's points, one ``from_frame`` per coordinate of
+    the coordinate sum over den times the point count.  A float frame sums
+    the same floats in the same order as ``Vec2`` addition of its points
+    would, and divides by the same count."""
+    xs, ys, den = frame
+    m = den * len(xs)
+    return Vec2(from_frame(sum(xs), m), from_frame(sum(ys), m))
 
 
 def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
@@ -183,7 +186,7 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         total = total + s.gap_mn + s.gap_nm
     return IterationTrace(
         steps=steps,
-        O=_centroid(last.M),
+        O=_centroid(last._frame("M")),
         radius=last.diam_m,
         converged=stop_reason == "tol",
         n=plane.n,
@@ -201,10 +204,10 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  Each polygon passes from one public
     function to the next as its ``Frame``, and the alpha and beta ladders as
-    ``ScalarFrame``s; the ledger scalars are built from those frames.  For
-    k >= 1 a step stores M(k) and N(k) as frames and builds their vertices
-    only when they are read (``IterationStep``); step 0 stores the vertex
-    lists of M(0) and of the evolute.  M(k) and N(k) repeat after n
+    ``ScalarFrame``s; the ledger scalars are built from those frames.  Every
+    step stores M(k) and N(k) as frames and builds their vertices only when
+    they are read (``IterationStep``); step 0 stores the frames of M(0) and
+    of the evolute that the ladder starts from.  M(k) and N(k) repeat after n
     vertices (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return
     them as their first n vertices twice, so every stored polygon, the
     evolute N(0) included, is doubled; its vertices are built and its
@@ -221,7 +224,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     d2 = diameter_sq(m_frame.half())
     sa_m, sa_n = signed_area(m_frame), signed_area(n_frame)
     steps = [IterationStep(
-        k=0, M=list(ce.M), N=ev.E, sa_m=sa_m, sa_n=sa_n,
+        k=0, M=m_frame, N=n_frame, sa_m=sa_m, sa_n=sa_n,
         gap_mn=0, gap_nm=sa_n - sa_m,
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
@@ -325,8 +328,8 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
     non-increasing diameters.  Each polygon's signed area and coefficient
     ladder come from its frame: the frame the step stores, or, for a step
-    given a vertex list (step 0, or one rebuilt by ``dataclasses.replace``),
-    the frame of those vertices, built once.  A stored frame is the
+    given a vertex list (one rebuilt by ``dataclasses.replace``), the frame
+    of those vertices, built once.  A stored frame is the
     integer frame of the vertices it builds, so both give the same ledger.
     """
     backend = trace.backend
@@ -370,7 +373,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
             detail = f"alpha gap fails at k={cur.k}"
             break
         acc = acc + rhs + rhs2
-        if backend.sign(sa0 - acc) < 0:
+        if backend.lt(sa0, acc):
             ok = False
             detail = f"sum of squares exceeds SA(M(0)) at k={cur.k}"
             break

@@ -377,6 +377,33 @@ def test_framed_areas_and_diameter_exact(p, q4, r4):
         assert type(got) is F and got == want
 
 
+@given(_polys(mixed_coords, 2, 6), st.integers(0, 5), st.booleans(),
+       st.sampled_from([1, F(1, 3)]))
+def test_exact_shoelace_on_doubled_and_undoubled_lists(half, i, along_y, bump):
+    # a doubled list is summed over its first half; a list whose halves
+    # differ in one coordinate, or that is not doubled, takes the full sum
+    m, i = len(half), i % len(half)
+    odd = half + half
+    x, y = odd[m + i]
+    odd[m + i] = Vec2(x, y + bump) if along_y else Vec2(x + bump, y)
+    for pts in (half + half, half, odd, half + half[:1]):
+        want = ref_mixed(_exact(pts), _exact(pts))
+        frame = integer_frame(pts)
+        got = [mixed_area(pts, pts), mixed_area(frame, frame), -signed_area(pts),
+               -signed_area(frame)]
+        if len(pts) >= 3:
+            got += [polygon_area(pts), polygon_area(frame)]
+        assert all(type(g) is F and g == want for g in got)
+
+
+@given(mixed_coords, mixed_coords)
+def test_rational_le_lt_agree_with_sign_of_difference(a, b):
+    for x, y in ((a, b), (b, a), (a, a), (a, F(a)), (F(a), a)):
+        d = RATIONAL.sign(F(x) - F(y))
+        assert RATIONAL.le(x, y) is (d <= 0)
+        assert RATIONAL.lt(x, y) is (d < 0)
+
+
 @given(_polys(float_coords), _polys(float_coords, 4, 4), _polys(float_coords, 4, 4))
 def test_framed_areas_and_diameter_float_bitwise(p, q4, r4):
     # polygon_area is mixed_area(p, p), the one shoelace

@@ -25,6 +25,7 @@ from cwpoly import (
     evolute,
     evolute_cusps,
     involute,
+    is_constant_width,
     point_region_test,
     signed_area,
     signed_area_gap,
@@ -577,10 +578,17 @@ def test_rational_evolute_and_dual_ball_do_no_vec2_arithmetic(monkeypatch):
 
 def test_zero_edge_determinant_is_an_input_error():
     # U_0 and U_1 lie on one line through the origin, det(U_0, U_1) = 0;
-    # unit_ball builds such a ball when it is not validated
-    p = PairedPolygon([vec(1, 0), vec(2, 0), vec(0, 1), vec(-1, 0), vec(-2, 0), vec(0, -1)], 3)
+    # unit_ball builds such a ball when it is not validated, and
+    # build_plane(strict=False) skips validate() but not the division of
+    # dual_ball by that determinant
+    p =PairedPolygon([vec(1, 0), vec(2, 0), vec(0, 1), vec(-1, 0), vec(-2, 0), vec(0, -1)], 3)
     with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
         build_plane(p, F(1, 2), strict=False)
+    # a ball that is only not strictly convex is built, and diagnosed later
+    q = PairedPolygon([vec(-2, 1), vec(3, 3), vec(3, -3), vec(-1, -3), vec(0, 3), vec(0, 0)], 3)
+    with pytest.raises(InputError, match="not strictly convex"):
+        build_plane(q, 1)
+    assert not is_constant_width(q, build_plane(q, 1, strict=False).U).ok
     u = unit_ball(p, F(1, 2), validate=False)
     with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
         dual_ball(u, validate=False)

@@ -26,10 +26,10 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
-from cwpoly.core import integer_frame
+from cwpoly.core import Frame, integer_frame
 from cwpoly.iterate import _sci
 
-from conftest import float_copy, fuzz_planes
+from conftest import float_copy, fuzz_planes, kgon_plane
 
 
 def test_symmetric_converges_immediately(symmetric_plane):
@@ -102,12 +102,38 @@ def test_check_trace_reads_stored_frames_as_vertices():
         trace = iterate_involutes(plane, max_steps=8, tol=1e-300)
         fresh = check_trace(trace, plane)
         for s in trace.steps:
+            # every step, step 0 included, stores frames and no vertices
+            for slot in ("_M", "_N"):
+                frame, points = s.__dict__[slot]
+                assert isinstance(frame, Frame) and points is None
             assert s.M == s.M and s.N == s.N
             assert s._frame("M") == integer_frame(s.M)
             assert s._frame("N") == integer_frame(s.N)
         steps = [dataclasses.replace(s, M=list(s.M), N=list(s.N)) for s in trace.steps]
         assert check_trace(dataclasses.replace(trace, steps=steps), plane) == fresh
         assert all(c.ok for c in fresh)
+
+
+def _mean(points):
+    sx = sy = 0
+    for p in points:
+        sx = sx + p.x
+        sy = sy + p.y
+    return Vec2(sx / len(points), sy / len(points))
+
+
+def test_central_point_is_the_mean_of_the_last_m_and_builds_no_vertices():
+    planes = fuzz_planes(417, 8) + [kgon_plane(7), kgon_plane(11)]
+    for plane in planes:
+        for p in (plane, float_copy(plane, 1e-3), float_copy(plane, 1.0)):
+            trace = iterate_involutes(p, max_steps=6, tol=1e-300)
+            o = trace.O
+            assert trace.final.__dict__["_M"][1] is None
+            want = _mean(trace.final.M)
+            if p.backend.exact:
+                assert type(o.x) is F and o == want
+            else:
+                assert repr(o) == repr(want)
 
 
 def test_iteration_step_fields_are_pinned():
