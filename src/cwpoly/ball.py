@@ -19,6 +19,7 @@ from .backend import Backend, RATIONAL, Scalar
 from .core import (
     CenteredBall,
     ConvexPolygon,
+    Frame,
     InputError,
     PairedPolygon,
     Vec2,
@@ -26,7 +27,7 @@ from .core import (
     frame_eq,
     from_frame,
     integer_frame,
-    minkowski_sum,
+    minkowski_frame,
     scalar_frame,
 )
 
@@ -63,8 +64,9 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     where j counts the pairs of parallel opposite sides of P.
     """
     verts, backend = poly.vertices, poly.backend
-    i0, _, merged = edge_merge(verts, [-p for p in verts], backend)
-    has = [own for _, own in merged]
+    f = integer_frame(verts)
+    i0, _, merged = edge_merge(f, f.reflected(), backend)
+    has = [own for *_, own in merged]
     r = has.index(True)
     out = []
     for own in has[r:] + has[:r]:
@@ -210,7 +212,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     P_i - P_{i+n} = 2a U_i for one constant a > 0, and cross-checks that
     P + (-P) is the homothety of U with ratio 2a.  Runs on the integer
     frames of P and U, with U's backend: the a_i share one denominator, and
-    P + (-P) is summed on the numerators of P.
+    P + (-P) is summed on the numerators of P (``minkowski_frame``).
     """
     backend = u.backend
     m = 2 * paired.n
@@ -247,16 +249,16 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
         return WidthResult(False, witness=0, reason="nonpositive width")
     # cross-check: P + (-P) is centered at origin and equals the 2a-homothety
     # of the ball up to vertex rotation
-    pts = [Vec2(x, y) for x, y in zip(px, py)]
-    s = minkowski_sum(pts, [-p for p in pts], backend)
-    if len(s) != m:
+    pf = Frame(px, py, pden)
+    sx, sy, _ = minkowski_frame(pf, pf.reflected(), backend)
+    if len(sx) != m:
         return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")
     # s / pden against 2a U = (2 a ux, 2 a uy) / (aden uden)
     tden = aden * uden
     target = [(2 * a * x, 2 * a * y) for x, y in zip(ux, uy)]
     for r in range(m):
-        if all(frame_eq(backend, s[(r + i) % m].x, pden, target[i][0], tden)
-               and frame_eq(backend, s[(r + i) % m].y, pden, target[i][1], tden)
+        if all(frame_eq(backend, sx[(r + i) % m], pden, target[i][0], tden)
+               and frame_eq(backend, sy[(r + i) % m], pden, target[i][1], tden)
                for i in range(m)):
             return WidthResult(True, a=from_frame(a, aden))
     return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")

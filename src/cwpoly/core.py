@@ -7,7 +7,12 @@ shared denominator, p_i = (xs[i], ys[i]) / den with integer xs, ys, and a
 ``scalar_frame`` build them.  Each formula is one public function: it takes
 a point list (or scalars) or a frame, frames it once, does its sums and
 products on the integers, and returns a frame, or one scalar built by
-``from_frame``, instead of a gcd per intermediate sum.  The involute ladder
+``from_frame``, instead of a gcd per intermediate sum.  The input side
+runs on frames too: ``clean_convex`` tests the raw vertices on their frame,
+``edge_merge`` sweeps two frames on one denominator with integer cross and
+dot products (P and -P for the paired form, P and Q for
+``minkowski_frame``, whose points are ``minkowski_sum``), and
+``PairedPolygon.validate`` tests the frame of its vertices.  The involute ladder
 passes frames from one function to the next; callers that need ``Vec2`` or
 ``Fraction`` values convert once, by ``from_frame`` (``Frame.points``,
 ``ScalarFrame.values``).  The cross terms det(p_j, p_{j+1}) of a closed
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle
+from itertools import accumulate, cycle
 from typing import Iterable, NamedTuple, Sequence
 
 from .backend import Backend, RATIONAL, Scalar
@@ -132,6 +137,16 @@ class Frame(NamedTuple):
         repeated."""
         return self.half().points() * 2
 
+    def distinct(self) -> "Frame":
+        """The frame without repeats of the point before, nor of the first
+        point at the end (``_distinct_boundary``)."""
+        q = _distinct_boundary(list(zip(self.xs, self.ys)))
+        return Frame([x for x, _ in q], [y for _, y in q], self.den)
+
+    def reflected(self) -> "Frame":
+        """The frame of the points -p_i, on the same denominator."""
+        return Frame([-x for x in self.xs], [-y for y in self.ys], self.den)
+
     def reduced(self) -> "Frame":
         """The frame divided by its content g = gcd(den, xs, ys).
 
@@ -207,6 +222,11 @@ def cross_terms(xs: Sequence, ys: Sequence) -> list:
     return [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
 
 
+def edge_vectors(xs: Sequence, ys: Sequence) -> list[tuple]:
+    """(xs[j+1] - xs[j], ys[j+1] - ys[j]) for each j of a closed list."""
+    return [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
+
+
 def polygon_area(points: Sequence[Vec2] | Frame) -> Scalar:
     """Signed shoelace area of a closed vertex list (positive iff CCW): the
     mixed area A(P, P)."""
@@ -271,17 +291,20 @@ def coeff_along(w: Vec2, d: Vec2, backend: Backend) -> Scalar:
 # polygon containers
 # ---------------------------------------------------------------------------
 
-def _upper_half(v: Vec2) -> bool:
-    """Direction angle in [0, 180) degrees."""
-    return v.y > 0 or (v.y == 0 and v.x > 0)
+def _angle_less(ux, uy, vx, vy) -> bool:
+    """``angle_less`` on the coordinates of u and v: u's half-turn [0, 180)
+    degrees comes first, then a positive det(u, v).  A positive factor on
+    both vectors, such as a frame denominator, does not change it."""
+    hu = uy > 0 or (uy == 0 and ux > 0)
+    hv = vy > 0 or (vy == 0 and vx > 0)
+    if hu != hv:
+        return hu
+    return ux * vy - uy * vx > 0
 
 
 def angle_less(u: Vec2, v: Vec2) -> bool:
     """Strict full-circle CCW ordering of nonzero direction vectors from 0deg."""
-    hu, hv = _upper_half(u), _upper_half(v)
-    if hu != hv:
-        return hu
-    return det(u, v) > 0
+    return _angle_less(u.x, u.y, v.x, v.y)
 
 
 def clean_convex(points: Sequence[Vec2], backend: Backend):
@@ -290,48 +313,50 @@ def clean_convex(points: Sequence[Vec2], backend: Backend):
     Returns (vertices, notes).  Consecutive duplicates are merged and
     collinear middle vertices dropped (both reported in notes); clockwise
     input is reversed (reported).  Raises InputError if fewer than three
-    effective vertices remain or the result is not convex.
+    effective vertices remain, the area is zero or the result is not convex.
+    Every test runs on the integer frame of the input; the vertices
+    returned are input points.
     """
-    pts = [p for p in points]
-    notes: list[str] = []
+    pts = list(points)
     if len(pts) < 3:
         raise InputError("polygon needs at least 3 vertices")
-
-    dedup: list[Vec2] = []
-    for p in pts:
-        if dedup and dedup[-1] == p:
-            notes.append("dropped duplicate consecutive vertex")
-            continue
-        dedup.append(p)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
+    xs, ys, den = integer_frame(pts)
+    q = list(zip(xs, ys))
+    keep = [i for i in range(len(q)) if i == 0 or q[i] != q[i - 1]]
+    notes = ["dropped duplicate consecutive vertex"] * (len(q) - len(keep))
+    while len(keep) > 1 and q[keep[0]] == q[keep[-1]]:
+        keep.pop()
         notes.append("dropped duplicate closing vertex")
-    if len(dedup) < 3:
+    if len(keep) < 3:
         raise InputError("fewer than 3 effective vertices after cleanup")
 
-    if backend.sign(polygon_area(dedup)) < 0:
-        dedup.reverse()
+    orient = backend.sign(polygon_area(Frame([xs[i] for i in keep], [ys[i] for i in keep], den)))
+    if orient == 0:
+        raise InputError("polygon has zero area")
+    if orient < 0:
+        keep.reverse()
         notes.append("reversed clockwise input to counterclockwise")
 
     changed = True
     while changed:
         changed = False
-        k = len(dedup)
+        k = len(keep)
         if k < 3:
             raise InputError("fewer than 3 effective vertices after cleanup")
         for i in range(k):
-            a, b, c = dedup[(i - 1) % k], dedup[i], dedup[(i + 1) % k]
-            cr = backend.sign(det(b - a, c - b))
+            (ax, ay), (bx, by), (cx, cy) = q[keep[i - 1]], q[keep[i]], q[keep[(i + 1) % k]]
+            ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
+            cr = backend.sign(ux * wy - uy * wx)
             if cr == 0:
-                if backend.sign(dot(b - a, c - b)) <= 0:
+                if backend.sign(ux * wx + uy * wy) <= 0:
                     raise InputError("polygon is not convex (reflex collinear turn)")
-                dedup.pop(i)
+                keep.pop(i)
                 notes.append("dropped collinear vertex")
                 changed = True
                 break
             if cr < 0:
                 raise InputError(f"polygon is not convex at vertex index {i}")
-    return dedup, notes
+    return [pts[i] for i in keep], notes
 
 
 @dataclass
@@ -375,27 +400,27 @@ class PairedPolygon:
         return self.vertices[(i + 1) % m] - self.vertices[i % m]
 
     def validate(self) -> None:
-        """Check the paired invariants; raise InputError with a witness index."""
+        """Check the paired invariants on the integer frame of the vertices;
+        raise InputError with a witness index."""
         sgn = self.backend.sign
-        m = 2 * self.n
-        v = self.vertices
-        for i in range(self.n):
-            if v[i] == v[i + self.n]:
+        n = self.n
+        f = integer_frame(self.vertices)
+        xs, ys = f.xs, f.ys
+        for i in range(n):
+            if xs[i] == xs[i + n] and ys[i] == ys[i + n]:
                 raise InputError(f"zero diagonal at index {i}")
-        edges = [self.edge(i) for i in range(m)]
-        for i in range(self.n):
-            e, f = edges[i], edges[(i + self.n) % m]
-            e0 = sgn(e.x) == 0 and sgn(e.y) == 0
-            f0 = sgn(f.x) == 0 and sgn(f.y) == 0
+        edges = [(ex, ey, sgn(ex) == 0 and sgn(ey) == 0) for ex, ey in edge_vectors(xs, ys)]
+        for i in range(n):
+            (ex, ey, e0), (fx, fy, f0) = edges[i], edges[i + n]
             if e0 and f0:
                 raise InputError(f"both opposite sides degenerate at index {i}")
-            if not e0 and not f0 and sgn(det(e, f)) != 0:
+            if not e0 and not f0 and sgn(ex * fy - ey * fx) != 0:
                 raise InputError(f"opposite sides not parallel at index {i}")
-        nz = [e for e in edges if sgn(e.x) != 0 or sgn(e.y) != 0]
-        for a, b in zip(nz, nz[1:] + nz[:1]):
-            if sgn(det(a, b)) < 0:
+        nz = [(ex, ey) for ex, ey, zero in edges if not zero]
+        for (ax, ay), (bx, by) in zip(nz, nz[1:] + nz[:1]):
+            if sgn(ax * by - ay * bx) < 0:
                 raise InputError("paired polygon is not convex")
-        if sgn(polygon_area(v)) <= 0:
+        if sgn(polygon_area(f)) <= 0:
             raise InputError("paired polygon is not counterclockwise")
 
 
@@ -501,9 +526,7 @@ class CenteredBall:
         denominator den_x L with numerators a s.  For a float ball L = 1 and
         s = q."""
         xs, ys, den = self.frame
-        return self._coeff_frame(
-            [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1],
-                                                          ys[1:] + ys[:1])], den)
+        return self._coeff_frame(edge_vectors(xs, ys), den)
 
     @cached_property
     def _vertex_coeff_frame(self) -> tuple[list, int]:
@@ -552,86 +575,96 @@ class CenteredBall:
 # Minkowski sum
 # ---------------------------------------------------------------------------
 
-def _lowest_index(points: Sequence[Vec2]) -> int:
-    best = 0
-    for i in range(1, len(points)):
-        p, q = points[i], points[best]
-        if p.y < q.y or (p.y == q.y and p.x < q.x):
-            best = i
-    return best
-
-
 def minkowski_sum(p: Sequence[Vec2] | ConvexPolygon,
                   q: Sequence[Vec2] | ConvexPolygon,
                   backend: Backend = RATIONAL) -> list[Vec2]:
-    """Minkowski sum of two convex CCW polygons: the edges of ``edge_merge``
-    summed from the two lowest vertices.
+    """Minkowski sum of two convex CCW polygons: the points of
+    ``minkowski_frame``.
 
     Either argument may be a single point (length-1 list), in which case the
     result is a translate.  Parallel same-direction edges are merged, so the
     output is strictly convex CCW.
     """
-    pv = _distinct_boundary(p.vertices if isinstance(p, ConvexPolygon) else list(p))
-    qv = _distinct_boundary(q.vertices if isinstance(q, ConvexPolygon) else list(q))
-    if not pv or not qv:
+    return minkowski_frame(p, q, backend).points()
+
+
+def minkowski_frame(p: Sequence[Vec2] | ConvexPolygon | Frame,
+                    q: Sequence[Vec2] | ConvexPolygon | Frame,
+                    backend: Backend = RATIONAL) -> Frame:
+    """``minkowski_sum`` on the numerators: the edges of ``edge_merge``
+    summed from the two lowest vertices.  Two point lists are framed
+    together, on one denominator; two frames must share theirs.  The sum is
+    a frame on that denominator."""
+    if not isinstance(p, Frame):
+        pv = p.vertices if isinstance(p, ConvexPolygon) else list(p)
+        qv = q.vertices if isinstance(q, ConvexPolygon) else list(q)
+        xs, ys, den = integer_frame(pv + qv)
+        k = len(pv)
+        p, q = Frame(xs[:k], ys[:k], den), Frame(xs[k:], ys[k:], den)
+    p, q = p.distinct(), q.distinct()
+    if not p.xs or not q.xs:
         raise InputError("minkowski_sum needs nonempty inputs")
-    if len(pv) == 1:
-        return [v + pv[0] for v in qv]
-    if len(qv) == 1:
-        return [v + qv[0] for v in pv]
-    i, j, merged = edge_merge(pv, qv, backend)
-    out = [pv[i] + qv[j]]
-    for e, _ in merged[:-1]:
-        out.append(out[-1] + e)
-    return out
+    if len(q.xs) == 1:
+        p, q = q, p
+    if len(p.xs) == 1:
+        return Frame([x + p.xs[0] for x in q.xs], [y + p.ys[0] for y in q.ys], p.den)
+    i, j, merged = edge_merge(p, q, backend)
+    return Frame(list(accumulate([e[0] for e in merged[:-1]], initial=p.xs[i] + q.xs[j])),
+                 list(accumulate([e[1] for e in merged[:-1]], initial=p.ys[i] + q.ys[j])), p.den)
 
 
-def edge_merge(p: Sequence[Vec2], q: Sequence[Vec2],
-               backend: Backend) -> tuple[int, int, list[tuple[Vec2, bool]]]:
-    """The edges of two convex CCW polygons in one angular sweep.
+def edge_merge(p: Frame, q: Frame, backend: Backend) -> tuple[int, int, list[tuple]]:
+    """The edges of two convex CCW polygons in one angular sweep, on two
+    frames with one denominator.
 
     Each polygon lists its edges from its lowest vertex (least y, then least
     x), p[i] and q[j], so both lists run in full-circle angle order from 0
     degrees, and the sweep merges them in that order.  An edge of p and an
     edge of q with the same direction (``backend.is_zero`` of their
     determinant, positive dot product) become one edge, their sum.  Returns
-    (i, j, merged), where merged lists each edge with whether p has an edge
-    in its direction; from p[i] + q[j] the merged edges trace p + q.  Both
-    polygons need at least two distinct vertices.
+    (i, j, merged), where merged lists each edge as (ex, ey, own), the
+    numerators of the edge and whether p has an edge in its direction; from
+    p[i] + q[j] the merged edges trace p + q.  Both polygons need at least
+    two distinct vertices.
 
     The sweep never compares its first and last edges.  In float mode they
     can be an edge of p and one of q parallel within the tolerance; then
     they are one direction, in the slot of p's edge, and j moves to match.
     """
-    def edge_list(v: Sequence[Vec2]) -> tuple[int, list[Vec2]]:
-        i0 = _lowest_index(v)
-        k = len(v)
-        return i0, [v[(i0 + j + 1) % k] - v[(i0 + j) % k] for j in range(k)]
+    def edge_list(f: Frame) -> tuple[int, list]:
+        xs, ys = f.xs, f.ys
+        i0 = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
+        return i0, edge_vectors(xs[i0:] + xs[:i0], ys[i0:] + ys[:i0])
 
+    zero = backend.is_zero
     (i0, ep), (j0, eq) = edge_list(p), edge_list(q)
-    merged: list[tuple[Vec2, bool]] = []
+    merged: list[tuple] = []
     i = j = 0
     while i < len(ep) or j < len(eq):
         if i == len(ep):
-            take = (eq[j], False); j += 1
+            take = (*eq[j], False); j += 1
         elif j == len(eq):
-            take = (ep[i], True); i += 1
-        elif backend.is_zero(det(ep[i], eq[j])) and dot(ep[i], eq[j]) > 0:
-            take = (ep[i] + eq[j], True); i += 1; j += 1
-        elif angle_less(ep[i], eq[j]):
-            take = (ep[i], True); i += 1
+            take = (*ep[i], True); i += 1
         else:
-            take = (eq[j], False); j += 1
+            (ax, ay), (bx, by) = ep[i], eq[j]
+            if zero(ax * by - ay * bx) and ax * bx + ay * by > 0:
+                take = (ax + bx, ay + by, True); i += 1; j += 1
+            elif _angle_less(ax, ay, bx, by):
+                take = (ax, ay, True); i += 1
+            else:
+                take = (bx, by, False); j += 1
         merged.append(take)
-    (first, own), (last, last_own) = merged[0], merged[-1]
-    if own != last_own and backend.is_zero(det(first, last)) and dot(first, last) > 0:
+    (fx, fy, own), (lx, ly, last_own) = merged[0], merged[-1]
+    if own != last_own and zero(fx * ly - fy * lx) and fx * lx + fy * ly > 0:
         if own:  # q's last edge, which ends at q[j0], joins p's first
-            merged[0] = (first + merged.pop()[0], True)
+            merged.pop()
+            merged[0] = (fx + lx, fy + ly, True)
             j0 -= 1
         else:  # q's first edge, from q[j0], joins p's last
-            merged[-1] = (merged.pop(0)[0] + last, True)
+            merged.pop(0)
+            merged[-1] = (fx + lx, fy + ly, True)
             j0 += 1
-    return i0, j0 % len(q), merged
+    return i0, j0 % len(q.xs), merged
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +689,8 @@ class RegionTest:
         return (not self.overlap) and self.chords is not None and self.chords <= 1
 
 
-def _distinct_boundary(points: Sequence[Vec2]) -> list[Vec2]:
-    out: list[Vec2] = []
+def _distinct_boundary(points: Sequence) -> list:
+    out: list = []
     for p in points:
         if not out or out[-1] != p:
             out.append(p)
@@ -904,7 +937,7 @@ def chord_frame(boundary: Sequence[Vec2]) -> ChordFrame | WindingFrame:
     ``ChordFrame``.
     """
     xs, ys, den = integer_frame(exact_points(boundary))
-    e = [(x1 - x0, y1 - y0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
+    e = edge_vectors(xs, ys)
     orient = _convex_pairing(xs, ys, e)
     return WindingFrame(xs, ys, den, orient, e) if orient else ChordFrame(boundary)
 

@@ -326,10 +326,14 @@ def _probes(pts: list[Vec2], steps: list[tuple[int, int]]):
 
     The segment [a, b] is framed on its own, a = A / d and b = B / d, and
     given as (A.x, A.y, B.x, B.y, d).  Each segment yields its start, t = 0,
-    and unless it is degenerate the grid of steps.
+    and unless it is degenerate the grid of steps.  A doubled curve, whose
+    second half repeats its first, yields the segments of its first half
+    only: the others repeat their endpoint pairs, and so their samples.
     """
     m = len(pts)
-    for i in range(m):
+    h = m // 2
+    count = h if m % 2 == 0 and pts[:h] == pts[h:] else m
+    for i in range(count):
         (ax, bx), (ay, by), d = integer_frame((pts[i], pts[(i + 1) % m]))
         seg = (ax, ay, bx, by, d)
         yield seg, 0, 1

@@ -29,7 +29,7 @@ from .core import (
     InputError,
     frame_eq,
     integer_frame,
-    minkowski_sum,
+    minkowski_frame,
     mixed_area,
     polygon_area,
     scalar_frame,
@@ -205,11 +205,11 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_mixed():
         lv = v_length(paired.vertices, v, closed=True)
-        if not eq(mixed_area(paired.vertices, u.vertices), lv / 2):
+        mixed = mixed_area(paired.vertices, u.vertices)
+        if not eq(mixed, lv / 2):
             return "A(P,U) != L_V(P)/2", False
-        s = minkowski_sum(paired.vertices, u.vertices, backend)
-        lhs = polygon_area(s)
-        rhs = polygon_area(paired.vertices) + 2 * mixed_area(paired.vertices, u.vertices) + area_u
+        lhs = polygon_area(minkowski_frame(paired.vertices, u.vertices, backend))
+        rhs = polygon_area(paired.vertices) + 2 * mixed + area_u
         return ("A(P+U) expansion", eq(lhs, rhs))
     guarded("core.mixed_area", "A(P+U) expansion", chk_mixed)
 

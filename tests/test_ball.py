@@ -24,6 +24,7 @@ from cwpoly import (
     vec,
     width,
 )
+from cwpoly import core
 from cwpoly.backend import FLOAT
 from cwpoly.ball import WidthResult
 from cwpoly.core import CenteredBall, coeff_along, dot, minkowski_sum
@@ -379,3 +380,31 @@ def test_framed_balls_and_midpoints_match_vec2_reference():
             assert repr(dual_ball(p.V).vertices) == repr(ref_dual(p.V))
             back = ref_dual(p.V)
             assert repr(ball_from_dual(p.V).vertices) == repr([-back[i - 1] for i in range(m)])
+
+
+def test_rational_input_side_does_no_vec2_arithmetic(monkeypatch):
+    # the cleanup, the edge merge, the paired validation, the balls, the
+    # constant-width test and P + U run on integer frames: with Vec2 +, -
+    # and unary -, and core.det and core.dot, all raising, they still run
+    inputs = [[(0, 0), (4, 0), (5, 3), (1, 5)],
+              [(3, 0), (5, 2), (4, 4), (1, 4), (-1, 2), (0, 0)],
+              [(0, 0), (0, 0), ("1/2", 0), (1, 0), (1, 3), (0, 1)][::-1]]
+    inputs += [[(round(1000 * math.cos(2 * math.pi * j / 9)),
+                 round(1000 * math.sin(2 * math.pi * j / 9))) for j in range(9)]]
+    inputs += [[(p.x, p.y) for p in random_convex_polygon(random.Random(s), 8).vertices]
+               for s in range(4)]
+
+    def forbidden(*args):
+        raise AssertionError("Vec2 arithmetic or core.det/dot on the input side")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(Vec2, name, forbidden)
+    monkeypatch.setattr(core, "det", forbidden)
+    monkeypatch.setattr(core, "dot", forbidden)
+    with pytest.raises(AssertionError):
+        Vec2(F(1), F(2)) - Vec2(F(0), F(1))
+    for raw in inputs:
+        plane = build_plane(ConvexPolygon.from_points(raw))
+        assert is_constant_width(plane.P, plane.U) == WidthResult(True, a=plane.a)
+        s = minkowski_sum(plane.P.vertices, plane.U.vertices)
+        assert len(s) == 2 * plane.n

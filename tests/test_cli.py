@@ -245,6 +245,16 @@ def test_exit_2_nonconvex(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
+def test_exit_2_zero_area(tmp_path, run_python, backend):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0]]}))
+    out = run_python("-m", "cwpoly.cli", "verify", str(path), "--backend", backend)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
+    assert "error: polygon has zero area" in out.stderr
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
 def test_exit_2_boolean_coordinate(tmp_path, capsys, backend):
     path = tmp_path / "bool.json"
     path.write_text('{"vertices": [[0, 0], [3, 0], [0, true]]}')

@@ -187,6 +187,103 @@ def test_clean_rejects_degenerate():
         ConvexPolygon.from_points([(0, 0), (1, 1), (2, 2)])
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (1, 0), (2, 0)],
+    [(0, 0), (2, 0), (1, 0), (0, 0), (3, 0)],
+    [(0, 0), (1, 1), (1, 0), (0, 1)],  # a bowtie: two opposite half areas
+], ids=["collinear", "collinear-back", "bowtie"])
+def test_clean_rejects_zero_area(pts, backend):
+    assert _input_error(ConvexPolygon.from_points, pts, backend) == "polygon has zero area"
+
+
+def _hull(points):
+    """Strictly convex CCW hull of exact points (monotone chain), listed from
+    its lowest vertex: least y, then least x."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts[:1] if len(pts) == 1 else sorted(pts, key=lambda p: (p.y, p.x))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and det(out[-1] - out[-2], p - out[-1]) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])
+    low = min(range(len(hull)), key=lambda i: (hull[i].y, hull[i].x))
+    return hull[low:] + hull[:low]
+
+
+def _oracle_input(rng, kind):
+    if kind == "point":
+        return [Vec2(F(rng.randint(-9, 9)), F(rng.randint(-9, 9), rng.randint(1, 4)))]
+    if kind == "box":
+        w, h = F(rng.randint(1, 9), rng.randint(1, 3)), F(rng.randint(1, 9))
+        return [Vec2(F(0), F(0)), Vec2(w, F(0)), Vec2(w, h), Vec2(F(0), h)]
+    return random_convex_polygon(rng, rng.randint(3, 9), span=12).vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["random", "scaled", "reflected", "box", "point"]),
+       st.sampled_from(["random", "box", "point"]),
+       st.integers(0, 8), st.integers(0, 8))
+def test_minkowski_sum_matches_hull_of_pairwise_sums(seed, kind_q, kind_p, rot_p, rot_q):
+    # the framed merge against the exact hull of every p_i + q_j: random
+    # polygons, boxes (parallel edges), a scaled copy or the reflection -p
+    # of p (every edge parallel to one of p), single points, both argument
+    # orders and any starting vertex
+    rng = random.Random(seed)
+    p = _oracle_input(rng, kind_p)
+    if kind_q == "scaled":
+        t, c = F(rng.randint(1, 5), rng.randint(1, 3)), Vec2(F(rng.randint(-5, 5)), F(1, 3))
+        q = [c + v * t for v in p]
+    elif kind_q == "reflected":
+        q = [-v for v in p]
+    else:
+        q = _oracle_input(rng, kind_q)
+    p, q = p[rot_p % len(p):] + p[:rot_p % len(p)], q[rot_q % len(q):] + q[:rot_q % len(q)]
+    hull = _hull([a + b for a in p for b in q])
+    for a, b in ((p, q), (q, p)):
+        want = hull
+        if len(a) == 1 or len(b) == 1:  # a translate keeps the polygon's listing
+            (t,), poly = (a, b) if len(a) == 1 else (b, a)
+            want = [v + t for v in poly]
+            assert sorted(want) == sorted(hull)
+        assert minkowski_sum(a, b) == want
+        # small integers and halves are exact in binary64: the float sweep
+        # takes the same path and lists the same vertices
+        if all(v.x.denominator in (1, 2) and v.y.denominator in (1, 2) for v in p + q):
+            fa, fb = ([vec(float(v.x), float(v.y), FLOAT) for v in w] for w in (a, b))
+            assert minkowski_sum(fa, fb, FLOAT) == [Vec2(float(v.x), float(v.y)) for v in want]
+
+
+def _paired(pts, backend):
+    return PairedPolygon([vec(x, y, backend) for x, y in pts], len(pts) // 2, backend)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("pts, message", [
+    ([(0, 0), (1, 0), (0, 0), (0, 1)], "zero diagonal at index 0"),
+    ([(0, 0), (0, 0), (1, 0), (1, 1), (1, 1), (0, 1)],
+     "both opposite sides degenerate at index 0"),
+    ([(0, 0), (2, 0), (2, 2), (0, 1)], "opposite sides not parallel at index 0"),
+    # edges (1, 0), (0, 1), (2, 1) and their reverses: a reflex turn
+    ([(0, 0), (1, 0), (1, 1), (3, 2), (2, 2), (2, 1)], "paired polygon is not convex"),
+    # every side on one line: no turn either way, and zero area
+    ([(0, 0), (2, 0), (1, 0), (3, 0)], "paired polygon is not counterclockwise"),
+], ids=["zero-diagonal", "both-degenerate", "not-parallel", "not-convex", "not-ccw"])
+def test_paired_validate_names_each_failure(pts, message, backend):
+    assert _input_error(_paired(pts, backend).validate) == message
+    # the clockwise listing of a valid square fails on its turns first
+    _paired([(0, 0), (1, 0), (1, 1), (0, 1)], backend).validate()
+    assert (_input_error(_paired([(0, 0), (0, 1), (1, 1), (1, 0)], backend).validate)
+            == "paired polygon is not convex")
+
+
 # --- chord counting ---------------------------------------------------------
 
 def _sampled_chord_oracle(x, pts, samples=4000):

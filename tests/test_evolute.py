@@ -1,4 +1,5 @@
 """Evolute, involute, signed areas, the area gap, and containment."""
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -228,6 +229,36 @@ def test_containment_fuzz():
         parent = convex_parent_of_m(ce.M, plane.U)
         res = containment_check(inv.N, parent, samples=6)
         assert res.contained, plane.P.vertices
+
+
+def test_containment_samples_a_doubled_curve_once(monkeypatch):
+    # N is doubled, N_{i+n} = N_i: its second half repeats the first half's
+    # segments, so containment samples them once, with the same result
+    module = importlib.import_module("cwpoly.evolute")  # the package exports evolute()
+    calls = []
+    real = module._sample
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_sample", counting)
+    for plane in [kgon_plane(7)] + fuzz_planes(313, 4):
+        ce = central_equidistant(plane)
+        inv = involute(ce, plane.V)
+        parent = convex_parent_of_m(ce.M, plane.U)
+        half = inv.N[:plane.n]
+        calls.clear()
+        res = containment_check(inv.N, parent, samples=4)
+        doubled_calls = len(calls)
+        calls.clear()
+        want = containment_check(half, parent, samples=4)
+        assert doubled_calls == len(calls) == plane.n * 6  # t = 0, 1/5 .. 4/5 and 1/2
+        assert res == want
+        # a curve that is not doubled samples every segment
+        calls.clear()
+        containment_check(inv.N[:-1], parent, samples=4)
+        assert len(calls) == (2 * plane.n - 1) * 6
 
 
 def test_containment_detects_outside_points(triangle_plane):
