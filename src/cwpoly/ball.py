@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
@@ -61,18 +62,18 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     P's lowest vertex, on P's first edge, and takes the directions in
     order: it steps to the next vertex where P has the edge and repeats the
     current vertex (a degenerate side) where it does not.  So n = k - j,
-    where j counts the pairs of parallel opposite sides of P.
+    where j counts the pairs of parallel opposite sides of P.  The walk
+    visits every vertex of P, so the paired form is P's frame reindexed.
     """
-    verts, backend = poly.vertices, poly.backend
-    f = integer_frame(verts)
+    backend = poly.backend
+    f = poly.frame
     i0, _, merged = edge_merge(f, f.reflected(), backend)
     has = [own for *_, own in merged]
     r = has.index(True)
-    out = []
-    for own in has[r:] + has[:r]:
-        out.append(verts[i0 % len(verts)])
-        i0 += own
-    paired = PairedPolygon(out, len(out) // 2, backend)
+    # the vertex the walk is at as it takes each direction
+    walk = [(i0 + s) % len(f.xs) for s in accumulate((has[r:] + has[:r])[:-1], initial=0)]
+    paired = PairedPolygon(Frame([f.xs[i] for i in walk], [f.ys[i] for i in walk], f.den),
+                           len(walk) // 2, backend)
     paired.validate()
     return paired
 
@@ -80,25 +81,25 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
 def unit_ball(paired: PairedPolygon, a: Scalar, validate: bool = True) -> CenteredBall:
     """Centered ball U with U_i = (P_i - P_{i+n}) / (2a), origin at (0,0).
 
-    Each coordinate is one ``from_frame`` of a diagonal of P's frame times
-    the numerator of 1 / (2a), over den(P) den(1 / (2a)); on a float frame,
-    the diagonal times 1 / (2a).
+    U is the frame of the diagonals of P's frame times the numerator of
+    1 / (2a), over den(P) den(1 / (2a)), reduced by its content; on a float
+    frame, each coordinate is the diagonal times 1 / (2a).
     """
     backend = paired.backend
     a = backend.convert(a)
     if backend.sign(a) <= 0:
         raise InputError("half-width parameter a must be positive")
     n, m = paired.n, 2 * paired.n
-    xs, ys, den = integer_frame(paired.vertices)
+    xs, ys, den = paired.frame
     (sn,), sd = scalar_frame([1 / (2 * a)])
-    den *= sd
-    out = []
+    ux, uy = [], []
     for i in range(m):
         dx, dy = xs[i] - xs[(i + n) % m], ys[i] - ys[(i + n) % m]
         if backend.is_zero(dx) and backend.is_zero(dy):
             raise InputError(f"degenerate diagonal at index {i}")
-        out.append(Vec2(from_frame(dx * sn, den), from_frame(dy * sn, den)))
-    ball = CenteredBall(out, n, backend)
+        ux.append(dx * sn)
+        uy.append(dy * sn)
+    ball = CenteredBall(Frame(ux, uy, den * sd).reduced(), n, backend)
     if validate:
         ball.validate()
     return ball
@@ -126,9 +127,9 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
 
 def ball_from_dual(v: CenteredBall) -> CenteredBall:
     """Recover the primal ball: U_i = -W_{i-1} for W = dual_ball(v), that is
-    U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i)."""
-    w = dual_ball(v, validate=False).vertices
-    ball = CenteredBall([-w[i - 1] for i in range(len(w))], v.n, v.backend)
+    U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i), on W's frame."""
+    xs, ys, den = dual_ball(v, validate=False).frame.reflected()
+    ball = CenteredBall(Frame(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], den), v.n, v.backend)
     ball.validate()
     return ball
 
@@ -174,10 +175,9 @@ def framed_widths(xs: Sequence, ys: Sequence, den, v: CenteredBall) -> tuple[lis
 
 
 def _point_rows(points, f: Vec2) -> tuple[list, int]:
-    pts = points.vertices if hasattr(points, "vertices") else points
-    if not pts:
+    xs, ys, den = points.frame if hasattr(points, "frame") else integer_frame(points)
+    if not xs:
         raise InputError("support of an empty point set")
-    xs, ys, den = integer_frame(pts)
     fx, fy, fden = integer_frame([f])
     return det_table(xs, ys, fx, fy)[0], den * fden
 
@@ -218,7 +218,7 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
     m = 2 * paired.n
     if len(u) != m:
         return WidthResult(False, reason="vertex count mismatch", witness=0)
-    px, py, pden = integer_frame(paired.vertices)
+    px, py, pden = pf = paired.frame
     ux, uy, uden = u.frame
     sgn = backend.sign
     for i in range(m):
@@ -249,7 +249,6 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
         return WidthResult(False, witness=0, reason="nonpositive width")
     # cross-check: P + (-P) is centered at origin and equals the 2a-homothety
     # of the ball up to vertex rotation
-    pf = Frame(px, py, pden)
     sx, sy, _ = minkowski_frame(pf, pf.reflected(), backend)
     if len(sx) != m:
         return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")

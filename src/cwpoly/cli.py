@@ -12,8 +12,8 @@ import re
 import sys
 
 from .backend import get_backend, parse_scalar
-from .ball import build_plane
-from .core import GeometryError, IdentityError, InputError
+from .ball import build_plane, is_constant_width
+from .core import GeometryError, IdentityError, InputError, frame_of
 from .cw import central_equidistant, cusps_of_central, equidistant, min_convex_c
 from .docio import (
     dump_json,
@@ -53,6 +53,16 @@ def _plane(args, strict: bool = True):
     return build_plane(poly, a, strict=strict), backend
 
 
+def _ball_plane(args):
+    """``_plane``, and for a --paired list an identity failure unless it has
+    constant width in its ball, as the commands past the balls find."""
+    plane, backend = _plane(args)
+    res = is_constant_width(plane.P, plane.U) if args.paired else None
+    if res and not res.ok:
+        raise IdentityError(f"not of constant width (index {res.witness}: {res.reason})")
+    return plane, backend
+
+
 def _emit(args, payload: dict, layers=None) -> None:
     text = dump_json(payload, args.out)
     if not args.out:
@@ -63,7 +73,7 @@ def _emit(args, payload: dict, layers=None) -> None:
 
 
 def cmd_ball(args) -> int:
-    plane, backend = _plane(args)
+    plane, backend = _ball_plane(args)
     payload = {
         "n": plane.n,
         "a": scalar_json(plane.a, backend),
@@ -79,7 +89,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    plane, backend = _plane(args)
+    plane, backend = _ball_plane(args)
     payload = {
         "n": plane.n,
         "unit_ball": points_json(plane.U.vertices, backend),
@@ -118,7 +128,7 @@ def cmd_central(args) -> int:
 def cmd_evolute(args) -> int:
     plane, backend = _plane(args)
     ce = central_equidistant(plane)
-    ev = evolute(plane.P.vertices, plane.U, plane.V)
+    ev = evolute(plane.P.frame, plane.U, plane.V)
     payload = {
         "n": plane.n,
         "evolute": points_json(ev.E, backend),
@@ -139,7 +149,7 @@ def cmd_involute(args) -> int:
     plane, backend = _plane(args)
     ce = central_equidistant(plane)
     inv = involute(ce, plane.V)
-    sa_m, sa_n = signed_area(ce.M), signed_area(inv.N)
+    sa_m, sa_n = signed_area(frame_of(ce, "M")), signed_area(frame_of(inv, "N"))
     payload = {
         "n": plane.n,
         "involute": points_json(inv.N, backend),
@@ -147,7 +157,7 @@ def cmd_involute(args) -> int:
         "degenerate": inv.degenerate,
         "signed_area_central": scalar_json(sa_m, backend),
         "signed_area_involute": scalar_json(sa_n, backend),
-        "signed_area_gap": scalar_json(signed_area_gap(ce.betas, plane.V), backend),
+        "signed_area_gap": scalar_json(signed_area_gap(frame_of(ce, "betas"), plane.V), backend),
     }
     layers = [
         Layer("polygon-p", [plane.P.vertices]),

@@ -8,30 +8,25 @@ shared denominator, p_i = (xs[i], ys[i]) / den with integer xs, ys, and a
 a point list (or scalars) or a frame, frames it once, does its sums and
 products on the integers, and returns a frame, or one scalar built by
 ``from_frame``, instead of a gcd per intermediate sum.  The input side
-runs on frames too: ``clean_convex`` tests the raw vertices on their frame,
-``edge_merge`` sweeps two frames on one denominator with integer cross and
-dot products (P and -P for the paired form, P and Q for
-``minkowski_frame``, whose points are ``minkowski_sum``), and
-``PairedPolygon.validate`` tests the frame of its vertices.  The involute ladder
-passes frames from one function to the next; callers that need ``Vec2`` or
-``Fraction`` values convert once, by ``from_frame`` (``Frame.points``,
-``ScalarFrame.values``).  The cross terms det(p_j, p_{j+1}) of a closed
-frame (the ball's edge determinants, the half areas of ``cw``, the
-orientation of a chord boundary) are ``cross_terms``.
+(``clean_convex``, the angular ``edge_merge`` of the paired form and of
+``minkowski_frame``, ``PairedPolygon.validate``) runs on frames too, and
+the cross terms det(p_j, p_{j+1}) of a closed frame are ``cross_terms``.
 Each new polygon is reduced by one content gcd (``Frame.reduced``), which
 gives exactly ``integer_frame`` of its vertices.  A frame knows whether it
 is exact: float input gets the frame den = 1.0 with its coordinates
-unchanged, so the float backend runs the same loops, in the same expression
-order, its results are the plain float evaluation of each formula, and
-every value framed on it is a float.  The chord counts (``ChordFrame``, and
-``WindingFrame`` for a paired boundary) are exact on both backends: they
-snap float input to its exact rational value and frame it.
+unchanged, so the float backend runs the same loops, in the same
+expression order, and every value framed on it is the plain float
+evaluation of its formula.  The chord counts (``ChordFrame``, and
+``WindingFrame`` for a paired boundary) snap float input to its exact
+rational value, so they are exact on both backends.
 
-Each ball (``CenteredBall``) owns its scalar backend and the constants the
-kernels read from it, as cached properties, and its ``edge_coeffs`` and
-``vertex_coeffs`` solve every coefficient along its edges or vertices: the
-alphas, lambdas and half-width a.  A kernel given a ball reads the backend
-from it; no caller passes the backend again.
+Storage: a container holds each polygon and coefficient ladder in a
+``Stored`` field, in the form its kernel computed (a frame or a list), and
+builds the other form once, on first read: the field reads as the list,
+and ``frame_of`` gives the frame.  Callers pass that frame on, so no
+polygon is framed twice.  A ball (``CenteredBall``) also owns the scalar
+backend, which every kernel given the ball reads, and keeps the constants
+the kernels read from it as cached properties.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -121,10 +116,19 @@ class Frame(NamedTuple):
     def exact(self) -> bool:
         return not isinstance(self.den, float)
 
+    @property
+    def is_doubled(self) -> bool:
+        """Whether the second half of the list equals the first."""
+        h = len(self.xs) // 2
+        return self.xs[h:] == self.xs[:h] and self.ys[h:] == self.ys[:h]
+
     def points(self) -> list[Vec2]:
-        """The points (xs[i], ys[i]) / den, as ``from_frame`` builds them."""
-        den = self.den
-        return [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in zip(self.xs, self.ys)]
+        """The points (xs[i], ys[i]) / den, as ``from_frame`` builds them.  A
+        doubled frame builds its first half once and lists it twice."""
+        doubled = self.is_doubled
+        xs, ys, den = self.half() if doubled else self
+        pts = [Vec2(from_frame(x, den), from_frame(y, den)) for x, y in zip(xs, ys)]
+        return pts * 2 if doubled else pts
 
     def half(self) -> "Frame":
         """The first half of the list: the distinct points of a doubled frame,
@@ -217,6 +221,49 @@ def from_frame(num, den) -> Scalar:
     return num / den if isinstance(den, float) else Fraction(num, den)
 
 
+class Stored:
+    """A container field set with a ``Frame``, a ``ScalarFrame`` or a list.
+    It keeps (frame, list) in the slot "_" + name, with None for a form not
+    yet built; reading it builds the list from the frame (``Frame.points``,
+    ``ScalarFrame.values``).  The class-level read raises AttributeError, so
+    the dataclass field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        frame, items = obj.__dict__[self.slot]
+        if items is None:
+            items = frame.points() if isinstance(frame, Frame) else frame.values()
+            obj.__dict__[self.slot] = (frame, items)
+        return items
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = ((value, None) if isinstance(value, (Frame, ScalarFrame))
+                                   else (None, value))
+
+
+def frame_of(obj, name: str) -> Frame | ScalarFrame:
+    """The frame of the ``Stored`` field ``name`` of obj: the frame it was
+    set with, or ``integer_frame`` of the point list (``scalar_frame`` of
+    the scalars) it was set with, built on the first call and kept."""
+    frame, items = obj.__dict__["_" + name]
+    if frame is None:
+        frame = (integer_frame if items and isinstance(items[0], Vec2) else scalar_frame)(items)
+        obj.__dict__["_" + name] = (frame, items)
+    return frame
+
+
+def single_point(f: Frame, backend: Backend) -> bool:
+    """Whether every point of a frame is its first, as ``backend.same_point``
+    decides it, by the backend's ``eq`` of the numerators: exact equality on
+    an exact frame, and on a float frame the coordinates themselves."""
+    eq, x0, y0 = backend.eq, f.xs[0], f.ys[0]
+    return all(eq(x, x0) and eq(y, y0) for x, y in zip(f.xs, f.ys))
+
+
 def cross_terms(xs: Sequence, ys: Sequence) -> list:
     """det(p_j, p_{j+1}) = xs[j] ys[j+1] - ys[j] xs[j+1] for each j of a closed list."""
     return [x0 * y1 - y0 * x1 for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])]
@@ -242,17 +289,14 @@ def mixed_area(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Scalar:
     Computed as (1/2) sum_i [q_i, p_{i+1} - p_i] on the frames of p and q;
     the symmetric companion formula (1/2) sum_i [p_{i+1}, q_{i+1} - q_i]
     gives the same value and is exercised by the test suite.  For q is p
-    this is the signed shoelace area, which an exact frame sums as its
-    ``cross_terms`` over 2 den^2; a doubled frame, one whose second half
-    equals its first, as the cross terms of its first half over den^2.
+    this is the signed shoelace area, whose terms are det(p_i, p_{i+1}); an
+    exact doubled frame, one whose second half equals its first, sums the
+    ``cross_terms`` of its first half over den^2.
     """
     fp = integer_frame(p)
-    if q is p and fp.exact:
-        xs, ys, den = fp
-        h = len(xs) // 2
-        if xs[h:] == xs[:h] and ys[h:] == ys[:h]:
-            return Fraction(sum(cross_terms(xs[:h], ys[:h])), den * den)
-        return Fraction(sum(cross_terms(xs, ys)), 2 * den * den)
+    if q is p and fp.exact and fp.is_doubled:
+        xs, ys, den = fp.half()
+        return Fraction(sum(cross_terms(xs, ys)), den * den)
     (px, py, pden), (qx, qy, qden) = fp, fp if q is p else integer_frame(q)
     if len(qx) != len(px):
         raise InputError(f"mixed_area: length mismatch ({len(px)} vs {len(qx)})")
@@ -310,12 +354,13 @@ def angle_less(u: Vec2, v: Vec2) -> bool:
 def clean_convex(points: Sequence[Vec2], backend: Backend):
     """Normalize a raw vertex list into strictly convex CCW form.
 
-    Returns (vertices, notes).  Consecutive duplicates are merged and
+    Returns (frame, notes).  Consecutive duplicates are merged and
     collinear middle vertices dropped (both reported in notes); clockwise
     input is reversed (reported).  Raises InputError if fewer than three
     effective vertices remain, the area is zero or the result is not convex.
-    Every test runs on the integer frame of the input; the vertices
-    returned are input points.
+    Every test runs on the integer frame of the input, and the frame
+    returned is that of the input points kept, reduced by its content
+    (``Frame.reduced``).
     """
     pts = list(points)
     if len(pts) < 3:
@@ -356,28 +401,37 @@ def clean_convex(points: Sequence[Vec2], backend: Backend):
                 break
             if cr < 0:
                 raise InputError(f"polygon is not convex at vertex index {i}")
-    return [pts[i] for i in keep], notes
+    return Frame([xs[i] for i in keep], [ys[i] for i in keep], den).reduced(), notes
+
+
+class _Vertices:
+    """A container whose polygon is its ``Stored`` field ``vertices``."""
+
+    @property
+    def frame(self) -> Frame:
+        """The frame of the vertices (``frame_of``)."""
+        return frame_of(self, "vertices")
+
+    def __len__(self):
+        return len(self.frame.xs)
 
 
 @dataclass
-class ConvexPolygon:
+class ConvexPolygon(_Vertices):
     """Strictly convex CCW polygon (post-cleanup input type)."""
 
-    vertices: list[Vec2]
+    vertices: list[Vec2] = Stored()
     backend: Backend = RATIONAL
     notes: list[str] = field(default_factory=list)
 
     @classmethod
     def from_points(cls, points: Iterable, backend: Backend = RATIONAL) -> "ConvexPolygon":
-        verts, notes = clean_convex([vec(x, y, backend) for x, y in points], backend)
-        return cls(verts, backend, notes)
-
-    def __len__(self):
-        return len(self.vertices)
+        frame, notes = clean_convex([vec(x, y, backend) for x, y in points], backend)
+        return cls(frame, backend, notes)
 
 
 @dataclass
-class PairedPolygon:
+class PairedPolygon(_Vertices):
     """Closed 2n-list with opposite sides parallel or degenerate.
 
     Constructed by reorder_parallel (validated) or as an equidistant vertex
@@ -385,12 +439,12 @@ class PairedPolygon:
     diagonals, so validation is explicit via validate()).
     """
 
-    vertices: list[Vec2]
+    vertices: list[Vec2] = Stored()
     n: int
     backend: Backend = RATIONAL
 
     def __post_init__(self):
-        if len(self.vertices) != 2 * self.n:
+        if len(self) != 2 * self.n:
             raise InputError("paired polygon must have exactly 2n vertices")
         if self.n < 2:
             raise InputError("paired polygon needs n >= 2")
@@ -404,8 +458,7 @@ class PairedPolygon:
         raise InputError with a witness index."""
         sgn = self.backend.sign
         n = self.n
-        f = integer_frame(self.vertices)
-        xs, ys = f.xs, f.ys
+        xs, ys, _ = f = self.frame
         for i in range(n):
             if xs[i] == xs[i + n] and ys[i] == ys[i + n]:
                 raise InputError(f"zero diagonal at index {i}")
@@ -425,28 +478,19 @@ class PairedPolygon:
 
 
 @dataclass
-class CenteredBall:
-    """Strictly convex CCW 2n-gon with central symmetry about the origin.
+class CenteredBall(_Vertices):
+    """Strictly convex CCW 2n-gon with central symmetry about the origin."""
 
-    The ball's constants (its integer frame, edge determinants, coefficient
-    frames, area and second dual) are cached properties: each is computed
-    on first use and kept, so the vertex list must not be changed
-    afterwards.
-    """
-
-    vertices: list[Vec2]
+    vertices: list[Vec2] = Stored()
     n: int
     backend: Backend = RATIONAL
 
     def __post_init__(self):
-        if len(self.vertices) != 2 * self.n:
+        if len(self) != 2 * self.n:
             raise InputError("centered ball must have exactly 2n vertices")
 
-    def __len__(self):
-        return len(self.vertices)
-
     def validate(self) -> None:
-        """Central symmetry on the cached ``frame``, then strict convexity
+        """Central symmetry on the ``frame``, then strict convexity
         about the origin: every numerator of the cached ``edge_det_frame``
         (whose denominator is positive) is positive."""
         xs, ys, _ = self.frame
@@ -457,11 +501,6 @@ class CenteredBall:
         for i, e in enumerate(self.edge_det_frame.nums):
             if be.sign(e) <= 0:
                 raise InputError(f"ball not strictly convex about origin at index {i}")
-
-    @cached_property
-    def frame(self) -> Frame:
-        """``integer_frame`` of the vertices."""
-        return integer_frame(self.vertices)
 
     @cached_property
     def edge_det_frame(self) -> ScalarFrame:
@@ -488,14 +527,14 @@ class CenteredBall:
     @cached_property
     def area(self) -> Scalar:
         """``polygon_area`` of the vertices."""
-        return polygon_area(self.vertices)
+        return polygon_area(self.frame)
 
     def require_length(self, what: str, count: int, noun: str = "points") -> None:
         """InputError naming both lengths unless a list given to ``what``
         holds ``count`` = 2n entries, one per vertex of the ball."""
-        if count != len(self.vertices):
+        if count != len(self):
             raise InputError(f"{what}: length mismatch ({count} {noun} vs "
-                             f"{len(self.vertices)} ball vertices)")
+                             f"{len(self)} ball vertices)")
 
     def own_backend(self, backend: Backend | None) -> Backend:
         """The ball's backend; a ``backend`` given as well must be that one."""
@@ -563,12 +602,12 @@ class CenteredBall:
 
         W_i = U_{i+n+1} = -U_{i+1}.  W is U again, indexed by the edges of V,
         so (V, W) is a ball pair of the same kind as (U, V): the edge world
-        of U is the vertex world of V.  W is built once per U and kept with
-        it, so its own constants are also computed once.
+        of U is the vertex world of V.  W is U's frame n + 1 slots later,
+        built once per U and kept, so its own constants are computed once.
         """
-        m = 2 * self.n
-        return CenteredBall([self.vertices[(i + self.n + 1) % m] for i in range(m)],
-                            self.n, self.backend)
+        xs, ys, den = self.frame
+        k = (self.n + 1) % len(xs)
+        return CenteredBall(Frame(xs[k:] + xs[:k], ys[k:] + ys[:k], den), self.n, self.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +631,13 @@ def minkowski_frame(p: Sequence[Vec2] | ConvexPolygon | Frame,
                     q: Sequence[Vec2] | ConvexPolygon | Frame,
                     backend: Backend = RATIONAL) -> Frame:
     """``minkowski_sum`` on the numerators: the edges of ``edge_merge``
-    summed from the two lowest vertices.  Two point lists are framed
-    together, on one denominator; two frames must share theirs.  The sum is
-    a frame on that denominator."""
-    if not isinstance(p, Frame):
-        pv = p.vertices if isinstance(p, ConvexPolygon) else list(p)
-        qv = q.vertices if isinstance(q, ConvexPolygon) else list(q)
-        xs, ys, den = integer_frame(pv + qv)
-        k = len(pv)
-        p, q = Frame(xs[:k], ys[:k], den), Frame(xs[k:], ys[k:], den)
+    summed from the two lowest vertices, on the lcm of the denominators of
+    the two frames (the frame of both point lists together)."""
+    p, q = (x.frame if isinstance(x, ConvexPolygon) else integer_frame(x) for x in (p, q))
+    if p.den != q.den:
+        den = math.lcm(p.den, q.den)
+        p, q = (Frame([x * (den // f.den) for x in f.xs], [y * (den // f.den) for y in f.ys], den)
+                for f in (p, q))
     p, q = p.distinct(), q.distinct()
     if not p.xs or not q.xs:
         raise InputError("minkowski_sum needs nonempty inputs")

@@ -34,14 +34,17 @@ from .core import (
     IdentityError,
     InputError,
     PairedPolygon,
+    Stored,
     Vec2,
     frame_eq,
     Frame,
     ScalarFrame,
     cross_terms,
+    frame_of,
     from_frame,
     integer_frame,
     scalar_frame,
+    single_point,
 )
 
 
@@ -52,32 +55,15 @@ class CentralEquidistant:
     alphas[i] solves M_{i+1} - M_i = alpha_i (U_{i+1} - U_i); betas[i] is the
     half window sum of alpha * det(U_i, U_{i+1}) over the n edges following
     vertex i.  For centrally symmetric input M collapses to a point
-    (degenerate=True) and every coefficient is zero.  The frames of M and
-    of the ladders are kept once computed, so the fields must not be
-    changed afterwards (``dataclasses.replace`` makes a fresh copy).
+    (degenerate=True) and every coefficient is zero.
     """
 
-    M: list[Vec2]
-    alphas: list[Scalar]
-    betas: list[Scalar]
+    M: list[Vec2] = Stored()
+    alphas: list[Scalar] = Stored()
+    betas: list[Scalar] = Stored()
     n: int
     backend: Backend
     degenerate: bool
-
-    @cached_property
-    def frame(self) -> Frame:
-        """``integer_frame`` of M."""
-        return integer_frame(self.M)
-
-    @cached_property
-    def alpha_frame(self) -> ScalarFrame:
-        """``scalar_frame`` of the alphas."""
-        return scalar_frame(self.alphas)
-
-    @cached_property
-    def beta_frame(self) -> ScalarFrame:
-        """``scalar_frame`` of the betas."""
-        return scalar_frame(self.betas)
 
 
 def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
@@ -134,21 +120,20 @@ def betas_of(alphas: Sequence[Scalar] | ScalarFrame, u: CenteredBall) -> ScalarF
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
-    """Midpoints of the diagonals, plus the alpha and beta ladders.
+    """Midpoints of the diagonals, plus the alpha and beta ladders, framed.
 
-    Each midpoint coordinate is one ``from_frame`` of the diagonal sum on
-    P's frame, over 2 den(P); on a float frame, the float sum halved."""
+    M is the frame of the diagonal sums of P's frame over 2 den(P), reduced
+    by its content; on a float frame, the float sums halved.  M_{i+n} = M_i,
+    so the first n sums are listed twice."""
     u, backend, n = plane.U, plane.backend, plane.n
-    m = 2 * n
-    xs, ys, den = integer_frame(plane.P.vertices)
-    den *= 2
-    mid = [Vec2(from_frame(xs[i] + xs[(i + n) % m], den), from_frame(ys[i] + ys[(i + n) % m], den))
-           for i in range(m)]
-    degenerate = all(backend.same_point(mid[i], mid[0]) for i in range(1, m))
+    xs, ys, den = f = plane.P.frame
+    sx, sy = [xs[i] + xs[i + n] for i in range(n)], [ys[i] + ys[i + n] for i in range(n)]
+    half = (Frame(sx, sy, 2 * den).reduced() if f.exact
+            else Frame([x / 2 for x in sx], [y / 2 for y in sy], den))
+    mid = Frame(half.xs * 2, half.ys * 2, half.den)
     al = alphas_of(mid, u)
-    be = betas_of(al, u)
-    return CentralEquidistant(M=mid, alphas=al.values(), betas=be.values(), n=plane.n,
-                              backend=backend, degenerate=degenerate)
+    return CentralEquidistant(M=mid, alphas=al, betas=betas_of(al, u), n=n, backend=backend,
+                              degenerate=single_point(mid, backend))
 
 
 def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPolygon:
@@ -157,7 +142,7 @@ def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPol
     Convex exactly when c >= -alpha_i for every edge; smaller c produces
     cusped (self-intersecting) vertex lists, which are still returned.
     """
-    return PairedPolygon(offset_points(ce.frame, u, ce.backend.convert(c)).points(),
+    return PairedPolygon(offset_points(frame_of(ce, "M"), u, ce.backend.convert(c)),
                          ce.n, ce.backend)
 
 
@@ -200,24 +185,26 @@ def _raise_not_parallel(nums: Sequence, points, v: CenteredBall,
             raise _not_parallel(points(), i, v.vertices[i % len(v.vertices)])
 
 
-def v_length(arc: Sequence[Vec2], v: CenteredBall, closed: bool = False) -> Scalar:
-    """Signed dual-ball length of a polygonal arc.
+def v_length(arc: Sequence[Vec2] | Frame, v: CenteredBall, closed: bool = False) -> Scalar:
+    """Signed dual-ball length of a polygonal arc, a point list or a frame.
 
     The arc's edge i must be parallel to the dual vertex V_i; negative
     coefficients (arcs past cusps) are allowed.  With closed=True the
     wrap-around edge is included.  An arc with no edges has length zero in
-    the ball's backend; closing an empty arc raises InputError.
+    the ball's backend; closing an empty arc raises InputError.  Errors
+    name the points, as ``alphas_of`` does.
     """
-    pts = list(arc)
-    if not pts:
+    pts = arc if isinstance(arc, Frame) else list(arc)
+    xs, ys, den = integer_frame(pts)
+    if not xs:
         if closed:
             raise InputError("v_length cannot close an arc with no points")
         return v.backend.convert(0)
-    if closed:
-        pts = pts + [pts[0]]
-    nums, den = lambdas_of(pts, v)
-    _raise_not_parallel(nums, lambda: pts, v)
-    return from_frame(_total(nums), den)
+    k = 1 if closed else 0  # the closing point, repeated
+    f = Frame(xs + xs[:k], ys + ys[:k], den)
+    nums, lden = lambdas_of(f, v)
+    _raise_not_parallel(nums, f.points if pts is arc else lambda: pts + pts[:k], v)
+    return from_frame(_total(nums), lden)
 
 
 def _total(values: Sequence):
@@ -258,8 +245,8 @@ class EquidistantFrame:
       A2(i) = A1(i + n).
 
     P_i(c) = (xs[i], ys[i]) / den is the frame of ``offset_points``, with den
-    = den_M den_U den_c (1.0 on a float frame), and ``equidistant`` reads
-    its points.  The sums are framed (numerators over one denominator); the public
+    = den_M den_U den_c (1.0 on a float frame), which ``equidistant`` also
+    holds.  The sums are framed (numerators over one denominator); the public
     functions of this module build one scalar per result from them.
     """
 
@@ -278,12 +265,12 @@ class EquidistantFrame:
     @cached_property
     def frame(self) -> Frame:
         """``offset_points`` of M's frame: P(c) over den_M den_U den_c."""
-        return offset_points(self.ce.frame, self.u, self.c)
+        return offset_points(frame_of(self.ce, "M"), self.u, self.c)
 
     @cached_property
     def half_arc_lengths(self) -> ScalarFrame:
         """Closed-form L_V(i, c) = nums[i] / den for i = 0 .. m-1."""
-        an, da = self.ce.alpha_frame
+        an, da = frame_of(self.ce, "alphas")
         dets, dd = self.u.edge_det_frame
         cd, ca = self.cd, self.cn * da
         terms = [(a * cd + ca) * d for a, d in zip(an, dets)]
@@ -393,7 +380,7 @@ def cusps_of_central(ce: CentralEquidistant) -> list[int] | None:
     ``evolute.evolute_cusps``.  Returns None for degenerate (single-point)
     M, and for a float M whose alphas all lie within the tolerance of zero.
     """
-    return None if ce.degenerate else ladder_cusps(ce.alphas, ce.n, ce.backend)
+    return None if ce.degenerate else ladder_cusps(frame_of(ce, "alphas").nums, ce.n, ce.backend)
 
 
 def half_area_identity(ce: CentralEquidistant, u: CenteredBall, i: int,

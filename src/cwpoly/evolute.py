@@ -21,9 +21,9 @@ is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is
 edge world, and ``cw.ladder_cusps`` gives the cusps of both
 (``evolute_cusps``).  ``evolute``, ``involute_points``, ``dual_involute``,
 ``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
-frame (see ``core``) and compute on its integers; the involutes return
-frames, and ``evolute`` builds one Fraction per coordinate of E and per
-curvature radius.  Every function here that is given a ball computes on the
+frame (see ``core``) and compute on its integers; the involutes and the
+evolute E are frames, and ``evolute`` builds one Fraction per curvature
+radius.  Every function here that is given a ball computes on the
 ball's backend (``CenteredBall.backend``), and one given a list whose
 length is not the ball's 2n raises InputError
 (``CenteredBall.require_length``).
@@ -42,16 +42,19 @@ from .core import (
     IdentityError,
     InputError,
     PairedPolygon,
+    Stored,
     Vec2,
     Frame,
     ScalarFrame,
     chord_frame,
     exact_points,
+    frame_of,
     from_frame,
     integer_frame,
     mixed_area,
     point_key,
     scalar_frame,
+    single_point,
 )
 from .cw import (
     CentralEquidistant,
@@ -67,7 +70,7 @@ from .cw import (
 class Evolute:
     """Centers of curvature E_i with curvature radii mu_i, edge-indexed."""
 
-    E: list[Vec2]
+    E: list[Vec2] = Stored()
     mus: list[Scalar]
     n: int
     backend: Backend
@@ -86,10 +89,11 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
     evolute of P.  In rational mode mu_i = a_i / b_i stays on the integers
     of the frames (a_i = lambda numerator times den(det), b_i = den(lambda)
     times the framed det_i), the two forms are compared by
-    cross-multiplication, and each coordinate of E is one Fraction; a float
-    frame evaluates the formulas directly.  E repeats after n slots
-    (E_{i+n} = E_i, exactly in rational mode), so E is stored as its first
-    n vertices twice, and float rounding cannot make its halves differ.  A
+    cross-multiplication, and E is framed over den(P) lcm(b_i den(U)) and
+    reduced; a float frame evaluates the formulas directly.  E repeats after
+    n slots (E_{i+n} = E_i, exactly in rational mode), so E is the frame of
+    its first n vertices twice, and float rounding cannot make its halves
+    differ.  A
     list whose length is not U's 2n, or a zero det(U_i, U_{i+1}) after the
     lambda solve, raises InputError.  It runs on U's backend; ``backend``,
     if given, must be that one (InputError).
@@ -115,8 +119,10 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
             if (xs[j] - xs[i]) * k != h * (ux[j] - ux[i]) \
                     or (ys[j] - ys[i]) * k != h * (uy[j] - uy[i]):
                 raise IdentityError(f"evolute defining forms disagree at edge {i}")
-        out = [Vec2(Fraction(xs[i] * ks[i] - hs[i] * ux[i], xden * ks[i]),
-                    Fraction(ys[i] * ks[i] - hs[i] * uy[i], xden * ks[i])) for i in range(n)]
+        L = math.lcm(*ks[:n])
+        half = Frame([xs[i] * L - hs[i] * ux[i] * (L // ks[i]) for i in range(n)],
+                     [ys[i] * L - hs[i] * uy[i] * (L // ks[i]) for i in range(n)],
+                     xden * L).reduced()
     else:
         eq = backend.eq
         mus = [(t / lden) / (d / dden) for t, d in zip(lnums, dets)]
@@ -126,9 +132,10 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
             if not (eq(xs[i] - ux[i] * mu, xs[j] - ux[j] * mu)
                     and eq(ys[i] - uy[i] * mu, ys[j] - uy[j] * mu)):
                 raise IdentityError(f"evolute defining forms disagree at edge {i}")
-        out = [Vec2(xs[i] - ux[i] * mus[i], ys[i] - uy[i] * mus[i]) for i in range(n)]
-    degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
-    return Evolute(E=out * 2, mus=mus, n=n, backend=backend, degenerate=degenerate)
+        half = Frame([xs[i] - ux[i] * mus[i] for i in range(n)],
+                     [ys[i] - uy[i] * mus[i] for i in range(n)], xden)
+    e = Frame(half.xs * 2, half.ys * 2, half.den)
+    return Evolute(E=e, mus=mus, n=n, backend=backend, degenerate=single_point(e, backend))
 
 
 @dataclass
@@ -138,8 +145,8 @@ class Involute:
     Edge-indexed with zero diagonals; constant width in the dual ball.
     """
 
-    N: list[Vec2]
-    betas: list[Scalar]
+    N: list[Vec2] = Stored()
+    betas: list[Scalar] = Stored()
     n: int
     backend: Backend
     degenerate: bool
@@ -194,11 +201,10 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     Both defining forms N_i = M_i + beta_i V_i = M_{i+1} + beta_{i+1} V_i are
     computed and must agree exactly; the result has zero diagonals.
     """
-    backend = ce.backend
-    out = involute_points(ce.frame, ce.beta_frame, v).doubled()
-    degenerate = all(backend.same_point(p, out[0]) for p in out[1:])
-    return Involute(N=out, betas=list(ce.betas), n=ce.n, backend=backend,
-                    degenerate=degenerate)
+    backend, betas = ce.backend, frame_of(ce, "betas")
+    n_frame = involute_points(frame_of(ce, "M"), betas, v)
+    return Involute(N=n_frame, betas=betas, n=ce.n, backend=backend,
+                    degenerate=single_point(n_frame, backend))
 
 
 def _later(values: list) -> list:

@@ -8,15 +8,11 @@ point O, the central point of the polygon.
 
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
-``ScalarFrame``, and every new polygon is reduced by one content gcd.
-Every step, step 0 included, stores M(k) and N(k) as those frames, and
-builds their vertices, the only ``Fraction`` points of the ladder, when a
-caller first reads ``step.M`` or ``step.N``; the four ledger scalars of
-each step are built as the step is made, and the central point O is read
-from the frame of the last M(k).  ``check_trace`` recomputes the ledger
-from the stored frames, or frames a polygon once from its vertices when
-the step was given a vertex list, and passes each frame to the same public
-functions.
+``ScalarFrame``, and every new polygon is reduced by one content gcd.  The
+four ledger scalars of each step are built as the step is made, and the
+central point O is read from the frame of the last M(k).  ``check_trace``
+recomputes the ledger from the frames of the stored polygons and passes
+each frame to the same public functions.
 """
 from __future__ import annotations
 
@@ -28,7 +24,8 @@ from typing import Sequence
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import Frame, InputError, PairedPolygon, ScalarFrame, Vec2, from_frame, integer_frame
+from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, Vec2, frame_of,
+                   from_frame, integer_frame)
 from .cw import (
     CentralEquidistant,
     alphas_of,
@@ -68,34 +65,6 @@ def diameter_sq(points: Sequence[Vec2] | Frame) -> ScalarFrame:
     return ScalarFrame([best], den * den)
 
 
-class _Polygon:
-    """A polygon field of ``IterationStep`` that may be given a doubled
-    ``Frame``, one whose second half repeats its first.
-
-    Reading the field returns the vertex list: a list the field was given,
-    or the frame's vertices, built on the first read (``Frame.doubled``)
-    and kept.  The frame is kept as well, for ``IterationStep._frame``.
-    The class-level read raises AttributeError, so the dataclass field has
-    no default.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name, self.slot = name, "_" + name
-
-    def __get__(self, step, owner=None):
-        if step is None:
-            raise AttributeError(self.name)
-        frame, points = step.__dict__[self.slot]
-        if points is None:
-            points = frame.doubled()
-            step.__dict__[self.slot] = (frame, points)
-        return points
-
-    def __set__(self, step, value):
-        step.__dict__[self.slot] = ((value, None) if isinstance(value, Frame)
-                                    else (None, value))
-
-
 @dataclass
 class IterationStep:
     """One rung of the ledger: N(k) and M(k) with areas, diameters, gaps.
@@ -103,12 +72,11 @@ class IterationStep:
     gap_mn = SA(M(k-1)) - SA(N(k)) and gap_nm = SA(N(k)) - SA(M(k)); both are
     sums of squares weighted by ball determinants and vanish only at a point.
     At k = 0, N(0) is the evolute of the input polygon and gap_mn is zero.
-    M and N may be given as doubled ``Frame``s; they read as vertex lists.
     """
 
     k: int
-    M: list[Vec2] = _Polygon()
-    N: list[Vec2] = _Polygon()
+    M: list[Vec2] = Stored()
+    N: list[Vec2] = Stored()
     sa_m: Scalar
     sa_n: Scalar
     gap_mn: Scalar
@@ -116,11 +84,7 @@ class IterationStep:
     diam_m: float
     diam_n: float
 
-    def _frame(self, name: str) -> Frame:
-        """The frame of polygon "M" or "N": the ``Frame`` the field was
-        given, or ``integer_frame`` of the vertex list it was given."""
-        frame, points = self.__dict__["_" + name]
-        return integer_frame(points) if frame is None else frame
+    _frame = frame_of
 
 
 @dataclass
@@ -177,7 +141,7 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         raise InputError(f"tol must be finite and positive, got {tol!r}")
 
     ce = central_equidistant(plane)
-    ev = evolute(plane.P.vertices, plane.U, plane.V)
+    ev = evolute(plane.P.frame, plane.U, plane.V)
     _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
@@ -204,14 +168,11 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  Each polygon passes from one public
     function to the next as its ``Frame``, and the alpha and beta ladders as
-    ``ScalarFrame``s; the ledger scalars are built from those frames.  Every
-    step stores M(k) and N(k) as frames and builds their vertices only when
-    they are read (``IterationStep``); step 0 stores the frames of M(0) and
-    of the evolute that the ladder starts from.  M(k) and N(k) repeat after n
-    vertices (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return
-    them as their first n vertices twice, so every stored polygon, the
-    evolute N(0) included, is doubled; its vertices are built and its
-    diameter measured from its first half (``Frame.half``).  In exact
+    ``ScalarFrame``s; the steps store those frames, and the ledger scalars
+    are built from them.  M(k) and N(k) repeat after n vertices (X_{i+n} =
+    X_i), and ``involute_points`` and ``evolute`` return them as their first
+    n vertices twice, so every stored polygon, the evolute N(0) included, is
+    doubled, and its diameter is measured on its first half.  In exact
     arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
     instead of letting it drift off that space, where the step amplifies it.
@@ -220,7 +181,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     """
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
-    m_frame, n_frame = ce.frame, integer_frame(ev.E)
+    m_frame, n_frame = frame_of(ce, "M"), frame_of(ev, "E")
     d2 = diameter_sq(m_frame.half())
     sa_m, sa_n = signed_area(m_frame), signed_area(n_frame)
     steps = [IterationStep(
@@ -296,8 +257,8 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     c = backend.convert(c)
     d = backend.convert(d)
     step = trace.steps[k]
-    return (PairedPolygon(offset_points(step._frame("M"), plane.U, c).points(), plane.n, backend),
-            PairedPolygon(offset_points(step._frame("N"), plane.V, d).points(), plane.n, backend))
+    return (PairedPolygon(offset_points(step._frame("M"), plane.U, c), plane.n, backend),
+            PairedPolygon(offset_points(step._frame("N"), plane.V, d), plane.n, backend))
 
 
 def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:
@@ -327,10 +288,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     polygons and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
     non-increasing diameters.  Each polygon's signed area and coefficient
-    ladder come from its frame: the frame the step stores, or, for a step
-    given a vertex list (one rebuilt by ``dataclasses.replace``), the frame
-    of those vertices, built once.  A stored frame is the
-    integer frame of the vertices it builds, so both give the same ledger.
+    ladder come from its frame (``IterationStep._frame``).
     """
     backend = trace.backend
     u, v, w = plane.U, plane.V, plane.W
@@ -414,11 +372,11 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
     limit = len(trace.steps) if max_steps is None else min(len(trace.steps), max_steps + 1)
     for idx in range(1, limit):
         prev, cur = trace.steps[idx - 1], trace.steps[idx]
-        parent_m = convex_parent_of_m(prev.M, plane.U)
+        parent_m = convex_parent_of_m(prev._frame("M"), plane.U)
         res = containment_check(cur.N, parent_m, samples=0)
         out.append(TraceCheck(f"iterate.nesting_n{cur.k}_in_m{prev.k}", res.contained,
                               f"{res.tested} vertices"))
-        parent_n = convex_parent_of_m(cur.N, plane.V)
+        parent_n = convex_parent_of_m(cur._frame("N"), plane.V)
         res = containment_check(cur.M, parent_n, samples=0)
         out.append(TraceCheck(f"iterate.nesting_m{cur.k}_in_n{cur.k}", res.contained,
                               f"{res.tested} vertices"))

@@ -28,7 +28,7 @@ from .core import (
     GeometryError,
     InputError,
     frame_eq,
-    integer_frame,
+    frame_of,
     minkowski_frame,
     mixed_area,
     polygon_area,
@@ -151,7 +151,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             return f"no (index {res.witness}: {res.reason})", False
         if not eq(res.a, plane.a):
             return f"a={_s(backend, res.a)}", False
-        ws, wden = framed_widths(*integer_frame(paired.vertices), v)
+        ws, wden = framed_widths(*paired.frame, v)
         (a,), aden = scalar_frame([plane.a])
         ok = all(frame_eq(backend, w_, wden, 2 * a, aden) for w_ in ws)
         return f"yes(a={_s(backend, res.a)})" if ok else "width varies", ok
@@ -179,7 +179,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     # coefficient ladders unsolvable; report and stop instead of raising
     try:
         ce = central_equidistant(plane)
-        ev = evolute(paired.vertices, u, v)
+        ev = evolute(paired.frame, u, v)
         inv = involute(ce, v)
     except GeometryError as e:
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
@@ -187,7 +187,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     area_u = u.area
 
     def chk_central_zero():
-        lv = v_length(ce.M, v, closed=True)
+        lv = v_length(frame_of(ce, "M"), v, closed=True)
         return _s(backend, lv), eq(lv, 0)
     guarded("cw.central_v_length_zero", "0", chk_central_zero)
 
@@ -204,12 +204,12 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             lambda: _chk_isoperimetric(frames, v, area_u))
 
     def chk_mixed():
-        lv = v_length(paired.vertices, v, closed=True)
-        mixed = mixed_area(paired.vertices, u.vertices)
+        lv = v_length(paired.frame, v, closed=True)
+        mixed = mixed_area(paired.frame, u.frame)
         if not eq(mixed, lv / 2):
             return "A(P,U) != L_V(P)/2", False
-        lhs = polygon_area(minkowski_frame(paired.vertices, u.vertices, backend))
-        rhs = polygon_area(paired.vertices) + 2 * mixed + area_u
+        lhs = polygon_area(minkowski_frame(paired.frame, u.frame, backend))
+        rhs = polygon_area(paired.frame) + 2 * mixed + area_u
         return ("A(P+U) expansion", eq(lhs, rhs))
     guarded("core.mixed_area", "A(P+U) expansion", chk_mixed)
 
@@ -243,30 +243,30 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             if not backend.same_point(inv.N[i], inv.N[i + plane.n]):
                 return f"diagonal {i} nonzero", False
         # the edge-world evolute is the (V, W) evolute, one slot later
-        back = evolute(inv.N, v, plane.W).E
+        back = evolute(frame_of(inv, "N"), v, plane.W).E
         ok = all(backend.same_point(back[i - 1], ce.M[i]) for i in range(m))
         return "zero diagonals; evolute is M", ok
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
-        back = dual_involute(ev.E, u, v)[0].doubled()
+        back = dual_involute(frame_of(ev, "E"), u, v)[0].points()
         ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
         return "involute of the evolute is M", ok
     guarded("involute.of_evolute", "involute of the evolute is M",
             chk_dual_involute_roundtrip)
 
     def chk_areas():
-        sa_m, sa_n = signed_area(ce.M), signed_area(inv.N)
+        sa_m, sa_n = signed_area(frame_of(ce, "M")), signed_area(frame_of(inv, "N"))
         if backend.sign(sa_m) < 0 or backend.sign(sa_n) < 0:
             return "negative signed area", False
         if backend.sign(sa_m - sa_n) < 0:
             return "SA(M) < SA(N)", False
-        gap = signed_area_gap(ce.betas, v)
+        gap = signed_area_gap(frame_of(ce, "betas"), v)
         return (f"gap {_s(backend, sa_m - sa_n)}", eq(sa_m - sa_n, gap))
     guarded("areas.signed_gap", "SA(M) - SA(N) = sum beta^2 det(V,V)", chk_areas)
 
     def chk_containment():
-        parent = convex_parent_of_m(ce.M, u)
+        parent = convex_parent_of_m(frame_of(ce, "M"), u)
         res = containment_check(inv.N, parent, samples=samples)
         return (f"{res.tested} samples, min chords {res.min_chords}", res.contained)
     guarded("containment.involute_in_central", "no exterior samples", chk_containment)
@@ -332,7 +332,7 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
     """For each c and i: the closed form against cA(U) + 2 beta_i, then the
     direct sum of the lambdas of edges i .. i+n-1 against the closed form."""
     backend = frames[0].backend
-    bn, bden = frames[0].ce.beta_frame
+    bn, bden = frame_of(frames[0].ce, "betas")
     for f in frames:
         n, m = f.n, f.m
         arcs, aden = f.half_arc_lengths
@@ -355,7 +355,7 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
 def _chk_half_area(frames: list[EquidistantFrame]) -> tuple[str, bool]:
     """A1(i) - A2(i) = 4 c beta_i for each convex equidistant and each i."""
     backend = frames[0].backend
-    bn, bden = frames[0].ce.beta_frame
+    bn, bden = frame_of(frames[0].ce, "betas")
     for f in frames:
         if not f.convex:
             continue

@@ -359,6 +359,40 @@ def test_exit_3_central_paired_not_parallel(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("cmd", ["ball", "dual"])
+def test_exit_3_ball_paired_not_constant_width(tmp_path, capsys, cmd, backend):
+    # the nudged hexagon builds two convex balls, but its edge 1 is not
+    # parallel to the ball's: like the commands past the balls, ball and
+    # dual report the identity failure instead of printing a ball
+    path = tmp_path / "nudged.json"
+    path.write_text(json.dumps(
+        {"vertices": [[3, 0], [5, 2], [4, 5], [1, 4], [-1, 2], [0, 0]]}))
+    assert main([cmd, str(path), "--paired", "--backend", backend]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("identity failure: not of constant width "
+                            "(index 1: edge not parallel to ball edge)\n")
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("cmd", ["ball", "dual"])
+def test_ball_paired_constant_width_unchanged(tmp_path, capsys, cmd, backend):
+    # the paired form that ball prints, read back with --paired, is of
+    # constant width, and both commands print what they print for the
+    # polygon it came from
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [4, 0], [5, 3], [1, 5]]}))
+    assert main(["ball", str(poly), "--backend", backend]) == 0
+    paired = tmp_path / "paired.json"
+    paired.write_text(json.dumps({"vertices": json.loads(capsys.readouterr().out)["paired"]}))
+    assert main([cmd, str(poly), "--backend", backend]) == 0
+    want = capsys.readouterr()
+    assert main([cmd, str(paired), "--paired", "--backend", backend]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and got.err == ""
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
 def test_exit_3_paired_with_collinear_vertices(tmp_path, capsys, backend):
     # U passes its paired checks, but three of its vertices are collinear,
     # so the dual ball V has a zero edge determinant: every check that

@@ -1,0 +1,136 @@
+"""Stored fields: each container holds a polygon or ladder as the frame or the
+list its kernel computed, builds the other form once, and no caller frames
+a list that a container already holds."""
+import dataclasses
+import importlib
+import pkgutil
+
+import pytest
+
+import cwpoly
+from cwpoly import (
+    ConvexPolygon,
+    build_plane,
+    central_equidistant,
+    check_trace,
+    evolute,
+    involute,
+    iterate_involutes,
+    run_verify,
+)
+from cwpoly.backend import FLOAT, RATIONAL
+from cwpoly.core import Frame, ScalarFrame, frame_of, integer_frame, scalar_frame, single_point
+
+from conftest import float_copy, kgon_plane
+
+QUAD = [(0, 0), (4, 0), (5, 3), (1, 5)]
+
+
+@pytest.fixture
+def framed_lists(monkeypatch):
+    """Every point list that any cwpoly module hands to ``integer_frame``."""
+    seen = []
+    orig = integer_frame
+
+    def spy(points):
+        if not isinstance(points, Frame):
+            seen.append(list(points))
+        return orig(points)
+
+    modules = [importlib.import_module(f"cwpoly.{m.name}")
+               for m in pkgutil.iter_modules(cwpoly.__path__)]
+    for mod in modules:
+        if getattr(mod, "integer_frame", None) is orig:
+            monkeypatch.setattr(mod, "integer_frame", spy)
+    return seen
+
+
+def _quad(backend):
+    plane = build_plane(ConvexPolygon.from_points(QUAD))
+    return plane if backend is RATIONAL else float_copy(plane, 1.0)
+
+
+def _kgon(backend):
+    plane = kgon_plane(7)
+    return plane if backend is RATIONAL else float_copy(plane, 1e-3)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT], ids=["rational", "float"])
+@pytest.mark.parametrize("run", ["verify", "ledger"])
+def test_each_polygon_is_framed_once(framed_lists, backend, run):
+    # P is framed at most once per plane; the central equidistant, the
+    # involute and every step of the ladder hand their frames on, so no
+    # caller frames their vertex lists
+    if run == "verify":
+        plane = _quad(backend)
+        assert run_verify(plane).all_ok
+        trace = None
+    else:
+        plane = _kgon(backend)
+        trace = iterate_involutes(plane, max_steps=4, tol=1e-300)
+        assert all(c.ok for c in check_trace(trace, plane))
+    framed = list(framed_lists)
+    framed_lists.clear()
+    ce = central_equidistant(plane)
+    held = [ce.M, involute(ce, plane.V).N]
+    if trace is not None:
+        held += [s.M for s in trace.steps] + [s.N for s in trace.steps]
+    assert framed_lists == []  # reading the held lists framed nothing
+    assert sum(1 for pts in framed if pts == plane.P.vertices) <= 1
+    assert not [pts for pts in framed if any(pts == h for h in held)]
+
+
+def _framed_fields(backend):
+    """(container, field) for every field a kernel sets with a frame."""
+    poly = ConvexPolygon.from_points([(float(x), float(y)) for x, y in QUAD]
+                                     if backend is FLOAT else QUAD, backend)
+    plane = build_plane(poly)
+    ce = central_equidistant(plane)
+    ev = evolute(plane.P.frame, plane.U, plane.V)
+    inv = involute(ce, plane.V)
+    step = iterate_involutes(plane, max_steps=2, tol=1e-300).steps[-1]
+    return [(poly, "vertices"), (plane.P, "vertices"), (plane.U, "vertices"),
+            (plane.W, "vertices"), (ce, "M"), (ce, "alphas"), (ce, "betas"), (ev, "E"),
+            (inv, "N"), (inv, "betas"), (step, "M"), (step, "N")]
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT], ids=["rational", "float"])
+def test_stored_field_round_trip(backend):
+    fields = _framed_fields(backend)
+    # nothing has read the lists yet, so none is built
+    for obj, name in fields:
+        frame, items = obj.__dict__["_" + name]
+        assert isinstance(frame, (Frame, ScalarFrame)) and items is None, name
+    for obj, name in fields:
+        frame = frame_of(obj, name)
+        got = getattr(obj, name)
+        if isinstance(frame, Frame):
+            assert got == frame.points()
+            # a polygon set with a frame holds exactly integer_frame of its list
+            assert frame == integer_frame(got), name
+            if frame.is_doubled:
+                h = len(got) // 2
+                assert all(a is b for a, b in zip(got[:h], got[h:])), name
+        else:
+            assert got == frame.values()
+        assert getattr(obj, name) is got and frame_of(obj, name) is frame
+        # replaced with a list, the field frames that list on the first read
+        fresh = list(got)
+        other = dataclasses.replace(obj, **{name: fresh})
+        want = integer_frame(fresh) if isinstance(frame, Frame) else scalar_frame(fresh)
+        assert frame_of(other, name) == want and getattr(other, name) is fresh
+
+
+def test_points_share_the_halves_of_a_doubled_frame_only():
+    doubled = Frame([1, 2, 1, 2], [3, 4, 3, 4], 2)
+    pts = doubled.points()
+    assert pts == doubled.doubled() and pts[0] is pts[2] and pts[1] is pts[3]
+    plain = Frame([1, 2, 1, 5], [3, 4, 3, 4], 2)
+    assert [(p.x * 2, p.y * 2) for p in plain.points()] == list(zip(plain.xs, plain.ys))
+
+
+def test_single_point():
+    assert single_point(Frame([2, 2, 2], [1, 1, 1], 3), RATIONAL)
+    assert not single_point(Frame([2, 2, 2], [1, 1, 2], 3), RATIONAL)
+    assert single_point(Frame([0.5, 0.5 + 1e-12], [1.0, 1.0], 1.0), FLOAT)
+    assert not single_point(Frame([0.5, 0.5 + 1e-6], [1.0, 1.0], 1.0), FLOAT)
