@@ -93,6 +93,78 @@ def test_check_trace_catches_scaled_polygon():
             assert not gaps.ok and gaps.detail == want
 
 
+def _scaled(step, name, s):
+    return dataclasses.replace(step, **{name: [p * s for p in getattr(step, name)]})
+
+
+def _negative_last_m(trace, plane):
+    """The last step with M(K) replaced by M' = t M(K) + c U, t = 1/2, whose
+    signed area is negative while both gap identities of step K still hold.
+
+    With alpha_i the ladder of M(K), d_i = det(W_{i-1}, W_i) and
+    S = sum_{i<n} alpha_i d_i: M' has the alphas t alpha_i + c, and since
+    A(M(K), U) = 0 and sum_{i<n} d_i = A(U), SA(N(K)) - SA(M') - gap(M') =
+    (1 - t^2) SA(N(K)) - 2 t c S, which is zero at c = (1 - t^2) SA(N(K)) / (2 t S)."""
+    from cwpoly.cw import alphas_of
+
+    step = trace.final
+    al = alphas_of(step.M, plane.U).values()
+    d = plane.W.edge_dets
+    s = sum(al[i] * d[i - 1] for i in range(plane.n))
+    t = plane.backend.convert(F(1, 2))
+    c = step.sa_n * (1 - t * t) / (2 * t * s)
+    return dataclasses.replace(step, M=[m * t + u * c for m, u in zip(step.M, plane.U.vertices)])
+
+
+def test_check_trace_failure_branches():
+    # every failure branch of the ledger check, on traces broken by hand, on
+    # exact planes and on their float copies at scale 1
+    planes = fuzz_planes(401, 4)
+    planes += [float_copy(p, 1.0) for p in planes]
+    for plane in planes:
+        trace = iterate_involutes(plane, max_steps=4, tol=1e-300)
+        good = check_trace(trace, plane)
+        assert all(c.ok for c in good)
+        good = {c.check_id: (c.ok, c.detail) for c in good}
+        sa = [s.sa_m for s in trace.steps]
+        diams = [s.diam_m for s in trace.steps]
+        neg = _negative_last_m(trace, plane)
+        residual = signed_area(neg.M)
+        assert residual < 0
+        cases = [
+            # SA(M(2)) times 100 exceeds SA(N(2)): the chain is not monotone
+            (2, _scaled(trace.steps[2], "M", 10), {
+                "iterate.sa_chain_monotone": (False, "9 signed areas"),
+                "iterate.gap_identities": (False, "alpha gap fails at k=2")}),
+            (3, _scaled(trace.steps[3], "N", 2), {
+                "iterate.gap_identities": (False, "beta gap fails at k=3"),
+                "iterate.sumsquares_bound": (False, f"slack={_sci(sa[2])} residual={_sci(sa[4])}")}),
+            (3, _scaled(trace.steps[3], "M", 2), {
+                "iterate.gap_identities": (False, "alpha gap fails at k=3"),
+                "iterate.sumsquares_bound": (False, f"slack={_sci(sa[2])} residual={_sci(sa[4])}")}),
+            # the gaps hold, so the sum of squares telescopes to SA(M(0)) - SA(M')
+            (4, neg, {
+                "iterate.sa_chain_monotone": (False, "9 signed areas"),
+                "iterate.gap_identities": (False, "sum of squares exceeds SA(M(0)) at k=4"),
+                "iterate.sumsquares_bound":
+                    (False, f"slack={_sci(residual)} residual={_sci(residual)}"),
+                "iterate.diameters_nonincreasing": good["iterate.diameters_nonincreasing"]}),
+            (2, dataclasses.replace(trace.steps[2], diam_m=2 * diams[0]), {
+                "iterate.sa_chain_monotone": good["iterate.sa_chain_monotone"],
+                "iterate.gap_identities": good["iterate.gap_identities"],
+                "iterate.sumsquares_bound": good["iterate.sumsquares_bound"],
+                "iterate.diameters_nonincreasing":
+                    (False, f"first={diams[0]:.3e} last={diams[-1]:.3e}")}),
+        ]
+        for k, step, want in cases:
+            steps = list(trace.steps)
+            steps[k] = step
+            got = {c.check_id: (c.ok, c.detail)
+                   for c in check_trace(dataclasses.replace(trace, steps=steps), plane)}
+            assert list(got) == list(good)
+            assert {i: got[i] for i in want} == want, (plane.backend.name, k)
+
+
 def test_check_trace_reads_stored_frames_as_vertices():
     # a step stores M(k) and N(k) as frames; check_trace reads those frames,
     # and a step rebuilt from the vertex lists gives the same checks
