@@ -10,6 +10,7 @@ f(.) = [., v].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -110,16 +111,24 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
 
     Edge-indexed: vertex V_i of the dual corresponds to the edge U_i U_{i+1}.
     Every point of every edge of V has dual norm exactly 1 against U.  On
-    U's frame, det_i = d_i / den^2, so each coordinate is one ``from_frame``,
-    V_i = (U_{i+1} - U_i) den / d_i on the numerators; on a float frame
-    (den = 1.0) it is the float quotient.  A zero d_i raises InputError
-    (``CenteredBall.divisor_frame``).
+    U's frame, det_i = d_i / den^2, so V_i = (U_{i+1} - U_i) den / d_i on
+    the numerators.  V is the frame of the numerators times den L / d_i
+    over L = lcm |d_i|, reduced by its content; on a float frame (den =
+    1.0) each coordinate is the float quotient.  A zero d_i raises
+    InputError (``CenteredBall.divisor_frame``).
     """
-    xs, ys, den = u.frame
+    xs, ys, den = f = u.frame
     dets = u.divisor_frame.nums
-    ball = CenteredBall([Vec2(from_frame((x1 - x0) * den, d), from_frame((y1 - y0) * den, d))
-                         for x0, y0, x1, y1, d in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1],
-                                                      dets)], u.n, u.backend)
+    dx = [x1 - x0 for x0, x1 in zip(xs, xs[1:] + xs[:1])]
+    dy = [y1 - y0 for y0, y1 in zip(ys, ys[1:] + ys[:1])]
+    if f.exact:
+        L = math.lcm(*dets)
+        s = [den * (L // d) for d in dets]
+        frame = Frame([x * k for x, k in zip(dx, s)], [y * k for y, k in zip(dy, s)], L).reduced()
+    else:
+        frame = Frame([x * den / d for x, d in zip(dx, dets)],
+                      [y * den / d for y, d in zip(dy, dets)], den)
+    ball = CenteredBall(frame, u.n, u.backend)
     if validate:
         ball.validate()
     return ball

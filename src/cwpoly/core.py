@@ -12,7 +12,10 @@ products on the integers, and returns a frame, or one scalar built by
 ``minkowski_frame``, ``PairedPolygon.validate``) runs on frames too, and
 the cross terms det(p_j, p_{j+1}) of a closed frame are ``cross_terms``.
 Each new polygon is reduced by one content gcd (``Frame.reduced``), which
-gives exactly ``integer_frame`` of its vertices.  A frame knows whether it
+gives exactly ``integer_frame`` of its vertices.  A scalar formula such as
+``mixed_area_frame`` returns a framed value, a ``ScalarFrame`` of one
+entry, and ``value_sum``, ``value_diff``, ``value_eq``, ``value_le`` and
+``value_sign`` add and compare framed values on their integers.  A frame knows whether it
 is exact: float input gets the frame den = 1.0 with its coordinates
 unchanged, so the float backend runs the same loops, in the same
 expression order, and every value framed on it is the plain float
@@ -177,6 +180,14 @@ class ScalarFrame(NamedTuple):
         """The scalars nums[i] / den, as ``from_frame`` builds them."""
         return [from_frame(v, self.den) for v in self.nums]
 
+    def value(self) -> Scalar:
+        """The scalar nums[0] / den of a framed value, a frame of one entry."""
+        return from_frame(self.nums[0], self.den)
+
+    def __neg__(self) -> "ScalarFrame":
+        """The frame of the scalars -nums[i] / den."""
+        return ScalarFrame([-v for v in self.nums], self.den)
+
 
 def scalar_frame(values: Sequence[Scalar] | ScalarFrame) -> ScalarFrame:
     """One shared denominator for a list of scalars; a ScalarFrame passes
@@ -284,26 +295,32 @@ def polygon_area(points: Sequence[Vec2] | Frame) -> Scalar:
 
 
 def mixed_area(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Scalar:
-    """Mixed area of two closed polygons listed with matching parallel edges.
+    """Mixed area of two closed polygons listed with matching parallel edges:
+    the value of ``mixed_area_frame``."""
+    return mixed_area_frame(p, q).value()
 
-    Computed as (1/2) sum_i [q_i, p_{i+1} - p_i] on the frames of p and q;
-    the symmetric companion formula (1/2) sum_i [p_{i+1}, q_{i+1} - q_i]
-    gives the same value and is exercised by the test suite.  For q is p
-    this is the signed shoelace area, whose terms are det(p_i, p_{i+1}); an
-    exact doubled frame, one whose second half equals its first, sums the
-    ``cross_terms`` of its first half over den^2.
+
+def mixed_area_frame(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> ScalarFrame:
+    """``mixed_area`` as a framed value.
+
+    Computed as (1/2) sum_i [q_i, p_{i+1} - p_i] on the frames of p and q,
+    over 2 den(p) den(q); the symmetric companion formula (1/2) sum_i
+    [p_{i+1}, q_{i+1} - q_i] gives the same value and is exercised by the
+    test suite.  For q is p this is the signed shoelace area, whose terms
+    are det(p_i, p_{i+1}); an exact doubled frame, one whose second half
+    equals its first, sums the ``cross_terms`` of its first half over den^2.
     """
     fp = integer_frame(p)
     if q is p and fp.exact and fp.is_doubled:
         xs, ys, den = fp.half()
-        return Fraction(sum(cross_terms(xs, ys)), den * den)
+        return ScalarFrame([sum(cross_terms(xs, ys))], den * den)
     (px, py, pden), (qx, qy, qden) = fp, fp if q is p else integer_frame(q)
     if len(qx) != len(px):
         raise InputError(f"mixed_area: length mismatch ({len(px)} vs {len(qx)})")
     acc = 0
     for x, y, a, b, c, d in zip(qx, qy, px, px[1:] + px[:1], py, py[1:] + py[:1]):
         acc = acc + (x * (d - c) - y * (b - a))
-    return from_frame(acc, 2 * pden * qden)
+    return ScalarFrame([acc], 2 * pden * qden)
 
 
 def frame_eq(backend: Backend, a, da, b, db) -> bool:
@@ -313,6 +330,60 @@ def frame_eq(backend: Backend, a, da, b, db) -> bool:
     if backend.exact:
         return a * db == b * da
     return backend.eq(a / da, b / db)
+
+
+# Framed values: one scalar nums[0] / den as a ScalarFrame of one entry,
+# with den > 0.  The exact ledger adds and compares them on integers, with
+# no Fraction in between; on a float frame each helper takes the quotients
+# and runs the float operation, and the backend predicate, that the same
+# values as scalars would.
+
+def value_sum(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> ScalarFrame:
+    """a + b of two framed values: over lcm(den_a, den_b), one gcd, on
+    integers; the float sum of the quotients, over 1.0, on a float frame."""
+    (x,), dx = a
+    (y,), dy = b
+    if not backend.exact:
+        return ScalarFrame([x / dx + y / dy], 1.0)
+    g = math.gcd(dx, dy)
+    return ScalarFrame([x * (dy // g) + y * (dx // g)], dx // g * dy)
+
+
+def value_diff(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> ScalarFrame:
+    """a - b of two framed values, as ``value_sum`` adds them."""
+    (x,), dx = a
+    (y,), dy = b
+    if not backend.exact:
+        return ScalarFrame([x / dx - y / dy], 1.0)
+    g = math.gcd(dx, dy)
+    return ScalarFrame([x * (dy // g) - y * (dx // g)], dx // g * dy)
+
+
+def value_eq(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> bool:
+    """a == b for two framed values (``frame_eq``)."""
+    (x,), dx = a
+    (y,), dy = b
+    return frame_eq(backend, x, dx, y, dy)
+
+
+def value_le(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> bool:
+    """a <= b for two framed values: by cross-multiplication on integers,
+    and by the backend's ``le`` of the quotients on a float frame.  ``not
+    value_le(backend, b, a)`` is the backend's ``lt(a, b)``: both backends
+    decide le and lt by the sign of the difference, and the float b - a is
+    exactly -(a - b)."""
+    (x,), dx = a
+    (y,), dy = b
+    if backend.exact:
+        return x * dy <= y * dx
+    return backend.le(x / dx, y / dy)
+
+
+def value_sign(backend: Backend, a: ScalarFrame) -> int:
+    """The backend's sign of a framed value: of its numerator on integers,
+    of its quotient on a float frame."""
+    (x,), dx = a
+    return backend.sign(x if backend.exact else x / dx)
 
 
 def coeff_along(w: Vec2, d: Vec2, backend: Backend) -> Scalar:

@@ -22,8 +22,10 @@ edge world, and ``cw.ladder_cusps`` gives the cusps of both
 (``evolute_cusps``).  ``evolute``, ``involute_points``, ``dual_involute``,
 ``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
 frame (see ``core``) and compute on its integers; the involutes and the
-evolute E are frames, and ``evolute`` builds one Fraction per curvature
-radius.  Every function here that is given a ball computes on the
+evolute E are frames, ``evolute`` builds one Fraction per curvature
+radius, and the two area formulas are ``signed_area_frame`` and
+``signed_area_gap_frame``, whose framed values the public functions
+read.  Every function here that is given a ball computes on the
 ball's backend (``CenteredBall.backend``), and one given a list whose
 length is not the ball's 2n raises InputError
 (``CenteredBall.require_length``).
@@ -49,9 +51,8 @@ from .core import (
     chord_frame,
     exact_points,
     frame_of,
-    from_frame,
     integer_frame,
-    mixed_area,
+    mixed_area_frame,
     point_key,
     scalar_frame,
     single_point,
@@ -230,22 +231,36 @@ def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall,
     """
     x = integer_frame(points)
     v.require_length("dual_involute", len(x.xs))
-    bs, bden = be = betas_of(alphas_of(x, v), v)
+    be = betas_of(alphas_of(x, v), v)
     mx, my, mden = involute_points(x, be, u.second_dual)
-    return Frame(_later(mx), _later(my), mden), ScalarFrame([-b for b in bs], bden)
+    return Frame(_later(mx), _later(my), mden), -be
 
 
 def signed_area(points: Sequence[Vec2] | Frame) -> Scalar:
-    """Signed area SA(X) = -A(X, X) of a closed (doubled) central polygon.
+    """Signed area SA(X) = -A(X, X) of a closed (doubled) central polygon:
+    the value of ``signed_area_frame``.
 
     Nonnegative for central equidistants and their involutes.
     """
-    return -mixed_area(points, points)
+    return signed_area_frame(points).value()
+
+
+def signed_area_frame(points: Sequence[Vec2] | Frame) -> ScalarFrame:
+    """``signed_area`` as a framed value: ``mixed_area_frame`` negated."""
+    (num,), den = mixed_area_frame(points, points)
+    return ScalarFrame([-num], den)
 
 
 def signed_area_gap(betas: Sequence[Scalar] | ScalarFrame, v: CenteredBall) -> Scalar:
-    """Right side of the area drop under one involute step:
-    sum over half the vertices of beta_i^2 det(V_{i-1}, V_i).
+    """Right side of the area drop under one involute step: the value of
+    ``signed_area_gap_frame``."""
+    return signed_area_gap_frame(betas, v).value()
+
+
+def signed_area_gap_frame(betas: Sequence[Scalar] | ScalarFrame,
+                          v: CenteredBall) -> ScalarFrame:
+    """``signed_area_gap`` as a framed value: the sum over half the vertices
+    of beta_i^2 det(V_{i-1}, V_i), over den(beta)^2 den(det).
 
     For the edge-world step pass the mu ladder and W: det(W_{i-1}, W_i) =
     det(U_i, U_{i+1}).
@@ -255,7 +270,7 @@ def signed_area_gap(betas: Sequence[Scalar] | ScalarFrame, v: CenteredBall) -> S
     acc = 0
     for i, b in enumerate(nums[:len(nums) // 2]):
         acc = acc + b * b * dets[i - 1]
-    return from_frame(acc, den * den * dden)
+    return ScalarFrame([acc], den * den * dden)
 
 
 @dataclass

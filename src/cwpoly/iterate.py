@@ -9,10 +9,13 @@ point O, the central point of the polygon.
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
 ``ScalarFrame``, and every new polygon is reduced by one content gcd.  The
-four ledger scalars of each step are built as the step is made, and the
-central point O is read from the frame of the last M(k).  ``check_trace``
-recomputes the ledger from the frames of the stored polygons and passes
-each frame to the same public functions.
+four ledger scalars of each step are built as the step is made, the sum
+of squares adds the gaps on one denominator (``core.scalar_frame``) and
+builds one Fraction at the end, and the central point O is read from the
+frame of the last M(k).  ``check_trace`` recomputes the ledger from the
+frames of the stored polygons, passes each frame to the same formulas, and
+adds and compares their framed values (``core.value_sum``, ``value_diff``,
+``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ from typing import Sequence
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
 from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, Vec2, frame_of,
-                   from_frame, integer_frame)
+                   from_frame, integer_frame, scalar_frame, value_diff, value_eq, value_le,
+                   value_sign, value_sum)
 from .cw import (
     CentralEquidistant,
     alphas_of,
@@ -40,7 +44,9 @@ from .evolute import (
     evolute,
     involute_points,
     signed_area,
+    signed_area_frame,
     signed_area_gap,
+    signed_area_gap_frame,
 )
 
 DEFAULT_TOL = 1e-9
@@ -145,9 +151,11 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
     _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
+    # the gaps on one denominator, added in step order: one Fraction at the end
+    gaps, den = scalar_frame([g for s in steps[1:] for g in (s.gap_mn, s.gap_nm)])
     total = 0
-    for s in steps[1:]:
-        total = total + s.gap_mn + s.gap_nm
+    for g in gaps:
+        total = total + g
     return IterationTrace(
         steps=steps,
         O=_centroid(last._frame("M")),
@@ -155,7 +163,7 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         converged=stop_reason == "tol",
         n=plane.n,
         backend=backend,
-        sumsquares=total,
+        sumsquares=from_frame(total, den) if gaps else 0,
         sa0=steps[0].sa_m,
         stop_reason=stop_reason,
     )
@@ -183,10 +191,10 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     tol2 = Fraction(tol) ** 2
     m_frame, n_frame = frame_of(ce, "M"), frame_of(ev, "E")
     d2 = diameter_sq(m_frame.half())
-    sa_m, sa_n = signed_area(m_frame), signed_area(n_frame)
+    sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
     steps = [IterationStep(
-        k=0, M=m_frame, N=n_frame, sa_m=sa_m, sa_n=sa_n,
-        gap_mn=0, gap_nm=sa_n - sa_m,
+        k=0, M=m_frame, N=n_frame, sa_m=sa_m.value(), sa_n=sa_n.value(),
+        gap_mn=0, gap_nm=value_diff(plane.backend, sa_n, sa_m).value(),
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
     for k in range(1, max_steps + 1):
@@ -288,7 +296,10 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     polygons and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
     non-increasing diameters.  Each polygon's signed area and coefficient
-    ladder come from its frame (``IterationStep._frame``).
+    ladder come from its frame (``IterationStep._frame``).  Areas, gaps and
+    the running sum stay framed values, added and compared on integers in
+    rational mode and as the float quotients in float mode; the only
+    Fractions built are the slack and the residual that the detail prints.
     """
     backend = trace.backend
     u, v, w = plane.U, plane.V, plane.W
@@ -299,46 +310,46 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     steps = trace.steps
     m_frames = [s._frame("M") for s in steps]
     n_frames = [None] + [s._frame("N") for s in steps[1:]]
-    sa_m = [signed_area(f) for f in m_frames]
-    sa_n = [None] + [signed_area(f) for f in n_frames[1:]]
+    sa_m = [signed_area_frame(f) for f in m_frames]
+    sa_n = [None] + [signed_area_frame(f) for f in n_frames[1:]]
 
-    chain: list[Scalar] = []
+    chain: list[ScalarFrame] = []
     for idx in range(len(steps)):
         if idx > 0:
             chain.append(sa_n[idx])
         chain.append(sa_m[idx])
-    ok = all(backend.sign(x) >= 0 for x in chain) and all(
-        backend.le(chain[i + 1], chain[i]) for i in range(len(chain) - 1))
+    ok = all(value_sign(backend, x) >= 0 for x in chain) and all(
+        value_le(backend, chain[i + 1], chain[i]) for i in range(len(chain) - 1))
     out.append(TraceCheck("iterate.sa_chain_monotone", ok,
                           f"{len(chain)} signed areas"))
 
     ok = True
     detail = ""
-    acc = 0
+    acc = ScalarFrame([0], 1)
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
         cur = steps[idx]
-        lhs = sa_m[idx - 1] - sa_n[idx]
-        rhs = signed_area_gap(edge_world_coeffs(n_frames[idx], v), v)
-        if not backend.eq(lhs, rhs):
+        lhs = value_diff(backend, sa_m[idx - 1], sa_n[idx])
+        rhs = signed_area_gap_frame(edge_world_coeffs(n_frames[idx], v), v)
+        if not value_eq(backend, lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
-        lhs2 = sa_n[idx] - sa_m[idx]
-        rhs2 = signed_area_gap(alphas_of(m_frames[idx], u), w)
-        if not backend.eq(lhs2, rhs2):
+        lhs2 = value_diff(backend, sa_n[idx], sa_m[idx])
+        rhs2 = signed_area_gap_frame(alphas_of(m_frames[idx], u), w)
+        if not value_eq(backend, lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"
             break
-        acc = acc + rhs + rhs2
-        if backend.lt(sa0, acc):
+        acc = value_sum(backend, value_sum(backend, acc, rhs), rhs2)
+        if not value_le(backend, acc, sa0):
             ok = False
             detail = f"sum of squares exceeds SA(M(0)) at k={cur.k}"
             break
     out.append(TraceCheck("iterate.gap_identities", ok, detail))
 
-    slack = sa0 - acc
-    residual = sa_m[-1]
+    slack = value_diff(backend, sa0, acc).value()
+    residual = sa_m[-1].value()
     out.append(TraceCheck(
         "iterate.sumsquares_bound",
         backend.sign(slack) >= 0 and backend.eq(slack, residual),

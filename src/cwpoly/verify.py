@@ -7,7 +7,9 @@ The identity checks read framed values (see ``core``): the widths and the
 dual-ball identity one table of det(X_j, V_i), and the five checks of the
 c-equidistants one ``cw.EquidistantFrame`` per c.  They compare numerators
 by cross-multiplication (``core.frame_eq``), index by index in the order
-the report names the first failure.
+the report names the first failure.  ``areas.signed_gap`` compares the
+framed drop SA(M) - SA(N) with the framed gap (``core.value_diff``,
+``value_sign``, ``value_eq``).
 """
 from __future__ import annotations
 
@@ -33,6 +35,9 @@ from .core import (
     mixed_area,
     polygon_area,
     scalar_frame,
+    value_diff,
+    value_eq,
+    value_sign,
 )
 from .cw import (
     EquidistantFrame,
@@ -47,8 +52,8 @@ from .evolute import (
     evolute,
     evolute_cusps,
     involute,
-    signed_area,
-    signed_area_gap,
+    signed_area_frame,
+    signed_area_gap_frame,
 )
 from .fuzz import random_rational
 from .iterate import check_trace, convex_parent_of_m, iterate_involutes
@@ -256,13 +261,14 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             chk_dual_involute_roundtrip)
 
     def chk_areas():
-        sa_m, sa_n = signed_area(frame_of(ce, "M")), signed_area(frame_of(inv, "N"))
-        if backend.sign(sa_m) < 0 or backend.sign(sa_n) < 0:
+        sa_m, sa_n = signed_area_frame(frame_of(ce, "M")), signed_area_frame(frame_of(inv, "N"))
+        if value_sign(backend, sa_m) < 0 or value_sign(backend, sa_n) < 0:
             return "negative signed area", False
-        if backend.sign(sa_m - sa_n) < 0:
+        drop = value_diff(backend, sa_m, sa_n)
+        if value_sign(backend, drop) < 0:
             return "SA(M) < SA(N)", False
-        gap = signed_area_gap(frame_of(ce, "betas"), v)
-        return (f"gap {_s(backend, sa_m - sa_n)}", eq(sa_m - sa_n, gap))
+        gap = signed_area_gap_frame(frame_of(ce, "betas"), v)
+        return (f"gap {_s(backend, drop.value())}", value_eq(backend, drop, gap))
     guarded("areas.signed_gap", "SA(M) - SA(N) = sum beta^2 det(V,V)", chk_areas)
 
     def chk_containment():

@@ -27,9 +27,15 @@ from cwpoly.core import (
     Frame,
     PairedPolygon,
     RegionTest,
+    ScalarFrame,
     coeff_along,
     integer_frame,
     scalar_frame,
+    value_diff,
+    value_eq,
+    value_le,
+    value_sign,
+    value_sum,
 )
 from cwpoly.cw import alphas_of, betas_of, central_equidistant, lambdas_of
 from cwpoly.evolute import dual_involute, involute_points, signed_area_gap
@@ -491,6 +497,53 @@ def test_exact_shoelace_on_doubled_and_undoubled_lists(half, i, along_y, bump):
         if len(pts) >= 3:
             got += [polygon_area(pts), polygon_area(frame)]
         assert all(type(g) is F and g == want for g in got)
+
+
+_ledger_nums = st.one_of(st.just(0), st.integers(-9, 9),
+                         st.integers(-(2 ** 1000), 2 ** 1000))
+_ledger_dens = st.one_of(st.integers(1, 9), st.integers(1, 2 ** 500))
+
+
+@given(_ledger_nums, _ledger_nums, _ledger_dens, _ledger_dens, _ledger_dens,
+       st.integers(1, 2 ** 64), st.booleans())
+def test_framed_values_are_fraction_arithmetic(x, y, g, p, q, k, same):
+    # exact framed values over g p and g q, which share the factor g and in
+    # general do not divide each other, or over g p k for the value of a:
+    # sums, differences, order and sign are those of the Fractions, and a
+    # sum's denominator is lcm(g p, g q)
+    a = ScalarFrame([x], g * p)
+    b = ScalarFrame([x * k], g * p * k) if same else ScalarFrame([y], g * q)
+    fa, fb = F(x, a.den), F(b.nums[0], b.den)
+    total, diff = value_sum(RATIONAL, a, b), value_diff(RATIONAL, a, b)
+    assert total.den == diff.den == math.lcm(a.den, b.den)
+    assert type(total.value()) is F and total.value() == fa + fb
+    assert diff.value() == fa - fb and (-a).value() == -fa and a.value() == fa
+    assert value_eq(RATIONAL, a, b) is (fa == fb)
+    assert value_le(RATIONAL, a, b) is (fa <= fb) and value_le(RATIONAL, b, a) is (fb <= fa)
+    assert value_sign(RATIONAL, a) == RATIONAL.sign(fa)
+    assert value_sign(RATIONAL, diff) == RATIONAL.sign(fa - fb)
+
+
+_ledger_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(-1e-8, 1e-8),
+                           st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 2e-9]))
+
+
+@given(_ledger_floats, _ledger_floats, st.sampled_from([1.0, 2.0]), st.sampled_from([1.0, 2.0]))
+def test_framed_values_on_float_frames_are_quotient_arithmetic(x, y, da, db):
+    # on a float frame each helper computes on the quotients, bit for bit,
+    # with the backend's predicates; the empty sum, 0 / 1, adds as int 0
+    a, b = ScalarFrame([x], da), ScalarFrame([y], db)
+    qa, qb = x / da, y / db
+    total, diff = value_sum(FLOAT, a, b), value_diff(FLOAT, a, b)
+    assert total.den == diff.den == 1.0
+    assert repr(total.value()) == repr(qa + qb) and repr(diff.value()) == repr(qa - qb)
+    assert repr(value_sum(FLOAT, ScalarFrame([0], 1), a).value()) == repr(0 + qa)
+    assert repr(a.value()) == repr(qa) and repr((-a).value()) == repr(-qa)
+    assert value_eq(FLOAT, a, b) is FLOAT.eq(qa, qb)
+    assert value_le(FLOAT, a, b) is FLOAT.le(qa, qb)
+    assert (not value_le(FLOAT, b, a)) is FLOAT.lt(qa, qb)
+    assert value_sign(FLOAT, a) == FLOAT.sign(qa)
 
 
 @given(mixed_coords, mixed_coords)

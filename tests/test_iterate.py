@@ -131,6 +131,8 @@ def test_check_trace_failure_branches():
         neg = _negative_last_m(trace, plane)
         residual = signed_area(neg.M)
         assert residual < 0
+        # a gap fails at k = 3: the sum stops at SA(M(0)) - SA(M(2))
+        stopped = (False, f"slack={_sci(sa[2])} residual={_sci(sa[4])}")
         cases = [
             # SA(M(2)) times 100 exceeds SA(N(2)): the chain is not monotone
             (2, _scaled(trace.steps[2], "M", 10), {
@@ -138,10 +140,10 @@ def test_check_trace_failure_branches():
                 "iterate.gap_identities": (False, "alpha gap fails at k=2")}),
             (3, _scaled(trace.steps[3], "N", 2), {
                 "iterate.gap_identities": (False, "beta gap fails at k=3"),
-                "iterate.sumsquares_bound": (False, f"slack={_sci(sa[2])} residual={_sci(sa[4])}")}),
+                "iterate.sumsquares_bound": stopped}),
             (3, _scaled(trace.steps[3], "M", 2), {
                 "iterate.gap_identities": (False, "alpha gap fails at k=3"),
-                "iterate.sumsquares_bound": (False, f"slack={_sci(sa[2])} residual={_sci(sa[4])}")}),
+                "iterate.sumsquares_bound": stopped}),
             # the gaps hold, so the sum of squares telescopes to SA(M(0)) - SA(M')
             (4, neg, {
                 "iterate.sa_chain_monotone": (False, "9 signed areas"),
@@ -163,6 +165,29 @@ def test_check_trace_failure_branches():
                    for c in check_trace(dataclasses.replace(trace, steps=steps), plane)}
             assert list(got) == list(good)
             assert {i: got[i] for i in want} == want, (plane.backend.name, k)
+
+
+def test_check_trace_builds_only_the_fractions_it_prints(monkeypatch):
+    # check_trace adds and compares the ledger as framed values: on an exact
+    # 16-step trace the only Fractions it builds are the slack and the
+    # residual that its detail prints
+    new = F.__new__
+    count = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    for plane in fuzz_planes(401, 2) + [kgon_plane(9)]:
+        trace = iterate_involutes(plane, max_steps=16, tol=1e-300)
+        assert len(trace.steps) == 17
+        with monkeypatch.context() as mp:
+            mp.setattr(F, "__new__", counting)
+            count = 0
+            checks = check_trace(trace, plane)
+            built = count
+        assert all(c.ok for c in checks) and built <= 2
 
 
 def test_check_trace_reads_stored_frames_as_vertices():

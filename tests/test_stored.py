@@ -13,6 +13,7 @@ from cwpoly import (
     build_plane,
     central_equidistant,
     check_trace,
+    dual_ball,
     evolute,
     involute,
     iterate_involutes,
@@ -90,6 +91,7 @@ def _framed_fields(backend):
     inv = involute(ce, plane.V)
     step = iterate_involutes(plane, max_steps=2, tol=1e-300).steps[-1]
     return [(poly, "vertices"), (plane.P, "vertices"), (plane.U, "vertices"),
+            (plane.V, "vertices"), (dual_ball(plane.V), "vertices"),
             (plane.W, "vertices"), (ce, "M"), (ce, "alphas"), (ce, "betas"), (ev, "E"),
             (inv, "N"), (inv, "betas"), (step, "M"), (step, "N")]
 
