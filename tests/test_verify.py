@@ -1,11 +1,14 @@
 """Report structure and whole-suite behaviour of the verifier."""
+import dataclasses
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
 import cwpoly.verify
-from cwpoly import ConvexPolygon, InputError, PairedPolygon, build_plane, vec
+from cwpoly import ConvexPolygon, InputError, PairedPolygon, Vec2, build_plane, vec
 from cwpoly.backend import get_backend
+from cwpoly.core import ScalarFrame
 from cwpoly.verify import run_verify
 
 from conftest import fuzz_planes, kgon_plane, perturbed_planes
@@ -120,3 +123,76 @@ def test_golden_verify_suite():
         report = run_verify(plane, seed=i, samples=16, iterate_steps=8)
         h.update(repr([(c.check_id, c.ok, c.actual) for c in report.checks]).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_SUITE_SHA256
+
+
+# Failure texts of run_verify: each test breaks one input, or the one kernel
+# a check reads, and pins the check's reported text and verdict.
+
+def _check(report, check_id):
+    return next(c for c in report.checks if c.check_id == check_id)
+
+
+def test_wrong_half_width_fails_width_and_mu_pair_checks(triangle_plane):
+    # the triangle has width 2 * 1/2 in its ball; claiming a = 1/3 fails the
+    # width check on the measured a, and the radii pairs mu_i + mu_{i+n} = 2a
+    plane = dataclasses.replace(triangle_plane, a=F(1, 3))
+    report = run_verify(plane, samples=2, iterate_steps=2)
+    width = _check(report, "cw.constant_width")
+    assert (width.expected, width.actual, width.ok) == ("yes(a=1/3)", "a=1/2", False)
+    pairs = _check(report, "evolute.mu_pair_sums")
+    assert (pairs.actual, pairs.ok) == ("pair 0", False)
+
+
+def test_mixed_area_against_dual_length_failure_text(triangle_plane, monkeypatch):
+    real = cwpoly.verify.mixed_area
+    monkeypatch.setattr(cwpoly.verify, "mixed_area", lambda p, q: real(p, q) + 1)
+    check = _check(run_verify(triangle_plane, samples=2, iterate_steps=2), "core.mixed_area")
+    assert (check.actual, check.ok) == ("A(P,U) != L_V(P)/2", False)
+
+
+def test_involute_with_a_nonzero_diagonal_failure_text(quad_plane, monkeypatch):
+    real = cwpoly.verify.involute
+
+    def moved(ce, v):
+        inv = real(ce, v)
+        pts = list(inv.N)
+        pts[1] = pts[1] + Vec2(F(1), F(0))
+        return dataclasses.replace(inv, N=pts)
+
+    monkeypatch.setattr(cwpoly.verify, "involute", moved)
+    check = _check(run_verify(quad_plane, samples=2, iterate_steps=2), "involute.structure")
+    assert (check.actual, check.ok) == ("diagonal 1 nonzero", False)
+
+
+@pytest.mark.parametrize("areas, text", [
+    ((-1, 2), "negative signed area"),
+    ((2, -1), "negative signed area"),
+    ((1, 2), "SA(M) < SA(N)"),
+])
+def test_signed_gap_failure_texts(triangle_plane, monkeypatch, areas, text):
+    # the check reads SA(M), then SA(N), from signed_area_frame
+    given = iter(ScalarFrame([a], 1) for a in areas)
+    monkeypatch.setattr(cwpoly.verify, "signed_area_frame", lambda frame: next(given))
+    check = _check(run_verify(triangle_plane, samples=2, iterate_steps=2), "areas.signed_gap")
+    assert (check.actual, check.ok) == (text, False)
+
+
+def test_ledger_failure_joins_every_failed_trace_check(triangle_plane, monkeypatch):
+    # the last M(k) replaced by M(0), with M(0)'s diameter doubled: four
+    # ledger checks fail, and the report joins their ids and details
+    real = cwpoly.verify.iterate_involutes
+
+    def broken(plane, max_steps):
+        trace = real(plane, max_steps=max_steps)
+        first, last = trace.steps[0], trace.steps[-1]
+        trace.steps[-1] = dataclasses.replace(last, M=first.M, diam_m=2 * first.diam_m)
+        return trace
+
+    monkeypatch.setattr(cwpoly.verify, "iterate_involutes", broken)
+    check = _check(run_verify(triangle_plane, samples=2, iterate_steps=2), "iterate.ledger")
+    assert check.ok is False
+    assert check.actual == (
+        "iterate.sa_chain_monotone: 5 signed areas; "
+        "iterate.gap_identities: alpha gap fails at k=2; "
+        "iterate.sumsquares_bound: slack=1.562e-02 residual=2.500e-01; "
+        "iterate.diameters_nonincreasing: first=7.071e-01 last=1.414e+00")
