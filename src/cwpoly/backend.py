@@ -74,16 +74,6 @@ class RationalBackend(Backend):
             return -1
         return 0
 
-    def le(self, a, b) -> bool:
-        """a <= b, which ``Fraction`` decides by cross-multiplying, with no
-        gcd; the same verdict as ``sign(a - b) <= 0``."""
-        return a <= b
-
-    def lt(self, a, b) -> bool:
-        """a < b, by cross-multiplying; the same verdict as
-        ``sign(a - b) < 0``."""
-        return a < b
-
     def to_json(self, a):
         f = Fraction(a)
         if f.denominator == 1:

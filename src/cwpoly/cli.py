@@ -15,28 +15,21 @@ from .backend import get_backend, parse_scalar
 from .ball import build_plane, is_constant_width
 from .core import GeometryError, IdentityError, InputError, frame_of
 from .cw import central_equidistant, cusps_of_central, equidistant, min_convex_c
-from .docio import (
-    dump_json,
-    load_paired,
-    load_polygon,
-    points_json,
-    scalar_json,
-)
+from .docio import dump_json, load_paired, load_polygon, points_json
 from .evolute import evolute, evolute_cusps, involute, signed_area, signed_area_gap
 from .iterate import _sci, check_trace, iterate_involutes, width_family
 from .svgout import Layer, render_svg
 from .verify import run_verify
 
 
-def _add_common(p: argparse.ArgumentParser, with_a: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     # argparse's negative numbers, and -p/q, are flag values, not options
     p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("input", help="polygon document (JSON)")
     p.add_argument("--backend", choices=["rational", "float"], default="rational")
     p.add_argument("--paired", action="store_true",
                    help="treat the input vertex list as an already-paired 2n list")
-    if with_a:
-        p.add_argument("--a", default="1/2", help="half-width parameter (rational like 1/2)")
+    p.add_argument("--a", default="1/2", help="half-width parameter (rational like 1/2)")
     p.add_argument("--svg", help="write an SVG rendering to this path")
     p.add_argument("--out", help="write the JSON result to this path instead of stdout")
 
@@ -63,20 +56,26 @@ def _ball_plane(args):
     return plane, backend
 
 
-def _emit(args, payload: dict, layers=None) -> None:
-    text = dump_json(payload, args.out)
+def _emit(args, payload: dict, layers=None, csv: str | None = None) -> None:
+    """Render the JSON and the SVG, then write the side files (the SVG, the
+    CSV, then --out), and print the JSON to stdout last.  So an output that
+    cannot be rendered or written exits before anything is printed, and a
+    text that cannot be rendered leaves no file."""
+    text = dump_json(payload)
+    svg = render_svg(layers) if args.svg and layers else None
+    for path, body in ((args.svg, svg), (csv and args.csv, csv), (args.out, text + "\n")):
+        if path and body is not None:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(body)
     if not args.out:
         print(text)
-    if args.svg and layers:
-        with open(args.svg, "w", encoding="utf-8") as f:
-            f.write(render_svg(layers))
 
 
 def cmd_ball(args) -> int:
     plane, backend = _ball_plane(args)
     payload = {
         "n": plane.n,
-        "a": scalar_json(plane.a, backend),
+        "a": backend.to_json(plane.a),
         "paired": points_json(plane.P.vertices, backend),
         "unit_ball": points_json(plane.U.vertices, backend),
     }
@@ -110,11 +109,11 @@ def cmd_central(args) -> int:
     payload = {
         "n": plane.n,
         "central": points_json(ce.M, backend),
-        "alphas": [scalar_json(x, backend) for x in ce.alphas],
-        "betas": [scalar_json(x, backend) for x in ce.betas],
+        "alphas": [backend.to_json(x) for x in ce.alphas],
+        "betas": [backend.to_json(x) for x in ce.betas],
         "degenerate": ce.degenerate,
         "cusps": cusps,
-        "min_convex_c": scalar_json(min_convex_c(ce), backend),
+        "min_convex_c": backend.to_json(min_convex_c(ce)),
     }
     layers = [Layer("polygon-p", [plane.P.vertices])]
     for j, ctext in enumerate(args.c or []):
@@ -132,7 +131,7 @@ def cmd_evolute(args) -> int:
     payload = {
         "n": plane.n,
         "evolute": points_json(ev.E, backend),
-        "mus": [scalar_json(x, backend) for x in ev.mus],
+        "mus": [backend.to_json(x) for x in ev.mus],
         "degenerate": ev.degenerate,
         "cusps": evolute_cusps(ev),
     }
@@ -153,11 +152,11 @@ def cmd_involute(args) -> int:
     payload = {
         "n": plane.n,
         "involute": points_json(inv.N, backend),
-        "betas": [scalar_json(x, backend) for x in inv.betas],
+        "betas": [backend.to_json(x) for x in inv.betas],
         "degenerate": inv.degenerate,
-        "signed_area_central": scalar_json(sa_m, backend),
-        "signed_area_involute": scalar_json(sa_n, backend),
-        "signed_area_gap": scalar_json(signed_area_gap(frame_of(ce, "betas"), plane.V), backend),
+        "signed_area_central": backend.to_json(sa_m),
+        "signed_area_involute": backend.to_json(sa_n),
+        "signed_area_gap": backend.to_json(signed_area_gap(frame_of(ce, "betas"), plane.V)),
     }
     layers = [
         Layer("polygon-p", [plane.P.vertices]),
@@ -179,32 +178,32 @@ def _csv_float(x) -> str:
 
 def cmd_iterate(args) -> int:
     plane, backend = _plane(args)
-    trace = iterate_involutes(plane, max_steps=args.steps, tol=args.tol)
-    checks = check_trace(trace, plane)
     c = parse_scalar(args.c, backend)
     d = parse_scalar(args.d, backend)
+    trace = iterate_involutes(plane, max_steps=args.steps, tol=args.tol)
+    checks = check_trace(trace, plane)
     p_last, q_last = width_family(plane=plane, trace=trace,
                                   k=len(trace.steps) - 1, c=c, d=d)
     payload = {
         "n": plane.n,
         "converged": trace.converged,
-        "O": [scalar_json(trace.O.x, backend), scalar_json(trace.O.y, backend)],
+        "O": [backend.to_json(trace.O.x), backend.to_json(trace.O.y)],
         "radius": trace.radius,
-        "sumsquares": scalar_json(trace.sumsquares, backend),
-        "sa0": scalar_json(trace.sa0, backend),
+        "sumsquares": backend.to_json(trace.sumsquares),
+        "sa0": backend.to_json(trace.sa0),
         "width_family": {
-            "c": scalar_json(c, backend),
-            "d": scalar_json(d, backend),
+            "c": backend.to_json(c),
+            "d": backend.to_json(d),
             "P": points_json(p_last.vertices, backend),
             "Q": points_json(q_last.vertices, backend),
         },
         "steps": [
             {
                 "k": s.k,
-                "sa_m": scalar_json(s.sa_m, backend),
-                "sa_n": scalar_json(s.sa_n, backend),
-                "gap_mn": scalar_json(s.gap_mn, backend),
-                "gap_nm": scalar_json(s.gap_nm, backend),
+                "sa_m": backend.to_json(s.sa_m),
+                "sa_n": backend.to_json(s.sa_n),
+                "gap_mn": backend.to_json(s.gap_mn),
+                "gap_nm": backend.to_json(s.gap_nm),
                 "diameter": s.diam_m,
             }
             for s in trace.steps
@@ -212,18 +211,16 @@ def cmd_iterate(args) -> int:
         "checks": [{"check_id": c.check_id, "pass": c.ok, "detail": c.detail}
                    for c in checks],
     }
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write("k,SA_M,SA_N,diameter\n")
-            for s in trace.steps:
-                f.write(f"{s.k},{_csv_float(s.sa_m)},{_csv_float(s.sa_n)},{s.diam_m!r}\n")
+    csv = ("k,SA_M,SA_N,diameter\n" + "".join(
+        f"{s.k},{_csv_float(s.sa_m)},{_csv_float(s.sa_n)},{s.diam_m!r}\n"
+        for s in trace.steps)) if args.csv else None
     layers = [
         Layer("polygon-p", [plane.P.vertices]),
         Layer("central-m", [trace.steps[0].M]),
     ]
     for s in trace.steps[1:9]:
         layers.append(Layer(f"iterate-k{s.k}", [s.N, s.M]))
-    _emit(args, payload, layers)
+    _emit(args, payload, layers, csv)
     if not all(c.ok for c in checks):
         print("iterate: ledger verification failed", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ unchanged, so the float backend runs the same loops, in the same
 expression order, and every value framed on it is the plain float
 evaluation of its formula.  The chord counts (``ChordFrame``, and
 ``WindingFrame`` for a paired boundary) snap float input to its exact
-rational value, so they are exact on both backends.
+rational value, so they are exact on both backends; ``exact_frame`` is
+the one snapping rule, and frames its input once.
 
 Storage: a container holds each polygon and coefficient ladder in a
 ``Stored`` field, in the form its kernel computed (a frame or a list), and
@@ -138,11 +139,6 @@ class Frame(NamedTuple):
         one that lists its first half twice."""
         n = len(self.xs) // 2
         return Frame(self.xs[:n], self.ys[:n], self.den)
-
-    def doubled(self) -> list[Vec2]:
-        """The points of a doubled frame: its first half built once and
-        repeated."""
-        return self.half().points() * 2
 
     def distinct(self) -> "Frame":
         """The frame without repeats of the point before, nor of the first
@@ -590,12 +586,6 @@ class CenteredBall(_Vertices):
         return dets
 
     @cached_property
-    def edge_dets(self) -> list[Scalar]:
-        """det(W_i, W_{i+1}) for consecutive vertices: the values of
-        ``divisor_frame``."""
-        return self.divisor_frame.values()
-
-    @cached_property
     def area(self) -> Scalar:
         """``polygon_area`` of the vertices."""
         return polygon_area(self.frame)
@@ -807,11 +797,17 @@ def _distinct_boundary(points: Sequence) -> list:
     return out
 
 
-def exact_points(points: Sequence[Vec2]) -> list[Vec2]:
-    """The points with every coordinate as its exact rational value (a
-    float is read as its shortest decimal repr, as the rational backend
-    reads it)."""
-    return [Vec2(RATIONAL.convert(p.x), RATIONAL.convert(p.y)) for p in points]
+def exact_frame(points: Sequence[Vec2] | Frame) -> Frame:
+    """The frame of the points with every coordinate as its exact rational
+    value.  An exact frame passes unchanged; a float frame or a float list
+    is read through ``RATIONAL.convert`` (a float as its shortest decimal
+    repr) and framed once."""
+    if isinstance(points, Frame):
+        if points.exact:
+            return points
+        points = zip(points.xs, points.ys)  # over den = 1.0
+    convert = RATIONAL.convert
+    return integer_frame([Vec2(convert(x), convert(y)) for x, y in points])
 
 
 def point_key(nx: int, ny: int, d: int) -> tuple[int, int, int]:
@@ -900,11 +896,10 @@ class ChordFrame(_FramedBoundary):
     for the exact intersection.
     """
 
-    def __init__(self, boundary: Sequence[Vec2]):
-        pts = _distinct_boundary(boundary)
-        if len(pts) < 3:
+    def __init__(self, boundary: Sequence[Vec2] | Frame):
+        xs, ys, self.den = exact_frame(boundary).distinct()
+        if len(xs) < 3:
             raise InputError("chord_count needs a genuine polygon boundary")
-        xs, ys, self.den = integer_frame(exact_points(pts))
         q = self.q = list(zip(xs, ys))
         self.qset = set(q)
         boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
@@ -1034,7 +1029,7 @@ def _convex_pairing(xs: list, ys: list, e: list) -> int:
     return 0
 
 
-def chord_frame(boundary: Sequence[Vec2]) -> ChordFrame | WindingFrame:
+def chord_frame(boundary: Sequence[Vec2] | Frame) -> ChordFrame | WindingFrame:
     """The chord counter for many midpoints against one boundary.
 
     A ``WindingFrame`` when the snapped boundary is paired: a strictly
@@ -1042,9 +1037,9 @@ def chord_frame(boundary: Sequence[Vec2]) -> ChordFrame | WindingFrame:
     antiparallel (one O(m) exact test on its integer frame).  Every
     rational parent of the region test is paired; any other boundary, in
     practice a float parent whose rounding broke a pair, gets the O(m^2)
-    ``ChordFrame``.
+    ``ChordFrame``.  The boundary is framed once (``exact_frame``).
     """
-    xs, ys, den = integer_frame(exact_points(boundary))
+    xs, ys, den = exact_frame(boundary)
     e = edge_vectors(xs, ys)
     orient = _convex_pairing(xs, ys, e)
     return WindingFrame(xs, ys, den, orient, e) if orient else ChordFrame(boundary)
@@ -1060,12 +1055,11 @@ def chord_count(x: Vec2, boundary: Sequence[Vec2]) -> RegionTest:
     (``ChordFrame``).
     """
     frame = ChordFrame(boundary)
-    (cx,), (cy,), s = integer_frame(exact_points([x]))
+    (cx,), (cy,), s = exact_frame([x])
     return frame.count(2 * frame.den * cx, 2 * frame.den * cy, s)
 
 
 def point_region_test(x: Vec2, p: PairedPolygon | Sequence[Vec2]) -> RegionTest:
     """Chord-midpoint test of x against the region bounded by the central
     equidistant of p (a convex polygon given by its boundary vertices)."""
-    pts = p.vertices if isinstance(p, PairedPolygon) else list(p)
-    return chord_count(x, pts)
+    return chord_count(x, p.frame if isinstance(p, PairedPolygon) else p)

@@ -1,9 +1,11 @@
-"""Polygon documents: JSON input files and JSON serialization helpers.
+"""Polygon documents: JSON input files and their JSON text.
 
 A polygon document is ``{"name": ..., "vertices": [[x, y], ...]}`` where
 coordinates are numbers or exact fraction strings like ``"3/4"``.  In the
 rational backend decimal literals are read exactly in base 10 (0.1 becomes
 1/10), so document -> polygon -> document round-trips value-identically.
+Each scalar is written by its backend's ``to_json``, and ``dump_json``
+only renders the text; the CLI writes it.
 """
 from __future__ import annotations
 
@@ -71,16 +73,8 @@ def load_paired(path: str, backend: Backend = RATIONAL) -> PairedPolygon:
     return PairedPolygon(pts, len(pts) // 2, backend)
 
 
-def scalar_json(x, backend: Backend):
-    return backend.to_json(x)
-
-
-def vec_json(p: Vec2, backend: Backend):
-    return [backend.to_json(p.x), backend.to_json(p.y)]
-
-
 def points_json(points, backend: Backend):
-    return [vec_json(p, backend) for p in points]
+    return [[backend.to_json(p.x), backend.to_json(p.y)] for p in points]
 
 
 def document_json(points, backend: Backend, name: str | None = None) -> dict:
@@ -90,9 +84,5 @@ def document_json(points, backend: Backend, name: str | None = None) -> dict:
     return doc
 
 
-def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -25,7 +25,9 @@ frame (see ``core``) and compute on its integers; the involutes and the
 evolute E are frames, ``evolute`` builds one Fraction per curvature
 radius, and the two area formulas are ``signed_area_frame`` and
 ``signed_area_gap_frame``, whose framed values the public functions
-read.  Every function here that is given a ball computes on the
+read.  ``containment_check`` takes the curve as a list or a frame too,
+frames it once (``core.exact_frame``) and samples every segment on its
+one denominator.  Every function here that is given a ball computes on the
 ball's backend (``CenteredBall.backend``), and one given a list whose
 length is not the ball's 2n raises InputError
 (``CenteredBall.require_length``).
@@ -49,7 +51,7 @@ from .core import (
     Frame,
     ScalarFrame,
     chord_frame,
-    exact_points,
+    exact_frame,
     frame_of,
     integer_frame,
     mixed_area_frame,
@@ -281,7 +283,8 @@ class ContainmentResult:
     min_chords: int | None
 
 
-def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence[Vec2],
+def containment_check(n_points: Sequence[Vec2] | Frame,
+                      parent: PairedPolygon | Sequence[Vec2] | Frame,
                       samples: int = 16) -> ContainmentResult:
     """Verify that a closed curve lies in the region bounded by the central
     equidistant of the parent polygon.
@@ -291,15 +294,17 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     classifies it as exterior (exactly one chord of the parent, or outside
     the parent entirely).  Both backends sample exactly: float coordinates
     of the curve, like those of the parent, are snapped to their exact
-    rational values.  The parent boundary is put on its integer frame once
-    per call (``core.chord_frame``).  A paired parent, a strictly convex
+    rational values (``core.exact_frame``).  The curve and the parent
+    boundary are each framed once per call, the parent by
+    ``core.chord_frame``; a frame passes unchanged, and a
+    ``PairedPolygon`` parent gives its ``frame``.  A paired parent, a strictly convex
     2n-gon whose edges i and i + n are exactly antiparallel, counts each
     sample in O(m) by the winding number of its diagonal midpoints M
     (``core.WindingFrame``); every rational parent is paired.  Any other
     parent, in practice a float one whose rounding broke a pair, keeps the
-    O(m^2) edge-pair scan (``core.ChordFrame``).  A segment [a, b] is framed
-    on its own, and its sample at t = p/L is the integer combination
-    2x dL = 2(A (L - p) + B p) of its numerators A, B over their
+    O(m^2) edge-pair scan (``core.ChordFrame``).  The sample at t = p/L of
+    a segment [a, b] of the curve is the integer combination
+    2x dL = 2(A (L - p) + B p) of the numerators A, B on the curve's one
     denominator d, with L one of 1, 2 and samples + 1; no Fraction is built
     but for a witness.  Float rounding places tangential samples (curve
     touching the region boundary) off the boundary, so a float curve's
@@ -309,19 +314,17 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
-    pts = list(n_points)
-    retest = any(isinstance(p.x, float) for p in pts)
-    pts = exact_points(pts)
-    parent_pts = parent.vertices if isinstance(parent, PairedPolygon) else list(parent)
+    curve = integer_frame(n_points)
+    retest = not curve.exact
     grid = {Fraction(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
     grid.setdefault(Fraction(1, 2), (1, 2))
-    frame = chord_frame(parent_pts)
+    frame = chord_frame(parent.frame if isinstance(parent, PairedPolygon) else parent)
     k = 2 * frame.den
     seen: set = set()
     witnesses: list[Vec2] = []
     min_chords: int | None = None
     tested = 0
-    for seg, p, L in _probes(pts, [grid[t] for t in sorted(grid)]):
+    for seg, p, L in _probes(exact_frame(curve), [grid[t] for t in sorted(grid)]):
         cx, cy, s = _sample(k, seg, p, L)
         key = point_key(cx, cy, 2 * s)
         if key in seen:
@@ -342,20 +345,18 @@ def containment_check(n_points: Sequence[Vec2], parent: PairedPolygon | Sequence
 _NUDGE = 10 ** 7  # a retest moves 1/_NUDGE of the way to the segment midpoint
 
 
-def _probes(pts: list[Vec2], steps: list[tuple[int, int]]):
-    """Samples of a closed exact curve, as (segment, p, L) for t = p/L.
+def _probes(curve: Frame, steps: list[tuple[int, int]]):
+    """Samples of a closed exact curve frame, as (segment, p, L) for t = p/L.
 
-    The segment [a, b] is framed on its own, a = A / d and b = B / d, and
-    given as (A.x, A.y, B.x, B.y, d).  Each segment yields its start, t = 0,
-    and unless it is degenerate the grid of steps.  A doubled curve, whose
-    second half repeats its first, yields the segments of its first half
-    only: the others repeat their endpoint pairs, and so their samples.
+    The segment [a, b], a = A / d and b = B / d on the curve's denominator
+    d, is given as (A.x, A.y, B.x, B.y, d).  Each segment yields its start,
+    t = 0, and unless it is degenerate the grid of steps.  A doubled curve,
+    whose second half repeats its first (``Frame.is_doubled``), yields the
+    segments of its first half only: the others repeat their endpoint
+    pairs, and so their samples.
     """
-    m = len(pts)
-    h = m // 2
-    count = h if m % 2 == 0 and pts[:h] == pts[h:] else m
-    for i in range(count):
-        (ax, bx), (ay, by), d = integer_frame((pts[i], pts[(i + 1) % m]))
+    xs, ys, d = curve.half() if curve.is_doubled else curve
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
         seg = (ax, ay, bx, by, d)
         yield seg, 0, 1
         if ax != bx or ay != by:

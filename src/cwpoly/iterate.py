@@ -32,6 +32,7 @@ from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, Vec2, 
                    value_sign, value_sum)
 from .cw import (
     CentralEquidistant,
+    _total,
     alphas_of,
     betas_of,
     central_equidistant,
@@ -89,8 +90,6 @@ class IterationStep:
     gap_nm: Scalar
     diam_m: float
     diam_n: float
-
-    _frame = frame_of
 
 
 @dataclass
@@ -153,17 +152,14 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
     last = steps[-1]
     # the gaps on one denominator, added in step order: one Fraction at the end
     gaps, den = scalar_frame([g for s in steps[1:] for g in (s.gap_mn, s.gap_nm)])
-    total = 0
-    for g in gaps:
-        total = total + g
     return IterationTrace(
         steps=steps,
-        O=_centroid(last._frame("M")),
+        O=_centroid(frame_of(last, "M")),
         radius=last.diam_m,
         converged=stop_reason == "tol",
         n=plane.n,
         backend=backend,
-        sumsquares=from_frame(total, den) if gaps else 0,
+        sumsquares=from_frame(_total(gaps), den) if gaps else 0,
         sa0=steps[0].sa_m,
         stop_reason=stop_reason,
     )
@@ -189,7 +185,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     """
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
-    m_frame, n_frame = frame_of(ce, "M"), frame_of(ev, "E")
+    m_frame, n_frame = (frame_of(ce, "M"), frame_of(ev, "E"))
     d2 = diameter_sq(m_frame.half())
     sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
     steps = [IterationStep(
@@ -265,8 +261,8 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     c = backend.convert(c)
     d = backend.convert(d)
     step = trace.steps[k]
-    return (PairedPolygon(offset_points(step._frame("M"), plane.U, c), plane.n, backend),
-            PairedPolygon(offset_points(step._frame("N"), plane.V, d), plane.n, backend))
+    return (PairedPolygon(offset_points(frame_of(step, "M"), plane.U, c), plane.n, backend),
+            PairedPolygon(offset_points(frame_of(step, "N"), plane.V, d), plane.n, backend))
 
 
 def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:
@@ -296,7 +292,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     polygons and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
     non-increasing diameters.  Each polygon's signed area and coefficient
-    ladder come from its frame (``IterationStep._frame``).  Areas, gaps and
+    ladder come from its frame (``core.frame_of``).  Areas, gaps and
     the running sum stay framed values, added and compared on integers in
     rational mode and as the float quotients in float mode; the only
     Fractions built are the slack and the residual that the detail prints.
@@ -308,8 +304,8 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     # the frame and SA of every stored polygon, computed once: M(k) at
     # index k, and N(k) for k > 0 (index 0 is unused)
     steps = trace.steps
-    m_frames = [s._frame("M") for s in steps]
-    n_frames = [None] + [s._frame("N") for s in steps[1:]]
+    m_frames = [frame_of(s, "M") for s in steps]
+    n_frames = [None] + [frame_of(s, "N") for s in steps[1:]]
     sa_m = [signed_area_frame(f) for f in m_frames]
     sa_n = [None] + [signed_area_frame(f) for f in n_frames[1:]]
 
@@ -383,12 +379,12 @@ def check_nesting(trace: IterationTrace, plane: MinkowskiPlane,
     limit = len(trace.steps) if max_steps is None else min(len(trace.steps), max_steps + 1)
     for idx in range(1, limit):
         prev, cur = trace.steps[idx - 1], trace.steps[idx]
-        parent_m = convex_parent_of_m(prev._frame("M"), plane.U)
-        res = containment_check(cur.N, parent_m, samples=0)
+        parent_m = convex_parent_of_m(frame_of(prev, "M"), plane.U)
+        res = containment_check(frame_of(cur, "N"), parent_m, samples=0)
         out.append(TraceCheck(f"iterate.nesting_n{cur.k}_in_m{prev.k}", res.contained,
                               f"{res.tested} vertices"))
-        parent_n = convex_parent_of_m(cur._frame("N"), plane.V)
-        res = containment_check(cur.M, parent_n, samples=0)
+        parent_n = convex_parent_of_m(frame_of(cur, "N"), plane.V)
+        res = containment_check(frame_of(cur, "M"), parent_n, samples=0)
         out.append(TraceCheck(f"iterate.nesting_m{cur.k}_in_n{cur.k}", res.contained,
                               f"{res.tested} vertices"))
     return out

@@ -273,7 +273,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_containment():
         parent = convex_parent_of_m(frame_of(ce, "M"), u)
-        res = containment_check(inv.N, parent, samples=samples)
+        res = containment_check(frame_of(inv, "N"), parent, samples=samples)
         return (f"{res.tested} samples, min chords {res.min_chords}", res.contained)
     guarded("containment.involute_in_central", "no exterior samples", chk_containment)
 

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 
 import cwpoly
 from cwpoly import ConvexPolygon, PairedPolygon, Vec2, build_plane, vec
+from cwpoly.core import Frame, integer_frame
 
 
 @pytest.fixture
@@ -53,6 +56,25 @@ def run_python():
                               text=True, cwd=cwd, env=env)
 
     return run
+
+
+@pytest.fixture
+def framed_lists(monkeypatch):
+    """Every point list that any cwpoly module hands to ``integer_frame``."""
+    seen = []
+    orig = integer_frame
+
+    def spy(points):
+        if not isinstance(points, Frame):
+            seen.append(list(points))
+        return orig(points)
+
+    modules = [importlib.import_module(f"cwpoly.{m.name}")
+               for m in pkgutil.iter_modules(cwpoly.__path__)]
+    for mod in modules:
+        if getattr(mod, "integer_frame", None) is orig:
+            monkeypatch.setattr(mod, "integer_frame", spy)
+    return seen
 
 
 @pytest.fixture

@@ -259,6 +259,34 @@ def test_is_constant_width_vertex_count_mismatch(triangle_plane, quad_plane):
     assert res == WidthResult(False, witness=0, reason="vertex count mismatch")
 
 
+@pytest.mark.parametrize("ball, paired, n, witness, reason", [
+    # every edge of P along its ball edge and every diagonal along its ball
+    # vertex, but the ball is not centrally symmetric: U_2 = -2 U_0, so the
+    # diagonal P_2 - P_0 = -3 U_0 is 3/2 U_2, against 3 U_0 at index 0
+    ([(1, 0), (0, 1), (-2, 0), (0, -2)], [(0, 0), (-1, 1), (-3, 0), (-1, -2)], 2,
+     2, "diagonal ratio is not constant"),
+    # a single point: every edge and diagonal is zero, so a = 0
+    ([(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)], [(1, 1)] * 6, 3,
+     0, "nonpositive width"),
+    # a ball that is not strictly convex, a parallelogram listed with two
+    # edge midpoints: U has 6 edges in 4 directions, and so has P + (-P)
+    ([(-1, 0), (0, -1), (1, -2), (1, 0), (0, 1), (-1, 2)],
+     [(0, 0), (0, 0), (2, -2), (2, 0), (0, 2), (0, 2)], 3,
+     0, "P+(-P) vertex count mismatch"),
+], ids=["asymmetric-ball", "single-point", "collinear-ball-vertices"])
+def test_is_constant_width_failure_reasons(ball, paired, n, witness, reason):
+    u = CenteredBall([vec(x, y) for x, y in ball], n)
+    p = PairedPolygon([vec(x, y) for x, y in paired], n)
+    assert is_constant_width(p, u) == WidthResult(False, witness=witness, reason=reason)
+    assert _ref_is_constant_width(p, u) == WidthResult(False, witness=witness, reason=reason)
+
+
+def test_ball_validate_rejects_asymmetric_ball():
+    ball = CenteredBall([vec(1, 0), vec(0, 1), vec(-2, 0), vec(0, -1)], 2)
+    with pytest.raises(InputError, match="ball not centrally symmetric at index 0"):
+        ball.validate()
+
+
 def test_is_constant_width_perturbed_paired():
     # a paired hexagon with one vertex nudged: no longer parallel opposite sides
     p = PairedPolygon(
@@ -365,7 +393,7 @@ def test_framed_balls_and_midpoints_match_vec2_reference():
     # frame of P or U; they equal the Vec2 formulas exactly, and their float
     # copies at scales 1e-3 and 1 have the same bits
     def ref_dual(u):
-        w, d, m = u.vertices, u.edge_dets, len(u)
+        w, d, m = u.vertices, u.divisor_frame.values(), len(u)
         return [(w[(i + 1) % m] - w[i]) / d[i] for i in range(m)]
 
     for plane in fuzz_planes(913, 30) + [kgon_plane(k) for k in (7, 9, 11, 17, 41)]:

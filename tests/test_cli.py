@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwpoly.cli
 from cwpoly import Layer, render_svg
 from cwpoly.backend import RATIONAL
 from cwpoly.cli import main
@@ -231,6 +232,34 @@ def test_exit_2_unwritable_output(triangle_doc, tmp_path, capsys, flag):
     target = str(tmp_path / "missing" / "out")
     assert main(["iterate", triangle_doc, "--steps", "2", flag, target]) == 2
     assert "error: cannot write output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["beyond-float-range", "missing-dir"])
+def test_exit_2_failed_svg_prints_nothing(triangle_doc, tmp_path, capsys, case):
+    # the SVG is rendered and written before the JSON is printed: a failed
+    # SVG leaves an empty stdout and no SVG file
+    doc, svg = triangle_doc, tmp_path / "missing" / "dir" / "x.svg"
+    error = "error: cannot write output"
+    if case == "beyond-float-range":
+        big = 10 ** 400
+        doc, svg = tmp_path / "huge.json", tmp_path / "x.svg"
+        error = "error: value out of float range"
+        doc.write_text(json.dumps({"vertices": [[0, 0], [big, 0], [0, big]]}))
+    assert main(["ball", str(doc), "--svg", str(svg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and error in out.err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--c", "x"), ("--d", "1/0")])
+def test_iterate_rejects_bad_c_and_d_before_iterating(triangle_doc, capsys, monkeypatch,
+                                                      flag, value):
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("iterate_involutes ran")
+
+    monkeypatch.setattr(cwpoly.cli, "iterate_involutes", no_ladder)
+    assert main(["iterate", triangle_doc, flag, value]) == 2
+    assert "error: bad scalar" in capsys.readouterr().err
 
 
 def test_exit_2_unreadable(tmp_path, capsys):

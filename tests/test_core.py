@@ -28,6 +28,7 @@ from cwpoly.core import (
     PairedPolygon,
     RegionTest,
     ScalarFrame,
+    _seg_intersections,
     coeff_along,
     integer_frame,
     scalar_frame,
@@ -188,6 +189,12 @@ def test_clean_rejects_nonconvex():
         ConvexPolygon.from_points([(0, 0), (2, 0), (1, F(1, 2)), (2, 2), (0, 2)])
 
 
+def test_clean_rejects_reflex_collinear_turn():
+    # (0, 0) -> (2, 0) -> (1, 0) turns back along one line
+    assert (_input_error(ConvexPolygon.from_points, [(0, 0), (2, 0), (1, 0), (0, 2)])
+            == "polygon is not convex (reflex collinear turn)")
+
+
 def test_clean_rejects_degenerate():
     with pytest.raises(InputError):
         ConvexPolygon.from_points([(0, 0), (1, 1), (2, 2)])
@@ -332,6 +339,14 @@ def _sampled_chord_oracle(x, pts, samples=4000):
     return flips // 2
 
 
+def test_seg_intersections_disjoint_collinear():
+    # two segments on one line that do not meet: no hit and no overlap
+    hits = set()
+    assert _seg_intersections((0, 0), (1, 0), (2, 0), (3, 0), hits) is False
+    assert _seg_intersections((0, 3), (0, 2), (0, 1), (0, -1), hits) is False
+    assert hits == set()
+
+
 def test_region_outside_is_exterior():
     assert point_region_test(Vec2(F(9), F(9)), TRI).exterior
 
@@ -458,10 +473,10 @@ def test_involute_kernels_return_integer_frame():
         for _ in range(3):
             be = betas_of(alphas_of(m_frame, u), u)
             n_frame = involute_points(m_frame, be, v)
-            n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u), u), v).doubled()
+            n_pts = involute_points(m_pts, betas_of(alphas_of(m_pts, u), u), v).points()
             assert n_frame == integer_frame(n_pts)
             m_frame = dual_involute(n_frame, u, v)[0]
-            m_pts = dual_involute(n_pts, u, v)[0].doubled()
+            m_pts = dual_involute(n_pts, u, v)[0].points()
             assert m_frame == integer_frame(m_pts)
 
 

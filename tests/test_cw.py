@@ -57,7 +57,7 @@ def test_beta_antiperiodic_and_ladder():
     for plane in fuzz_planes(201, 30):
         ce = central_equidistant(plane)
         n, m = plane.n, 2 * plane.n
-        d = plane.U.edge_dets
+        d = plane.U.divisor_frame.values()
         for i in range(n):
             assert ce.alphas[i + n] == -ce.alphas[i]
             assert ce.betas[i + n] == -ce.betas[i]

@@ -1,5 +1,6 @@
 """Evolute, involute, signed areas, the area gap, and containment."""
 import importlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -35,6 +36,7 @@ from cwpoly import (
 )
 from cwpoly.backend import FLOAT, RATIONAL, get_backend
 from cwpoly.core import (
+    CenteredBall,
     ChordFrame,
     Frame,
     WindingFrame,
@@ -136,9 +138,31 @@ def test_involute_of_translate_on_general_denominator():
     assert alphas_of(moved, plane.U).values() == ce.alphas
     xden = integer_frame(moved)[2]
     assert (scalar_frame(ce.betas)[1] * plane.V.frame[2]) % xden != 0
-    got = involute_points(moved, ce.betas, plane.V).doubled()
+    got = involute_points(moved, ce.betas, plane.V).points()
     vv = plane.V.vertices
     assert got == [moved[i] + vv[i] * ce.betas[i] for i in range(2 * plane.n)]
+
+
+def test_involute_points_halves_differ():
+    # both defining forms agree on every slot, but X is not central: with
+    # beta = (1, 0, 1, 0) along the square V, N_2 = (0, -1) and N_0 = (1, 0)
+    v = CenteredBall([vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)], 2)
+    x = [vec(0, 0), vec(1, 0), vec(1, -1), vec(0, -1)]
+    with pytest.raises(IdentityError, match="involute halves differ at edge 0"):
+        involute_points(x, [F(1), F(0), F(1), F(0)], v)
+
+
+def test_float_evolute_defining_forms_disagree():
+    # vertex 1 moved 1e-7 off edge 0: the lambda solve along V_0 (|V| about
+    # 5e-4) passes its 1e-9 parallel test, while the two forms of E_0 differ
+    # by about 1e-7.  A rational evolute cannot fail here: V_i is built
+    # parallel to U_{i+1} - U_i, so the exact lambda solve gives mu_i exactly
+    plane = float_copy(kgon_plane(7), 1.0)
+    pts = list(plane.P.vertices)
+    e = pts[1] - pts[0]
+    pts[1] = pts[1] + Vec2(-e.y, e.x) * (1e-7 / math.hypot(e.x, e.y))
+    with pytest.raises(IdentityError, match="evolute defining forms disagree at edge 0"):
+        evolute(pts, plane.U, plane.V)
 
 
 def test_float_involute_halves_equal():
@@ -149,7 +173,7 @@ def test_float_involute_halves_equal():
         n = plane.n
         inv = involute(central_equidistant(plane), plane.V)
         assert inv.N[n:] == inv.N[:n]
-        back = dual_involute(inv.N, plane.U, plane.V)[0].doubled()
+        back = dual_involute(inv.N, plane.U, plane.V)[0].points()
         assert back[n:] == back[:n]
 
 
@@ -161,7 +185,7 @@ def test_involute_evolute_roundtrip():
         back = evolute(inv.N, plane.V, plane.W).E
         assert back[-1:] + back[:-1] == ce.M
         ev = evolute(plane.P.vertices, plane.U, plane.V)
-        back = dual_involute(ev.E, plane.U, plane.V)[0].doubled()
+        back = dual_involute(ev.E, plane.U, plane.V)[0].points()
         assert back == ce.M
         # edge coefficients of the involute are the betas of M
         assert edge_world_coeffs(inv.N, plane.V).values() == ce.betas
@@ -529,7 +553,7 @@ def _ref_evolute(points, u, v):
     m = len(points)
     uv = u.vertices
     lam = lambdas_of(list(points) + [points[0]], v).values()
-    mus = [t / d for t, d in zip(lam, u.edge_dets)]
+    mus = [t / d for t, d in zip(lam, u.divisor_frame.values())]
     out = []
     for i in range(m):
         e1 = points[i] - uv[i] * mus[i]

@@ -26,7 +26,7 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
-from cwpoly.core import Frame, integer_frame
+from cwpoly.core import Frame, frame_of, integer_frame
 from cwpoly.iterate import _sci
 
 from conftest import float_copy, fuzz_planes, kgon_plane
@@ -109,7 +109,7 @@ def _negative_last_m(trace, plane):
 
     step = trace.final
     al = alphas_of(step.M, plane.U).values()
-    d = plane.W.edge_dets
+    d = plane.W.divisor_frame.values()
     s = sum(al[i] * d[i - 1] for i in range(plane.n))
     t = plane.backend.convert(F(1, 2))
     c = step.sa_n * (1 - t * t) / (2 * t * s)
@@ -204,8 +204,8 @@ def test_check_trace_reads_stored_frames_as_vertices():
                 frame, points = s.__dict__[slot]
                 assert isinstance(frame, Frame) and points is None
             assert s.M == s.M and s.N == s.N
-            assert s._frame("M") == integer_frame(s.M)
-            assert s._frame("N") == integer_frame(s.N)
+            assert frame_of(s, "M") == integer_frame(s.M)
+            assert frame_of(s, "N") == integer_frame(s.N)
         steps = [dataclasses.replace(s, M=list(s.M), N=list(s.N)) for s in trace.steps]
         assert check_trace(dataclasses.replace(trace, steps=steps), plane) == fresh
         assert all(c.ok for c in fresh)

@@ -2,16 +2,14 @@
 list its kernel computed, builds the other form once, and no caller frames
 a list that a container already holds."""
 import dataclasses
-import importlib
-import pkgutil
 
 import pytest
 
-import cwpoly
 from cwpoly import (
     ConvexPolygon,
     build_plane,
     central_equidistant,
+    check_nesting,
     check_trace,
     dual_ball,
     evolute,
@@ -21,29 +19,11 @@ from cwpoly import (
 )
 from cwpoly.backend import FLOAT, RATIONAL
 from cwpoly.core import Frame, ScalarFrame, frame_of, integer_frame, scalar_frame, single_point
+from cwpoly.iterate import convex_parent_of_m
 
 from conftest import float_copy, kgon_plane
 
 QUAD = [(0, 0), (4, 0), (5, 3), (1, 5)]
-
-
-@pytest.fixture
-def framed_lists(monkeypatch):
-    """Every point list that any cwpoly module hands to ``integer_frame``."""
-    seen = []
-    orig = integer_frame
-
-    def spy(points):
-        if not isinstance(points, Frame):
-            seen.append(list(points))
-        return orig(points)
-
-    modules = [importlib.import_module(f"cwpoly.{m.name}")
-               for m in pkgutil.iter_modules(cwpoly.__path__)]
-    for mod in modules:
-        if getattr(mod, "integer_frame", None) is orig:
-            monkeypatch.setattr(mod, "integer_frame", spy)
-    return seen
 
 
 def _quad(backend):
@@ -79,6 +59,21 @@ def test_each_polygon_is_framed_once(framed_lists, backend, run):
     assert framed_lists == []  # reading the held lists framed nothing
     assert sum(1 for pts in framed if pts == plane.P.vertices) <= 1
     assert not [pts for pts in framed if any(pts == h for h in held)]
+
+
+def test_containment_frames_only_the_convex_parents(framed_lists):
+    # the region tests take each curve's frame from its container, so the
+    # only lists they frame are the convex parents: one in run_verify, and
+    # two per step in check_nesting
+    plane = kgon_plane(7)
+    framed_lists.clear()
+    assert run_verify(plane, samples=2, iterate_steps=2).all_ok
+    framed = list(framed_lists)
+    assert framed == [convex_parent_of_m(frame_of(central_equidistant(plane), "M"), plane.U)]
+    trace = iterate_involutes(plane, max_steps=3, tol=1e-300)
+    framed_lists.clear()
+    assert all(c.ok for c in check_nesting(trace, plane))
+    assert len(framed_lists) == 2 * 3
 
 
 def _framed_fields(backend):
@@ -126,7 +121,7 @@ def test_stored_field_round_trip(backend):
 def test_points_share_the_halves_of_a_doubled_frame_only():
     doubled = Frame([1, 2, 1, 2], [3, 4, 3, 4], 2)
     pts = doubled.points()
-    assert pts == doubled.doubled() and pts[0] is pts[2] and pts[1] is pts[3]
+    assert pts == doubled.half().points() * 2 and pts[0] is pts[2] and pts[1] is pts[3]
     plain = Frame([1, 2, 1, 5], [3, 4, 3, 4], 2)
     assert [(p.x * 2, p.y * 2) for p in plain.points()] == list(zip(plain.xs, plain.ys))
 
