@@ -305,8 +305,9 @@ def containment_check(n_points: Sequence[Vec2] | Frame,
     O(m^2) edge-pair scan (``core.ChordFrame``).  The sample at t = p/L of
     a segment [a, b] of the curve is the integer combination
     2x dL = 2(A (L - p) + B p) of the numerators A, B on the curve's one
-    denominator d, with L one of 1, 2 and samples + 1; no Fraction is built
-    but for a witness.  Float rounding places tangential samples (curve
+    denominator d, with L one of 1, 2 and samples + 1.  Each sample is
+    counted in its gcd-reduced form, the key that drops repeated samples,
+    and no Fraction is built but for a witness.  Float rounding places tangential samples (curve
     touching the region boundary) off the boundary, so a float curve's
     sample that tests exterior is retested at t + (1/2 - t) / 10^7 on its
     own segment, which lies in the closed region; min_chords is taken after
@@ -331,7 +332,10 @@ def containment_check(n_points: Sequence[Vec2] | Frame,
             continue
         seen.add(key)
         tested += 1
-        res = frame.count(cx, cy, s)
+        # counted as the reduced key: on the curve's one denominator the
+        # sample has about twice the bits of its reduced form
+        gx, gy, gd = key
+        res = frame.count(gx, gy, gd // 2) if gd % 2 == 0 else frame.count(2 * gx, 2 * gy, gd)
         if res.exterior and retest:
             res = frame.count(*_sample(k, seg, 2 * (_NUDGE - 1) * p + L, 2 * _NUDGE * L))
         if res.chords is not None:
