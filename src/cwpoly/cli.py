@@ -57,13 +57,13 @@ def _ball_plane(args):
 
 
 def _emit(args, payload: dict, layers=None, csv: str | None = None) -> None:
-    """Render the JSON and the SVG, then write the side files (the SVG, the
-    CSV, then --out), and print the JSON to stdout last.  So an output that
+    """Render the JSON and the SVG, then write the files (the CSV, --out,
+    then the SVG), and print the JSON to stdout last.  So an output that
     cannot be rendered or written exits before anything is printed, and a
     text that cannot be rendered leaves no file."""
     text = dump_json(payload)
     svg = render_svg(layers) if args.svg and layers else None
-    for path, body in ((args.svg, svg), (csv and args.csv, csv), (args.out, text + "\n")):
+    for path, body in ((csv and args.csv, csv), (args.out, text + "\n"), (args.svg, svg)):
         if path and body is not None:
             with open(path, "w", encoding="utf-8") as f:
                 f.write(body)

@@ -292,26 +292,25 @@ def containment_check(n_points: Sequence[Vec2] | Frame,
     Each segment is sampled at its endpoints, midpoint, and an even grid of
     `samples` interior points; a sample fails if the chord-midpoint test
     classifies it as exterior (exactly one chord of the parent, or outside
-    the parent entirely).  Both backends sample exactly: float coordinates
-    of the curve, like those of the parent, are snapped to their exact
-    rational values (``core.exact_frame``).  The curve and the parent
-    boundary are each framed once per call, the parent by
-    ``core.chord_frame``; a frame passes unchanged, and a
-    ``PairedPolygon`` parent gives its ``frame``.  A paired parent, a strictly convex
-    2n-gon whose edges i and i + n are exactly antiparallel, counts each
-    sample in O(m) by the winding number of its diagonal midpoints M
-    (``core.WindingFrame``); every rational parent is paired.  Any other
-    parent, in practice a float one whose rounding broke a pair, keeps the
-    O(m^2) edge-pair scan (``core.ChordFrame``).  The sample at t = p/L of
-    a segment [a, b] of the curve is the integer combination
-    2x dL = 2(A (L - p) + B p) of the numerators A, B on the curve's one
-    denominator d, with L one of 1, 2 and samples + 1.  Each sample is
-    counted in its gcd-reduced form, the key that drops repeated samples,
-    and no Fraction is built but for a witness.  Float rounding places tangential samples (curve
-    touching the region boundary) off the boundary, so a float curve's
-    sample that tests exterior is retested at t + (1/2 - t) / 10^7 on its
-    own segment, which lies in the closed region; min_chords is taken after
-    that retest.
+    the parent entirely).  Both backends sample exactly: float coordinates of
+    the curve, like those of the parent, are snapped to their exact rational
+    values (``core.exact_frame``).  The curve and the parent boundary are
+    each framed once per call, the parent by ``core.chord_frame``; a frame
+    passes unchanged, and a ``PairedPolygon`` parent gives its ``frame``.  A
+    paired parent, a strictly convex 2n-gon whose edges i and i + n are
+    exactly antiparallel, counts each sample in O(m) by the winding number
+    of its diagonal midpoints M (``core.WindingFrame``); every rational
+    parent is paired.  Any other parent, in practice a float one whose
+    rounding broke a pair, keeps the O(m^2) edge-pair scan
+    (``core.ChordFrame``).  The sample at t = p/L of a segment [a, b] of the
+    curve is the integer combination 2x dL = 2(A (L - p) + B p) of the
+    numerators A, B on the curve's one denominator d, with L one of 1, 2 and
+    samples + 1.  Each sample is counted in its gcd-reduced form, the key
+    that drops repeated samples, and no Fraction is built but for a
+    witness.  Float rounding places tangential samples (curve touching the
+    region boundary) off the boundary, so a float curve's sample that tests
+    exterior is retested at t + (1/2 - t) / 10^7 on its own segment, which
+    lies in the closed region; min_chords is taken after that retest.
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")

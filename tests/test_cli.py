@@ -251,6 +251,14 @@ def test_exit_2_failed_svg_prints_nothing(triangle_doc, tmp_path, capsys, case):
     assert not svg.exists()
 
 
+def test_exit_2_unwritable_out_leaves_no_svg(triangle_doc, tmp_path, capsys):
+    # --out is written before the SVG, as the JSON was before the SVG
+    svg = tmp_path / "x.svg"
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["ball", triangle_doc, "--svg", str(svg), "--out", out]) == 2
+    assert capsys.readouterr().out == "" and not svg.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--c", "x"), ("--d", "1/0")])
 def test_iterate_rejects_bad_c_and_d_before_iterating(triangle_doc, capsys, monkeypatch,
                                                       flag, value):
