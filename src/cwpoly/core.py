@@ -142,8 +142,13 @@ class Frame(NamedTuple):
 
     def distinct(self) -> "Frame":
         """The frame without repeats of the point before, nor of the first
-        point at the end (``_distinct_boundary``)."""
-        q = _distinct_boundary(list(zip(self.xs, self.ys)))
+        point at the end."""
+        q: list = []
+        for p in zip(self.xs, self.ys):
+            if not q or q[-1] != p:
+                q.append(p)
+        while len(q) > 1 and q[0] == q[-1]:
+            q.pop()
         return Frame([x for x, _ in q], [y for _, y in q], self.den)
 
     def reflected(self) -> "Frame":
@@ -785,16 +790,6 @@ class RegionTest:
     @property
     def exterior(self) -> bool:
         return (not self.overlap) and self.chords is not None and self.chords <= 1
-
-
-def _distinct_boundary(points: Sequence) -> list:
-    out: list = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
 
 
 def exact_frame(points: Sequence[Vec2] | Frame) -> Frame:
