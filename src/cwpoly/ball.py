@@ -68,7 +68,7 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     """
     backend = poly.backend
     f = poly.frame
-    i0, _, merged = edge_merge(f, f.reflected(), backend)
+    i0, _, merged = edge_merge(f, f.reflected())
     has = [own for *_, own in merged]
     r = has.index(True)
     # the vertex the walk is at as it takes each direction
@@ -258,15 +258,15 @@ def is_constant_width(paired: PairedPolygon, u: CenteredBall) -> WidthResult:
         return WidthResult(False, witness=0, reason="nonpositive width")
     # cross-check: P + (-P) is centered at origin and equals the 2a-homothety
     # of the ball up to vertex rotation
-    sx, sy, _ = minkowski_frame(pf, pf.reflected(), backend)
+    sx, sy, _ = minkowski_frame(pf, pf.reflected())
     if len(sx) != m:
         return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")
     # s / pden against 2a U = (2 a ux, 2 a uy) / (aden uden)
     tden = aden * uden
     target = [(2 * a * x, 2 * a * y) for x, y in zip(ux, uy)]
     for r in range(m):
-        if all(frame_eq(backend, sx[(r + i) % m], pden, target[i][0], tden)
-               and frame_eq(backend, sy[(r + i) % m], pden, target[i][1], tden)
+        if all(frame_eq(sx[(r + i) % m], pden, target[i][0], tden)
+               and frame_eq(sy[(r + i) % m], pden, target[i][1], tden)
                for i in range(m)):
             return WidthResult(True, a=from_frame(a, aden))
     return WidthResult(False, witness=0, reason="P+(-P) not homothetic to ball")

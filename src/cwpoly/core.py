@@ -14,12 +14,13 @@ the cross terms det(p_j, p_{j+1}) of a closed frame are ``cross_terms``.
 Each new polygon is reduced by one content gcd (``Frame.reduced``), which
 gives exactly ``integer_frame`` of its vertices.  A scalar formula such as
 ``mixed_area_frame`` returns a framed value, a ``ScalarFrame`` of one
-entry, and ``value_sum``, ``value_diff``, ``value_eq``, ``value_le`` and
-``value_sign`` add and compare framed values on their integers.  A frame knows whether it
-is exact: float input gets the frame den = 1.0 with its coordinates
-unchanged, so the float backend runs the same loops, in the same
-expression order, and every value framed on it is the plain float
-evaluation of its formula.  The chord counts (``ChordFrame``, and
+entry, and ``value_sum`` (of -b for a difference), ``value_eq``,
+``value_le`` and ``value_sign`` add and compare framed values on their
+integers.  A frame knows its backend (``Frame.backend``): float input gets
+the frame den = 1.0 with its coordinates unchanged, so the float backend
+runs the same loops, in the same expression order, every value framed on
+it is the plain float evaluation of its formula, and no helper handed a
+frame takes a backend.  The chord counts (``ChordFrame``, and
 ``WindingFrame`` for a paired boundary) snap float input to its exact
 rational value, so they are exact on both backends; ``exact_frame`` is
 the one snapping rule, and frames its input once.
@@ -48,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, cycle
 from typing import Iterable, NamedTuple, Sequence
 
-from .backend import Backend, RATIONAL, Scalar
+from .backend import Backend, FLOAT, RATIONAL, Scalar
 
 
 class GeometryError(Exception):
@@ -119,6 +120,11 @@ class Frame(NamedTuple):
     @property
     def exact(self) -> bool:
         return not isinstance(self.den, float)
+
+    @property
+    def backend(self) -> Backend:
+        """The backend the denominator decides: FLOAT over a float, else RATIONAL."""
+        return RATIONAL if self.exact else FLOAT
 
     @property
     def is_doubled(self) -> bool:
@@ -268,11 +274,11 @@ def frame_of(obj, name: str) -> Frame | ScalarFrame:
     return frame
 
 
-def single_point(f: Frame, backend: Backend) -> bool:
-    """Whether every point of a frame is its first, as ``backend.same_point``
-    decides it, by the backend's ``eq`` of the numerators: exact equality on
-    an exact frame, and on a float frame the coordinates themselves."""
-    eq, x0, y0 = backend.eq, f.xs[0], f.ys[0]
+def single_point(f: Frame) -> bool:
+    """Whether every point of a frame is its first, by its backend's ``eq``
+    of the numerators: exact equality on an exact frame, and on a float
+    frame the coordinates themselves."""
+    eq, x0, y0 = f.backend.eq, f.xs[0], f.ys[0]
     return all(eq(x, x0) and eq(y, y0) for x, y in zip(f.xs, f.ys))
 
 
@@ -324,81 +330,73 @@ def mixed_area_frame(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Sc
     return ScalarFrame([acc], 2 * pden * qden)
 
 
-def frame_eq(backend: Backend, a, da, b, db) -> bool:
+def frame_eq(a, da, b, db) -> bool:
     """a / da == b / db for two framed values with positive denominators: by
-    cross-multiplication on integers, and by the backend's ``eq`` of the two
-    quotients on a float frame."""
-    if backend.exact:
-        return a * db == b * da
-    return backend.eq(a / da, b / db)
+    cross-multiplication on integers, and by FLOAT's ``eq`` of the two
+    quotients if either denominator is a float."""
+    if type(da) is float or type(db) is float:
+        return FLOAT.eq(a / da, b / db)
+    return a * db == b * da
 
 
 # Framed values: one scalar nums[0] / den as a ScalarFrame of one entry,
 # with den > 0.  The exact ledger adds and compares them on integers, with
-# no Fraction in between; on a float frame each helper takes the quotients
-# and runs the float operation, and the backend predicate, that the same
-# values as scalars would.
+# no Fraction in between.  If either denominator is a float, each helper
+# takes the quotients and runs the float operation, and FLOAT's predicate,
+# that the same values as scalars would; a ledger's running sum starts at
+# the int frame 0 / 1 on both backends.
 
-def value_sum(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> ScalarFrame:
+def value_sum(a: ScalarFrame, b: ScalarFrame) -> ScalarFrame:
     """a + b of two framed values: over lcm(den_a, den_b), one gcd, on
-    integers; the float sum of the quotients, over 1.0, on a float frame."""
+    integers; the float sum of the quotients, over 1.0, on a float frame.
+    a - b is ``value_sum(a, -b)``, also bit for bit on floats."""
     (x,), dx = a
     (y,), dy = b
-    if not backend.exact:
+    if type(dx) is float or type(dy) is float:
         return ScalarFrame([x / dx + y / dy], 1.0)
     g = math.gcd(dx, dy)
     return ScalarFrame([x * (dy // g) + y * (dx // g)], dx // g * dy)
 
 
-def value_diff(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> ScalarFrame:
-    """a - b of two framed values, as ``value_sum`` adds them."""
-    (x,), dx = a
-    (y,), dy = b
-    if not backend.exact:
-        return ScalarFrame([x / dx - y / dy], 1.0)
-    g = math.gcd(dx, dy)
-    return ScalarFrame([x * (dy // g) - y * (dx // g)], dx // g * dy)
-
-
-def value_eq(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> bool:
+def value_eq(a: ScalarFrame, b: ScalarFrame) -> bool:
     """a == b for two framed values (``frame_eq``)."""
     (x,), dx = a
     (y,), dy = b
-    return frame_eq(backend, x, dx, y, dy)
+    return frame_eq(x, dx, y, dy)
 
 
-def value_le(backend: Backend, a: ScalarFrame, b: ScalarFrame) -> bool:
+def value_le(a: ScalarFrame, b: ScalarFrame) -> bool:
     """a <= b for two framed values: by cross-multiplication on integers,
-    and by the backend's ``le`` of the quotients on a float frame.  ``not
-    value_le(backend, b, a)`` is the backend's ``lt(a, b)``: both backends
-    decide le and lt by the sign of the difference, and the float b - a is
-    exactly -(a - b)."""
+    and by FLOAT's ``le`` of the quotients on a float frame.  ``not
+    value_le(b, a)`` is the backend's ``lt(a, b)``: both backends decide le
+    and lt by the sign of the difference, and the float b - a is exactly
+    -(a - b)."""
     (x,), dx = a
     (y,), dy = b
-    if backend.exact:
-        return x * dy <= y * dx
-    return backend.le(x / dx, y / dy)
+    if type(dx) is float or type(dy) is float:
+        return FLOAT.le(x / dx, y / dy)
+    return x * dy <= y * dx
 
 
-def value_sign(backend: Backend, a: ScalarFrame) -> int:
-    """The backend's sign of a framed value: of its numerator on integers,
-    of its quotient on a float frame."""
+def value_sign(a: ScalarFrame) -> int:
+    """The sign of a framed value on its backend: of its numerator on
+    integers, FLOAT's of its quotient on a float frame."""
     (x,), dx = a
-    return backend.sign(x if backend.exact else x / dx)
+    return FLOAT.sign(x / dx) if type(dx) is float else RATIONAL.sign(x)
 
 
-def coeff_along(w: Vec2, d: Vec2, backend: Backend) -> Scalar:
+def coeff_along(w: Vec2, d: Vec2) -> Scalar:
     """Solve w = t*d for t, requiring exact parallelism.
 
     On the integer frame of w and d, parallelism is tested by
     cross-multiplication, det(w, d) = 0, which is exact in rational mode
-    and within the backend tolerance in float mode.  The dominant
+    and within the float tolerance in float mode.  The dominant
     coordinate of d gives t.
     """
-    (wx, dx), (wy, dy), _ = integer_frame((w, d))
+    (wx, dx), (wy, dy), _ = f = integer_frame((w, d))
     if not dx and not dy:
         raise InputError("cannot take a coefficient along the zero vector")
-    if not backend.is_zero(wx * dy - wy * dx):
+    if not f.backend.is_zero(wx * dy - wy * dx):
         raise IdentityError(f"vector {w!r} is not parallel to {d!r}")
     return from_frame(wx, dx) if abs(dx) >= abs(dy) else from_frame(wy, dy)
 
@@ -423,21 +421,22 @@ def angle_less(u: Vec2, v: Vec2) -> bool:
     return _angle_less(u.x, u.y, v.x, v.y)
 
 
-def clean_convex(points: Sequence[Vec2], backend: Backend):
+def clean_convex(points: Sequence[Vec2]):
     """Normalize a raw vertex list into strictly convex CCW form.
 
     Returns (frame, notes).  Consecutive duplicates are merged and
     collinear middle vertices dropped (both reported in notes); clockwise
     input is reversed (reported).  Raises InputError if fewer than three
     effective vertices remain, the area is zero or the result is not convex.
-    Every test runs on the integer frame of the input, and the frame
-    returned is that of the input points kept, reduced by its content
-    (``Frame.reduced``).
+    Every test runs on the integer frame of the input, on its backend, and
+    the frame returned is that of the input points kept, reduced by its
+    content (``Frame.reduced``).
     """
     pts = list(points)
     if len(pts) < 3:
         raise InputError("polygon needs at least 3 vertices")
-    xs, ys, den = integer_frame(pts)
+    xs, ys, den = f = integer_frame(pts)
+    sign = f.backend.sign
     q = list(zip(xs, ys))
     keep = [i for i in range(len(q)) if i == 0 or q[i] != q[i - 1]]
     notes = ["dropped duplicate consecutive vertex"] * (len(q) - len(keep))
@@ -447,7 +446,7 @@ def clean_convex(points: Sequence[Vec2], backend: Backend):
     if len(keep) < 3:
         raise InputError("fewer than 3 effective vertices after cleanup")
 
-    orient = backend.sign(polygon_area(Frame([xs[i] for i in keep], [ys[i] for i in keep], den)))
+    orient = sign(polygon_area(Frame([xs[i] for i in keep], [ys[i] for i in keep], den)))
     if orient == 0:
         raise InputError("polygon has zero area")
     if orient < 0:
@@ -463,9 +462,9 @@ def clean_convex(points: Sequence[Vec2], backend: Backend):
         for i in range(k):
             (ax, ay), (bx, by), (cx, cy) = q[keep[i - 1]], q[keep[i]], q[keep[(i + 1) % k]]
             ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
-            cr = backend.sign(ux * wy - uy * wx)
+            cr = sign(ux * wy - uy * wx)
             if cr == 0:
-                if backend.sign(ux * wx + uy * wy) <= 0:
+                if sign(ux * wx + uy * wy) <= 0:
                     raise InputError("polygon is not convex (reflex collinear turn)")
                 keep.pop(i)
                 notes.append("dropped collinear vertex")
@@ -498,7 +497,7 @@ class ConvexPolygon(_Vertices):
 
     @classmethod
     def from_points(cls, points: Iterable, backend: Backend = RATIONAL) -> "ConvexPolygon":
-        frame, notes = clean_convex([vec(x, y, backend) for x, y in points], backend)
+        frame, notes = clean_convex([vec(x, y, backend) for x, y in points])
         return cls(frame, backend, notes)
 
 
@@ -681,21 +680,20 @@ class CenteredBall(_Vertices):
 # ---------------------------------------------------------------------------
 
 def minkowski_sum(p: Sequence[Vec2] | ConvexPolygon,
-                  q: Sequence[Vec2] | ConvexPolygon,
-                  backend: Backend = RATIONAL) -> list[Vec2]:
+                  q: Sequence[Vec2] | ConvexPolygon) -> list[Vec2]:
     """Minkowski sum of two convex CCW polygons: the points of
     ``minkowski_frame``.
 
     Either argument may be a single point (length-1 list), in which case the
     result is a translate.  Parallel same-direction edges are merged, so the
-    output is strictly convex CCW.
+    output is strictly convex CCW.  Float points merge edges within the
+    float tolerance, rational ones exactly.
     """
-    return minkowski_frame(p, q, backend).points()
+    return minkowski_frame(p, q).points()
 
 
 def minkowski_frame(p: Sequence[Vec2] | ConvexPolygon | Frame,
-                    q: Sequence[Vec2] | ConvexPolygon | Frame,
-                    backend: Backend = RATIONAL) -> Frame:
+                    q: Sequence[Vec2] | ConvexPolygon | Frame) -> Frame:
     """``minkowski_sum`` on the numerators: the edges of ``edge_merge``
     summed from the two lowest vertices, on the lcm of the denominators of
     the two frames (the frame of both point lists together)."""
@@ -711,24 +709,24 @@ def minkowski_frame(p: Sequence[Vec2] | ConvexPolygon | Frame,
         p, q = q, p
     if len(p.xs) == 1:
         return Frame([x + p.xs[0] for x in q.xs], [y + p.ys[0] for y in q.ys], p.den)
-    i, j, merged = edge_merge(p, q, backend)
+    i, j, merged = edge_merge(p, q)
     return Frame(list(accumulate([e[0] for e in merged[:-1]], initial=p.xs[i] + q.xs[j])),
                  list(accumulate([e[1] for e in merged[:-1]], initial=p.ys[i] + q.ys[j])), p.den)
 
 
-def edge_merge(p: Frame, q: Frame, backend: Backend) -> tuple[int, int, list[tuple]]:
+def edge_merge(p: Frame, q: Frame) -> tuple[int, int, list[tuple]]:
     """The edges of two convex CCW polygons in one angular sweep, on two
     frames with one denominator.
 
     Each polygon lists its edges from its lowest vertex (least y, then least
     x), p[i] and q[j], so both lists run in full-circle angle order from 0
     degrees, and the sweep merges them in that order.  An edge of p and an
-    edge of q with the same direction (``backend.is_zero`` of their
-    determinant, positive dot product) become one edge, their sum.  Returns
-    (i, j, merged), where merged lists each edge as (ex, ey, own), the
-    numerators of the edge and whether p has an edge in its direction; from
-    p[i] + q[j] the merged edges trace p + q.  Both polygons need at least
-    two distinct vertices.
+    edge of q with the same direction (``is_zero`` of their determinant on
+    the frames' backend, positive dot product) become one edge, their sum.
+    Returns (i, j, merged), where merged lists each edge as (ex, ey, own),
+    the numerators of the edge and whether p has an edge in its direction;
+    from p[i] + q[j] the merged edges trace p + q.  Both polygons need at
+    least two distinct vertices.
 
     The sweep never compares its first and last edges.  In float mode they
     can be an edge of p and one of q parallel within the tolerance; then
@@ -739,7 +737,7 @@ def edge_merge(p: Frame, q: Frame, backend: Backend) -> tuple[int, int, list[tup
         i0 = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
         return i0, edge_vectors(xs[i0:] + xs[:i0], ys[i0:] + ys[:i0])
 
-    zero = backend.is_zero
+    zero = p.backend.is_zero
     (i0, ep), (j0, eq) = edge_list(p), edge_list(q)
     merged: list[tuple] = []
     i = j = 0

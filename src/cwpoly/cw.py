@@ -133,7 +133,7 @@ def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
     mid = Frame(half.xs * 2, half.ys * 2, half.den)
     al = alphas_of(mid, u)
     return CentralEquidistant(M=mid, alphas=al, betas=betas_of(al, u), n=n, backend=backend,
-                              degenerate=single_point(mid, backend))
+                              degenerate=single_point(mid))
 
 
 def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPolygon:
@@ -330,7 +330,7 @@ class EquidistantFrame:
     def chakerian_invariant(self) -> Scalar:
         """A1(i, c) - c L_V(i, c), tested for every i; see ``chakerian_invariant``."""
         self.require_convex()
-        backend, c, cn, cd = self.backend, self.c, self.cn, self.cd
+        c, cn, cd = self.c, self.cn, self.cd
         h, dh = self.half_areas
         arcs, da = self.half_arc_lengths
         # A1(i) - c L_V(i) = values[i] / q
@@ -339,10 +339,10 @@ class EquidistantFrame:
         (closed,), dclosed = scalar_frame(
             [2 * c * c * self.u.area - self.area()])
         for i, cur in enumerate(values):
-            if i and not frame_eq(backend, values[0], q, cur, q):
+            if i and not frame_eq(values[0], q, cur, q):
                 raise IdentityError(f"half-polygon invariant varies at index {i}")
             # 2 c L_V(i) - 2 A1(i) = -2 values[i] / q
-            if not frame_eq(backend, -2 * cur, q, closed, dclosed):
+            if not frame_eq(-2 * cur, q, closed, dclosed):
                 raise IdentityError(f"half-polygon closed form fails at index {i}")
         return from_frame(values[0], q)
 

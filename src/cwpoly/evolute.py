@@ -138,7 +138,7 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
         half = Frame([xs[i] - ux[i] * mus[i] for i in range(n)],
                      [ys[i] - uy[i] * mus[i] for i in range(n)], xden)
     e = Frame(half.xs * 2, half.ys * 2, half.den)
-    return Evolute(E=e, mus=mus, n=n, backend=backend, degenerate=single_point(e, backend))
+    return Evolute(E=e, mus=mus, n=n, backend=backend, degenerate=single_point(e))
 
 
 @dataclass
@@ -207,7 +207,7 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     backend, betas = ce.backend, frame_of(ce, "betas")
     n_frame = involute_points(frame_of(ce, "M"), betas, v)
     return Involute(N=n_frame, betas=betas, n=ce.n, backend=backend,
-                    degenerate=single_point(n_frame, backend))
+                    degenerate=single_point(n_frame))
 
 
 def _later(values: list) -> list:

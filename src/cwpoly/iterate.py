@@ -14,7 +14,7 @@ of squares adds the gaps on one denominator (``core.scalar_frame``) and
 builds one Fraction at the end, and the central point O is read from the
 frame of the last M(k).  ``check_trace`` recomputes the ledger from the
 frames of the stored polygons, passes each frame to the same formulas, and
-adds and compares their framed values (``core.value_sum``, ``value_diff``,
+adds and compares their framed values (``core.value_sum`` of b or -b,
 ``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
 """
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Sequence
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
 from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, Vec2, frame_of,
-                   from_frame, integer_frame, scalar_frame, value_diff, value_eq, value_le,
-                   value_sign, value_sum)
+                   from_frame, integer_frame, scalar_frame, value_eq, value_le, value_sign,
+                   value_sum)
 from .cw import (
     CentralEquidistant,
     _total,
@@ -190,7 +190,7 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
     steps = [IterationStep(
         k=0, M=m_frame, N=n_frame, sa_m=sa_m.value(), sa_n=sa_n.value(),
-        gap_mn=0, gap_nm=value_diff(plane.backend, sa_n, sa_m).value(),
+        gap_mn=0, gap_nm=value_sum(sa_n, -sa_m).value(),
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
     for k in range(1, max_steps + 1):
@@ -314,8 +314,8 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
         if idx > 0:
             chain.append(sa_n[idx])
         chain.append(sa_m[idx])
-    ok = all(value_sign(backend, x) >= 0 for x in chain) and all(
-        value_le(backend, chain[i + 1], chain[i]) for i in range(len(chain) - 1))
+    ok = all(value_sign(x) >= 0 for x in chain) and all(
+        value_le(chain[i + 1], chain[i]) for i in range(len(chain) - 1))
     out.append(TraceCheck("iterate.sa_chain_monotone", ok,
                           f"{len(chain)} signed areas"))
 
@@ -325,26 +325,26 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
         cur = steps[idx]
-        lhs = value_diff(backend, sa_m[idx - 1], sa_n[idx])
+        lhs = value_sum(sa_m[idx - 1], -sa_n[idx])
         rhs = signed_area_gap_frame(edge_world_coeffs(n_frames[idx], v), v)
-        if not value_eq(backend, lhs, rhs):
+        if not value_eq(lhs, rhs):
             ok = False
             detail = f"beta gap fails at k={cur.k}"
             break
-        lhs2 = value_diff(backend, sa_n[idx], sa_m[idx])
+        lhs2 = value_sum(sa_n[idx], -sa_m[idx])
         rhs2 = signed_area_gap_frame(alphas_of(m_frames[idx], u), w)
-        if not value_eq(backend, lhs2, rhs2):
+        if not value_eq(lhs2, rhs2):
             ok = False
             detail = f"alpha gap fails at k={cur.k}"
             break
-        acc = value_sum(backend, value_sum(backend, acc, rhs), rhs2)
-        if not value_le(backend, acc, sa0):
+        acc = value_sum(value_sum(acc, rhs), rhs2)
+        if not value_le(acc, sa0):
             ok = False
             detail = f"sum of squares exceeds SA(M(0)) at k={cur.k}"
             break
     out.append(TraceCheck("iterate.gap_identities", ok, detail))
 
-    slack = value_diff(backend, sa0, acc).value()
+    slack = value_sum(sa0, -acc).value()
     residual = sa_m[-1].value()
     out.append(TraceCheck(
         "iterate.sumsquares_bound",

@@ -8,8 +8,8 @@ dual-ball identity one table of det(X_j, V_i), and the five checks of the
 c-equidistants one ``cw.EquidistantFrame`` per c.  They compare numerators
 by cross-multiplication (``core.frame_eq``), index by index in the order
 the report names the first failure.  ``areas.signed_gap`` compares the
-framed drop SA(M) - SA(N) with the framed gap (``core.value_diff``,
-``value_sign``, ``value_eq``).
+framed drop SA(M) - SA(N), a ``core.value_sum`` of SA(M) and -SA(N), with
+the framed gap (``value_sign``, ``value_eq``).
 """
 from __future__ import annotations
 
@@ -35,9 +35,9 @@ from .core import (
     mixed_area,
     polygon_area,
     scalar_frame,
-    value_diff,
     value_eq,
     value_sign,
+    value_sum,
 )
 from .cw import (
     EquidistantFrame,
@@ -158,7 +158,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             return f"a={_s(backend, res.a)}", False
         ws, wden = framed_widths(*paired.frame, v)
         (a,), aden = scalar_frame([plane.a])
-        ok = all(frame_eq(backend, w_, wden, 2 * a, aden) for w_ in ws)
+        ok = all(frame_eq(w_, wden, 2 * a, aden) for w_ in ws)
         return f"yes(a={_s(backend, res.a)})" if ok else "width varies", ok
     guarded("cw.constant_width", f"yes(a={_s(backend, plane.a)})", chk_width)
 
@@ -213,7 +213,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
         mixed = mixed_area(paired.frame, u.frame)
         if not eq(mixed, lv / 2):
             return "A(P,U) != L_V(P)/2", False
-        lhs = polygon_area(minkowski_frame(paired.frame, u.frame, backend))
+        lhs = polygon_area(minkowski_frame(paired.frame, u.frame))
         rhs = polygon_area(paired.frame) + 2 * mixed + area_u
         return ("A(P+U) expansion", eq(lhs, rhs))
     guarded("core.mixed_area", "A(P+U) expansion", chk_mixed)
@@ -262,13 +262,13 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     def chk_areas():
         sa_m, sa_n = signed_area_frame(frame_of(ce, "M")), signed_area_frame(frame_of(inv, "N"))
-        if value_sign(backend, sa_m) < 0 or value_sign(backend, sa_n) < 0:
+        if value_sign(sa_m) < 0 or value_sign(sa_n) < 0:
             return "negative signed area", False
-        drop = value_diff(backend, sa_m, sa_n)
-        if value_sign(backend, drop) < 0:
+        drop = value_sum(sa_m, -sa_n)
+        if value_sign(drop) < 0:
             return "SA(M) < SA(N)", False
         gap = signed_area_gap_frame(frame_of(ce, "betas"), v)
-        return (f"gap {_s(backend, drop.value())}", value_eq(backend, drop, gap))
+        return (f"gap {_s(backend, drop.value())}", value_eq(drop, gap))
     guarded("areas.signed_gap", "SA(M) - SA(N) = sum beta^2 det(V,V)", chk_areas)
 
     def chk_containment():
@@ -337,7 +337,6 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
                   area_u) -> tuple[str, bool]:
     """For each c and i: the closed form against cA(U) + 2 beta_i, then the
     direct sum of the lambdas of edges i .. i+n-1 against the closed form."""
-    backend = frames[0].backend
     bn, bden = frame_of(frames[0].ce, "betas")
     for f in frames:
         n, m = f.n, f.m
@@ -348,12 +347,11 @@ def _chk_half_arc(frames: list[EquidistantFrame], v: CenteredBall,
         # c A(U) + 2 beta_i = (ca bden + 2 bn[i] caden) / (caden bden)
         (ca,), caden = scalar_frame([f.c * area_u])
         for i in range(m):
-            if not frame_eq(backend, arcs[i], aden, ca * bden + 2 * bn[i] * caden,
-                            caden * bden):
+            if not frame_eq(arcs[i], aden, ca * bden + 2 * bn[i] * caden, caden * bden):
                 return f"i={i}", False
             if bad:
                 f.raise_not_parallel(v, [(i + k) % m for k in range(n)])
-            if not frame_eq(backend, direct[i], lden, arcs[i], aden):
+            if not frame_eq(direct[i], lden, arcs[i], aden):
                 return f"direct sum differs at i={i}", False
     return "cA(U) + 2beta_i", True
 
@@ -369,8 +367,7 @@ def _chk_half_area(frames: list[EquidistantFrame]) -> tuple[str, bool]:
         h, hden = f.half_areas
         for i in range(m):
             # 4 c beta_i = 4 cn bn[i] / (cd bden)
-            if not frame_eq(backend, h[i] - h[(i + n) % m], hden,
-                            4 * f.cn * bn[i], f.cd * bden):
+            if not frame_eq(h[i] - h[(i + n) % m], hden, 4 * f.cn * bn[i], f.cd * bden):
                 return f"i={i} c={_s(backend, f.c)}", False
     return "A1 - A2 = 4c beta_i", True
 

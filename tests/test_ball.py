@@ -119,7 +119,7 @@ def test_reorder_float_seam_is_one_direction(pts, n, order):
     assert [(p.x, p.y) for p in paired.vertices] == [tuple(map(float, pts[i])) for i in order]
     # P + (-P) folds the same seam, so it has the 2n vertices of the ball
     plane = build_plane(paired)
-    assert len(minkowski_sum(paired.vertices, [-p for p in paired.vertices], FLOAT)) == 2 * n
+    assert len(minkowski_sum(paired.vertices, [-p for p in paired.vertices])) == 2 * n
     assert is_constant_width(paired, plane.U) == WidthResult(True, a=0.5)
     # exactly, the near-parallel edges are not parallel
     assert build_plane(ConvexPolygon.from_points(pts)).n > n
@@ -217,6 +217,11 @@ def test_dual_recovery_exact():
 def test_support_square():
     sq = [vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]
     assert support(sq, vec(0, 1)) == 1
+
+
+def test_support_of_no_points_raises():
+    with pytest.raises(InputError, match="^support of an empty point set$"):
+        support([], vec(0, 1))
 
 
 def test_support_negation_symmetry(quad_plane):
@@ -333,14 +338,14 @@ def _ref_is_constant_width(paired, u):
         diag = pv[i] - pv[(i + paired.n) % m]
         if not backend.is_zero(det(diag, uv[i])):
             return WidthResult(False, witness=i, reason="diagonal not parallel to ball vertex")
-        ai = coeff_along(diag, uv[i], backend) / 2
+        ai = coeff_along(diag, uv[i]) / 2
         if a is None:
             a = ai
         elif not backend.eq(a, ai):
             return WidthResult(False, witness=i, reason="diagonal ratio is not constant")
     if a is None or sgn(a) <= 0:
         return WidthResult(False, witness=0, reason="nonpositive width")
-    s = minkowski_sum(pv, [-p for p in pv], backend)
+    s = minkowski_sum(pv, [-p for p in pv])
     if len(s) != m:
         return WidthResult(False, witness=0, reason="P+(-P) vertex count mismatch")
     target = [w * (2 * a) for w in uv]

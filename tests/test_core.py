@@ -32,7 +32,6 @@ from cwpoly.core import (
     coeff_along,
     integer_frame,
     scalar_frame,
-    value_diff,
     value_eq,
     value_le,
     value_sign,
@@ -271,7 +270,7 @@ def test_minkowski_sum_matches_hull_of_pairwise_sums(seed, kind_q, kind_p, rot_p
         # takes the same path and lists the same vertices
         if all(v.x.denominator in (1, 2) and v.y.denominator in (1, 2) for v in p + q):
             fa, fb = ([vec(float(v.x), float(v.y), FLOAT) for v in w] for w in (a, b))
-            assert minkowski_sum(fa, fb, FLOAT) == [Vec2(float(v.x), float(v.y)) for v in want]
+            assert minkowski_sum(fa, fb) == [Vec2(float(v.x), float(v.y)) for v in want]
 
 
 def _paired(pts, backend):
@@ -529,14 +528,14 @@ def test_framed_values_are_fraction_arithmetic(x, y, g, p, q, k, same):
     a = ScalarFrame([x], g * p)
     b = ScalarFrame([x * k], g * p * k) if same else ScalarFrame([y], g * q)
     fa, fb = F(x, a.den), F(b.nums[0], b.den)
-    total, diff = value_sum(RATIONAL, a, b), value_diff(RATIONAL, a, b)
+    total, diff = value_sum(a, b), value_sum(a, -b)
     assert total.den == diff.den == math.lcm(a.den, b.den)
     assert type(total.value()) is F and total.value() == fa + fb
     assert diff.value() == fa - fb and (-a).value() == -fa and a.value() == fa
-    assert value_eq(RATIONAL, a, b) is (fa == fb)
-    assert value_le(RATIONAL, a, b) is (fa <= fb) and value_le(RATIONAL, b, a) is (fb <= fa)
-    assert value_sign(RATIONAL, a) == RATIONAL.sign(fa)
-    assert value_sign(RATIONAL, diff) == RATIONAL.sign(fa - fb)
+    assert value_eq(a, b) is (fa == fb)
+    assert value_le(a, b) is (fa <= fb) and value_le(b, a) is (fb <= fa)
+    assert value_sign(a) == RATIONAL.sign(fa)
+    assert value_sign(diff) == RATIONAL.sign(fa - fb)
 
 
 _ledger_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -550,15 +549,15 @@ def test_framed_values_on_float_frames_are_quotient_arithmetic(x, y, da, db):
     # with the backend's predicates; the empty sum, 0 / 1, adds as int 0
     a, b = ScalarFrame([x], da), ScalarFrame([y], db)
     qa, qb = x / da, y / db
-    total, diff = value_sum(FLOAT, a, b), value_diff(FLOAT, a, b)
+    total, diff = value_sum(a, b), value_sum(a, -b)
     assert total.den == diff.den == 1.0
     assert repr(total.value()) == repr(qa + qb) and repr(diff.value()) == repr(qa - qb)
-    assert repr(value_sum(FLOAT, ScalarFrame([0], 1), a).value()) == repr(0 + qa)
+    assert repr(value_sum(ScalarFrame([0], 1), a).value()) == repr(0 + qa)
     assert repr(a.value()) == repr(qa) and repr((-a).value()) == repr(-qa)
-    assert value_eq(FLOAT, a, b) is FLOAT.eq(qa, qb)
-    assert value_le(FLOAT, a, b) is FLOAT.le(qa, qb)
-    assert (not value_le(FLOAT, b, a)) is FLOAT.lt(qa, qb)
-    assert value_sign(FLOAT, a) == FLOAT.sign(qa)
+    assert value_eq(a, b) is FLOAT.eq(qa, qb)
+    assert value_le(a, b) is FLOAT.le(qa, qb)
+    assert (not value_le(b, a)) is FLOAT.lt(qa, qb)
+    assert value_sign(a) == FLOAT.sign(qa)
 
 
 @given(mixed_coords, mixed_coords)
@@ -595,7 +594,7 @@ def test_framed_ladders_exact(seed, n, data):
     assert type(gap) is F and gap == ref_gap(alphas, uv)
     for i in range(2 * n):
         w, d = pts[(i + 1) % (2 * n)] - pts[i], uv[(i + 1) % (2 * n)] - uv[i]
-        assert coeff_along(w, d, RATIONAL) == alphas[i]
+        assert coeff_along(w, d) == alphas[i]
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.data())
@@ -615,13 +614,13 @@ def test_framed_ladders_float_bitwise(seed, n, data):
     for i in range(m):
         w, d = pts[(i + 1) % m] - pts[i], uv[(i + 1) % m] - uv[i]
         want.append(w.x / d.x if abs(d.x) >= abs(d.y) else w.y / d.y)
-        assert coeff_along(w, d, FLOAT) == want[-1]
+        assert coeff_along(w, d) == want[-1]
     assert alphas_of(pts, u).values() == want
 
 
 def test_framed_coeff_not_parallel_message():
     with pytest.raises(IdentityError) as e:
-        coeff_along(Vec2(F(1, 2), 2), Vec2(1, 1), RATIONAL)
+        coeff_along(Vec2(F(1, 2), 2), Vec2(1, 1))
     assert str(e.value) == "vector Vec2(Fraction(1, 2), 2) is not parallel to Vec2(1, 1)"
     u = random_centered_ball(random.Random(5), 3)
     uv = u.vertices
@@ -769,6 +768,18 @@ def test_minkowski_sum_of_one_point_translates():
     # a one-point first argument translates the second polygon
     t = Vec2(F(3), F(-1, 2))
     assert minkowski_sum([t], TRI) == [p + t for p in TRI]
+
+
+def test_minkowski_sum_of_float_points_merges_on_the_float_backend():
+    # P + (-P) of a float n = 3 quadrilateral at scale 1e-3 has 2n vertices,
+    # as the float tolerance merges its parallel edges; exact predicates on
+    # the float points would keep 8
+    rng = random.Random(5)
+    plane = [random_cw_plane(rng, 3, 9) for _ in range(9)][-1]
+    assert plane.n == 3
+    p = [Vec2(float(v.x) * 1e-3, float(v.y) * 1e-3)
+         for v in ConvexPolygon.from_points(plane.P.vertices).vertices]
+    assert len(minkowski_sum(p, [-v for v in p])) == 2 * plane.n
 
 
 def test_chord_count_needs_a_polygon_boundary():

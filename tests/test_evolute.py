@@ -165,6 +165,16 @@ def test_float_evolute_defining_forms_disagree():
         evolute(pts, plane.U, plane.V)
 
 
+def test_rational_evolute_defining_forms_disagree(quad_plane):
+    # a V that is not U's dual: 2V has V's directions, so every lambda solve
+    # passes, but it halves each lambda and so each mu, and the two exact
+    # forms of E_0 differ
+    u, (vx, vy, vden) = quad_plane.U, quad_plane.V.frame
+    v2 = CenteredBall(Frame([2 * x for x in vx], [2 * y for y in vy], vden), quad_plane.n)
+    with pytest.raises(IdentityError, match="evolute defining forms disagree at edge 0"):
+        evolute(quad_plane.P.frame, u, v2)
+
+
 def test_float_involute_halves_equal():
     # the float involute repeats exactly after n vertices, as the rational
     # one does; on these planes rounding made the two halves differ

@@ -127,7 +127,7 @@ def test_points_share_the_halves_of_a_doubled_frame_only():
 
 
 def test_single_point():
-    assert single_point(Frame([2, 2, 2], [1, 1, 1], 3), RATIONAL)
-    assert not single_point(Frame([2, 2, 2], [1, 1, 2], 3), RATIONAL)
-    assert single_point(Frame([0.5, 0.5 + 1e-12], [1.0, 1.0], 1.0), FLOAT)
-    assert not single_point(Frame([0.5, 0.5 + 1e-6], [1.0, 1.0], 1.0), FLOAT)
+    assert single_point(Frame([2, 2, 2], [1, 1, 1], 3))
+    assert not single_point(Frame([2, 2, 2], [1, 1, 2], 3))
+    assert single_point(Frame([0.5, 0.5 + 1e-12], [1.0, 1.0], 1.0))
+    assert not single_point(Frame([0.5, 0.5 + 1e-6], [1.0, 1.0], 1.0))

@@ -1,10 +1,15 @@
 """The names the benchmark's per-layer tracer patches exist in the package,
-the tracer sees the ladder's public functions, and the size sweep runs."""
+the tracer sees the ladder's public functions, the size sweep runs, and a
+``backend`` parameter appears only where a backend is chosen, stored,
+printed or checked."""
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
+import cwpoly
 from cwpoly import iterate, iterate_involutes, kernels
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,3 +72,38 @@ def test_cli_imports_only_the_standard_library(run_python):
     new = out.stdout.split()
     assert "cwpoly" in new
     assert [m for m in new if m != "cwpoly" and m not in sys.stdlib_module_names] == []
+
+
+def test_backend_parameters_only_where_a_backend_is_chosen_stored_printed_or_checked():
+    # a helper handed a frame, a framed value or a point list it frames
+    # reads the backend from the denominator, so it takes no backend
+    found = set()
+    for info in pkgutil.iter_modules(cwpoly.__path__):
+        module = importlib.import_module(f"cwpoly.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{key}", value) for key, value in vars(obj).items()]
+            for qualname, fn in members:
+                fn = getattr(fn, "__func__", fn)  # a classmethod's function
+                if inspect.isfunction(fn) and "backend" in inspect.signature(fn).parameters:
+                    found.add(f"{info.name}.{qualname}")
+    assert found == {
+        # chosen: parsed, converted or generated on the backend asked for
+        "backend.parse_scalar", "core.vec", "core.ConvexPolygon.from_points",
+        "docio.load_document", "docio.load_paired", "docio.load_polygon",
+        "fuzz.random_convex_polygon", "fuzz.random_cw_plane", "fuzz.random_centered_ball",
+        # stored: the containers' constructors
+        "core.ConvexPolygon.__init__", "core.PairedPolygon.__init__",
+        "core.CenteredBall.__init__", "ball.MinkowskiPlane.__init__",
+        "cw.CentralEquidistant.__init__", "evolute.Evolute.__init__",
+        "evolute.Involute.__init__", "iterate.IterationTrace.__init__",
+        # printed
+        "docio.points_json", "docio.document_json", "verify._s", "verify.Report.__init__",
+        # checked against a ball
+        "core.CenteredBall.own_backend", "evolute.evolute", "iterate.convex_parent_of_m",
+        # handed bare scalars
+        "cw.ladder_cusps",
+    }
