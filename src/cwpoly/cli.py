@@ -8,6 +8,8 @@ as JSON, with optional SVG and CSV side outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 
@@ -56,17 +58,42 @@ def _ball_plane(args):
     return plane, backend
 
 
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each (path, body), all or none: every body goes to a temporary
+    file beside its target, and the targets are replaced, in order, only
+    once every body is written.  After a failed write the temporaries are
+    removed, so every target is as it was; the error names the target."""
+    temps: list[str] = []
+    try:
+        for i, (path, body) in enumerate(files):
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                with open(tmp, "x", encoding="utf-8") as f:
+                    temps.append(tmp)
+                    f.write(body)
+            except OSError as e:
+                raise type(e)(e.errno, e.strerror, path) from e
+    except BaseException:
+        for tmp in temps:
+            os.remove(tmp)
+        raise
+    for tmp, (path, _) in zip(temps, files):
+        os.replace(tmp, path)
+
+
 def _emit(args, payload: dict, layers=None, csv: str | None = None) -> None:
     """Render the JSON and the SVG, then write the files (the CSV, --out,
-    then the SVG), and print the JSON to stdout last.  So an output that
-    cannot be rendered or written exits before anything is printed, and a
-    text that cannot be rendered leaves no file."""
+    then the SVG) all or none (``_write_files``), and print the JSON to
+    stdout last.  So an output that cannot be rendered or written exits
+    before anything is printed, and leaves every file as it was."""
     text = dump_json(payload)
     svg = render_svg(layers) if args.svg and layers else None
-    for path, body in ((csv and args.csv, csv), (args.out, text + "\n"), (args.svg, svg)):
-        if path and body is not None:
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(body)
+    _write_files([(path, body) for path, body in ((csv and args.csv, csv),
+                                                  (args.out, text + "\n"), (args.svg, svg))
+                  if path and body is not None])
     if not args.out:
         print(text)
 

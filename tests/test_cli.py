@@ -259,6 +259,25 @@ def test_exit_2_unwritable_out_leaves_no_svg(triangle_doc, tmp_path, capsys):
     assert capsys.readouterr().out == "" and not svg.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_exit_2_unwritable_svg_leaves_the_csv_as_it_was(triangle_doc, tmp_path, capsys,
+                                                        existing):
+    # the CSV is written before the SVG, but no target is replaced until
+    # every file is written: a new CSV is not created, an old one keeps its
+    # bytes, and no temporary file is left beside it
+    folder = tmp_path / "out"
+    folder.mkdir()
+    csv = folder / "t.csv"
+    if existing:
+        csv.write_bytes(b"old bytes\n")
+    svg = str(folder / "missing" / "x.svg")
+    assert main(["iterate", triangle_doc, "--steps", "2", "--csv", str(csv), "--svg", svg]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: cannot write output" in out.err
+    assert (csv.read_bytes() == b"old bytes\n") if existing else not csv.exists()
+    assert [p.name for p in folder.iterdir()] == (["t.csv"] if existing else [])
+
+
 @pytest.mark.parametrize("flag, value", [("--c", "x"), ("--d", "1/0")])
 def test_iterate_rejects_bad_c_and_d_before_iterating(triangle_doc, capsys, monkeypatch,
                                                       flag, value):
@@ -272,6 +291,13 @@ def test_iterate_rejects_bad_c_and_d_before_iterating(triangle_doc, capsys, monk
 
 def test_exit_2_unreadable(tmp_path, capsys):
     assert main(["ball", str(tmp_path / "missing.json")]) == 2
+
+
+def test_exit_2_paired_odd_vertex_count(triangle_doc, capsys):
+    assert main(["ball", triangle_doc, "--paired"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: paired polygon document needs an even vertex count\n"
 
 
 def test_exit_2_nonconvex(tmp_path, capsys):
