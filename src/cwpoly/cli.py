@@ -8,7 +8,7 @@ as JSON, with optional SVG and CSV side outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import os
 import re
 import sys
@@ -59,29 +59,25 @@ def _ball_plane(args):
 
 
 def _write_files(files: list[tuple[str, str]]) -> None:
-    """Write each (path, body), all or none: every body goes to a temporary
-    file beside its target, and the targets are replaced, in order, only
-    once every body is written.  After a failed write the temporaries are
-    removed, so every target is as it was; the error names the target."""
-    temps: list[str] = []
-    try:
-        for i, (path, body) in enumerate(files):
-            head, tail = os.path.split(path)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
-            try:
-                if os.path.isdir(path):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                with open(tmp, "x", encoding="utf-8") as f:
-                    temps.append(tmp)
-                    f.write(body)
-            except OSError as e:
-                raise type(e)(e.errno, e.strerror, path) from e
-    except BaseException:
-        for tmp in temps:
-            os.remove(tmp)
-        raise
-    for tmp, (path, _) in zip(temps, files):
-        os.replace(tmp, path)
+    """Write each (path, body) in order, all or none: every path is opened
+    for append, which changes no file, before any is truncated, and after a
+    failed open the files this run created are removed.  A symlink or a
+    device is written through, as ``open(path, "w")`` would."""
+    made = [path for path, _ in files if not os.path.lexists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            opened = [stack.enter_context(open(path, "a", encoding="utf-8"))
+                      for path, _ in files]
+        except BaseException:
+            stack.close()
+            for path in made:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+        for f, (_, body) in zip(opened, files):
+            if os.path.isfile(f.name):
+                f.truncate(0)
+            f.write(body)
 
 
 def _emit(args, payload: dict, layers=None, csv: str | None = None) -> None:
@@ -272,43 +268,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ball", help="paired form and the induced unit ball")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ball)
+    def command(name: str, fn, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("dual", help="unit ball and its dual ball")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dual)
-
-    p = sub.add_parser("central", help="central equidistant with coefficient ladders")
-    _add_common(p)
+    command("ball", cmd_ball, "paired form and the induced unit ball")
+    command("dual", cmd_dual, "unit ball and its dual ball")
+    p = command("central", cmd_central, "central equidistant with coefficient ladders")
     p.add_argument("--c", action="append",
                    help="extra equidistant layer(s) for the SVG (repeatable)")
-    p.set_defaults(fn=cmd_central)
+    command("evolute", cmd_evolute, "curvature radii and the evolute")
+    command("involute", cmd_involute, "involute of the central equidistant")
 
-    p = sub.add_parser("evolute", help="curvature radii and the evolute")
-    _add_common(p)
-    p.set_defaults(fn=cmd_evolute)
-
-    p = sub.add_parser("involute", help="involute of the central equidistant")
-    _add_common(p)
-    p.set_defaults(fn=cmd_involute)
-
-    p = sub.add_parser("iterate", help="iterate involutes toward the central point")
-    _add_common(p)
+    p = command("iterate", cmd_iterate, "iterate involutes toward the central point")
     p.add_argument("--steps", type=int, default=None, help="maximum iteration steps")
     p.add_argument("--tol", type=float, default=None, help="diameter stopping threshold")
     p.add_argument("--c", default="1/2", help="width parameter of the reported P(k,c)")
     p.add_argument("--d", default="1/2", help="dual width parameter of the reported Q(k,d)")
     p.add_argument("--csv", help="write the k,SA_M,SA_N,diameter trace to this path")
-    p.set_defaults(fn=cmd_iterate)
 
-    p = sub.add_parser("verify", help="run the full identity suite on one polygon")
-    _add_common(p)
+    p = command("verify", cmd_verify, "run the full identity suite on one polygon")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--samples", type=int, default=16,
                    help="containment samples per involute segment")
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 

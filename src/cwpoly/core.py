@@ -119,7 +119,7 @@ class Frame(NamedTuple):
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.den, float)
+        return type(self.den) is not float
 
     @property
     def backend(self) -> Backend:
@@ -236,7 +236,7 @@ def integer_frame(points: Sequence[Vec2] | Frame) -> Frame:
 def from_frame(num, den) -> Scalar:
     """num / den for a framed result: one Fraction over an int denominator,
     or the float quotient over a denominator built from a float frame."""
-    return num / den if isinstance(den, float) else Fraction(num, den)
+    return num / den if type(den) is float else Fraction(num, den)
 
 
 class Stored:

@@ -243,7 +243,7 @@ def _sci(x) -> str:
 def _below(value: ScalarFrame, bound: Fraction) -> bool:
     """num / den < bound, exactly, for a framed value with den > 0."""
     (num,), den = value
-    if isinstance(den, float):
+    if type(den) is float:
         return num / den < bound
     return num * bound.denominator < bound.numerator * den
 
@@ -309,40 +309,30 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     sa_m = [signed_area_frame(f) for f in m_frames]
     sa_n = [None] + [signed_area_frame(f) for f in n_frames[1:]]
 
-    chain: list[ScalarFrame] = []
-    for idx in range(len(steps)):
-        if idx > 0:
-            chain.append(sa_n[idx])
-        chain.append(sa_m[idx])
+    chain = [sa_m[0]] + [x for pair in zip(sa_n[1:], sa_m[1:]) for x in pair]
     ok = all(value_sign(x) >= 0 for x in chain) and all(
         value_le(chain[i + 1], chain[i]) for i in range(len(chain) - 1))
     out.append(TraceCheck("iterate.sa_chain_monotone", ok,
                           f"{len(chain)} signed areas"))
 
-    ok = True
     detail = ""
     acc = ScalarFrame([0], 1)
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
-        cur = steps[idx]
-        lhs = value_sum(sa_m[idx - 1], -sa_n[idx])
+        k = steps[idx].k
         rhs = signed_area_gap_frame(edge_world_coeffs(n_frames[idx], v), v)
-        if not value_eq(lhs, rhs):
-            ok = False
-            detail = f"beta gap fails at k={cur.k}"
+        if not value_eq(value_sum(sa_m[idx - 1], -sa_n[idx]), rhs):
+            detail = f"beta gap fails at k={k}"
             break
-        lhs2 = value_sum(sa_n[idx], -sa_m[idx])
         rhs2 = signed_area_gap_frame(alphas_of(m_frames[idx], u), w)
-        if not value_eq(lhs2, rhs2):
-            ok = False
-            detail = f"alpha gap fails at k={cur.k}"
+        if not value_eq(value_sum(sa_n[idx], -sa_m[idx]), rhs2):
+            detail = f"alpha gap fails at k={k}"
             break
         acc = value_sum(value_sum(acc, rhs), rhs2)
         if not value_le(acc, sa0):
-            ok = False
-            detail = f"sum of squares exceeds SA(M(0)) at k={cur.k}"
+            detail = f"sum of squares exceeds SA(M(0)) at k={k}"
             break
-    out.append(TraceCheck("iterate.gap_identities", ok, detail))
+    out.append(TraceCheck("iterate.gap_identities", not detail, detail))
 
     slack = value_sum(sa0, -acc).value()
     residual = sa_m[-1].value()
@@ -351,11 +341,7 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
         backend.sign(slack) >= 0 and backend.eq(slack, residual),
         f"slack={_sci(slack)} residual={_sci(residual)}"))
 
-    diams = []
-    for s in trace.steps:
-        if s.k > 0:
-            diams.append(s.diam_n)
-        diams.append(s.diam_m)
+    diams = [steps[0].diam_m] + [d for s in steps[1:] for d in (s.diam_n, s.diam_m)]
     eps = 0.0 if backend.exact else 1e-12
     ok = all(diams[i + 1] <= diams[i] + eps for i in range(len(diams) - 1))
     out.append(TraceCheck("iterate.diameters_nonincreasing", ok,

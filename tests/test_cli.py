@@ -2,7 +2,9 @@
 import hashlib
 import json
 import math
+import os
 import random
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -262,9 +264,9 @@ def test_exit_2_unwritable_out_leaves_no_svg(triangle_doc, tmp_path, capsys):
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_exit_2_unwritable_svg_leaves_the_csv_as_it_was(triangle_doc, tmp_path, capsys,
                                                         existing):
-    # the CSV is written before the SVG, but no target is replaced until
-    # every file is written: a new CSV is not created, an old one keeps its
-    # bytes, and no temporary file is left beside it
+    # the CSV is written before the SVG, but every target is opened, for
+    # append, before any is truncated: a new CSV is removed again, an old
+    # one keeps its bytes, and nothing else is left beside it
     folder = tmp_path / "out"
     folder.mkdir()
     csv = folder / "t.csv"
@@ -276,6 +278,27 @@ def test_exit_2_unwritable_svg_leaves_the_csv_as_it_was(triangle_doc, tmp_path, 
     assert out.out == "" and "error: cannot write output" in out.err
     assert (csv.read_bytes() == b"old bytes\n") if existing else not csv.exists()
     assert [p.name for p in folder.iterdir()] == (["t.csv"] if existing else [])
+
+
+def test_csv_is_written_through_a_symlink(triangle_doc, tmp_path):
+    # as open(path, "w") writes: the link stays a link, and the file it
+    # points to is truncated to the CSV and keeps its mode
+    plain, real, link = tmp_path / "plain.csv", tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(b"x" * 4096)
+    real.chmod(0o640)
+    link.symlink_to(real)
+    argv = ["iterate", triangle_doc, "--steps", "2", "--csv"]
+    assert main(argv + [str(plain)]) == 0
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == plain.read_bytes()
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
+def test_csv_to_the_null_device(triangle_doc, capsys):
+    # a device is written, not truncated nor replaced
+    assert main(["iterate", triangle_doc, "--steps", "2", "--csv", os.devnull]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("flag, value", [("--c", "x"), ("--d", "1/0")])
