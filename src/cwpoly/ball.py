@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import sub
 from typing import Sequence
 
-from .backend import Backend, RATIONAL, Scalar
+from .backend import Backend, Scalar
 from .core import (
     CenteredBall,
     ConvexPolygon,
@@ -45,9 +46,15 @@ class MinkowskiPlane:
     P: PairedPolygon
     U: CenteredBall
     V: CenteredBall
-    n: int
     a: Scalar
-    backend: Backend = RATIONAL
+
+    @cached_property
+    def n(self) -> int:
+        return self.P.n
+
+    @cached_property
+    def backend(self) -> Backend:
+        return self.P.backend
 
     @property
     def W(self) -> CenteredBall:
@@ -66,15 +73,13 @@ def reorder_parallel(poly: ConvexPolygon) -> PairedPolygon:
     where j counts the pairs of parallel opposite sides of P.  The walk
     visits every vertex of P, so the paired form is P's frame reindexed.
     """
-    backend = poly.backend
     f = poly.frame
     i0, _, merged = edge_merge(f, f.reflected())
     has = [own for *_, own in merged]
     r = has.index(True)
     # the vertex the walk is at as it takes each direction
     walk = [(i0 + s) % len(f.xs) for s in accumulate((has[r:] + has[:r])[:-1], initial=0)]
-    paired = PairedPolygon(Frame([f.xs[i] for i in walk], [f.ys[i] for i in walk], f.den),
-                           len(walk) // 2, backend)
+    paired = PairedPolygon(Frame([f.xs[i] for i in walk], [f.ys[i] for i in walk], f.den))
     paired.validate()
     return paired
 
@@ -100,7 +105,7 @@ def unit_ball(paired: PairedPolygon, a: Scalar, validate: bool = True) -> Center
             raise InputError(f"degenerate diagonal at index {i}")
         ux.append(dx * sn)
         uy.append(dy * sn)
-    ball = CenteredBall(Frame(ux, uy, den * sd).reduced(), n, backend)
+    ball = CenteredBall(Frame(ux, uy, den * sd).reduced())
     if validate:
         ball.validate()
     return ball
@@ -128,7 +133,7 @@ def dual_ball(u: CenteredBall, validate: bool = True) -> CenteredBall:
     else:
         frame = Frame([x * den / d for x, d in zip(dx, dets)],
                       [y * den / d for y, d in zip(dy, dets)], den)
-    ball = CenteredBall(frame, u.n, u.backend)
+    ball = CenteredBall(frame)
     if validate:
         ball.validate()
     return ball
@@ -138,7 +143,7 @@ def ball_from_dual(v: CenteredBall) -> CenteredBall:
     """Recover the primal ball: U_i = -W_{i-1} for W = dual_ball(v), that is
     U_i = -(V_i - V_{i-1}) / det(V_{i-1}, V_i), on W's frame."""
     xs, ys, den = dual_ball(v, validate=False).frame.reflected()
-    ball = CenteredBall(Frame(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], den), v.n, v.backend)
+    ball = CenteredBall(Frame(xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], den))
     ball.validate()
     return ball
 
@@ -159,13 +164,10 @@ def build_plane(poly: ConvexPolygon | PairedPolygon, a: Scalar = None,
         paired = poly
     else:
         paired = reorder_parallel(poly)
-    backend = paired.backend
-    if a is None:
-        a = Fraction(1, 2)
-    a = backend.convert(a)
+    a = paired.backend.convert(Fraction(1, 2) if a is None else a)
     u = unit_ball(paired, a, validate=strict)
     v = dual_ball(u, validate=strict)
-    return MinkowskiPlane(P=paired, U=u, V=v, n=paired.n, a=a, backend=backend)
+    return MinkowskiPlane(P=paired, U=u, V=v, a=a)
 
 
 def det_table(xs: Sequence, ys: Sequence, fx: Sequence, fy: Sequence) -> list[list]:

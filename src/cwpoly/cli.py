@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import os
 import re
+import stat
 import sys
 
 from .backend import get_backend, parse_scalar
@@ -62,12 +63,21 @@ def _write_files(files: list[tuple[str, str]]) -> None:
     """Write each (path, body) in order, all or none: every path is opened
     for append, which changes no file, before any is truncated, and after a
     failed open the files this run created are removed.  A symlink or a
-    device is written through, as ``open(path, "w")`` would."""
+    device is written through, as ``open(path, "w")`` would.  Two paths
+    that open one regular file, such as one path twice or a symlink and its
+    target, raise InputError the same way."""
     made = [path for path, _ in files if not os.path.lexists(path)]
     with contextlib.ExitStack() as stack:
         try:
             opened = [stack.enter_context(open(path, "a", encoding="utf-8"))
                       for path, _ in files]
+            seen = {}
+            for f in opened:
+                st = os.fstat(f.fileno())
+                key = (st.st_dev, st.st_ino)
+                if stat.S_ISREG(st.st_mode) and key in seen:
+                    raise InputError(f"outputs {seen[key]} and {f.name} name one file")
+                seen[key] = f.name
         except BaseException:
             stack.close()
             for path in made:

@@ -29,9 +29,10 @@ Storage: a container holds each polygon and coefficient ladder in a
 ``Stored`` field, in the form its kernel computed (a frame or a list), and
 builds the other form once, on first read: the field reads as the list,
 and ``frame_of`` gives the frame.  Callers pass that frame on, so no
-polygon is framed twice.  A ball (``CenteredBall``) also owns the scalar
-backend, which every kernel given the ball reads, and keeps the constants
-the kernels read from it as cached properties.
+polygon is framed twice.  A container stores nothing that frame decides:
+its ``backend``, ``n`` and ``degenerate`` are read from it, once.  A ball
+(``CenteredBall``) keeps the constants the kernels read from it, its
+backend among them, as cached properties.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -475,34 +476,49 @@ def clean_convex(points: Sequence[Vec2]):
     return Frame([xs[i] for i in keep], [ys[i] for i in keep], den).reduced(), notes
 
 
-class _Vertices:
-    """A container whose polygon is its ``Stored`` field ``vertices``."""
+class _Framed:
+    """A container whose polygon is its ``Stored`` field named ``_polygon``,
+    whose frame gives its ``backend``, ``n`` (half the vertex count) and
+    ``degenerate`` (``single_point``), each read once: frames are not set again."""
+
+    _polygon = "vertices"
 
     @property
     def frame(self) -> Frame:
-        """The frame of the vertices (``frame_of``)."""
-        return frame_of(self, "vertices")
+        """The frame of the polygon (``frame_of``)."""
+        return frame_of(self, self._polygon)
 
     def __len__(self):
         return len(self.frame.xs)
 
+    @cached_property
+    def backend(self) -> Backend:
+        return self.frame.backend
+
+    @cached_property
+    def n(self) -> int:
+        return len(self) // 2
+
+    @cached_property
+    def degenerate(self) -> bool:
+        return single_point(self.frame)
+
 
 @dataclass
-class ConvexPolygon(_Vertices):
+class ConvexPolygon(_Framed):
     """Strictly convex CCW polygon (post-cleanup input type)."""
 
     vertices: list[Vec2] = Stored()
-    backend: Backend = RATIONAL
     notes: list[str] = field(default_factory=list)
 
     @classmethod
     def from_points(cls, points: Iterable, backend: Backend = RATIONAL) -> "ConvexPolygon":
         frame, notes = clean_convex([vec(x, y, backend) for x, y in points])
-        return cls(frame, backend, notes)
+        return cls(frame, notes)
 
 
 @dataclass
-class PairedPolygon(_Vertices):
+class PairedPolygon(_Framed):
     """Closed 2n-list with opposite sides parallel or degenerate.
 
     Constructed by reorder_parallel (validated) or as an equidistant vertex
@@ -511,12 +527,10 @@ class PairedPolygon(_Vertices):
     """
 
     vertices: list[Vec2] = Stored()
-    n: int
-    backend: Backend = RATIONAL
 
     def __post_init__(self):
-        if len(self) != 2 * self.n:
-            raise InputError("paired polygon must have exactly 2n vertices")
+        if len(self) % 2:
+            raise InputError("paired polygon needs an even vertex count")
         if self.n < 2:
             raise InputError("paired polygon needs n >= 2")
 
@@ -549,16 +563,14 @@ class PairedPolygon(_Vertices):
 
 
 @dataclass
-class CenteredBall(_Vertices):
+class CenteredBall(_Framed):
     """Strictly convex CCW 2n-gon with central symmetry about the origin."""
 
     vertices: list[Vec2] = Stored()
-    n: int
-    backend: Backend = RATIONAL
 
     def __post_init__(self):
-        if len(self) != 2 * self.n:
-            raise InputError("centered ball must have exactly 2n vertices")
+        if len(self) % 2:
+            raise InputError("centered ball needs an even vertex count")
 
     def validate(self) -> None:
         """Central symmetry on the ``frame``, then strict convexity
@@ -672,7 +684,7 @@ class CenteredBall(_Vertices):
         """
         xs, ys, den = self.frame
         k = (self.n + 1) % len(xs)
-        return CenteredBall(Frame(xs[k:] + xs[:k], ys[k:] + ys[:k], den), self.n, self.backend)
+        return CenteredBall(Frame(xs[k:] + xs[:k], ys[k:] + ys[:k], den))
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +708,13 @@ def minkowski_frame(p: Sequence[Vec2] | ConvexPolygon | Frame,
                     q: Sequence[Vec2] | ConvexPolygon | Frame) -> Frame:
     """``minkowski_sum`` on the numerators: the edges of ``edge_merge``
     summed from the two lowest vertices, on the lcm of the denominators of
-    the two frames (the frame of both point lists together)."""
+    the two frames (the frame of both point lists together).  An exact frame
+    summed with a float one is read as its float quotients over 1.0."""
     p, q = (x.frame if isinstance(x, ConvexPolygon) else integer_frame(x) for x in (p, q))
-    if p.den != q.den:
+    if p.exact != q.exact:
+        p, q = (Frame([x / f.den for x in f.xs], [y / f.den for y in f.ys], 1.0) if f.exact
+                else f for f in (p, q))
+    elif p.den != q.den:
         den = math.lcm(p.den, q.den)
         p, q = (Frame([x * (den // f.den) for x in f.xs], [y * (den // f.den) for y in f.ys], den)
                 for f in (p, q))

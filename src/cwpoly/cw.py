@@ -44,26 +44,24 @@ from .core import (
     from_frame,
     integer_frame,
     scalar_frame,
-    single_point,
+    _Framed,
 )
 
 
 @dataclass
-class CentralEquidistant:
+class CentralEquidistant(_Framed):
     """Midpoint curve M_i = (P_i + P_{i+n}) / 2 with its coefficient ladders.
 
     alphas[i] solves M_{i+1} - M_i = alpha_i (U_{i+1} - U_i); betas[i] is the
     half window sum of alpha * det(U_i, U_{i+1}) over the n edges following
     vertex i.  For centrally symmetric input M collapses to a point
-    (degenerate=True) and every coefficient is zero.
+    (degenerate is True) and every coefficient is zero.
     """
 
+    _polygon = "M"
     M: list[Vec2] = Stored()
     alphas: list[Scalar] = Stored()
     betas: list[Scalar] = Stored()
-    n: int
-    backend: Backend
-    degenerate: bool
 
 
 def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
@@ -125,15 +123,14 @@ def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:
     M is the frame of the diagonal sums of P's frame over 2 den(P), reduced
     by its content; on a float frame, the float sums halved.  M_{i+n} = M_i,
     so the first n sums are listed twice."""
-    u, backend, n = plane.U, plane.backend, plane.n
+    u, n = plane.U, plane.n
     xs, ys, den = f = plane.P.frame
     sx, sy = [xs[i] + xs[i + n] for i in range(n)], [ys[i] + ys[i + n] for i in range(n)]
     half = (Frame(sx, sy, 2 * den).reduced() if f.exact
             else Frame([x / 2 for x in sx], [y / 2 for y in sy], den))
     mid = Frame(half.xs * 2, half.ys * 2, half.den)
     al = alphas_of(mid, u)
-    return CentralEquidistant(M=mid, alphas=al, betas=betas_of(al, u), n=n, backend=backend,
-                              degenerate=single_point(mid))
+    return CentralEquidistant(M=mid, alphas=al, betas=betas_of(al, u))
 
 
 def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPolygon:
@@ -142,8 +139,7 @@ def equidistant(ce: CentralEquidistant, u: CenteredBall, c: Scalar) -> PairedPol
     Convex exactly when c >= -alpha_i for every edge; smaller c produces
     cusped (self-intersecting) vertex lists, which are still returned.
     """
-    return PairedPolygon(offset_points(frame_of(ce, "M"), u, ce.backend.convert(c)),
-                         ce.n, ce.backend)
+    return PairedPolygon(offset_points(frame_of(ce, "M"), u, ce.backend.convert(c)))
 
 
 def offset_points(points: Sequence[Vec2] | Frame, d: CenteredBall, c: Scalar) -> Frame:

@@ -70,7 +70,7 @@ def load_paired(path: str, backend: Backend = RATIONAL) -> PairedPolygon:
     _, pts = load_document(path, backend)
     if len(pts) % 2 != 0:
         raise InputError("paired polygon document needs an even vertex count")
-    return PairedPolygon(pts, len(pts) // 2, backend)
+    return PairedPolygon(pts)
 
 
 def points_json(points, backend: Backend):

@@ -57,7 +57,7 @@ from .core import (
     mixed_area_frame,
     point_key,
     scalar_frame,
-    single_point,
+    _Framed,
 )
 from .cw import (
     CentralEquidistant,
@@ -70,14 +70,12 @@ from .cw import (
 
 
 @dataclass
-class Evolute:
+class Evolute(_Framed):
     """Centers of curvature E_i with curvature radii mu_i, edge-indexed."""
 
+    _polygon = "E"
     E: list[Vec2] = Stored()
     mus: list[Scalar]
-    n: int
-    backend: Backend
-    degenerate: bool
 
 
 def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
@@ -96,10 +94,9 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
     reduced; a float frame evaluates the formulas directly.  E repeats after
     n slots (E_{i+n} = E_i, exactly in rational mode), so E is the frame of
     its first n vertices twice, and float rounding cannot make its halves
-    differ.  A
-    list whose length is not U's 2n, or a zero det(U_i, U_{i+1}) after the
-    lambda solve, raises InputError.  It runs on U's backend; ``backend``,
-    if given, must be that one (InputError).
+    differ.  A list whose length is not U's 2n, or a zero det(U_i, U_{i+1})
+    after the lambda solve, raises InputError.  It runs on U's backend;
+    ``backend``, if given, must be that one (InputError).
     """
     backend = u.own_backend(backend)
     xs, ys, xden = x = integer_frame(points)
@@ -138,21 +135,19 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
         half = Frame([xs[i] - ux[i] * mus[i] for i in range(n)],
                      [ys[i] - uy[i] * mus[i] for i in range(n)], xden)
     e = Frame(half.xs * 2, half.ys * 2, half.den)
-    return Evolute(E=e, mus=mus, n=n, backend=backend, degenerate=single_point(e))
+    return Evolute(E=e, mus=mus)
 
 
 @dataclass
-class Involute:
+class Involute(_Framed):
     """Involute N of a central equidistant: N_i = M_i + beta_i V_i.
 
     Edge-indexed with zero diagonals; constant width in the dual ball.
     """
 
+    _polygon = "N"
     N: list[Vec2] = Stored()
     betas: list[Scalar] = Stored()
-    n: int
-    backend: Backend
-    degenerate: bool
 
 
 def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | ScalarFrame,
@@ -204,10 +199,8 @@ def involute(ce: CentralEquidistant, v: CenteredBall) -> Involute:
     Both defining forms N_i = M_i + beta_i V_i = M_{i+1} + beta_{i+1} V_i are
     computed and must agree exactly; the result has zero diagonals.
     """
-    backend, betas = ce.backend, frame_of(ce, "betas")
-    n_frame = involute_points(frame_of(ce, "M"), betas, v)
-    return Involute(N=n_frame, betas=betas, n=ce.n, backend=backend,
-                    degenerate=single_point(n_frame))
+    betas = frame_of(ce, "betas")
+    return Involute(N=involute_points(frame_of(ce, "M"), betas, v), betas=betas)
 
 
 def _later(values: list) -> list:

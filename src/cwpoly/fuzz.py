@@ -103,8 +103,7 @@ def random_centered_ball(rng: random.Random, n: int, span: int = 12,
         pts = [start]
         for e in edges[:-1]:
             pts.append(pts[-1] + e)
-        ball = CenteredBall([Vec2(backend.convert(p.x), backend.convert(p.y)) for p in pts],
-                            n, backend)
+        ball = CenteredBall([Vec2(backend.convert(p.x), backend.convert(p.y)) for p in pts])
         try:
             ball.validate()
         except InputError:

@@ -104,8 +104,6 @@ class IterationTrace:
     O: Vec2
     radius: float
     converged: bool
-    n: int
-    backend: Backend
     sumsquares: Scalar
     sa0: Scalar
     stop_reason: str
@@ -113,6 +111,10 @@ class IterationTrace:
     @property
     def final(self) -> IterationStep:
         return self.steps[-1]
+
+    @property
+    def backend(self) -> Backend:
+        return frame_of(self.steps[0], "M").backend
 
 
 def _centroid(frame: Frame) -> Vec2:
@@ -157,8 +159,6 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         O=_centroid(frame_of(last, "M")),
         radius=last.diam_m,
         converged=stop_reason == "tol",
-        n=plane.n,
-        backend=backend,
         sumsquares=from_frame(_total(gaps), den) if gaps else 0,
         sa0=steps[0].sa_m,
         stop_reason=stop_reason,
@@ -257,12 +257,10 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
     """
     if not 0 <= k < len(trace.steps):
         raise InputError(f"step {k} not in trace (0..{len(trace.steps) - 1})")
-    backend = plane.backend
-    c = backend.convert(c)
-    d = backend.convert(d)
+    c, d = plane.backend.convert(c), plane.backend.convert(d)
     step = trace.steps[k]
-    return (PairedPolygon(offset_points(frame_of(step, "M"), plane.U, c), plane.n, backend),
-            PairedPolygon(offset_points(frame_of(step, "N"), plane.V, d), plane.n, backend))
+    return (PairedPolygon(offset_points(frame_of(step, "M"), plane.U, c)),
+            PairedPolygon(offset_points(frame_of(step, "N"), plane.V, d)))
 
 
 def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:

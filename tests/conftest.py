@@ -101,12 +101,12 @@ def perturbed_planes():
     constant-width: a nudged hexagon, and four fuzz planes with vertex 1
     moved by (1/3, 1/5)."""
     nudged = PairedPolygon(
-        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)], 3)
+        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)])
     planes = [build_plane(nudged, F(1, 2), strict=False)]
     for plane in fuzz_planes(777, 4):
         pts = list(plane.P.vertices)
         pts[1] = pts[1] + Vec2(F(1, 3), F(1, 5))
-        planes.append(build_plane(PairedPolygon(pts, plane.n), plane.a, strict=False))
+        planes.append(build_plane(PairedPolygon(pts), plane.a, strict=False))
     return planes
 
 
@@ -116,5 +116,5 @@ def float_copy(plane, scale):
     from cwpoly.backend import FLOAT
 
     paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, FLOAT)
-                            for p in plane.P.vertices], plane.n, FLOAT)
+                            for p in plane.P.vertices])
     return build_plane(paired, 0.5)

@@ -34,7 +34,6 @@ from cwpoly import (
     signed_area_gap,
     v_length,
 )
-from cwpoly.backend import get_backend
 from cwpoly.fuzz import random_centered_ball, random_cw_plane, random_rational
 from cwpoly.iterate import convex_parent_of_m
 
@@ -154,15 +153,13 @@ def test_criterion_06_containment_200():
 
 
 def test_criterion_07_float_convergence_100():
-    fb = get_backend("float")
     t0 = time.time()
     bad = []
     rng = random.Random(1007)
     for idx in range(100):
         plane_r = random_cw_plane(rng)
         paired = PairedPolygon(
-            [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices],
-            plane_r.n, fb)
+            [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices])
         plane = build_plane(paired, 0.5)
         trace = iterate_involutes(plane, max_steps=10_000, tol=1e-6)
         diams = [s.diam_m for s in trace.steps]

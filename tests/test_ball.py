@@ -164,7 +164,7 @@ def test_unit_ball_scaling_homogeneity(quad_plane):
 
 
 def test_unit_ball_degenerate_diagonal_rejected():
-    p = PairedPolygon([vec(0, 0), vec(1, 0), vec(0, 1), vec(0, 0), vec(1, 0), vec(0, 1)], 3)
+    p = PairedPolygon([vec(0, 0), vec(1, 0), vec(0, 1), vec(0, 0), vec(1, 0), vec(0, 1)])
     with pytest.raises(InputError):
         unit_ball(p, F(1, 2))
 
@@ -177,7 +177,7 @@ def test_dual_ball_triangle_golden(triangle_plane):
 def test_dual_ball_square():
     from cwpoly.core import CenteredBall
 
-    u = CenteredBall([vec(1, -1), vec(1, 1), vec(-1, 1), vec(-1, -1)], 2)
+    u = CenteredBall([vec(1, -1), vec(1, 1), vec(-1, 1), vec(-1, -1)])
     v = dual_ball(u)
     assert [(p.x, p.y) for p in v.vertices] == \
         [(F(0), F(1)), (F(-1), F(0)), (F(0), F(-1)), (F(1), F(0))]
@@ -253,7 +253,7 @@ def test_is_constant_width_mismatched_ball():
     plane = build_plane(sq, F(1, 2))
     from cwpoly.core import CenteredBall
 
-    stretched = CenteredBall([Vec2(u.x * 2, u.y) for u in plane.U.vertices], plane.n)
+    stretched = CenteredBall([Vec2(u.x * 2, u.y) for u in plane.U.vertices])
     res = is_constant_width(plane.P, stretched)
     assert not res.ok and res.witness is not None
 
@@ -264,30 +264,30 @@ def test_is_constant_width_vertex_count_mismatch(triangle_plane, quad_plane):
     assert res == WidthResult(False, witness=0, reason="vertex count mismatch")
 
 
-@pytest.mark.parametrize("ball, paired, n, witness, reason", [
+@pytest.mark.parametrize("ball, paired, witness, reason", [
     # every edge of P along its ball edge and every diagonal along its ball
     # vertex, but the ball is not centrally symmetric: U_2 = -2 U_0, so the
     # diagonal P_2 - P_0 = -3 U_0 is 3/2 U_2, against 3 U_0 at index 0
-    ([(1, 0), (0, 1), (-2, 0), (0, -2)], [(0, 0), (-1, 1), (-3, 0), (-1, -2)], 2,
+    ([(1, 0), (0, 1), (-2, 0), (0, -2)], [(0, 0), (-1, 1), (-3, 0), (-1, -2)],
      2, "diagonal ratio is not constant"),
     # a single point: every edge and diagonal is zero, so a = 0
-    ([(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)], [(1, 1)] * 6, 3,
+    ([(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)], [(1, 1)] * 6,
      0, "nonpositive width"),
     # a ball that is not strictly convex, a parallelogram listed with two
     # edge midpoints: U has 6 edges in 4 directions, and so has P + (-P)
     ([(-1, 0), (0, -1), (1, -2), (1, 0), (0, 1), (-1, 2)],
-     [(0, 0), (0, 0), (2, -2), (2, 0), (0, 2), (0, 2)], 3,
+     [(0, 0), (0, 0), (2, -2), (2, 0), (0, 2), (0, 2)],
      0, "P+(-P) vertex count mismatch"),
 ], ids=["asymmetric-ball", "single-point", "collinear-ball-vertices"])
-def test_is_constant_width_failure_reasons(ball, paired, n, witness, reason):
-    u = CenteredBall([vec(x, y) for x, y in ball], n)
-    p = PairedPolygon([vec(x, y) for x, y in paired], n)
+def test_is_constant_width_failure_reasons(ball, paired, witness, reason):
+    u = CenteredBall([vec(x, y) for x, y in ball])
+    p = PairedPolygon([vec(x, y) for x, y in paired])
     assert is_constant_width(p, u) == WidthResult(False, witness=witness, reason=reason)
     assert _ref_is_constant_width(p, u) == WidthResult(False, witness=witness, reason=reason)
 
 
 def test_ball_validate_rejects_asymmetric_ball():
-    ball = CenteredBall([vec(1, 0), vec(0, 1), vec(-2, 0), vec(0, -1)], 2)
+    ball = CenteredBall([vec(1, 0), vec(0, 1), vec(-2, 0), vec(0, -1)])
     with pytest.raises(InputError, match="ball not centrally symmetric at index 0"):
         ball.validate()
 
@@ -295,9 +295,9 @@ def test_ball_validate_rejects_asymmetric_ball():
 def test_is_constant_width_perturbed_paired():
     # a paired hexagon with one vertex nudged: no longer parallel opposite sides
     p = PairedPolygon(
-        [vec(3, 0), vec(5, 2), vec(4, 4), vec(1, 4), vec(-1, 2), vec(0, 0)], 3)
+        [vec(3, 0), vec(5, 2), vec(4, 4), vec(1, 4), vec(-1, 2), vec(0, 0)])
     nudged = PairedPolygon(
-        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)], 3)
+        [vec(3, 0), vec(5, 2), vec(4, 5), vec(1, 4), vec(-1, 2), vec(0, 0)])
     u = unit_ball(nudged, F(1, 2), validate=False)
     res = is_constant_width(nudged, u)
     assert not res.ok and res.witness is not None
@@ -368,7 +368,7 @@ def _longer_edge_ball(u):
     for e in edges:
         out.append(w)
         w = w + e
-    return CenteredBall(out, u.n, u.backend)
+    return CenteredBall(out)
 
 
 def test_is_constant_width_matches_scalar_reference():
@@ -379,12 +379,12 @@ def test_is_constant_width_matches_scalar_reference():
     planes += [float_copy(p, s) for p in planes[:6] for s in (1e-3, 1.0)]
     reasons = set()
     for plane in planes:
-        uv, n = plane.U.vertices, plane.n
+        uv = plane.U.vertices
         for u in (plane.U,
-                  CenteredBall([Vec2(w.x * 2, w.y) for w in uv], n, plane.backend),
-                  CenteredBall([-w for w in uv], n, plane.backend),
-                  CenteredBall([w * (i % 2 + 1) for i, w in enumerate(uv)], n, plane.backend),
-                  CenteredBall(uv[1:] + uv[:1], n, plane.backend),
+                  CenteredBall([Vec2(w.x * 2, w.y) for w in uv]),
+                  CenteredBall([-w for w in uv]),
+                  CenteredBall([w * (i % 2 + 1) for i, w in enumerate(uv)]),
+                  CenteredBall(uv[1:] + uv[:1]),
                   _longer_edge_ball(plane.U)):
             res = is_constant_width(plane.P, u)
             assert res == _ref_is_constant_width(plane.P, u)

@@ -17,7 +17,7 @@ from cwpoly.backend import RATIONAL
 from cwpoly.cli import main
 from cwpoly.docio import document_json, dump_json, load_document
 from cwpoly.fuzz import random_convex_polygon
-from cwpoly.iterate import _sci
+from cwpoly.iterate import TraceCheck, _sci
 
 
 @pytest.fixture
@@ -140,6 +140,20 @@ def test_iterate_trace_and_csv(triangle_doc, tmp_path, capsys):
     assert len(lines) == len(out["steps"]) + 1
 
 
+def test_exit_3_iterate_ledger_failure(triangle_doc, tmp_path, capsys, monkeypatch):
+    # a failed ledger check exits 3 after the JSON is printed and the CSV
+    # written
+    failed = TraceCheck("iterate.gap_identities", False, "beta gap fails at k=1")
+    monkeypatch.setattr(cwpoly.cli, "check_trace", lambda trace, plane: [failed])
+    csv = tmp_path / "trace.csv"
+    assert main(["iterate", triangle_doc, "--steps", "2", "--csv", str(csv)]) == 3
+    out = capsys.readouterr()
+    assert out.err.endswith("iterate: ledger verification failed\n")
+    assert json.loads(out.out)["checks"] == [
+        {"check_id": "iterate.gap_identities", "pass": False, "detail": "beta gap fails at k=1"}]
+    assert csv.read_text().startswith("k,SA_M,SA_N,diameter\n0,")
+
+
 def test_verify_triangle_report(triangle_doc, capsys):
     assert main(["verify", triangle_doc, "--seed", "5", "--samples", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -229,6 +243,19 @@ def test_exit_2_vertices_not_a_list(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("body, error", [
+    (b"\xff\xfe{", "error: cannot decode {} as UTF-8: "),
+    (b'{"vertices": [[0, 0], [1, 0]', "error: invalid JSON in {}: "),
+    (b'{"vertices": [[0, 0], [1, 0]]}', "error: polygon document needs at least 3 vertices\n"),
+], ids=["not-utf8", "truncated-json", "two-vertices"])
+def test_exit_2_document_rejections(tmp_path, capsys, body, error):
+    path = tmp_path / "doc.json"
+    path.write_bytes(body)
+    assert main(["ball", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(error.format(path))
+
+
 @pytest.mark.parametrize("flag", ["--out", "--svg", "--csv"])
 def test_exit_2_unwritable_output(triangle_doc, tmp_path, capsys, flag):
     target = str(tmp_path / "missing" / "out")
@@ -292,6 +319,37 @@ def test_csv_is_written_through_a_symlink(triangle_doc, tmp_path):
     assert main(argv + [str(link)]) == 0
     assert link.is_symlink() and real.read_bytes() == plain.read_bytes()
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("case", ["new", "existing", "symlink"])
+def test_exit_2_two_outputs_name_one_file(triangle_doc, tmp_path, capsys, case):
+    # refused before any target is truncated, so neither output is written
+    # into the other: an existing file keeps its bytes, a new one is removed
+    # again, and a symlink to the other target stays as it was
+    folder = tmp_path / "out"
+    folder.mkdir()
+    target = other = folder / "same.txt"
+    if case != "new":
+        target.write_bytes(b"old bytes\n")
+    if case == "symlink":
+        other = folder / "link.txt"
+        other.symlink_to(target)
+    argv = ["iterate", triangle_doc, "--steps", "2", "--csv", str(target), "--svg", str(other)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: outputs {target} and {other} name one file\n")
+    assert (target.read_bytes() == b"old bytes\n") if case != "new" else not target.exists()
+    assert sorted(p.name for p in folder.iterdir()) == {
+        "new": [], "existing": ["same.txt"], "symlink": ["link.txt", "same.txt"]}[case]
+    assert other.is_symlink() == (case == "symlink")
+
+
+def test_two_outputs_to_the_null_device(triangle_doc, capsys):
+    # a device is no regular file, so it may take two outputs
+    argv = ["iterate", triangle_doc, "--steps", "2", "--csv", os.devnull, "--svg", os.devnull]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
 
 
 def test_csv_to_the_null_device(triangle_doc, capsys):

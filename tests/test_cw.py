@@ -494,7 +494,7 @@ def _dual_variants(plane, rng):
     along, scaled = list(v.vertices), list(v.vertices)
     along[k] = along[k] + u.vertices[k] * t
     scaled[k] = scaled[k] * (1 + t)
-    return [v] + [CenteredBall(vs, plane.n, plane.backend) for vs in (along, scaled)]
+    return [v] + [CenteredBall(vs) for vs in (along, scaled)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -146,7 +146,7 @@ def test_involute_of_translate_on_general_denominator():
 def test_involute_points_halves_differ():
     # both defining forms agree on every slot, but X is not central: with
     # beta = (1, 0, 1, 0) along the square V, N_2 = (0, -1) and N_0 = (1, 0)
-    v = CenteredBall([vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)], 2)
+    v = CenteredBall([vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)])
     x = [vec(0, 0), vec(1, 0), vec(1, -1), vec(0, -1)]
     with pytest.raises(IdentityError, match="involute halves differ at edge 0"):
         involute_points(x, [F(1), F(0), F(1), F(0)], v)
@@ -170,7 +170,7 @@ def test_rational_evolute_defining_forms_disagree(quad_plane):
     # passes, but it halves each lambda and so each mu, and the two exact
     # forms of E_0 differ
     u, (vx, vy, vden) = quad_plane.U, quad_plane.V.frame
-    v2 = CenteredBall(Frame([2 * x for x in vx], [2 * y for y in vy], vden), quad_plane.n)
+    v2 = CenteredBall(Frame([2 * x for x in vx], [2 * y for y in vy], vden))
     with pytest.raises(IdentityError, match="evolute defining forms disagree at edge 0"):
         evolute(quad_plane.P.frame, u, v2)
 
@@ -340,7 +340,7 @@ def _reference_containment(curve, parent, samples):
 def _scaled_float_plane(plane, scale):
     fb = get_backend("float")
     paired = PairedPolygon([vec(float(p.x) * scale, float(p.y) * scale, fb)
-                            for p in plane.P.vertices], plane.n, fb)
+                            for p in plane.P.vertices])
     return build_plane(paired, float(plane.a) * scale)
 
 
@@ -646,11 +646,11 @@ def test_zero_edge_determinant_is_an_input_error():
     # unit_ball builds such a ball when it is not validated, and
     # build_plane(strict=False) skips validate() but not the division of
     # dual_ball by that determinant
-    p =PairedPolygon([vec(1, 0), vec(2, 0), vec(0, 1), vec(-1, 0), vec(-2, 0), vec(0, -1)], 3)
+    p =PairedPolygon([vec(1, 0), vec(2, 0), vec(0, 1), vec(-1, 0), vec(-2, 0), vec(0, -1)])
     with pytest.raises(InputError, match=r"^degenerate ball edge at index 0$"):
         build_plane(p, F(1, 2), strict=False)
     # a ball that is only not strictly convex is built, and diagnosed later
-    q = PairedPolygon([vec(-2, 1), vec(3, 3), vec(3, -3), vec(-1, -3), vec(0, 3), vec(0, 0)], 3)
+    q = PairedPolygon([vec(-2, 1), vec(3, 3), vec(3, -3), vec(-1, -3), vec(0, 3), vec(0, 0)])
     with pytest.raises(InputError, match="not strictly convex"):
         build_plane(q, 1)
     assert not is_constant_width(q, build_plane(q, 1, strict=False).U).ok

@@ -300,9 +300,8 @@ def _float_plane(points, a=0.5):
 
 
 def _float_copy(plane_r):
-    fb = get_backend("float")
     paired_f = PairedPolygon(
-        [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices], plane_r.n, fb)
+        [Vec2(float(p.x), float(p.y)) for p in plane_r.P.vertices])
     return build_plane(paired_f, float(plane_r.a))
 
 
@@ -421,9 +420,7 @@ GOLDEN_VERTICES_SHA256 = "17c5936280242c5fc37f26e9b4f68bf687a4b0cbe108e0d4945cc8
 
 
 def _scaled_float(plane_r, s):
-    fb = get_backend("float")
-    paired = PairedPolygon([Vec2(float(p.x) * s, float(p.y) * s) for p in plane_r.P.vertices],
-                           plane_r.n, fb)
+    paired = PairedPolygon([Vec2(float(p.x) * s, float(p.y) * s) for p in plane_r.P.vertices])
     return build_plane(paired, 0.5)
 
 

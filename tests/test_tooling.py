@@ -1,7 +1,8 @@
 """The names the benchmark's per-layer tracer patches exist in the package,
-the tracer sees the ladder's public functions, the size sweep runs, and a
-``backend`` parameter appears only where a backend is chosen, stored,
-printed or checked."""
+the tracer sees the ladder's public functions, the size sweep runs, a
+``backend`` parameter appears only where a backend is chosen, printed or
+checked, and the containers store only their data."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -10,7 +11,9 @@ import sys
 from pathlib import Path
 
 import cwpoly
-from cwpoly import iterate, iterate_involutes, kernels
+from cwpoly import (CenteredBall, CentralEquidistant, ConvexPolygon, Evolute, Involute,
+                    IterationTrace, MinkowskiPlane, PairedPolygon, iterate, iterate_involutes,
+                    kernels)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,7 +79,8 @@ def test_cli_imports_only_the_standard_library(run_python):
 
 def test_backend_parameters_only_where_a_backend_is_chosen_stored_printed_or_checked():
     # a helper handed a frame, a framed value or a point list it frames
-    # reads the backend from the denominator, so it takes no backend
+    # reads the backend from the denominator, so it takes no backend, and
+    # no container stores one
     found = set()
     for info in pkgutil.iter_modules(cwpoly.__path__):
         module = importlib.import_module(f"cwpoly.{info.name}")
@@ -95,11 +99,6 @@ def test_backend_parameters_only_where_a_backend_is_chosen_stored_printed_or_che
         "backend.parse_scalar", "core.vec", "core.ConvexPolygon.from_points",
         "docio.load_document", "docio.load_paired", "docio.load_polygon",
         "fuzz.random_convex_polygon", "fuzz.random_cw_plane", "fuzz.random_centered_ball",
-        # stored: the containers' constructors
-        "core.ConvexPolygon.__init__", "core.PairedPolygon.__init__",
-        "core.CenteredBall.__init__", "ball.MinkowskiPlane.__init__",
-        "cw.CentralEquidistant.__init__", "evolute.Evolute.__init__",
-        "evolute.Involute.__init__", "iterate.IterationTrace.__init__",
         # printed
         "docio.points_json", "docio.document_json", "verify._s", "verify.Report.__init__",
         # checked against a ball
@@ -107,3 +106,21 @@ def test_backend_parameters_only_where_a_backend_is_chosen_stored_printed_or_che
         # handed bare scalars
         "cw.ladder_cusps",
     }
+
+
+def test_containers_store_only_their_data():
+    # backend, n and degenerate are read from the frame of each container's
+    # polygon (a trace's backend from M(0), a plane's from P), so they are
+    # not fields, and no constructor accepts them
+    fields = {
+        ConvexPolygon: ["vertices", "notes"],
+        PairedPolygon: ["vertices"],
+        CenteredBall: ["vertices"],
+        MinkowskiPlane: ["P", "U", "V", "a"],
+        CentralEquidistant: ["M", "alphas", "betas"],
+        Evolute: ["E", "mus"],
+        Involute: ["N", "betas"],
+        IterationTrace: ["steps", "O", "radius", "converged", "sumsquares", "sa0", "stop_reason"],
+    }
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in fields} == fields
+    assert sum(map(len, fields.values())) == 22

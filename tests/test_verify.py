@@ -46,11 +46,23 @@ def test_symmetric_degenerate_path(symmetric_plane):
 def test_float_backend_report(triangle_plane):
     fb = get_backend("float")
     paired = PairedPolygon(
-        [vec(float(p.x), float(p.y), fb) for p in triangle_plane.P.vertices], 3, fb)
+        [vec(float(p.x), float(p.y), fb) for p in triangle_plane.P.vertices])
     plane = build_plane(paired, 0.5)
     report = run_verify(plane, seed=3, samples=2)
     assert report.backend == "float"
     assert report.all_ok, [(c.check_id, c.actual) for c in report.checks if not c.ok]
+
+
+@pytest.mark.parametrize("kind, backend", [(int, "rational"), (float, "float")])
+def test_plain_coordinates_decide_the_backend(kind, backend):
+    # a paired triangle of plain ints or plain floats, given no backend: its
+    # frame decides the backend of every container, and the suite passes
+    pts = [Vec2(kind(x), kind(y)) for x, y in [(0, 0), (4, 0), (4, 0), (1, 3), (1, 3), (0, 0)]]
+    assert ConvexPolygon(pts).backend.name == backend
+    plane = build_plane(PairedPolygon(pts))
+    report = run_verify(plane, samples=2, iterate_steps=2)
+    assert plane.backend.name == report.backend == backend
+    assert report.all_ok and len(report.checks) == 22, [c for c in report.checks if not c.ok]
 
 
 def test_float_backend_tangential_containment():
@@ -100,8 +112,7 @@ def test_float_verdicts_match_rational_fuzz():
         want = _verdicts(run_verify(plane_r, seed=i, samples=2, iterate_steps=4))
         for scale in (1e-3, 1.0):
             paired = PairedPolygon(
-                [vec(float(p.x) * scale, float(p.y) * scale, fb) for p in plane_r.P.vertices],
-                plane_r.n, fb)
+                [vec(float(p.x) * scale, float(p.y) * scale, fb) for p in plane_r.P.vertices])
             report = run_verify(build_plane(paired, 0.5), seed=i, samples=2, iterate_steps=4)
             got = _verdicts(report)
             assert got == want, (i, scale, [(c.check_id, c.actual)
