@@ -25,14 +25,17 @@ frame takes a backend.  The chord counts (``ChordFrame``, and
 rational value, so they are exact on both backends; ``exact_frame`` is
 the one snapping rule, and frames its input once.
 
-Storage: a container holds each polygon and coefficient ladder in a
-``Stored`` field, in the form its kernel computed (a frame or a list), and
-builds the other form once, on first read: the field reads as the list,
-and ``frame_of`` gives the frame.  Callers pass that frame on, so no
-polygon is framed twice.  A container stores nothing that frame decides:
-its ``backend``, ``n`` and ``degenerate`` are read from it, once.  A ball
-(``CenteredBall``) keeps the constants the kernels read from it, its
-backend among them, as cached properties.
+Storage: a container holds each polygon, coefficient ladder and ledger
+scalar in a ``Stored`` field (``StoredLadder``, ``StoredValue``), in the
+form its kernel computed (a frame or a list, a framed value or a scalar),
+and builds the other form once, on first read: the field reads as the list
+or the scalar, and ``frame_of`` gives the frame.  Callers pass that frame
+on, so no polygon is framed twice, and no Fraction is built for a value
+nobody reads.  Point identities compare two frames with
+``first_mismatch``, on their numerators.  A container stores nothing that
+its frame decides: its ``backend``, ``n`` and ``degenerate`` are read from
+it, once.  A ball (``CenteredBall``) keeps the constants the kernels read
+from it, its backend among them, as cached properties.
 
 Index conventions used throughout the package (0-based, cyclic mod 2n):
 
@@ -241,11 +244,22 @@ def from_frame(num, den) -> Scalar:
 
 
 class Stored:
-    """A container field set with a ``Frame``, a ``ScalarFrame`` or a list.
-    It keeps (frame, list) in the slot "_" + name, with None for a form not
-    yet built; reading it builds the list from the frame (``Frame.points``,
-    ``ScalarFrame.values``).  The class-level read raises AttributeError, so
-    the dataclass field has no default."""
+    """A container field that holds a polygon: set with a ``Frame`` or a
+    point list, it reads as the list.  It keeps (frame, items) in the slot
+    "_" + name, with None for a form not yet built; reading it builds the
+    list from the frame (``read``), and ``frame_of`` builds the frame from a
+    list (``frame``).  ``StoredLadder`` and ``StoredValue`` are the same
+    field for a coefficient ladder and for one framed value.  The
+    class-level read raises AttributeError, so the dataclass field has no
+    default."""
+
+    @staticmethod
+    def read(frame: Frame) -> list[Vec2]:
+        return frame.points()
+
+    @staticmethod
+    def frame(items: Sequence[Vec2]) -> Frame:
+        return integer_frame(items)
 
     def __set_name__(self, owner, name):
         self.name, self.slot = name, "_" + name
@@ -255,7 +269,7 @@ class Stored:
             raise AttributeError(self.name)
         frame, items = obj.__dict__[self.slot]
         if items is None:
-            items = frame.points() if isinstance(frame, Frame) else frame.values()
+            items = self.read(frame)
             obj.__dict__[self.slot] = (frame, items)
         return items
 
@@ -264,23 +278,51 @@ class Stored:
                                    else (None, value))
 
 
+class StoredLadder(Stored):
+    """A ``Stored`` coefficient ladder: set with a ``ScalarFrame`` or a list
+    of scalars, it reads as the list (``ScalarFrame.values``)."""
+
+    @staticmethod
+    def read(frame: ScalarFrame) -> list[Scalar]:
+        return frame.values()
+
+    @staticmethod
+    def frame(items: Sequence[Scalar]) -> ScalarFrame:
+        return scalar_frame(items)
+
+
+class StoredValue(Stored):
+    """A ``Stored`` scalar: set with a framed value, a ``ScalarFrame`` of one
+    entry, or with the scalar itself, it reads as the scalar
+    (``ScalarFrame.value``), built on the first read."""
+
+    @staticmethod
+    def read(frame: ScalarFrame) -> Scalar:
+        return frame.value()
+
+    @staticmethod
+    def frame(item: Scalar) -> ScalarFrame:
+        return scalar_frame([item])
+
+
 def frame_of(obj, name: str) -> Frame | ScalarFrame:
     """The frame of the ``Stored`` field ``name`` of obj: the frame it was
-    set with, or ``integer_frame`` of the point list (``scalar_frame`` of
-    the scalars) it was set with, built on the first call and kept."""
+    set with, or the frame of the list (or scalar) it was set with, as its
+    field builds it (``integer_frame`` of a point list, ``scalar_frame`` of
+    scalars), on the first call, and kept."""
     frame, items = obj.__dict__["_" + name]
     if frame is None:
-        frame = (integer_frame if items and isinstance(items[0], Vec2) else scalar_frame)(items)
+        field_ = next(vars(c)[name] for c in type(obj).__mro__ if name in vars(c))
+        frame = field_.frame(items)
         obj.__dict__["_" + name] = (frame, items)
     return frame
 
 
 def single_point(f: Frame) -> bool:
-    """Whether every point of a frame is its first, by its backend's ``eq``
-    of the numerators: exact equality on an exact frame, and on a float
-    frame the coordinates themselves."""
-    eq, x0, y0 = f.backend.eq, f.xs[0], f.ys[0]
-    return all(eq(x, x0) and eq(y, y0) for x, y in zip(f.xs, f.ys))
+    """Whether every point of a frame is its first (``first_mismatch``
+    against that one point): exact equality on an exact frame, and on a
+    float frame FLOAT's ``eq`` of the coordinates themselves."""
+    return first_mismatch(f, Frame(f.xs[:1], f.ys[:1], f.den)) is None
 
 
 def cross_terms(xs: Sequence, ys: Sequence) -> list:
@@ -338,6 +380,28 @@ def frame_eq(a, da, b, db) -> bool:
     if type(da) is float or type(db) is float:
         return FLOAT.eq(a / da, b / db)
     return a * db == b * da
+
+
+def first_mismatch(a: Frame, b: Frame, shift: int = 0) -> int | None:
+    """The first index i whose point of frame a differs from point (i +
+    shift) mod len(b) of frame b, or None if every point of a has its match.
+    Exact frames compare by cross-multiplication, so neither need be
+    reduced; if either frame is a float one, the quotients compare by
+    FLOAT's ``eq``, as ``Backend.same_point`` of their points does."""
+    ax, ay, da = a
+    bx, by, db = b
+    k = shift % len(bx) if bx else 0
+    pairs = zip(ax, ay, cycle(bx[k:] + bx[:k]), cycle(by[k:] + by[:k]))
+    if type(da) is float or type(db) is float:
+        eq = FLOAT.eq
+        for i, (x, y, p, q) in enumerate(pairs):
+            if not (eq(x / da, p / db) and eq(y / da, q / db)):
+                return i
+        return None
+    for i, (x, y, p, q) in enumerate(pairs):
+        if x * db != p * da or y * db != q * da:
+            return i
+    return None
 
 
 # Framed values: one scalar nums[0] / den as a ScalarFrame of one entry,
@@ -422,8 +486,8 @@ def angle_less(u: Vec2, v: Vec2) -> bool:
     return _angle_less(u.x, u.y, v.x, v.y)
 
 
-def clean_convex(points: Sequence[Vec2]):
-    """Normalize a raw vertex list into strictly convex CCW form.
+def clean_convex(points: Sequence[Vec2] | Frame):
+    """Normalize a raw vertex list, or its frame, into strictly convex CCW form.
 
     Returns (frame, notes).  Consecutive duplicates are merged and
     collinear middle vertices dropped (both reported in notes); clockwise
@@ -433,10 +497,9 @@ def clean_convex(points: Sequence[Vec2]):
     the frame returned is that of the input points kept, reduced by its
     content (``Frame.reduced``).
     """
-    pts = list(points)
-    if len(pts) < 3:
+    xs, ys, den = f = integer_frame(points if isinstance(points, Frame) else list(points))
+    if len(xs) < 3:
         raise InputError("polygon needs at least 3 vertices")
-    xs, ys, den = f = integer_frame(pts)
     sign = f.backend.sign
     q = list(zip(xs, ys))
     keep = [i for i in range(len(q)) if i == 0 or q[i] != q[i - 1]]
@@ -476,12 +539,32 @@ def clean_convex(points: Sequence[Vec2]):
     return Frame([xs[i] for i in keep], [ys[i] for i in keep], den).reduced(), notes
 
 
+class _FrameFact:
+    """``backend`` or ``n`` of a ``_Framed`` container.  The first read of
+    either takes both from the frame, in one pass, into the instance dict,
+    which later reads find first: a non-data descriptor, with no lock, unlike
+    ``functools.cached_property``."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        f = obj.frame
+        d = obj.__dict__
+        d["backend"], d["n"] = f.backend, len(f.xs) // 2
+        return d[self.name]
+
+
 class _Framed:
     """A container whose polygon is its ``Stored`` field named ``_polygon``,
     whose frame gives its ``backend``, ``n`` (half the vertex count) and
     ``degenerate`` (``single_point``), each read once: frames are not set again."""
 
     _polygon = "vertices"
+    backend = _FrameFact()
+    n = _FrameFact()
 
     @property
     def frame(self) -> Frame:
@@ -490,14 +573,6 @@ class _Framed:
 
     def __len__(self):
         return len(self.frame.xs)
-
-    @cached_property
-    def backend(self) -> Backend:
-        return self.frame.backend
-
-    @cached_property
-    def n(self) -> int:
-        return len(self) // 2
 
     @cached_property
     def degenerate(self) -> bool:
@@ -511,9 +586,22 @@ class ConvexPolygon(_Framed):
     vertices: list[Vec2] = Stored()
     notes: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if len(self) < 3:
+            raise InputError("polygon needs at least 3 vertices")
+
     @classmethod
     def from_points(cls, points: Iterable, backend: Backend = RATIONAL) -> "ConvexPolygon":
-        frame, notes = clean_convex([vec(x, y, backend) for x, y in points])
+        """The cleaned polygon (``clean_convex``) of raw (x, y) pairs, each
+        coordinate read by ``backend.convert``.  Plain ints on the rational
+        backend are framed as they are, over den = 1, which is the frame
+        their conversion would give."""
+        pts = [(x, y) for x, y in points]
+        if backend is RATIONAL and all(type(x) is int and type(y) is int for x, y in pts):
+            raw = Frame([x for x, _ in pts], [y for _, y in pts], 1)
+        else:
+            raw = [vec(x, y, backend) for x, y in pts]
+        frame, notes = clean_convex(raw)
         return cls(frame, notes)
 
 
@@ -571,6 +659,8 @@ class CenteredBall(_Framed):
     def __post_init__(self):
         if len(self) % 2:
             raise InputError("centered ball needs an even vertex count")
+        if not len(self):
+            raise InputError("centered ball needs vertices")
 
     def validate(self) -> None:
         """Central symmetry on the ``frame``, then strict convexity

@@ -35,6 +35,7 @@ from .core import (
     InputError,
     PairedPolygon,
     Stored,
+    StoredLadder,
     Vec2,
     frame_eq,
     Frame,
@@ -60,8 +61,8 @@ class CentralEquidistant(_Framed):
 
     _polygon = "M"
     M: list[Vec2] = Stored()
-    alphas: list[Scalar] = Stored()
-    betas: list[Scalar] = Stored()
+    alphas: list[Scalar] = StoredLadder()
+    betas: list[Scalar] = StoredLadder()
 
 
 def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
@@ -155,8 +156,10 @@ def offset_points(points: Sequence[Vec2] | Frame, d: CenteredBall, c: Scalar) ->
 
 
 def min_convex_c(ce: CentralEquidistant) -> Scalar:
-    """Smallest c for which the c-equidistant is convex (max of -alpha)."""
-    return max(-a for a in ce.alphas)
+    """Smallest c for which the c-equidistant is convex (max of -alpha),
+    from the numerators of the alpha frame: one scalar is built."""
+    nums, den = frame_of(ce, "alphas")
+    return from_frame(-min(nums), den)
 
 
 def lambdas_of(points: Sequence[Vec2] | Frame, v: CenteredBall) -> ScalarFrame:

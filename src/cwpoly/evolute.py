@@ -21,15 +21,14 @@ is ``evolute(X, V, W).E[i - 1]``, and ``dual_involute`` is
 edge world, and ``cw.ladder_cusps`` gives the cusps of both
 (``evolute_cusps``).  ``evolute``, ``involute_points``, ``dual_involute``,
 ``signed_area`` and ``signed_area_gap`` take a point list (or scalars) or a
-frame (see ``core``) and compute on its integers; the involutes and the
-evolute E are frames, ``evolute`` builds one Fraction per curvature
-radius, and the two area formulas are ``signed_area_frame`` and
-``signed_area_gap_frame``, whose framed values the public functions
-read.  ``containment_check`` takes the curve as a list or a frame too,
-frames it once (``core.exact_frame``) and samples every segment on its
-one denominator.  Every function here that is given a ball computes on the
-ball's backend (``CenteredBall.backend``), and one given a list whose
-length is not the ball's 2n raises InputError
+frame (see ``core``) and compute on its integers; the involutes, the
+evolute E and its curvature radii are frames, and the two area formulas
+are ``signed_area_frame`` and ``signed_area_gap_frame``, whose framed
+values the public functions read.  ``containment_check`` takes the curve
+as a list or a frame too, frames it once (``core.exact_frame``) and
+samples every segment on its one denominator.  Every function here that is
+given a ball computes on the ball's backend (``CenteredBall.backend``), and
+one given a list whose length is not the ball's 2n raises InputError
 (``CenteredBall.require_length``).
 """
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .core import (
     InputError,
     PairedPolygon,
     Stored,
+    StoredLadder,
     Vec2,
     Frame,
     ScalarFrame,
@@ -71,11 +71,12 @@ from .cw import (
 
 @dataclass
 class Evolute(_Framed):
-    """Centers of curvature E_i with curvature radii mu_i, edge-indexed."""
+    """Centers of curvature E_i with curvature radii mu_i, edge-indexed; the
+    radii are a ladder (``core.StoredLadder``), whose frame the checks read."""
 
     _polygon = "E"
     E: list[Vec2] = Stored()
-    mus: list[Scalar]
+    mus: list[Scalar] = StoredLadder()
 
 
 def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
@@ -90,13 +91,14 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
     evolute of P.  In rational mode mu_i = a_i / b_i stays on the integers
     of the frames (a_i = lambda numerator times den(det), b_i = den(lambda)
     times the framed det_i), the two forms are compared by
-    cross-multiplication, and E is framed over den(P) lcm(b_i den(U)) and
-    reduced; a float frame evaluates the formulas directly.  E repeats after
-    n slots (E_{i+n} = E_i, exactly in rational mode), so E is the frame of
-    its first n vertices twice, and float rounding cannot make its halves
-    differ.  A list whose length is not U's 2n, or a zero det(U_i, U_{i+1})
-    after the lambda solve, raises InputError.  It runs on U's backend;
-    ``backend``, if given, must be that one (InputError).
+    cross-multiplication, E is framed over den(P) lcm(b_i den(U)) and
+    reduced, and the mus over den(lambda) lcm |det_i|; a float frame
+    evaluates the formulas directly.  E repeats after n slots (E_{i+n} =
+    E_i, exactly in rational mode), so E is the frame of its first n
+    vertices twice, and float rounding cannot make its halves differ.  A
+    list whose length is not U's 2n, or a zero det(U_i, U_{i+1}) after the
+    lambda solve, raises InputError.  It runs on U's backend; ``backend``,
+    if given, must be that one (InputError).
     """
     backend = u.own_backend(backend)
     xs, ys, xden = x = integer_frame(points)
@@ -110,7 +112,8 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
     dets, dden = u.divisor_frame
     ux, uy, uden = u.frame
     if backend.exact:
-        mus = [Fraction(t * dden, lden * d) for t, d in zip(lnums, dets)]
+        dl = math.lcm(*dets)  # mu_i = t_i dden (dl / d_i) / (lden dl)
+        mus = ScalarFrame([t * dden * (dl // d) for t, d in zip(lnums, dets)], lden * dl)
         ks = [lden * d * uden for d in dets]  # b_i den(U)
         hs = [t * dden * xden for t in lnums]  # a_i den(P)
         for i in range(m):
@@ -147,7 +150,7 @@ class Involute(_Framed):
 
     _polygon = "N"
     N: list[Vec2] = Stored()
-    betas: list[Scalar] = Stored()
+    betas: list[Scalar] = StoredLadder()
 
 
 def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | ScalarFrame,
@@ -384,5 +387,5 @@ def evolute_cusps(ev: Evolute) -> list[int] | None:
     """
     if ev.degenerate:
         return None
-    mus = ev.mus
+    mus = frame_of(ev, "mus").nums  # over one positive denominator
     return ladder_cusps(map(sub, mus[1:] + mus[:1], mus), ev.n, ev.backend)

@@ -9,12 +9,13 @@ point O, the central point of the polygon.
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
 ``ScalarFrame``, and every new polygon is reduced by one content gcd.  The
-four ledger scalars of each step are built as the step is made, the sum
-of squares adds the gaps on one denominator (``core.scalar_frame``) and
-builds one Fraction at the end, and the central point O is read from the
-frame of the last M(k).  ``check_trace`` recomputes the ledger from the
-frames of the stored polygons, passes each frame to the same formulas, and
-adds and compares their framed values (``core.value_sum`` of b or -b,
+four ledger scalars of each step are stored as the framed values the step
+computed (``core.StoredValue``), and each is built as a scalar only when
+it is read.  The sum of squares adds the framed gaps (``core.value_sum``)
+and is held framed too, and the central point O is read from the frame of
+the last M(k).  ``check_trace`` recomputes the ledger from the frames of
+the stored polygons, passes each frame to the same formulas, and adds and
+compares their framed values (``core.value_sum`` of b or -b,
 ``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
 """
 from __future__ import annotations
@@ -27,12 +28,11 @@ from typing import Sequence
 
 from .backend import Backend, Scalar
 from .ball import MinkowskiPlane
-from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, Vec2, frame_of,
-                   from_frame, integer_frame, scalar_frame, value_eq, value_le, value_sign,
+from .core import (Frame, InputError, PairedPolygon, ScalarFrame, Stored, StoredValue, Vec2,
+                   frame_of, from_frame, integer_frame, value_eq, value_le, value_sign,
                    value_sum)
 from .cw import (
     CentralEquidistant,
-    _total,
     alphas_of,
     betas_of,
     central_equidistant,
@@ -44,9 +44,7 @@ from .evolute import (
     edge_world_coeffs,
     evolute,
     involute_points,
-    signed_area,
     signed_area_frame,
-    signed_area_gap,
     signed_area_gap_frame,
 )
 
@@ -79,15 +77,17 @@ class IterationStep:
     gap_mn = SA(M(k-1)) - SA(N(k)) and gap_nm = SA(N(k)) - SA(M(k)); both are
     sums of squares weighted by ball determinants and vanish only at a point.
     At k = 0, N(0) is the evolute of the input polygon and gap_mn is zero.
+    The four scalars are held as their framed values (``frame_of`` gives
+    them) and read as scalars.
     """
 
     k: int
     M: list[Vec2] = Stored()
     N: list[Vec2] = Stored()
-    sa_m: Scalar
-    sa_n: Scalar
-    gap_mn: Scalar
-    gap_nm: Scalar
+    sa_m: Scalar = StoredValue()
+    sa_n: Scalar = StoredValue()
+    gap_mn: Scalar = StoredValue()
+    gap_nm: Scalar = StoredValue()
     diam_m: float
     diam_n: float
 
@@ -97,15 +97,16 @@ class IterationTrace:
     """The recorded steps and why the run stopped.
 
     stop_reason is "tol" (the diameter of M(k) fell below tol; converged is
-    then True) or "max_steps".
+    then True) or "max_steps".  sumsquares and sa0 are held framed, as the
+    ledger scalars of a step are.
     """
 
     steps: list[IterationStep]
     O: Vec2
     radius: float
     converged: bool
-    sumsquares: Scalar
-    sa0: Scalar
+    sumsquares: Scalar = StoredValue()
+    sa0: Scalar = StoredValue()
     stop_reason: str
 
     @property
@@ -152,15 +153,17 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
     _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
-    # the gaps on one denominator, added in step order: one Fraction at the end
-    gaps, den = scalar_frame([g for s in steps[1:] for g in (s.gap_mn, s.gap_nm)])
+    # the framed gaps, added in step order
+    acc = ScalarFrame([0], 1)
+    for s in steps[1:]:
+        acc = value_sum(value_sum(acc, frame_of(s, "gap_mn")), frame_of(s, "gap_nm"))
     return IterationTrace(
         steps=steps,
         O=_centroid(frame_of(last, "M")),
         radius=last.diam_m,
         converged=stop_reason == "tol",
-        sumsquares=from_frame(_total(gaps), den) if gaps else 0,
-        sa0=steps[0].sa_m,
+        sumsquares=acc if len(steps) > 1 else 0,
+        sa0=frame_of(steps[0], "sa_m"),
         stop_reason=stop_reason,
     )
 
@@ -172,10 +175,10 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
     k is the number of steps taken.  Each polygon passes from one public
     function to the next as its ``Frame``, and the alpha and beta ladders as
-    ``ScalarFrame``s; the steps store those frames, and the ledger scalars
-    are built from them.  M(k) and N(k) repeat after n vertices (X_{i+n} =
-    X_i), and ``involute_points`` and ``evolute`` return them as their first
-    n vertices twice, so every stored polygon, the evolute N(0) included, is
+    ``ScalarFrame``s; the steps store those frames, and the framed values of
+    the ledger scalars computed from them.  M(k) and N(k) repeat after n
+    vertices (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return
+    them as their first n vertices twice, so every stored polygon, the evolute N(0) included, is
     doubled, and its diameter is measured on its first half.  In exact
     arithmetic the two halves are already equal; in float this keeps
     rounding on the space of central polygons, where the step contracts,
@@ -189,8 +192,8 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     d2 = diameter_sq(m_frame.half())
     sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
     steps = [IterationStep(
-        k=0, M=m_frame, N=n_frame, sa_m=sa_m.value(), sa_n=sa_n.value(),
-        gap_mn=0, gap_nm=value_sum(sa_n, -sa_m).value(),
+        k=0, M=m_frame, N=n_frame, sa_m=sa_m, sa_n=sa_n,
+        gap_mn=0, gap_nm=value_sum(sa_n, -sa_m),
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
     for k in range(1, max_steps + 1):
@@ -203,8 +206,8 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         d2 = diameter_sq(m_half)
         steps.append(IterationStep(
             k=k, M=m_frame, N=n_frame,
-            sa_m=signed_area(m_frame), sa_n=signed_area(n_frame),
-            gap_mn=signed_area_gap(be, v), gap_nm=signed_area_gap(mu, w),
+            sa_m=signed_area_frame(m_frame), sa_n=signed_area_frame(n_frame),
+            gap_mn=signed_area_gap_frame(be, v), gap_nm=signed_area_gap_frame(mu, w),
             diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_half)),
         ))
     return len(steps) - 1, steps, "tol" if _below(d2, tol2) else "max_steps"
@@ -263,17 +266,19 @@ def width_family(trace: IterationTrace, plane: MinkowskiPlane, k: int,
             PairedPolygon(offset_points(frame_of(step, "N"), plane.V, d)))
 
 
-def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> list[Vec2]:
+def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> Frame:
     """A convex equidistant of a vertex-world central polygon (for region tests):
-    width one more than the largest -alpha.
+    width one more than the largest -alpha, as its frame (``offset_points``).
 
-    Given V for u, the convex dual-width equidistant of an edge-world polygon.
-    It runs on u's backend; ``backend``, if given, must be that one (InputError).
+    The width is read from the numerators of the alpha frame, which builds
+    one scalar.  Given V for u, the convex dual-width equidistant of an
+    edge-world polygon.  It runs on u's backend; ``backend``, if given, must
+    be that one (InputError).
     """
     u.own_backend(backend)
     f = integer_frame(m_points)
-    c = max(-a for a in alphas_of(f, u).values()) + 1
-    return offset_points(f, u, c).points()
+    nums, den = alphas_of(f, u)
+    return offset_points(f, u, from_frame(den - min(nums), den))
 
 
 @dataclass

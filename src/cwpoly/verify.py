@@ -7,9 +7,13 @@ The identity checks read framed values (see ``core``): the widths and the
 dual-ball identity one table of det(X_j, V_i), and the five checks of the
 c-equidistants one ``cw.EquidistantFrame`` per c.  They compare numerators
 by cross-multiplication (``core.frame_eq``), index by index in the order
-the report names the first failure.  ``areas.signed_gap`` compares the
-framed drop SA(M) - SA(N), a ``core.value_sum`` of SA(M) and -SA(N), with
-the framed gap (``value_sign``, ``value_eq``).
+the report names the first failure.  The point identities (the dual
+balls, the shared evolute, the involute's diagonals and evolute, and the
+involute of the evolute) compare two frames point by point
+(``core.first_mismatch``), and the curvature-radius pairs read the mu
+ladder's frame, so the suite builds no point list.  ``areas.signed_gap``
+compares the framed drop SA(M) - SA(N), a ``core.value_sum`` of SA(M) and
+-SA(N), with the framed gap (``value_sign``, ``value_eq``).
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .core import (
     CenteredBall,
     GeometryError,
     InputError,
+    first_mismatch,
     frame_eq,
     frame_of,
     minkowski_frame,
@@ -134,7 +139,6 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             actual, ok = f"error: {e}", False
         add(Check(check_id, expected, actual, ok))
 
-    m = 2 * plane.n
     u, v, paired = plane.U, plane.V, plane.P
     eq = backend.eq
 
@@ -167,16 +171,12 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
             lambda: _chk_dual_identity(u, v))
 
     def chk_involution():
-        w = dual_ball(v)
-        ok = all(backend.same_point(w.vertices[i], u.vertices[(i + plane.n + 1) % m])
-                 for i in range(m))
-        return ("index shift n+1", ok)
+        ok = first_mismatch(dual_ball(v).frame, u.frame, plane.n + 1) is None
+        return "index shift n+1", ok
     guarded("ball.dual_involution", "index shift n+1", chk_involution)
 
     def chk_recovery():
-        w = ball_from_dual(v)
-        ok = all(backend.same_point(w.vertices[i], u.vertices[i]) for i in range(m))
-        return "recovers U", ok
+        return "recovers U", first_mismatch(ball_from_dual(v).frame, u.frame) is None
     guarded("ball.dual_recovery", "recovers U", chk_recovery)
 
     # --- central equidistant and lengths ------------------------------------
@@ -190,9 +190,10 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
         add(Check("suite.ladders", "solvable", f"aborted: {e}", False))
         return report
     area_u = u.area
+    m_frame = frame_of(ce, "M")
 
     def chk_central_zero():
-        lv = v_length(frame_of(ce, "M"), v, closed=True)
+        lv = v_length(m_frame, v, closed=True)
         return _s(backend, lv), eq(lv, 0)
     guarded("cw.central_v_length_zero", "0", chk_central_zero)
 
@@ -230,38 +231,39 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
 
     # --- evolute / involute ---------------------------------------------------
     def chk_mu_pairs():
+        mus, den = frame_of(ev, "mus")
+        (a2,), a2den = scalar_frame([2 * plane.a])
         for i in range(plane.n):
-            if not eq(ev.mus[i] + ev.mus[i + plane.n], 2 * plane.a):
+            if not frame_eq(mus[i] + mus[i + plane.n], den, a2, a2den):
                 return f"pair {i}", False
         return "mu_i + mu_{i+n} = 2a", True
     guarded("evolute.mu_pair_sums", "mu_i + mu_{i+n} = 2a", chk_mu_pairs)
 
     def chk_evolute_shared():
         ev2 = evolute(frames[1].frame, u, v)  # the equidistant at c = 1
-        ok = all(backend.same_point(ev2.E[i], ev.E[i]) for i in range(m))
+        ok = first_mismatch(frame_of(ev2, "E"), frame_of(ev, "E")) is None
         return "equidistants share the evolute", ok
     guarded("evolute.shared_by_equidistants", "equidistants share the evolute",
             chk_evolute_shared)
 
     def chk_involute_structure():
-        for i in range(plane.n):
-            if not backend.same_point(inv.N[i], inv.N[i + plane.n]):
-                return f"diagonal {i} nonzero", False
+        n_frame = frame_of(inv, "N")
+        i = first_mismatch(n_frame.half(), n_frame, plane.n)  # N_i against N_{i+n}
+        if i is not None:
+            return f"diagonal {i} nonzero", False
         # the edge-world evolute is the (V, W) evolute, one slot later
-        back = evolute(frame_of(inv, "N"), v, plane.W).E
-        ok = all(backend.same_point(back[i - 1], ce.M[i]) for i in range(m))
-        return "zero diagonals; evolute is M", ok
+        back = frame_of(evolute(n_frame, v, plane.W), "E")
+        return "zero diagonals; evolute is M", first_mismatch(back, m_frame, 1) is None
     guarded("involute.structure", "zero diagonals; evolute is M", chk_involute_structure)
 
     def chk_dual_involute_roundtrip():
-        back = dual_involute(frame_of(ev, "E"), u, v)[0].points()
-        ok = all(backend.same_point(back[i], ce.M[i]) for i in range(m))
-        return "involute of the evolute is M", ok
+        back = dual_involute(frame_of(ev, "E"), u, v)[0]
+        return "involute of the evolute is M", first_mismatch(back, m_frame) is None
     guarded("involute.of_evolute", "involute of the evolute is M",
             chk_dual_involute_roundtrip)
 
     def chk_areas():
-        sa_m, sa_n = signed_area_frame(frame_of(ce, "M")), signed_area_frame(frame_of(inv, "N"))
+        sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(frame_of(inv, "N"))
         if value_sign(sa_m) < 0 or value_sign(sa_n) < 0:
             return "negative signed area", False
         drop = value_sum(sa_m, -sa_n)
@@ -272,7 +274,7 @@ def run_verify(plane: MinkowskiPlane, seed: int = 0, samples: int = 16,
     guarded("areas.signed_gap", "SA(M) - SA(N) = sum beta^2 det(V,V)", chk_areas)
 
     def chk_containment():
-        parent = convex_parent_of_m(frame_of(ce, "M"), u)
+        parent = convex_parent_of_m(m_frame, u)
         res = containment_check(frame_of(inv, "N"), parent, samples=samples)
         return (f"{res.tested} samples, min chords {res.min_chords}", res.contained)
     guarded("containment.involute_in_central", "no exterior samples", chk_containment)
@@ -307,7 +309,7 @@ def _chk_dual_identity(u: CenteredBall, v: CenteredBall) -> tuple[str, bool]:
     """[U_j, V_i] = 1 on edge i of U (j = i, i + 1) and <= 1 elsewhere.
     [., V_i] is linear along edge i, so its two ends decide the whole edge."""
     backend = u.backend
-    m = len(u.vertices)
+    m = len(u)
     ux, uy, uden = u.frame
     vx, vy, vden = v.frame
     rows = det_table(ux, uy, vx, vy)  # [U_j, V_i] = rows[i][j] / one

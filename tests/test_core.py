@@ -1,6 +1,7 @@
 """Substrate tests: determinants, areas, Minkowski sums, chord counting."""
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,9 @@ from cwpoly.core import (
     RegionTest,
     ScalarFrame,
     _seg_intersections,
+    clean_convex,
     coeff_along,
+    first_mismatch,
     integer_frame,
     scalar_frame,
     value_eq,
@@ -768,6 +771,110 @@ def test_paired_polygon_needs_n_at_least_2():
 def test_centered_ball_needs_2n_vertices():
     assert (_input_error(CenteredBall, HEX_U[:5])
             == "centered ball needs an even vertex count")
+
+
+def test_paired_polygon_of_no_vertices_raises():
+    assert _input_error(PairedPolygon, []) == "paired polygon needs n >= 2"
+
+
+def test_centered_ball_of_no_vertices_raises():
+    assert _input_error(CenteredBall, []) == "centered ball needs vertices"
+
+
+def test_convex_polygon_of_no_vertices_raises():
+    assert _input_error(lambda: len(ConvexPolygon([]))) == "polygon needs at least 3 vertices"
+
+
+def _cleaned(raw):
+    """(frame, notes) of ``clean_convex``, or the InputError text."""
+    try:
+        return clean_convex(raw)
+    except InputError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=8))
+def test_from_points_frames_plain_ints_as_their_conversion(pts):
+    # plain ints are framed over den 1 as they are: the same frame, notes
+    # and errors as the cleanup of their Fraction conversion
+    try:
+        poly = ConvexPolygon.from_points(pts)
+        got = (poly.frame, poly.notes)
+    except InputError as e:
+        got = str(e)
+    assert got == _cleaned([vec(x, y) for x, y in pts])
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT], ids=["rational", "float"])
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (4, 0), (F(5), 3), (1, 5)],
+    [(0.5, 0), (4, 0), (5, 3), (1, 5)],
+    [("1/2", 0), (4, 0), (5, 3), (1, 5)],
+    [(0, 0), (4, 0), (4, 0), (5, 3), (1, 5)],
+], ids=["fraction", "float", "str", "ints"])
+def test_from_points_converts_other_input_as_before(pts, backend):
+    poly = ConvexPolygon.from_points(pts, backend)
+    assert (poly.frame, poly.notes) == _cleaned([vec(x, y, backend) for x, y in pts])
+
+
+@pytest.mark.parametrize("bad", [True, "x", float("nan"), float("inf"), None, "1/0"])
+def test_from_points_keeps_the_conversion_errors(bad):
+    pts = [(0, 0), (4, 0), (bad, 3)]
+    with pytest.raises(Exception) as want:
+        [vec(x, y) for x, y in pts]
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        ConvexPolygon.from_points(pts)
+
+
+def _first_apart(a: Frame, b: Frame, shift: int, backend) -> int | None:
+    """The reference of ``first_mismatch``: ``same_point`` on the points."""
+    pa, pb = a.points(), b.points()
+    return next((i for i in range(len(pa))
+                 if not backend.same_point(pa[i], pb[(i + shift) % len(pb)])), None)
+
+
+def _scaled(f: Frame, k: int) -> Frame:
+    """The same points on k times the denominator: an unreduced frame."""
+    return Frame([x * k for x in f.xs], [y * k for y in f.ys], f.den * k)
+
+
+_coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=7), st.data())
+def test_first_mismatch_is_the_first_point_apart(pts, data):
+    # frame b lists the points of a rotated, with some moved; exact frames
+    # on unequal, unreduced denominators and float frames (moved inside and
+    # outside the tolerance) give the index same_point gives, at every shift
+    m = len(pts)
+    r = data.draw(st.integers(0, m - 1))
+    moves = data.draw(st.dictionaries(st.integers(0, m - 1),
+                                      st.tuples(st.booleans(), st.sampled_from([F(1, 7), 1])),
+                                      max_size=2))
+    ka, kb = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    q = pts[r:] + pts[:r]
+
+    def moved(scale):
+        out = []
+        for j, (x, y) in enumerate(q):
+            if j in moves:
+                on_x, d = moves[j]
+                x, y = (x + d * scale, y) if on_x else (x, y + d * scale)
+            out.append((x, y))
+        return out
+
+    fa = _scaled(integer_frame([Vec2(x, y) for x, y in pts]), ka)
+    fb = _scaled(integer_frame([Vec2(x, y) for x, y in moved(1)]), kb)
+    ga = Frame([float(x) for x, _ in pts], [float(y) for _, y in pts], 1.0)
+    gq = moved(data.draw(st.sampled_from([4e-10, 3e-9])))
+    gb = Frame([float(x) for x, _ in gq], [float(y) for _, y in gq], 1.0)
+    for shift in range(-m, 2 * m):
+        assert first_mismatch(fa, fb, shift) == _first_apart(fa, fb, shift, RATIONAL)
+        assert first_mismatch(ga, gb, shift) == _first_apart(ga, gb, shift, FLOAT)
+    # undoing the rotation, the first point apart is the first one moved
+    assert first_mismatch(fa, fb, -r) == min(((j + r) % m for j in moves), default=None)
 
 
 def test_minkowski_sum_of_nothing_raises():

@@ -623,7 +623,7 @@ def test_offset_points_is_the_vertex_offset_bitwise(seed, scale, c):
     assert repr(equidistant(ce, u, c).vertices) == want
     assert repr(EquidistantFrame(ce, u, c).frame.points()) == want
     parent_c = max(-a for a in ce.alphas) + 1
-    assert repr(convex_parent_of_m(ce.M, u)) == repr(_ref_equidistant(ce, u, parent_c))
+    assert repr(convex_parent_of_m(ce.M, u).points()) == repr(_ref_equidistant(ce, u, parent_c))
     for k, step in enumerate(trace.steps):
         p, q = width_family(trace, plane, k, c, c)
         assert repr(p.vertices) == repr(_ref_offset(step.M, u, cc))

@@ -26,7 +26,9 @@ from cwpoly import (
     width_family,
 )
 from cwpoly.backend import get_backend
-from cwpoly.core import Frame, frame_of, integer_frame
+from cwpoly.core import Frame, ScalarFrame, frame_of, integer_frame
+from cwpoly.cw import alphas_of, betas_of
+from cwpoly.evolute import dual_involute, signed_area_gap
 from cwpoly.iterate import _sci
 
 from conftest import float_copy, fuzz_planes, kgon_plane
@@ -71,6 +73,51 @@ def test_trace_gap_offsets():
         for prev, cur in zip(trace.steps, trace.steps[1:]):
             assert signed_area(prev.M) - signed_area(cur.N) == cur.gap_mn
             assert signed_area(cur.N) - signed_area(cur.M) == cur.gap_nm
+
+
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["rational", "float"])
+def test_ledger_scalars_stay_framed_until_read(quad_plane, scale):
+    # each step holds the framed values its ladder computed, and no scalar
+    # is built before it is read; the values read are those of the formulas
+    # on the stored polygons, bit for bit on floats
+    plane = quad_plane if scale is None else float_copy(quad_plane, scale)
+    u, v, w = plane.U, plane.V, plane.W
+    trace = iterate_involutes(plane, max_steps=4, tol=1e-300)
+    names = ("sa_m", "sa_n", "gap_mn", "gap_nm")
+    steps = trace.steps
+    for name in ("sumsquares", "sa0"):
+        frame, value = trace.__dict__["_" + name]
+        assert isinstance(frame, ScalarFrame) and value is None
+    for step in steps:
+        for name in names:
+            frame, value = step.__dict__["_" + name]
+            if (step.k, name) == (0, "gap_mn"):
+                assert (frame, value) == (None, 0)
+            else:
+                assert isinstance(frame, ScalarFrame) and len(frame.nums) == 1 and value is None
+    assert type(steps[0].gap_mn) is int and frame_of(steps[0], "gap_mn") == ScalarFrame([0], 1)
+    assert steps[0].gap_nm == steps[0].sa_n - steps[0].sa_m
+    for prev, cur in zip(steps, steps[1:]):
+        m_prev, n_cur, m_cur = frame_of(prev, "M"), frame_of(cur, "N"), frame_of(cur, "M")
+        want = {"sa_m": signed_area(m_cur), "sa_n": signed_area(n_cur),
+                "gap_mn": signed_area_gap(betas_of(alphas_of(m_prev, u), u), v),
+                "gap_nm": signed_area_gap(dual_involute(n_cur, u, v)[1], w)}
+        assert {name: repr(getattr(cur, name)) for name in names} == \
+            {name: repr(x) for name, x in want.items()}
+        assert all(cur.__dict__["_" + name][0] is frame_of(cur, name) for name in names)
+    gaps = [g for s in steps[1:] for g in (s.gap_mn, s.gap_nm)]
+    total = 0
+    for g in gaps:
+        total = total + g
+    assert repr(trace.sumsquares) == repr(total)
+    assert repr(trace.sa0) == repr(steps[0].sa_m)
+
+
+def test_sumsquares_of_no_steps_is_zero(symmetric_plane):
+    # M(0) is a point, so the run stops before its first step, and the sum
+    # of squares is the int 0 it always was
+    trace = iterate_involutes(symmetric_plane)
+    assert len(trace.steps) == 1 and type(trace.sumsquares) is int and trace.sumsquares == 0
 
 
 def test_trace_sumsquares_slack_is_residual():

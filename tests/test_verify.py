@@ -8,7 +8,7 @@ import pytest
 import cwpoly.verify
 from cwpoly import ConvexPolygon, InputError, PairedPolygon, Vec2, build_plane, vec
 from cwpoly.backend import get_backend
-from cwpoly.core import ScalarFrame
+from cwpoly.core import Frame, ScalarFrame
 from cwpoly.verify import run_verify
 
 from conftest import fuzz_planes, kgon_plane, perturbed_planes
@@ -207,3 +207,14 @@ def test_ledger_failure_joins_every_failed_trace_check(triangle_plane, monkeypat
         "iterate.gap_identities: alpha gap fails at k=2; "
         "iterate.sumsquares_bound: slack=1.562e-02 residual=2.500e-01; "
         "iterate.diameters_nonincreasing: first=7.071e-01 last=1.414e+00")
+
+
+def test_run_verify_builds_no_point_list(monkeypatch):
+    # every point identity compares frames (core.first_mismatch), so the
+    # default suite on the rounded 7-gon builds no Vec2 list from a frame
+    plane = kgon_plane(7)
+    calls = []
+    real = Frame.points
+    monkeypatch.setattr(Frame, "points", lambda self: calls.append(self) or real(self))
+    assert run_verify(plane).all_ok
+    assert calls == []
