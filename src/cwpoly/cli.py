@@ -38,6 +38,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _plane(args, strict: bool = True):
+    """The plane and its backend; for a --paired list and a strict plane
+    (all but ``verify``) an identity failure unless it has constant width."""
     backend = get_backend(args.backend)
     if args.paired:
         poly = load_paired(args.input, backend)
@@ -46,15 +48,8 @@ def _plane(args, strict: bool = True):
         for note in poly.notes:
             print(f"note: {note}", file=sys.stderr)
     a = parse_scalar(args.a, backend)
-    return build_plane(poly, a, strict=strict), backend
-
-
-def _ball_plane(args):
-    """``_plane``, and for a --paired list an identity failure unless it has
-    constant width in its ball, as the commands past the balls find."""
-    plane, backend = _plane(args)
-    res = is_constant_width(plane.P, plane.U) if args.paired else None
-    if res and not res.ok:
+    plane = build_plane(poly, a, strict=strict)
+    if strict and args.paired and not (res := is_constant_width(plane.P, plane.U)).ok:
         raise IdentityError(f"not of constant width (index {res.witness}: {res.reason})")
     return plane, backend
 
@@ -105,7 +100,7 @@ def _emit(args, payload: dict, layers=None, csv: str | None = None) -> None:
 
 
 def cmd_ball(args) -> int:
-    plane, backend = _ball_plane(args)
+    plane, backend = _plane(args)
     payload = {
         "n": plane.n,
         "a": backend.to_json(plane.a),
@@ -121,7 +116,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    plane, backend = _ball_plane(args)
+    plane, backend = _plane(args)
     payload = {
         "n": plane.n,
         "unit_ball": points_json(plane.U.vertices, backend),

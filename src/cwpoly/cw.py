@@ -15,8 +15,8 @@ are views of it.  ``alphas_of``, ``betas_of`` and ``lambdas_of`` take a
 point list (or scalars) or a frame and return a ``ScalarFrame``.  The
 alphas and lambdas are solved by the ball on its backend, along the edges
 of U (``CenteredBall.edge_coeffs``) and the vertices of V
-(``vertex_coeffs``), and both report an edge that is not parallel through
-``_not_parallel``.  Every offset X + cD (the equidistants and their
+(``vertex_coeffs``); ``_raise_not_parallel`` words every failed solve
+from the frames.  Every offset X + cD (the equidistants and their
 ``EquidistantFrame``, the convex parents of the region test and the width
 family of the iteration) is ``offset_points``, which returns its frame.
 """
@@ -71,27 +71,14 @@ def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
 
     ``u.edge_coeffs`` solves edge i of the list along the ball's edge i.  An
     edge that is not parallel to its ball edge raises IdentityError, at the
-    first such edge; the message names the points, built from the frame
-    when a frame is given.  A list whose length is not the ball's 2n raises
-    InputError.
+    first such edge (``_raise_not_parallel``).  A list whose length is not
+    the ball's 2n raises InputError.
     """
     xs, ys, den = f = integer_frame(points)
     u.require_length("alphas_of", len(xs))
     al = u.edge_coeffs(map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys), den)
-    if None in al.nums:
-        i = al.nums.index(None)
-        uv = u.vertices
-        raise _not_parallel(f.points() if points is f else points, i,
-                            uv[(i + 1) % len(uv)] - uv[i])
+    _raise_not_parallel(al.nums, f, u, edges=True)
     return al
-
-
-def _not_parallel(points: Sequence[Vec2], i: int, d: Vec2) -> IdentityError:
-    """The error for edge i of a point list, from points[i] to points[(i + 1)
-    mod m], which is not parallel to d; the closing edge of a closed m-gon
-    ends at points[0]."""
-    q = points[(i + 1) % len(points)]
-    return IdentityError(f"vector {q - points[i]!r} is not parallel to {d!r}")
 
 
 def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -174,14 +161,25 @@ def lambdas_of(points: Sequence[Vec2] | Frame, v: CenteredBall) -> ScalarFrame:
     return v.vertex_coeffs(map(sub, xs[1:], xs), map(sub, ys[1:], ys), den)
 
 
-def _raise_not_parallel(nums: Sequence, points, v: CenteredBall,
+def _raise_not_parallel(nums: Sequence, f: Frame, ball: CenteredBall, edges: bool = False,
                         order: Sequence[int] | None = None) -> None:
-    """``_not_parallel`` at the first edge i (in ``order``, default 0, 1,
-    ...) whose framed lambda is None; ``points()`` gives the point list, and
-    is called only then."""
+    """IdentityError at the first slot i (in ``order``, default 0, 1, ...)
+    where a solve failed, nums[i] is None: the edge of the solved frame f
+    from point i to point (i + 1) mod len(f) is not parallel to the ball's
+    edge i (``edges``, the alphas) or vertex i (the lambdas).  Both vectors
+    are built from their frames (``from_frame``), and only then."""
+    if None not in nums:
+        return
     for i in (range(len(nums)) if order is None else order):
         if nums[i] is None:
-            raise _not_parallel(points(), i, v.vertices[i % len(v.vertices)])
+            xs, ys, den = f
+            bx, by, bden = ball.frame
+            j, k = (i + 1) % len(xs), i % len(bx)
+            l = (k + 1) % len(bx)
+            dx, dy = (bx[l] - bx[k], by[l] - by[k]) if edges else (bx[k], by[k])
+            w = Vec2(from_frame(xs[j] - xs[i], den), from_frame(ys[j] - ys[i], den))
+            raise IdentityError(f"vector {w!r} is not parallel to "
+                                f"{Vec2(from_frame(dx, bden), from_frame(dy, bden))!r}")
 
 
 def v_length(arc: Sequence[Vec2] | Frame, v: CenteredBall, closed: bool = False) -> Scalar:
@@ -190,11 +188,10 @@ def v_length(arc: Sequence[Vec2] | Frame, v: CenteredBall, closed: bool = False)
     The arc's edge i must be parallel to the dual vertex V_i; negative
     coefficients (arcs past cusps) are allowed.  With closed=True the
     wrap-around edge is included.  An arc with no edges has length zero in
-    the ball's backend; closing an empty arc raises InputError.  Errors
-    name the points, as ``alphas_of`` does.
+    the ball's backend; closing an empty arc raises InputError.  An edge
+    that is not parallel raises IdentityError (``_raise_not_parallel``).
     """
-    pts = arc if isinstance(arc, Frame) else list(arc)
-    xs, ys, den = integer_frame(pts)
+    xs, ys, den = integer_frame(arc)
     if not xs:
         if closed:
             raise InputError("v_length cannot close an arc with no points")
@@ -202,7 +199,7 @@ def v_length(arc: Sequence[Vec2] | Frame, v: CenteredBall, closed: bool = False)
     k = 1 if closed else 0  # the closing point, repeated
     f = Frame(xs + xs[:k], ys + ys[:k], den)
     nums, lden = lambdas_of(f, v)
-    _raise_not_parallel(nums, f.points if pts is arc else lambda: pts + pts[:k], v)
+    _raise_not_parallel(nums, f, v)
     return from_frame(_total(nums), lden)
 
 
@@ -285,8 +282,8 @@ class EquidistantFrame:
 
     def raise_not_parallel(self, v: CenteredBall, order: Sequence[int] | None = None) -> None:
         """IdentityError for the first edge in ``order`` (default: all m)
-        that is not parallel to its dual vertex, as ``lambdas_of`` words it."""
-        _raise_not_parallel(self.lambdas(v).nums, self.frame.points, v, order=order)
+        that is not parallel to its dual vertex (``_raise_not_parallel``)."""
+        _raise_not_parallel(self.lambdas(v).nums, self.frame, v, order=order)
 
     def v_length(self, v: CenteredBall) -> Scalar:
         """The dual length of the closed P(c), the total of its lambdas."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
@@ -101,14 +100,13 @@ def evolute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
     if given, must be that one (InputError).
     """
     backend = u.own_backend(backend)
-    xs, ys, xden = x = integer_frame(points)
+    xs, ys, xden = integer_frame(points)
     m = len(xs)
     n = m // 2
     u.require_length("evolute", m)
     closed = Frame(xs + xs[:1], ys + ys[:1], xden)
     lnums, lden = lambdas_of(closed, v)
-    _raise_not_parallel(lnums, lambda: closed.points() if points is x
-                        else list(points) + [points[0]], v)
+    _raise_not_parallel(lnums, closed, v)
     dets, dden = u.divisor_frame
     ux, uy, uden = u.frame
     if backend.exact:
@@ -312,15 +310,17 @@ def containment_check(n_points: Sequence[Vec2] | Frame,
         raise InputError(f"samples must be nonnegative, got {samples}")
     curve = integer_frame(n_points)
     retest = not curve.exact
-    grid = {Fraction(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
-    grid.setdefault(Fraction(1, 2), (1, 2))
+    L = samples + 1
+    steps = [(p, L) for p in range(1, L)]
+    if L % 2:  # the midpoint is not on the grid: insert it in order
+        steps.insert(samples // 2, (1, 2))
     frame = chord_frame(parent.frame if isinstance(parent, PairedPolygon) else parent)
     k = 2 * frame.den
     seen: set = set()
     witnesses: list[Vec2] = []
     min_chords: int | None = None
     tested = 0
-    for seg, p, L in _probes(exact_frame(curve), [grid[t] for t in sorted(grid)]):
+    for seg, p, L in _probes(exact_frame(curve), steps):
         cx, cy, s = _sample(k, seg, p, L)
         key = point_key(cx, cy, 2 * s)
         if key in seen:

@@ -37,6 +37,7 @@ from .cw import (
     betas_of,
     central_equidistant,
     offset_points,
+    _total,
 )
 from .evolute import (
     containment_check,
@@ -122,10 +123,11 @@ def _centroid(frame: Frame) -> Vec2:
     """The mean of a frame's points, one ``from_frame`` per coordinate of
     the coordinate sum over den times the point count.  A float frame sums
     the same floats in the same order as ``Vec2`` addition of its points
-    would, and divides by the same count."""
+    would (``cw._total``, not the compensated builtin ``sum`` of Python
+    3.12 and later), and divides by the same count."""
     xs, ys, den = frame
     m = den * len(xs)
-    return Vec2(from_frame(sum(xs), m), from_frame(sum(ys), m))
+    return Vec2(from_frame(_total(xs), m), from_frame(_total(ys), m))
 
 
 def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,

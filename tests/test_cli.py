@@ -478,6 +478,28 @@ def test_exit_2_bad_tol(triangle_doc, run_python, backend, tol):
     assert "error: tol must be finite and positive" in out.stderr
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("flags, error", [
+    (["iterate", "--steps", "0"], "max_steps must be at least 1"),
+    (["iterate", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["iterate", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+    (["iterate", "--tol", "inf"], "tol must be finite and positive, got inf"),
+    (["ball"], "bad coordinate inf: non-finite coordinate inf"),
+], ids=["steps=0", "tol=nan", "tol=0", "tol=inf", "infinite-coordinate"])
+def test_exit_2_rejections_in_process(triangle_doc, tmp_path, capsys, flags, error, backend):
+    # the step and tolerance checks of iterate_involutes and the float
+    # backend's coordinate check, reached in this process
+    doc = triangle_doc
+    if flags == ["ball"]:
+        doc = tmp_path / "inf.json"
+        doc.write_text('{"vertices": [[0, 0], [3, 0], [0, Infinity]]}')
+    cmd, *rest = flags
+    assert main([cmd, str(doc), *rest, "--backend", backend]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == f"error: {error}"
+
+
 def test_exit_3_perturbed_paired(tmp_path, capsys):
     # hexagon with one vertex nudged off the parallel pairing, claimed paired
     path = tmp_path / "nudged.json"
@@ -491,23 +513,12 @@ def test_exit_3_perturbed_paired(tmp_path, capsys):
     assert "index" in width_check["actual"]
 
 
-def test_exit_3_central_paired_not_parallel(tmp_path, capsys):
-    # the nudged hexagon's M has an edge not parallel to its ball edge
-    path = tmp_path / "nudged.json"
-    path.write_text(json.dumps(
-        {"vertices": [[3, 0], [5, 2], [4, 5], [1, 4], [-1, 2], [0, 0]]}))
-    assert main(["central", str(path), "--paired"]) == 3
-    assert capsys.readouterr().err == (
-        "identity failure: vector Vec2(Fraction(0, 1), Fraction(1, 2)) is not parallel"
-        " to Vec2(Fraction(-2, 1), Fraction(5, 1))\n")
-
-
 @pytest.mark.parametrize("backend", ["rational", "float"])
-@pytest.mark.parametrize("cmd", ["ball", "dual"])
+@pytest.mark.parametrize("cmd", ["ball", "dual", "central", "evolute", "involute", "iterate"])
 def test_exit_3_ball_paired_not_constant_width(tmp_path, capsys, cmd, backend):
     # the nudged hexagon builds two convex balls, but its edge 1 is not
-    # parallel to the ball's: like the commands past the balls, ball and
-    # dual report the identity failure instead of printing a ball
+    # parallel to the ball's: every command but verify reports the identity
+    # failure of the input once, in the same words, and prints nothing
     path = tmp_path / "nudged.json"
     path.write_text(json.dumps(
         {"vertices": [[3, 0], [5, 2], [4, 5], [1, 4], [-1, 2], [0, 0]]}))

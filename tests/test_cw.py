@@ -1,4 +1,5 @@
 """Central equidistant, equidistants, dual lengths, Barbier, half-polygon laws."""
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -164,6 +165,27 @@ def test_not_parallel_on_closing_edge(scale):
         assert str(e.value) == f"vector {pts[0] - pts[-1]!r} is not parallel to {vv[-1]!r}"
         # the open list has no closing edge
         v_length(pts, plane.V)
+
+
+def test_not_parallel_int_list_is_worded_as_its_frame():
+    # the error is built from the frame, so a list of plain ints reads as
+    # Fractions, the same text as its frame and as the Fraction list
+    plane = fuzz_planes(9, 1)[0]
+    uv, vv = plane.U.vertices, plane.V.vertices
+    m = len(uv)
+    scale = math.lcm(*(c.denominator for p in uv + vv for c in p))
+    for directions, solve in (([uv[(i + 1) % m] - uv[i] for i in range(m)],
+                               lambda x: alphas_of(x, plane.U)),
+                              (vv, lambda x: v_length(x, plane.V, closed=True))):
+        pts = [p * scale for p in _closing_edge_only(directions)]
+        ints = [Vec2(int(p.x), int(p.y)) for p in pts]
+        texts = []
+        for arg in (ints, integer_frame(ints), pts):
+            with pytest.raises(IdentityError) as e:
+                solve(arg)
+            texts.append(str(e.value))
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith("vector Vec2(Fraction(")
 
 
 def test_v_length_half_arc_triangle(triangle_plane):

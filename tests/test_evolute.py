@@ -295,6 +295,25 @@ def test_containment_samples_a_doubled_curve_once(monkeypatch):
         assert len(calls) == (2 * plane.n - 1) * 6
 
 
+def test_containment_grid_is_the_sorted_fraction_grid(monkeypatch):
+    # the sample steps p/L of one segment come in the order, and with the
+    # de-duplication, of sorting the Fractions p/(samples + 1) and 1/2
+    module = importlib.import_module("cwpoly.evolute")
+    calls = []
+    real = module._sample
+    monkeypatch.setattr(module, "_sample", lambda *args: calls.append(args[2:]) or real(*args))
+    segment = [vec(0, 0), vec(1, 0)]
+    for samples in range(21):
+        grid = {F(p, samples + 1): (p, samples + 1) for p in range(1, samples + 1)}
+        grid.setdefault(F(1, 2), (1, 2))
+        calls.clear()
+        containment_check(segment, [vec(-1, -1), vec(2, -1), vec(2, 1), vec(-1, 1)],
+                          samples=samples)
+        # the open two-point list is closed: segment 0 and then its way back
+        steps = [(0, 1)] + [grid[t] for t in sorted(grid)]
+        assert calls == steps * 2
+
+
 def test_containment_detects_outside_points(triangle_plane):
     probe = [vec(2, 2)] * 6
     res = containment_check(probe, triangle_plane.P, samples=0)

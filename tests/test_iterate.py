@@ -280,6 +280,28 @@ def test_central_point_is_the_mean_of_the_last_m_and_builds_no_vertices():
                 assert repr(o) == repr(want)
 
 
+def test_central_point_adds_in_list_order():
+    # O is the Vec2 fold of the points, on every Python: the compensated
+    # builtin sum of 3.12 and later reads x = 0.5 on this frame, the fold 0.25
+    from cwpoly.iterate import _centroid
+    o = _centroid(Frame([1e16, 1.0, -1e16, 1.0], [0.0] * 4, 1.0))
+    assert o == Vec2(0.25, 0.0) == _mean([Vec2(1e16, 0.0), Vec2(1.0, 0.0),
+                                          Vec2(-1e16, 0.0), Vec2(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"max_steps": 0}, "max_steps must be at least 1"),
+    ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    ({"tol": math.inf}, "tol must be finite and positive, got inf"),
+], ids=["steps=0", "tol=nan", "tol=0", "tol=inf"])
+def test_iterate_rejects_bad_steps_and_tol(triangle_plane, kwargs, error):
+    for plane in (triangle_plane, float_copy(triangle_plane, 1.0)):
+        with pytest.raises(InputError) as e:
+            iterate_involutes(plane, **kwargs)
+        assert str(e.value) == error
+
+
 def test_iteration_step_fields_are_pinned():
     # the golden float hash reprs the fields in this order, and M and N take
     # no default though their class attributes are descriptors
