@@ -15,6 +15,7 @@ scalars, which works uniformly for ``Fraction`` and ``float``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -64,8 +65,7 @@ class RationalBackend(Backend):
             return Fraction(value)
         raise TypeError(f"cannot convert {type(value).__name__} to rational scalar")
 
-    def eq(self, a, b) -> bool:
-        return a == b
+    eq = staticmethod(operator.eq)
 
     def sign(self, a) -> int:
         if a > 0:
@@ -126,11 +126,28 @@ def parse_scalar(text, backend: Backend, what: str = "scalar") -> Scalar:
     """Parse a CLI/JSON scalar: int, decimal, or exact 'p/q' string.
 
     Malformed, non-finite, zero-denominator and (in float mode) out-of-range
-    values raise InputError.
+    values raise InputError.  A 'p/0' text is worded "zero denominator" and
+    a text that reads as a nan or an infinity "not a finite number", on
+    both backends; other failures carry the converter's own message.
     """
     try:
         return backend.convert(text)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         from .core import InputError  # core imports this module
 
-        raise InputError(f"bad {what} {text!r}: {e}") from e
+        reason = ("zero denominator" if isinstance(e, ZeroDivisionError)
+                  else "not a finite number" if _nan_or_inf_literal(text) else e)
+        raise InputError(f"bad {what} {text!r}: {reason}") from e
+
+
+def _nan_or_inf_literal(text) -> bool:
+    """Whether a string is a float literal of a nan or an infinity ('nan',
+    '-inf', 'Infinity', ...), which ``Fraction`` rejects as malformed.  A
+    finite literal beyond float range ('1e400') is not one."""
+    if not isinstance(text, str):
+        return False
+    try:
+        x = float(text)
+    except ValueError:
+        return False
+    return math.isnan(x) or (math.isinf(x) and "inf" in text.lower())

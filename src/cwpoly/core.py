@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, cycle
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .backend import Backend, FLOAT, RATIONAL, Scalar
@@ -357,13 +358,16 @@ def mixed_area_frame(p: Sequence[Vec2] | Frame, q: Sequence[Vec2] | Frame) -> Sc
     over 2 den(p) den(q); the symmetric companion formula (1/2) sum_i
     [p_{i+1}, q_{i+1} - q_i] gives the same value and is exercised by the
     test suite.  For q is p this is the signed shoelace area, whose terms
-    are det(p_i, p_{i+1}); an exact doubled frame, one whose second half
-    equals its first, sums the ``cross_terms`` of its first half over den^2.
+    are det(p_i, p_{i+1}).  An exact doubled frame, one whose second half
+    equals its first, sums them over its first half, closed on itself, as
+    x_j (y_{j+1} - y_{j-1}): the same integer from one multiplication per
+    vertex instead of two, over den^2.
     """
     fp = integer_frame(p)
     if q is p and fp.exact and fp.is_doubled:
         xs, ys, den = fp.half()
-        return ScalarFrame([sum(cross_terms(xs, ys))], den * den)
+        return ScalarFrame([sum(map(mul, xs, map(sub, ys[1:] + ys[:1], ys[-1:] + ys[:-1])))],
+                           den * den)
     (px, py, pden), (qx, qy, qden) = fp, fp if q is p else integer_frame(q)
     if len(qx) != len(px):
         raise InputError(f"mixed_area: length mismatch ({len(px)} vs {len(qx)})")
@@ -676,6 +680,16 @@ class CenteredBall(_Framed):
                 raise InputError(f"ball not strictly convex about origin at index {i}")
 
     @cached_property
+    def is_symmetric(self) -> bool:
+        """Whether U_{i+n} = -U_i holds exactly, on the frame's numerators
+        (by float ``==`` on a float frame).  Then the ball's edges and its
+        coefficient frames are antiperiodic too, and the ladder kernels
+        solve and check a doubled polygon on its first n slots only."""
+        xs, ys, _ = self.frame
+        n = self.n
+        return xs[n:] == [-x for x in xs[:n]] and ys[n:] == [-y for y in ys[:n]]
+
+    @cached_property
     def edge_det_frame(self) -> ScalarFrame:
         """Framed edge determinants: det(W_i, W_{i+1}) = nums[i] / den."""
         xs, ys, den = self.frame
@@ -699,7 +713,7 @@ class CenteredBall(_Framed):
     def require_length(self, what: str, count: int, noun: str = "points") -> None:
         """InputError naming both lengths unless a list given to ``what``
         holds ``count`` = 2n entries, one per vertex of the ball."""
-        if count != len(self):
+        if count != 2 * self.n:
             raise InputError(f"{what}: length mismatch ({count} {noun} vs "
                              f"{len(self)} ball vertices)")
 

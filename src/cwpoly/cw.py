@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
+from itertools import accumulate
+from operator import mul, neg, sub
 from typing import Iterable, Sequence
 
 from .backend import Backend, Scalar
@@ -73,36 +74,59 @@ def alphas_of(points: Sequence[Vec2] | Frame, u: CenteredBall) -> ScalarFrame:
     edge that is not parallel to its ball edge raises IdentityError, at the
     first such edge (``_raise_not_parallel``).  A list whose length is not
     the ball's 2n raises InputError.
+
+    Half-period rule: a doubled list (``Frame.is_doubled``) on an exactly
+    symmetric ball (``CenteredBall.is_symmetric``) has edge i + n equal to
+    edge i and ball edge i + n equal to minus ball edge i, so alpha_{i+n} =
+    -alpha_i.  Then edges 0 .. n-1 are solved, and slots n .. 2n-1 list
+    their negated numerators.  A failed
+    solve fails first among those n slots.  Negation and the parallel test
+    of a negated edge are exact in floats too, so both backends give the
+    bits of the full solve.
     """
     xs, ys, den = f = integer_frame(points)
-    u.require_length("alphas_of", len(xs))
-    al = u.edge_coeffs(map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys), den)
-    _raise_not_parallel(al.nums, f, u, edges=True)
-    return al
+    m = len(xs)
+    u.require_length("alphas_of", m)
+    half = u.is_symmetric and f.is_doubled
+    # the points after those of the edges solved: X_1 .. X_n (X_n = X_0
+    # when doubled), or X_1 .. X_{2n-1}, X_0
+    nx, ny = (xs[1:m // 2 + 1], ys[1:m // 2 + 1]) if half else (xs[1:] + xs[:1], ys[1:] + ys[:1])
+    nums, aden = u.edge_coeffs(map(sub, nx, xs), map(sub, ny, ys), den)
+    _raise_not_parallel(nums, f, u, edges=True)
+    return ScalarFrame(nums + list(map(neg, nums)) if half else nums, aden)
 
 
-def window_sums(terms: Sequence[Scalar], n: int) -> list[Scalar]:
+def window_sums(terms: list[Scalar], n: int) -> list[Scalar]:
     """Cyclic window sums out[i] = sum_{j=i}^{i+n-1} terms[j mod m] for n <= m,
-    from one prefix-sum pass: O(m) additions instead of O(m n)."""
-    m = len(terms)
-    cs = [0]
-    for t in range(m + n - 1):
-        cs.append(cs[-1] + terms[t % m])
-    return [cs[i + n] - cs[i] for i in range(m)]
+    from one prefix-sum pass (``itertools.accumulate`` from 0, over the terms
+    and the first n - 1 again): O(m) additions instead of O(m n)."""
+    cs = list(accumulate(terms + terms[:n - 1], initial=0))
+    return [cs[i + n] - cs[i] for i in range(len(terms))]
 
 
 def betas_of(alphas: Sequence[Scalar] | ScalarFrame, u: CenteredBall) -> ScalarFrame:
     """Vertex ladder beta_i = (1/2) sum_{j=i}^{i+n-1} alpha_j det(U_j, U_{j+1}),
     framed: the window sums of alpha_j times the framed edge determinant,
     over 2 den den_det.  On a float frame the betas are the quotients
-    themselves, over den = 1.0."""
+    themselves, over den = 1.0.
+
+    Half-period rule: an exact antiperiodic ladder (alpha_{i+n} = -alpha_i)
+    on an exactly symmetric ball, whose determinants repeat after n slots,
+    has the terms t_{j+n} = -t_j.  With S_i the sum of t_j for j < i and T =
+    S_n, the window sum at i < n is T - 2 S_i and the one at i + n is its
+    negation: n products and one prefix-sum pass over n terms.
+    """
     nums, den = scalar_frame(alphas)
     dets, dden = u.edge_det_frame
-    sums = window_sums([a * d for a, d in zip(nums, dets)], len(nums) // 2)
+    n = len(nums) // 2
     scale = 2 * den * dden
-    if isinstance(scale, float):
-        return ScalarFrame([s / scale for s in sums], 1.0)
-    return ScalarFrame(sums, scale)
+    exact = type(scale) is not float
+    if exact and u.is_symmetric and nums[n:] == list(map(neg, nums[:n])):
+        *cs, t = accumulate(map(mul, nums[:n], dets), initial=0)
+        half = [t - 2 * c for c in cs]
+        return ScalarFrame(half + list(map(neg, half)), scale)
+    sums = window_sums(list(map(mul, nums, dets)), n)
+    return ScalarFrame(sums, scale) if exact else ScalarFrame([s / scale for s in sums], 1.0)
 
 
 def central_equidistant(plane: MinkowskiPlane) -> CentralEquidistant:

@@ -159,12 +159,20 @@ def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | Sc
     vertex world and W for the edge world (see the module docstring).  Both
     forms are built and compared on one common denominator of X and
     beta D, lcm(den(X), den(beta) den(D)); for the betas of X itself it is
-    den(beta) den(D).  N repeats after n slots (N_{i+n} = N_i), which is
-    checked on the same numerators for all 2n slots.  The first n vertices
-    are then divided by their content (``Frame.reduced``) and listed twice,
-    so the frame is exactly ``integer_frame`` of its points, and float
-    rounding cannot make its halves differ.  Points or betas whose length is
-    not D's 2n raise InputError.
+    den(beta) den(D).  N repeats after n slots (N_{i+n} = N_i).  The first n
+    vertices are divided by their content (``Frame.reduced``) and listed
+    twice, so the frame is exactly ``integer_frame`` of its points, and
+    float rounding cannot make its halves differ.  Points or betas whose
+    length is not D's 2n raise InputError.
+
+    Half-period rule: for an exact doubled X (``Frame.is_doubled``) and an
+    exactly symmetric D (``CenteredBall.is_symmetric``), N_{i+n} = N_i holds
+    exactly when beta is antiperiodic, beta_{i+n} = -beta_i, and then slot
+    i + n of both forms repeats slot i.  So beta is compared first, on its
+    integers (the first failure raises "involute halves differ at edge i"),
+    and the forms are rescaled and checked on slots 0 .. n-1 only.  Every
+    other input, a float one included, checks both forms and the halves on
+    all 2n slots: on floats the second half tests the rounding of beta.
     """
     eq = d.backend.eq
     xs, ys, xden = x = integer_frame(points)
@@ -174,16 +182,23 @@ def involute_points(points: Sequence[Vec2] | Frame, betas: Sequence[Scalar] | Sc
     d.require_length("involute_points", m)
     d.require_length("involute_points", len(bs), "betas")
     dx, dy, dden = d.frame
+    half = x.exact and d.is_symmetric and x.is_doubled
+    if half:
+        for i in range(n):
+            if bs[i + n] != -bs[i]:
+                raise IdentityError(f"involute halves differ at edge {i}")
+    k = n if half else m  # the slots checked
+    # X_0 .. X_k and beta_0 .. beta_k, with X_k = X_0 (X_n = X_0 when doubled)
+    xs, ys, bs = xs[:k] + xs[:1], ys[:k] + ys[:1], bs[:k] + [bs[k % m]]
     den = xden
     if x.exact:  # X and beta on the common denominator
         den = math.lcm(xden, bden * dden)
         sx, sb = den // xden, den // (bden * dden)
         xs, ys, bs = [v * sx for v in xs], [v * sx for v in ys], [b * sb for b in bs]
     nx, ny = [], []
-    for i in range(m):
-        j = i + 1 if i + 1 < m else 0
+    for i in range(k):
         n1x, n1y = xs[i] + dx[i] * bs[i], ys[i] + dy[i] * bs[i]
-        n2x, n2y = xs[j] + dx[i] * bs[j], ys[j] + dy[i] * bs[j]
+        n2x, n2y = xs[i + 1] + dx[i] * bs[i + 1], ys[i + 1] + dy[i] * bs[i + 1]
         if not (eq(n1x, n2x) and eq(n1y, n2y)):
             raise IdentityError(f"involute defining forms disagree at edge {i}")
         if i >= n and not (eq(n1x, nx[i - n]) and eq(n1y, ny[i - n])):

@@ -180,13 +180,18 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     ``ScalarFrame``s; the steps store those frames, and the framed values of
     the ledger scalars computed from them.  M(k) and N(k) repeat after n
     vertices (X_{i+n} = X_i), and ``involute_points`` and ``evolute`` return
-    them as their first n vertices twice, so every stored polygon, the evolute N(0) included, is
-    doubled, and its diameter is measured on its first half.  In exact
-    arithmetic the two halves are already equal; in float this keeps
-    rounding on the space of central polygons, where the step contracts,
-    instead of letting it drift off that space, where the step amplifies it.
-    The squared diameter of each M(k) is measured once and serves the stop
-    test and ``diam_m``.
+    them as their first n vertices twice, so every stored polygon, the
+    evolute N(0) included, is doubled, and its diameter is measured on its
+    first half.  In exact arithmetic the two halves are already equal; in
+    float this keeps rounding on the space of central polygons, where the
+    step contracts, instead of letting it drift off that space, where the
+    step amplifies it.  The balls are symmetric (U_{i+n} = -U_i), so every
+    coefficient ladder is antiperiodic (alpha_{i+n} = -alpha_i): on these
+    doubled frames ``alphas_of`` solves n slots and negates them, the exact
+    ``betas_of`` sums n terms, the exact ``involute_points`` checks n slots
+    after one comparison of beta's halves, and the exact shoelace sums n
+    terms, with one multiplication each.  The squared diameter of each M(k) is measured once and serves
+    the stop test and ``diam_m``.
     """
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2

@@ -452,20 +452,27 @@ def test_negative_fraction_as_separate_word(triangle_doc, tmp_path, capsys, spli
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("flags", [
-    ["ball", "--a", "x"],
-    ["ball", "--a", "1/0"],
-    ["ball", "--backend", "float", "--a", "inf"],
-    ["ball", "--backend", "float", "--a", "1e400"],
-    ["iterate", "--c", "x"],
-    ["iterate", "--d", "1/0"],
-], ids=["a=x", "a=1/0", "float-a=inf", "float-a=1e400", "c=x", "d=1/0"])
-def test_exit_2_bad_scalar_flag(triangle_doc, run_python, flags):
+@pytest.mark.parametrize("flags, reason", [
+    (["ball", "--a", "x"], "Invalid literal for Fraction: 'x'"),
+    (["ball", "--a", "1/0"], "zero denominator"),
+    (["ball", "--backend", "float", "--a", "inf"], "not a finite number"),
+    (["ball", "--backend", "float", "--a", "nan"], "not a finite number"),
+    (["ball", "--a", "Infinity"], "not a finite number"),
+    (["ball", "--backend", "float", "--a", "1e400"], "too large for a float"),
+    (["iterate", "--c", "x"], "Invalid literal for Fraction: 'x'"),
+    (["iterate", "--d", "1/0"], "zero denominator"),
+], ids=["a=x", "a=1/0", "float-a=inf", "float-a=nan", "a=Infinity", "float-a=1e400",
+        "c=x", "d=1/0"])
+def test_exit_2_bad_scalar_flag(triangle_doc, run_python, flags, reason):
+    # a zero denominator and a nan or infinity literal are worded as such,
+    # not as the converter's ZeroDivisionError or literal error
     cmd, *rest = flags
     out = run_python("-m", "cwpoly.cli", cmd, triangle_doc, *rest)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
-    assert "error: bad scalar" in out.stderr
+    value = rest[-1]
+    assert f"error: bad scalar '{value}': " in out.stderr
+    assert out.stderr.rstrip().endswith(reason)
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])

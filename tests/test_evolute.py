@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -39,13 +40,15 @@ from cwpoly.core import (
     CenteredBall,
     ChordFrame,
     Frame,
+    ScalarFrame,
     WindingFrame,
     chord_frame,
+    frame_of,
     integer_frame,
     scalar_frame,
 )
-from cwpoly.cw import alphas_of, ladder_cusps, lambdas_of
-from cwpoly.evolute import edge_world_coeffs, involute_points
+from cwpoly.cw import _raise_not_parallel, alphas_of, betas_of, ladder_cusps, lambdas_of
+from cwpoly.evolute import edge_world_coeffs, involute_points, signed_area_frame
 from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import check_nesting, convex_parent_of_m, iterate_involutes
 from cwpoly.verify import run_verify
@@ -185,6 +188,161 @@ def test_float_involute_halves_equal():
         assert inv.N[n:] == inv.N[:n]
         back = dual_involute(inv.N, plane.U, plane.V)[0].points()
         assert back[n:] == back[:n]
+
+
+# --- the half-period rule ------------------------------------------------------
+# Oracles that solve and check all 2n slots, with no half-period rule.
+
+def _full_alphas(points, u):
+    xs, ys, den = f = integer_frame(points)
+    al = u.edge_coeffs(map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys), den)
+    _raise_not_parallel(al.nums, f, u, edges=True)
+    return al
+
+
+def _full_betas(alphas, u):
+    nums, den = scalar_frame(alphas)
+    dets, dden = u.edge_det_frame
+    terms = [a * d for a, d in zip(nums, dets)]
+    m, n = len(terms), len(terms) // 2
+    cs = [0]
+    for t in range(m + n - 1):
+        cs.append(cs[-1] + terms[t % m])
+    sums = [cs[i + n] - cs[i] for i in range(m)]
+    scale = 2 * den * dden
+    if isinstance(scale, float):
+        return ScalarFrame([s / scale for s in sums], 1.0)
+    return ScalarFrame(sums, scale)
+
+
+def _full_involute(points, betas, d):
+    eq = d.backend.eq
+    xs, ys, xden = x = integer_frame(points)
+    bs, bden = scalar_frame(betas)
+    m = len(xs)
+    n = m // 2
+    dx, dy, dden = d.frame
+    den = xden
+    if x.exact:
+        den = math.lcm(xden, bden * dden)
+        sx, sb = den // xden, den // (bden * dden)
+        xs, ys, bs = [v * sx for v in xs], [v * sx for v in ys], [b * sb for b in bs]
+    nx, ny = [], []
+    for i in range(m):
+        j = (i + 1) % m
+        n1x, n1y = xs[i] + dx[i] * bs[i], ys[i] + dy[i] * bs[i]
+        n2x, n2y = xs[j] + dx[i] * bs[j], ys[j] + dy[i] * bs[j]
+        if not (eq(n1x, n2x) and eq(n1y, n2y)):
+            raise IdentityError(f"involute defining forms disagree at edge {i}")
+        if i >= n and not (eq(n1x, nx[i - n]) and eq(n1y, ny[i - n])):
+            raise IdentityError(f"involute halves differ at edge {i - n}")
+        nx.append(n1x)
+        ny.append(n1y)
+    nx, ny, den = Frame(nx[:n], ny[:n], den).reduced()
+    return Frame(nx * 2, ny * 2, den)
+
+
+def _full_dual_involute(points, u, v):
+    be = _full_betas(_full_alphas(points, v), v)
+    mx, my, mden = _full_involute(points, be, u.second_dual)
+    return Frame(mx[-1:] + mx[:-1], my[-1:] + my[:-1], mden), -be
+
+
+def _full_signed_area(points):
+    """-A(X, X) summed over all 2n slots, over 2 den^2; on an exact doubled
+    frame the kernel's sum over n slots, over den^2, is half of it."""
+    xs, ys, den = f = integer_frame(points)
+    acc = 0
+    for x, y, a, b, c, d in zip(xs, ys, xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1]):
+        acc = acc + (x * (d - c) - y * (b - a))
+    if f.exact and f.is_doubled:
+        return ScalarFrame([-acc // 2], den * den)
+    return ScalarFrame([-acc], 2 * den * den)
+
+
+def _outcome(fn, *args):
+    """repr of the result, which tells -0.0 from 0.0, or the error raised."""
+    try:
+        return repr(fn(*args))
+    except (IdentityError, InputError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_half_period_kernels_match_full_period(seed, mirrored):
+    # on every frame of the ladder, exact and as float copies at scales 1e-3
+    # and 1, the kernels on n slots give the 2n-slot results bit for bit;
+    # a mirrored input turns the plane's orientation over
+    plane = random_cw_plane(random.Random(seed), n_min=3, n_max=7)
+    if mirrored:
+        plane = build_plane(ConvexPolygon.from_points([(-p.x, p.y) for p in plane.P.vertices]))
+    for p in (plane, float_copy(plane, 1e-3), float_copy(plane, 1.0)):
+        u, v, w = p.U, p.V, p.W
+        assert u.is_symmetric and v.is_symmetric and w.is_symmetric
+        trace = iterate_involutes(p, max_steps=3, tol=1e-300)
+        for step in trace.steps:
+            m_frame, n_frame = frame_of(step, "M"), frame_of(step, "N")
+            assert m_frame.is_doubled and n_frame.is_doubled
+            al = alphas_of(m_frame, u)
+            assert repr(al) == repr(_full_alphas(m_frame, u))
+            assert repr(alphas_of(n_frame, v)) == repr(_full_alphas(n_frame, v))
+            be = betas_of(al, u)
+            assert repr(be) == repr(_full_betas(al, u))
+            assert repr(involute_points(m_frame, be, v)) == repr(_full_involute(m_frame, be, v))
+            assert _outcome(dual_involute, n_frame, u, v) == \
+                _outcome(_full_dual_involute, n_frame, u, v)
+            for f in (m_frame, n_frame):
+                assert repr(signed_area_frame(f)) == repr(_full_signed_area(f))
+
+
+def test_half_period_involute_rejects_a_beta_that_is_not_antiperiodic():
+    # a doubled X whose beta has one second-half entry changed: the halves
+    # of N differ at that slot, and the check of beta says so first
+    plane = kgon_plane(7)
+    ce = central_equidistant(plane)
+    m_frame, (nums, den) = frame_of(ce, "M"), frame_of(ce, "betas")
+    n = plane.n
+    for i in range(n):
+        bad = list(nums)
+        bad[n + i] += 1
+        with pytest.raises(IdentityError, match=f"^involute halves differ at edge {i}$"):
+            involute_points(m_frame, ScalarFrame(bad, den), plane.V)
+        assert _outcome(_full_involute, m_frame, ScalarFrame(bad, den), plane.V) \
+            .startswith("IdentityError: involute")
+
+
+def test_asymmetric_ball_keeps_the_full_period():
+    # a ball that is not exactly centrally symmetric (one vertex of its second
+    # half moved, or the whole ball translated) gets the 2n-slot solve and
+    # checks: the same result or the same error as the oracles; so does an
+    # alpha ladder that is not antiperiodic
+    for plane in fuzz_planes(913, 6) + [kgon_plane(9)]:
+        n = plane.n
+        ce = central_equidistant(plane)
+        m_frame, betas = frame_of(ce, "M"), frame_of(ce, "betas")
+        nums, den = frame_of(ce, "alphas")
+        skewed = ScalarFrame(nums[:-1] + [nums[-1] + 1], den)
+        assert repr(betas_of(skewed, plane.U)) == repr(_full_betas(skewed, plane.U))
+        n_frame = involute_points(m_frame, betas, plane.V)
+        balls = []
+        for ball in (plane.U, plane.V):
+            xs, ys, den = ball.frame
+            moved = xs[:n + 1] + [xs[n + 1] + 1] + xs[n + 2:]
+            balls.append(CenteredBall(Frame(moved, ys, den)))
+            balls.append(CenteredBall(Frame([x + den for x in xs], ys, den)))
+        for ball in balls:
+            assert not ball.is_symmetric
+            al = ScalarFrame(nums, den)
+            assert repr(betas_of(al, ball)) == repr(_full_betas(al, ball))
+            for f in (m_frame, n_frame):
+                assert _outcome(alphas_of, f, ball) == _outcome(_full_alphas, f, ball)
+                assert _outcome(involute_points, f, betas, ball) == \
+                    _outcome(_full_involute, f, betas, ball)
+                assert _outcome(dual_involute, f, ball, plane.V) == \
+                    _outcome(_full_dual_involute, f, ball, plane.V)
+                assert _outcome(dual_involute, f, plane.U, ball) == \
+                    _outcome(_full_dual_involute, f, plane.U, ball)
 
 
 def test_involute_evolute_roundtrip():

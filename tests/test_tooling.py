@@ -124,3 +124,24 @@ def test_containers_store_only_their_data():
     }
     assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in fields} == fields
     assert sum(map(len, fields.values())) == 22
+
+
+def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatch):
+    # every M(k) and N(k) is doubled and every ball of the ladder is
+    # symmetric, so each edge-coefficient solve covers n slots, not 2n: the
+    # central equidistant's alphas, then per step the alphas of M(k) and of
+    # N(k + 1) in the ladder and again in check_trace, 4n entries per step
+    sizes = []
+    solve = CenteredBall.edge_coeffs
+
+    def spy(ball, wxs, wys, den):
+        out = solve(ball, wxs, wys, den)
+        sizes.append(len(out.nums))
+        return out
+
+    monkeypatch.setattr(CenteredBall, "edge_coeffs", spy)
+    n = quad_plane.n
+    trace = iterate_involutes(quad_plane, max_steps=3, tol=1e-300)
+    assert all(c.ok for c in iterate.check_trace(trace, quad_plane))
+    assert len(trace.steps) == 4
+    assert sizes == [n] * (1 + 4 * 3)
