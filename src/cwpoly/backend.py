@@ -87,11 +87,14 @@ class FloatBackend(Backend):
     eps = DEFAULT_EPS
 
     def convert(self, value) -> float:
+        """The float nearest to value; a finite value beyond float range
+        ('1e400', 10**400) raises OverflowError "out of float range"."""
         if isinstance(value, bool):
             raise TypeError("boolean is not a coordinate")
-        if isinstance(value, str):
-            value = float(Fraction(value))
-        out = float(value)
+        try:
+            out = float(Fraction(value) if isinstance(value, str) else value)
+        except OverflowError:
+            raise OverflowError("out of float range") from None
         if not math.isfinite(out):
             raise ValueError(f"non-finite coordinate {value!r}")
         return out

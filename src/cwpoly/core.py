@@ -200,6 +200,16 @@ class ScalarFrame(NamedTuple):
         """The frame of the scalars -nums[i] / den."""
         return ScalarFrame([-v for v in self.nums], self.den)
 
+    def reduced(self) -> "ScalarFrame":
+        """The frame divided by its content g = gcd(den, nums), the twin of
+        ``Frame.reduced``: den / g is the lcm of the denominators of the
+        reduced values, so the result is exactly ``scalar_frame`` of the
+        values it holds.  A float frame passes unchanged."""
+        nums, den = self
+        if den == 1 or (g := math.gcd(den, *nums)) == 1:
+            return self
+        return ScalarFrame([v // g for v in nums], den // g)
+
 
 def scalar_frame(values: Sequence[Scalar] | ScalarFrame) -> ScalarFrame:
     """One shared denominator for a list of scalars; a ScalarFrame passes

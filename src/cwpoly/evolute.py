@@ -231,18 +231,31 @@ def edge_world_coeffs(points: Sequence[Vec2] | Frame, v: CenteredBall) -> Scalar
     return ScalarFrame(_later(nums), den)
 
 
-def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall,
-                  v: CenteredBall) -> tuple[Frame, ScalarFrame]:
+def dual_involute(points: Sequence[Vec2] | Frame, u: CenteredBall, v: CenteredBall,
+                  coeffs: Sequence[Scalar] | ScalarFrame | None = None
+                  ) -> tuple[Frame, ScalarFrame]:
     """Involute of an edge-indexed central polygon (edge world -> vertex world).
 
     ``involute_points`` on the ball pair (V, W), one slot later.  Returns
     the frames of M' and of mu, M'_i = N_i + mu_i U_i, whose evolute is the
     input; mu is the alpha ladder of M' and minus the (V, W) betas of the
-    input.  A list whose length is not V's 2n raises InputError.
+    input.  ``coeffs``, if given, are the input's coefficients in the form
+    ``edge_world_coeffs`` returns, and its (V, W) alphas are read from them,
+    one slot earlier, instead of solved: for N(k+1) of the involute ladder
+    they are the betas of M(k).  They are checked, not trusted: a
+    coefficient that changes the betas fails the defining forms, or the
+    halves, of ``involute_points``.  A list or ``coeffs`` whose length is
+    not V's 2n raises InputError.
     """
     x = integer_frame(points)
     v.require_length("dual_involute", len(x.xs))
-    be = betas_of(alphas_of(x, v), v)
+    if coeffs is None:
+        al = alphas_of(x, v)
+    else:
+        nums, den = scalar_frame(coeffs)
+        v.require_length("dual_involute", len(nums), "coeffs")
+        al = ScalarFrame(nums[1:] + nums[:1], den)
+    be = betas_of(al, v)
     mx, my, mden = involute_points(x, be, u.second_dual)
     return Frame(_later(mx), _later(my), mden), -be
 

@@ -8,12 +8,15 @@ point O, the central point of the polygon.
 
 The ladder runs on integer frames (see ``core``): each polygon, alpha and
 beta ladder passes from one public function to the next as a ``Frame`` or
-``ScalarFrame``, and every new polygon is reduced by one content gcd.  The
-four ledger scalars of each step are stored as the framed values the step
-computed (``core.StoredValue``), and each is built as a scalar only when
-it is read.  The sum of squares adds the framed gaps (``core.value_sum``)
-and is held framed too, and the central point O is read from the frame of
-the last M(k).  ``check_trace`` recomputes the ledger from the frames of
+``ScalarFrame``, and every new polygon is reduced by one content gcd.  An
+exact ladder carries its coefficient ladders from step to step instead of
+solving them, and reduces the carried alpha ladder by one content gcd too
+(``ScalarFrame.reduced``); a float ladder solves them every step (see
+``_ladder``).  The four ledger scalars of each step are stored as the
+framed values the step computed (``core.StoredValue``), and each is built
+as a scalar only when it is read.  The sum of squares adds the framed gaps
+(``core.value_sum``) and is held framed too, and the central point O is
+read from the frame of the last M(k).  ``check_trace`` recomputes the ledger from the frames of
 the stored polygons, passes each frame to the same formulas, and adds and
 compares their framed values (``core.value_sum`` of b or -b,
 ``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
@@ -190,8 +193,24 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     doubled frames ``alphas_of`` solves n slots and negates them, the exact
     ``betas_of`` sums n terms, the exact ``involute_points`` checks n slots
     after one comparison of beta's halves, and the exact shoelace sums n
-    terms, with one multiplication each.  The squared diameter of each M(k) is measured once and serves
-    the stop test and ``diam_m``.
+    terms, with one multiplication each.  The squared diameter of each M(k)
+    is measured once and serves the stop test and ``diam_m``.
+
+    Carried ladders: the step is a linear map on coefficient ladders.  The
+    betas of M(k) are the edge-world coefficients of N(k+1) (its (V, W)
+    alphas, one slot later), and the mu that ``dual_involute`` returns is
+    the alpha ladder of M(k+1).  So an exact ladder takes alpha(0) from the
+    central equidistant, hands beta to ``dual_involute`` as the
+    coefficients of N(k+1), and carries mu, divided by its content
+    (``ScalarFrame.reduced``), as alpha(k+1) and as the ladder of gap_nm;
+    it makes no edge-coefficient solve.  Unreduced, mu's denominator would
+    grow by 4 den(det U) den(det V) a step.  Nothing goes unchecked:
+    ``involute_points`` checks both defining forms of both half-steps on the
+    carried betas, and a wrong coefficient fails there.  A float ladder
+    (``Frame.exact`` false) solves both ladders every step instead: carried
+    floats round away from antiperiodicity, step after step, until the
+    halves of an involute differ; a solve puts each ladder back on the
+    doubled polygon it belongs to.
     """
     u, v, w = plane.U, plane.V, plane.W
     tol2 = Fraction(tol) ** 2
@@ -203,18 +222,21 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         gap_mn=0, gap_nm=value_sum(sa_n, -sa_m),
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
+    carry = m_frame.exact
+    al = frame_of(ce, "alphas")
     for k in range(1, max_steps + 1):
         if _below(d2, tol2):
             break
-        be = betas_of(alphas_of(m_frame, u), u)
+        be = betas_of(al if carry else alphas_of(m_frame, u), u)
         n_frame = involute_points(m_frame, be, v)
-        m_frame, mu = dual_involute(n_frame, u, v)
+        m_frame, mu = dual_involute(n_frame, u, v, be if carry else None)
+        al = mu.reduced()
         m_half, n_half = m_frame.half(), n_frame.half()
         d2 = diameter_sq(m_half)
         steps.append(IterationStep(
             k=k, M=m_frame, N=n_frame,
             sa_m=signed_area_frame(m_frame), sa_n=signed_area_frame(n_frame),
-            gap_mn=signed_area_gap_frame(be, v), gap_nm=signed_area_gap_frame(mu, w),
+            gap_mn=signed_area_gap_frame(be, v), gap_nm=signed_area_gap_frame(al, w),
             diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_half)),
         ))
     return len(steps) - 1, steps, "tol" if _below(d2, tol2) else "max_steps"

@@ -458,7 +458,7 @@ def test_negative_fraction_as_separate_word(triangle_doc, tmp_path, capsys, spli
     (["ball", "--backend", "float", "--a", "inf"], "not a finite number"),
     (["ball", "--backend", "float", "--a", "nan"], "not a finite number"),
     (["ball", "--a", "Infinity"], "not a finite number"),
-    (["ball", "--backend", "float", "--a", "1e400"], "too large for a float"),
+    (["ball", "--backend", "float", "--a", "1e400"], "out of float range"),
     (["iterate", "--c", "x"], "Invalid literal for Fraction: 'x'"),
     (["iterate", "--d", "1/0"], "zero denominator"),
 ], ids=["a=x", "a=1/0", "float-a=inf", "float-a=nan", "a=Infinity", "float-a=1e400",
@@ -505,6 +505,22 @@ def test_exit_2_rejections_in_process(triangle_doc, tmp_path, capsys, flags, err
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines()[-1] == f"error: {error}"
+
+
+@pytest.mark.parametrize("coord, shown", [
+    ('"1e400"', "'1e400'"),
+    ("1" + "0" * 400, "1" + "0" * 400),
+], ids=["string", "integer"])
+def test_exit_2_float_coordinate_out_of_range(tmp_path, capsys, coord, shown):
+    # a document coordinate beyond float range is worded as such on the float
+    # backend, as the --a flag is, and read exactly on the rational one
+    doc = tmp_path / "big.json"
+    doc.write_text(f'{{"vertices": [[0, 0], [3, 0], [0, {coord}]]}}')
+    assert main(["ball", str(doc), "--backend", "float"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == f"error: bad coordinate {shown}: out of float range"
+    assert main(["ball", str(doc)]) == 0
 
 
 def test_exit_3_perturbed_paired(tmp_path, capsys):

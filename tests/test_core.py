@@ -477,6 +477,22 @@ def test_reduce_frame_gives_integer_frame(pts, c):
     assert all(type(v) is int for v in got[0] + got[1] + [got[2]])
 
 
+@given(st.lists(mixed_coords, min_size=1, max_size=18), st.integers(1, 10 ** 12),
+       st.lists(float_coords, min_size=1, max_size=18))
+def test_reduce_scalar_frame_keeps_its_values(values, c, floats):
+    # the twin of Frame.reduced: one content gcd takes any multiple of a
+    # ladder's frame back to scalar_frame of its values, and a float frame
+    # passes unchanged
+    nums, den = scalar_frame(values)
+    got = ScalarFrame([v * c for v in nums], den * c).reduced()
+    assert got == (nums, den)
+    assert got.values() == [F(v) for v in values]
+    assert math.gcd(got.den, *got.nums) == 1
+    assert all(type(v) is int for v in got.nums + [got.den])
+    f = scalar_frame(floats)
+    assert f.reduced() is f
+
+
 def test_involute_kernels_return_integer_frame():
     # the frames the ladder carries are the frames of the vertices it stores
     for plane in fuzz_planes(430, 6):

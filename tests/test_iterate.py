@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from cwpoly import (
     ConvexPolygon,
     GeometryError,
+    IdentityError,
     InputError,
     IterationStep,
     PairedPolygon,
@@ -21,6 +23,7 @@ from cwpoly import (
     central_equidistant,
     check_nesting,
     check_trace,
+    iterate,
     iterate_involutes,
     signed_area,
     width_family,
@@ -29,6 +32,7 @@ from cwpoly.backend import get_backend
 from cwpoly.core import Frame, ScalarFrame, frame_of, integer_frame
 from cwpoly.cw import alphas_of, betas_of
 from cwpoly.evolute import dual_involute, signed_area_gap
+from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import _sci
 
 from conftest import float_copy, fuzz_planes, kgon_plane
@@ -570,3 +574,71 @@ def test_sci_matches_reference(x, negative):
     # the Fraction rounding, exact ties (half to even) included
     x = -x if negative else x
     assert _sci(x) == _sci_reference(x)
+
+
+def _carried_ladders(plane, max_steps, corrupt=None):
+    """Run the exact ladder and record what it carries: the alpha ladder it
+    hands to ``betas_of`` and the coefficients it hands to ``dual_involute``,
+    one per step.  ``corrupt``, if given, is (ladder, k, change): the ladder
+    "alpha" or "beta" of step k is handed on with change[i] added to its
+    numerator i."""
+    seen = {"alpha": [], "beta": []}
+
+    def carried(name, frame):
+        k = len(seen[name])
+        seen[name].append(frame)
+        if corrupt and corrupt[:2] == (name, k):
+            nums = list(frame.nums)
+            for i, delta in corrupt[2].items():
+                nums[i] += delta
+            frame = ScalarFrame(nums, frame.den)
+        return frame
+
+    def spy_betas(al, u):
+        return betas_of(carried("alpha", al), u)
+
+    def spy_dual(x, u, v, coeffs=None):
+        return dual_involute(x, u, v, carried("beta", coeffs))
+
+    with mock.patch.object(iterate, "betas_of", spy_betas), \
+            mock.patch.object(iterate, "dual_involute", spy_dual):
+        trace = iterate_involutes(plane, max_steps=max_steps, tol=1e-300)
+    return trace, seen["alpha"], seen["beta"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_ladder_carries_fact_1(seed, mirrored):
+    # fact 1 of the step map, on both orientations: the edge-world
+    # coefficients of N(k+1) are beta = betas_of(alpha(k), U), so the
+    # (V, W) alphas of N(k+1) are beta one slot earlier, and the mu of the
+    # dual involute, divided by its content, is alpha(k+1), the alpha ladder
+    # of M(k+1); the exact ladder carries both instead of solving them
+    plane = random_cw_plane(random.Random(seed), n_min=3, n_max=7)
+    if mirrored:
+        plane = build_plane(ConvexPolygon.from_points([(-p.x, p.y) for p in plane.P.vertices]))
+    u, v, n = plane.U, plane.V, plane.n
+    trace, alphas, betas = _carried_ladders(plane, 4)
+    assert len(trace.steps) == 5 and len(alphas) == len(betas) == 4
+    assert alphas[0] == frame_of(central_equidistant(plane), "alphas")
+    for k in range(3):
+        m_next, n_next = frame_of(trace.steps[k + 1], "M"), frame_of(trace.steps[k + 1], "N")
+        be = betas[k]
+        assert be == betas_of(alphas[k], u)
+        assert alphas_of(n_next, v).values() == be.values()[1:] + be.values()[:1]
+        al = alphas[k + 1]
+        assert al.values() == alphas_of(m_next, u).values()
+        assert math.gcd(al.den, *al.nums) == 1
+    # a wrong carried entry is caught by involute_points: a change of entry
+    # i of the antiperiodic ladder (slot i, and slot i + n negated) by its
+    # defining forms, at the edge where that entry steps; a change of one
+    # slot alone breaks antiperiodicity, so its halves check fails first
+    for k in range(3):
+        for i in range(n):
+            for name, edge in (("alpha", i), ("beta", (i - 1) % n)):
+                with pytest.raises(IdentityError,
+                                   match=f"^involute defining forms disagree at edge {edge}$"):
+                    _carried_ladders(plane, 4, (name, k, {i: 1, i + n: -1}))
+                for slot in (i, i + n):
+                    with pytest.raises(IdentityError, match="^involute halves differ at edge 0$"):
+                        _carried_ladders(plane, 4, (name, k, {slot: 1}))

@@ -10,10 +10,14 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
 import cwpoly
 from cwpoly import (CenteredBall, CentralEquidistant, ConvexPolygon, Evolute, Involute,
                     IterationTrace, MinkowskiPlane, PairedPolygon, iterate, iterate_involutes,
                     kernels)
+
+from conftest import float_copy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,14 +49,15 @@ def test_traced_ladder_counts_steps(triangle_plane):
 
 def test_tracer_sees_the_ladder(quad_plane):
     # each step of the ladder calls the public functions, so the tracer
-    # counts them: per step two diameters, one dual involute, one alpha
-    # ladder, and the central equidistant's alphas before the first step
+    # counts them: per step two diameters and one dual involute; the exact
+    # ladder carries its coefficients, so the central equidistant's alphas
+    # are the only alpha ladder solved
     with _tracer_module().Tracer() as tr:
         iterate_involutes(quad_plane, max_steps=5, tol=1e-300)
     calls = {name: stat[0] for name, stat in tr.stats.items()}
     assert calls["iterate.diameter_sq"] == 12
     assert calls["evolute.dual_involute"] == 5
-    assert calls["cw.alphas_of"] > 1
+    assert calls["cw.alphas_of"] == 1
 
 
 def test_sweep_times_every_stage(monkeypatch):
@@ -126,11 +131,15 @@ def test_containers_store_only_their_data():
     assert sum(map(len, fields.values())) == 22
 
 
-def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatch):
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatch, exact):
     # every M(k) and N(k) is doubled and every ball of the ladder is
-    # symmetric, so each edge-coefficient solve covers n slots, not 2n: the
-    # central equidistant's alphas, then per step the alphas of M(k) and of
-    # N(k + 1) in the ladder and again in check_trace, 4n entries per step
+    # symmetric, so each edge-coefficient solve covers n slots, not 2n.
+    # The central equidistant's alphas are solved once; then per step
+    # check_trace solves the alphas of M(k) and of N(k), and the float
+    # ladder solves them again, while the exact ladder carries them: 2
+    # solves per step exact, 4 float
+    plane = quad_plane if exact else float_copy(quad_plane, 1.0)
     sizes = []
     solve = CenteredBall.edge_coeffs
 
@@ -140,8 +149,8 @@ def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatc
         return out
 
     monkeypatch.setattr(CenteredBall, "edge_coeffs", spy)
-    n = quad_plane.n
-    trace = iterate_involutes(quad_plane, max_steps=3, tol=1e-300)
-    assert all(c.ok for c in iterate.check_trace(trace, quad_plane))
+    n = plane.n
+    trace = iterate_involutes(plane, max_steps=3, tol=1e-300)
+    assert all(c.ok for c in iterate.check_trace(trace, plane))
     assert len(trace.steps) == 4
-    assert sizes == [n] * (1 + 4 * 3)
+    assert sizes == [n] * (1 + (2 if exact else 4) * 3)
