@@ -16,7 +16,11 @@ solving them, and reduces the carried alpha ladder by one content gcd too
 framed values the step computed (``core.StoredValue``), and each is built
 as a scalar only when it is read.  The sum of squares adds the framed gaps
 (``core.value_sum``) and is held framed too, and the central point O is
-read from the frame of the last M(k).  ``check_trace`` recomputes the ledger from the frames of
+read from the frame of the last M(k).  ``diameter_sq`` scans all pairs of
+a float frame or a short one; on an exact frame of 7 or more points whose
+coordinates, less point 0's, pass 63 bits, a float ``math.dist`` over all
+pairs keeps for the exact scan only those in a proven band of the float
+maximum.  ``check_trace`` recomputes the ledger from the frames of
 the stored polygons, passes each frame to the same formulas, and adds and
 compares their framed values (``core.value_sum`` of b or -b,
 ``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations, compress, starmap
 from typing import Sequence
 
 from .backend import Backend, Scalar
@@ -60,17 +65,47 @@ DEFAULT_STEPS_FLOAT = 10_000
 def diameter_sq(points: Sequence[Vec2] | Frame) -> ScalarFrame:
     """Max squared Euclidean distance over pairs of a nonempty point list,
     framed: the one value nums[0] / den, exact in rational mode, on the
-    integer frame of the points."""
-    xs, ys, den = integer_frame(points)
+    integer frame of the points.  InputError for no points.
+
+    A float frame, or one of fewer than 7 points, or one whose coordinates
+    translated by point 0 fit in 63 bits, is scanned pair by pair.  Else
+    (the integer frame of a long exact ladder) the translated coordinates,
+    each at most the diameter D, are shifted right by s so that none has
+    more than 1000 bits, and ``math.dist`` over the floats keeps only the
+    pairs within a relative band 2^-48 of the float maximum for the exact
+    scan.  Proof, with u = 2^-53 and S = D / 2^s: the shift's floor error
+    is below 1 <= 2^-999 S (none when s = 0) and ``float(int)`` rounds
+    correctly, so each float is within 1.01 u S of its scaled coordinate;
+    the subtraction inside ``dist`` adds u of a difference <= 1.03 S, so
+    the difference vector is within sqrt(2) * 3.1 u S <= 4.4 u S; ``dist``
+    is under 1 ulp (Python 3.10 on), which adds 2.1 u S.  So every float
+    distance is within 7 u S of its scaled exact one, a diametral pair
+    reads within 14 u / (1 - 7 u) < 15 u of the float maximum, relative,
+    and 2^-48 = 32 u covers that and the rounding of the threshold.
+    """
+    f = integer_frame(points)
+    xs, ys, den = f
+    if not xs:
+        raise InputError("diameter of an empty point set")
+    pts = list(zip(xs, ys))
+    pairs = combinations(pts, 2)
+    if len(pts) >= 7 and f.exact:
+        x0, y0 = pts[0]
+        tx, ty = [x - x0 for x in xs], [y - y0 for y in ys]
+        bits = max(max(tx), -min(tx), max(ty), -min(ty)).bit_length()
+        if bits > 63:
+            s = max(bits - 1000, 0)
+            fl = [(float(x >> s), float(y >> s)) for x, y in zip(tx, ty)]
+            ds = list(starmap(math.dist, combinations(fl, 2)))
+            low = max(ds) * (1 - 2.0 ** -48)
+            pairs = compress(combinations(pts, 2), [d >= low for d in ds])
     best = xs[0] - xs[0]  # zero, as an int or a float like the frame
-    for i in range(len(xs)):
-        xi, yi = xs[i], ys[i]
-        for j in range(i + 1, len(xs)):
-            dx = xi - xs[j]
-            dy = yi - ys[j]
-            v = dx * dx + dy * dy
-            if v > best:
-                best = v
+    for (xi, yi), (xj, yj) in pairs:
+        dx = xi - xj
+        dy = yi - yj
+        v = dx * dx + dy * dy
+        if v > best:
+            best = v
     return ScalarFrame([best], den * den)
 
 

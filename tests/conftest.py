@@ -89,11 +89,27 @@ def fuzz_planes(seed: int, count: int, **kwargs):
     return [random_cw_plane(r, **kwargs) for _ in range(count)]
 
 
-def kgon_plane(k: int):
+def kgon_points(k: int) -> list[tuple[int, int]]:
     """The regular k-gon of radius 1000, rounded to integer coordinates."""
-    pts = [(round(1000 * math.cos(2 * math.pi * j / k)),
-            round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
-    return build_plane(ConvexPolygon.from_points(pts))
+    return [(round(1000 * math.cos(2 * math.pi * j / k)),
+             round(1000 * math.sin(2 * math.pi * j / k))) for j in range(k)]
+
+
+def kgon_plane(k: int):
+    """The plane of the rounded regular k-gon (``kgon_points``)."""
+    return build_plane(ConvexPolygon.from_points(kgon_points(k)))
+
+
+def ref_diameter_sq(p):
+    """The squared diameter of a point list by the plain O(n^2) scan."""
+    best = p[0].x - p[0].x
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            dx, dy = p[i].x - p[j].x, p[i].y - p[j].y
+            v = dx * dx + dy * dy
+            if v > best:
+                best = v
+    return best
 
 
 def perturbed_planes():

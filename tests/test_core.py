@@ -5,7 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwpoly import (
@@ -45,7 +45,7 @@ from cwpoly.evolute import dual_involute, involute_points, signed_area_gap
 from cwpoly.fuzz import random_centered_ball, random_convex_polygon, random_cw_plane
 from cwpoly.iterate import diameter_sq
 
-from conftest import float_copy, fuzz_planes
+from conftest import float_copy, fuzz_planes, kgon_points, ref_diameter_sq
 
 TRI = [Vec2(F(0), F(0)), Vec2(F(1), F(0)), Vec2(F(0), F(1))]
 HEX_U = [Vec2(F(x), F(y)) for x, y in
@@ -442,17 +442,6 @@ def ref_mixed(p, q):
     return acc / 2
 
 
-def ref_diameter_sq(p):
-    best = p[0].x - p[0].x
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            dx, dy = p[i].x - p[j].x, p[i].y - p[j].y
-            v = dx * dx + dy * dy
-            if v > best:
-                best = v
-    return best
-
-
 def ref_gap(betas, v):
     acc = 0
     for i in range(len(betas) // 2):
@@ -606,6 +595,60 @@ def test_framed_areas_and_diameter_float_bitwise(p, q4, r4):
                       (mixed_area(p, p), ref_mixed(p, p)),
                       (diameter_sq(p).values()[0], ref_diameter_sq(p))):
         assert got == want and type(got) is type(want)
+
+
+@st.composite
+def _band_frames(draw):
+    """Exact frames on both sides of the filter's cutovers (7 points, 63 and
+    1000 bits): exact ties (rounded K-gons started at any vertex or turned a
+    quarter, repeated points, all points equal) or random points, scaled by
+    2^e and moved off the origin by up to 2^1200.  A jitter of a few units,
+    or of a few float ulps of the diameter, gives the diametral pairs rivals
+    that the float distances cannot order."""
+    kind = draw(st.sampled_from(["kgon", "random", "point"]))
+    if kind == "kgon":
+        k = draw(st.integers(1, 12))
+        r = draw(st.integers(0, k - 1))
+        base = kgon_points(k)
+        base = base[r:] + base[:r]
+        if draw(st.booleans()):
+            base = [(-y, x) for x, y in base]
+    elif kind == "random":
+        small = st.integers(-5, 5)
+        base = draw(st.lists(st.tuples(small, small), min_size=1, max_size=12))
+    else:
+        base = [(0, 0)] * draw(st.integers(1, 12))
+    base += base[:draw(st.integers(0, len(base)))]
+    e = draw(st.sampled_from([0, 62, 70, 990, 1000, 1100, 1200]))
+    ox, oy = (draw(st.integers(-2 ** 1200, 2 ** 1200)) for _ in range(2))
+    unit = 2 ** max(e - draw(st.sampled_from([e, 44, 48])), 0)
+    jitter = st.integers(-3, 3) if draw(st.booleans()) else st.just(0)
+    xs = [ox + x * 2 ** e + draw(jitter) * unit for x, _ in base]
+    ys = [oy + y * 2 ** e + draw(jitter) * unit for _, y in base]
+    return Frame(xs, ys, draw(st.sampled_from([1, 3, 2 ** 40])))
+
+
+def _rivals(e):
+    """A diametral pair whose float length rounds down 2047 units, and a
+    rival 417 units shorter whose float length rounds up, scaled by 2^e."""
+    pts = [(0, 0), (2 ** 64 + 2047, 0), (2 ** 63, -2 ** 62 - 600),
+           (2 ** 63, 3 * 2 ** 62 + 1030)] + [(2 ** 63, 0)] * 3
+    return Frame([x << e for x, _ in pts], [y << e for _, y in pts], 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_frames())
+@example(_rivals(0))
+@example(_rivals(1100))
+def test_diameter_filter_equals_the_scan(f):
+    want = ref_diameter_sq([Vec2(x, y) for x, y in zip(f.xs, f.ys)])
+    assert diameter_sq(f) == ScalarFrame([want], f.den * f.den)
+
+
+@pytest.mark.parametrize("points", [[], Frame([], [], 1)], ids=["list", "frame"])
+def test_diameter_of_no_points_raises(points):
+    with pytest.raises(InputError, match="^diameter of an empty point set$"):
+        diameter_sq(points)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.data())

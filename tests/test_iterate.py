@@ -35,7 +35,7 @@ from cwpoly.evolute import dual_involute, signed_area_gap
 from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import _sci
 
-from conftest import float_copy, fuzz_planes, kgon_plane
+from conftest import float_copy, fuzz_planes, kgon_plane, ref_diameter_sq
 
 
 def test_symmetric_converges_immediately(symmetric_plane):
@@ -454,6 +454,31 @@ def test_half_period_invariant():
         assert len(trace.steps) == 9
         for s in trace.steps:
             assert all(s.M[i + n] == s.M[i] and s.N[i + n] == s.N[i] for i in range(n))
+
+
+def test_ledger_diameters_at_n_41_equal_the_scan(monkeypatch):
+    # the 41-gon's frames take diameter_sq's float filter; with the plain
+    # scan patched in as the oracle, every stored diameter and the stop
+    # reason must be the same, on a run cut by max_steps and one by tol
+    plane = kgon_plane(41)
+
+    def scan(frame):
+        xs, ys, den = integer_frame(frame)
+        pts = [Vec2(x, y) for x, y in zip(xs, ys)]
+        return ScalarFrame([ref_diameter_sq(pts)], den * den)
+
+    def ledger(tol):
+        trace = iterate_involutes(plane, max_steps=8, tol=tol)
+        return [(s.diam_m, s.diam_n) for s in trace.steps], trace.stop_reason
+
+    got = ledger(1e-300)
+    with monkeypatch.context() as m:
+        m.setattr(iterate, "diameter_sq", scan)
+        want = ledger(1e-300)
+        tol = math.sqrt(want[0][4][0] * want[0][5][0])
+        want_tol = ledger(tol)
+    assert got == want and want[1] == "max_steps"
+    assert ledger(tol) == want_tol and len(want_tol[0]) == 6 and want_tol[1] == "tol"
 
 
 # SHA-256 of the exact ledger below, recorded before the kernels moved to the
