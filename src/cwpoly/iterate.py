@@ -21,9 +21,11 @@ a float frame or a short one; on an exact frame of 7 or more points whose
 coordinates, less point 0's, pass 63 bits, a float ``math.dist`` over all
 pairs keeps for the exact scan only those in a proven band of the float
 maximum.  ``check_trace`` recomputes the ledger from the frames of
-the stored polygons, passes each frame to the same formulas, and adds and
-compares their framed values (``core.value_sum`` of b or -b,
-``value_eq``, ``value_le``, ``value_sign``), with no Fraction in between.
+the stored polygons, taking over the areas and float ladders that
+``iterate_involutes`` computed from them, passes each frame to the same
+formulas, and adds and compares their framed values (``core.value_sum``
+of b or -b, ``value_eq``, ``value_le``, ``value_sign``), with no Fraction
+in between.
 """
 from __future__ import annotations
 
@@ -147,6 +149,7 @@ class IterationTrace:
     sumsquares: Scalar = StoredValue()
     sa0: Scalar = StoredValue()
     stop_reason: str
+    _known = None  # what iterate_involutes computed, for check_trace; not a field
 
     @property
     def final(self) -> IterationStep:
@@ -190,14 +193,14 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
 
     ce = central_equidistant(plane)
     ev = evolute(plane.P.frame, plane.U, plane.V)
-    _, steps, stop_reason = _ladder(plane, ce, ev, max_steps, tol)
+    _, steps, stop_reason, known = _ladder(plane, ce, ev, max_steps, tol)
 
     last = steps[-1]
     # the framed gaps, added in step order
     acc = ScalarFrame([0], 1)
     for s in steps[1:]:
         acc = value_sum(value_sum(acc, frame_of(s, "gap_mn")), frame_of(s, "gap_nm"))
-    return IterationTrace(
+    trace = IterationTrace(
         steps=steps,
         O=_centroid(frame_of(last, "M")),
         radius=last.diam_m,
@@ -206,10 +209,13 @@ def iterate_involutes(plane: MinkowskiPlane, max_steps: int | None = None,
         sa0=frame_of(steps[0], "sa_m"),
         stop_reason=stop_reason,
     )
+    trace._known = (plane.U, plane.V, known)
+    return trace
 
 
 def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
-    """The involute ladder of both backends; returns (k, steps, stop_reason).
+    """The involute ladder of both backends; returns (k, steps, stop_reason,
+    known).
 
     Both halves of a step are the one checked involute construction: on the
     ball pair (U, V) from M(k) to N(k+1), then on (V, W) back to M(k+1).
@@ -242,14 +248,21 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
     grow by 4 den(det U) den(det V) a step.  Nothing goes unchecked:
     ``involute_points`` checks both defining forms of both half-steps on the
     carried betas, and a wrong coefficient fails there.  A float ladder
-    (``Frame.exact`` false) solves both ladders every step instead: carried
-    floats round away from antiperiodicity, step after step, until the
-    halves of an involute differ; a solve puts each ladder back on the
-    doubled polygon it belongs to.
+    (``Frame.exact`` false) solves both ladders of every later polygon
+    instead, once each (``edge_world_coeffs`` of N(k+1) goes to
+    ``dual_involute``): carried floats round away from antiperiodicity,
+    step after step, until the halves of an involute differ; a solve puts
+    each ladder back on the doubled polygon it belongs to.
+
+    known[k] is [M(k), N(k), SA(M(k)), SA(N(k)), alphas of M(k), edge-world
+    coefficients of N(k)], the frames and what was computed from them; a
+    ladder is None where it was not solved (every carried one).
     """
     u, v, w = plane.U, plane.V, plane.W
-    tol2 = Fraction(tol) ** 2
     m_frame, n_frame = (frame_of(ce, "M"), frame_of(ev, "E"))
+    carry = m_frame.exact
+    cut = Fraction(tol) ** 2
+    cut = cut if carry else _float_ceil(cut)
     d2 = diameter_sq(m_frame.half())
     sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
     steps = [IterationStep(
@@ -257,24 +270,28 @@ def _ladder(plane, ce: CentralEquidistant, ev, max_steps, tol):
         gap_mn=0, gap_nm=value_sum(sa_n, -sa_m),
         diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_frame.half())),
     )]
-    carry = m_frame.exact
-    al = frame_of(ce, "alphas")
+    known = [[m_frame, n_frame, sa_m, sa_n, None, None]]
+    al = frame_of(ce, "alphas")  # solved on M(0)'s frame
     for k in range(1, max_steps + 1):
-        if _below(d2, tol2):
+        if _below(d2, cut):
             break
-        be = betas_of(al if carry else alphas_of(m_frame, u), u)
+        if not (carry or k == 1):
+            al = known[-1][4] = alphas_of(m_frame, u)
+        be = betas_of(al, u)
         n_frame = involute_points(m_frame, be, v)
-        m_frame, mu = dual_involute(n_frame, u, v, be if carry else None)
+        ew = be if carry else edge_world_coeffs(n_frame, v)
+        m_frame, mu = dual_involute(n_frame, u, v, ew)
         al = mu.reduced()
         m_half, n_half = m_frame.half(), n_frame.half()
         d2 = diameter_sq(m_half)
+        sa_m, sa_n = signed_area_frame(m_frame), signed_area_frame(n_frame)
         steps.append(IterationStep(
-            k=k, M=m_frame, N=n_frame,
-            sa_m=signed_area_frame(m_frame), sa_n=signed_area_frame(n_frame),
+            k=k, M=m_frame, N=n_frame, sa_m=sa_m, sa_n=sa_n,
             gap_mn=signed_area_gap_frame(be, v), gap_nm=signed_area_gap_frame(al, w),
             diam_m=_sqrt(d2), diam_n=_sqrt(diameter_sq(n_half)),
         ))
-    return len(steps) - 1, steps, "tol" if _below(d2, tol2) else "max_steps"
+        known.append([m_frame, n_frame, sa_m, sa_n, None, None if carry else ew])
+    return len(steps) - 1, steps, "tol" if _below(d2, cut) else "max_steps", known
 
 
 def _sqrt(value: ScalarFrame) -> float:
@@ -307,8 +324,19 @@ def _sci(x) -> str:
         return f"{Decimal(x.numerator) / Decimal(x.denominator):.3e}"
 
 
-def _below(value: ScalarFrame, bound: Fraction) -> bool:
-    """num / den < bound, exactly, for a framed value with den > 0."""
+def _float_ceil(q: Fraction) -> float:
+    """The least float c >= q > 0 (inf beyond float range), so that a float
+    x < c exactly when x < q."""
+    try:
+        c = float(q)
+    except OverflowError:
+        return math.inf
+    return c if c >= q else math.nextafter(c, math.inf)
+
+
+def _below(value: ScalarFrame, bound) -> bool:
+    """num / den < bound, exactly, for a framed value with den > 0: a
+    Fraction bound on an exact value, a ``_float_ceil`` on a float one."""
     (num,), den = value
     if type(den) is float:
         return num / den < bound
@@ -345,6 +373,9 @@ def convex_parent_of_m(m_points, u, backend: Backend | None = None) -> Frame:
     return offset_points(f, u, from_frame(den - min(nums), den))
 
 
+_UNKNOWN = (None,) * 6  # a record row that matches no frame
+
+
 @dataclass
 class TraceCheck:
     check_id: str
@@ -355,26 +386,34 @@ class TraceCheck:
 def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck]:
     """Independent re-verification of the iteration ledger.
 
-    Recomputes every signed area and coefficient ladder from the stored
-    polygons and confirms: nonnegative monotone areas, the two per-step gap
+    Takes every signed area and coefficient ladder from the stored polygons
+    and confirms: nonnegative monotone areas, the two per-step gap
     identities, the cumulative sum-of-squares bound against SA(M(0)), and
     non-increasing diameters.  Each polygon's signed area and coefficient
-    ladder come from its frame (``core.frame_of``).  Areas, gaps and
-    the running sum stay framed values, added and compared on integers in
-    rational mode and as the float quotients in float mode; the only
-    Fractions built are the slack and the residual that the detail prints.
+    ladder come from its frame (``core.frame_of``), once per trace: an area,
+    or a ladder the float ladder solved, is taken from the record of
+    ``iterate_involutes`` only for the frame object it was computed from, on
+    this plane's U and V.  Every other ladder, so every exact one, is
+    solved here.  Areas, gaps and the running sum stay framed values, added
+    and compared on integers in rational mode and as the float quotients in
+    float mode; the only Fractions built are the slack and the residual
+    that the detail prints.
     """
     backend = trace.backend
     u, v, w = plane.U, plane.V, plane.W
     out: list[TraceCheck] = []
 
-    # the frame and SA of every stored polygon, computed once: M(k) at
-    # index k, and N(k) for k > 0 (index 0 is unused)
+    # the frame, SA and record row of every stored polygon: M(k) at index
+    # k, and N(k) for k > 0 (index 0 is unused)
     steps = trace.steps
+    rec = trace._known
+    rows = rec[2][:len(steps)] if rec and rec[0] is u and rec[1] is v else []
+    rows += [_UNKNOWN] * (len(steps) - len(rows))
     m_frames = [frame_of(s, "M") for s in steps]
     n_frames = [None] + [frame_of(s, "N") for s in steps[1:]]
-    sa_m = [signed_area_frame(f) for f in m_frames]
-    sa_n = [None] + [signed_area_frame(f) for f in n_frames[1:]]
+    sa_m = [r[2] if f is r[0] else signed_area_frame(f) for f, r in zip(m_frames, rows)]
+    sa_n = [None] + [r[3] if f is r[1] else signed_area_frame(f)
+                     for f, r in zip(n_frames[1:], rows[1:])]
 
     chain = [sa_m[0]] + [x for pair in zip(sa_n[1:], sa_m[1:]) for x in pair]
     ok = all(value_sign(x) >= 0 for x in chain) and all(
@@ -387,11 +426,14 @@ def check_trace(trace: IterationTrace, plane: MinkowskiPlane) -> list[TraceCheck
     sa0 = sa_m[0]
     for idx in range(1, len(steps)):
         k = steps[idx].k
-        rhs = signed_area_gap_frame(edge_world_coeffs(n_frames[idx], v), v)
+        m, n, r = m_frames[idx], n_frames[idx], rows[idx]
+        be = r[5] if n is r[1] and r[5] is not None else edge_world_coeffs(n, v)
+        rhs = signed_area_gap_frame(be, v)
         if not value_eq(value_sum(sa_m[idx - 1], -sa_n[idx]), rhs):
             detail = f"beta gap fails at k={k}"
             break
-        rhs2 = signed_area_gap_frame(alphas_of(m_frames[idx], u), w)
+        al = r[4] if m is r[0] and r[4] is not None else alphas_of(m, u)
+        rhs2 = signed_area_gap_frame(al, w)
         if not value_eq(value_sum(sa_n[idx], -sa_m[idx]), rhs2):
             detail = f"alpha gap fails at k={k}"
             break

@@ -31,7 +31,7 @@ from cwpoly import (
 from cwpoly.backend import get_backend
 from cwpoly.core import Frame, ScalarFrame, frame_of, integer_frame
 from cwpoly.cw import alphas_of, betas_of
-from cwpoly.evolute import dual_involute, signed_area_gap
+from cwpoly.evolute import dual_involute, edge_world_coeffs, signed_area_frame, signed_area_gap
 from cwpoly.fuzz import random_cw_plane
 from cwpoly.iterate import _sci
 
@@ -260,6 +260,86 @@ def test_check_trace_reads_stored_frames_as_vertices():
         steps = [dataclasses.replace(s, M=list(s.M), N=list(s.N)) for s in trace.steps]
         assert check_trace(dataclasses.replace(trace, steps=steps), plane) == fresh
         assert all(c.ok for c in fresh)
+
+
+def _mirrored(plane):
+    return build_plane(ConvexPolygon.from_points([(-p.x, p.y) for p in plane.P.vertices]))
+
+
+def test_recorded_ledger_values_are_fresh_values():
+    # iterate_involutes hands check_trace what it computed from each stored
+    # frame: every recorded value is, bit for bit, a fresh shoelace or
+    # solve of that frame; the exact ladder records no coefficient ladder,
+    # and the float ladder every one but M(K)'s, which it never solves
+    planes = fuzz_planes(421, 4)
+    planes += [_mirrored(p) for p in planes]
+    planes += [float_copy(p, s) for s in (1e-3, 1.0) for p in planes]
+    for plane in planes:
+        trace = iterate_involutes(plane, max_steps=6, tol=1e-300)
+        u, v, known = trace._known
+        assert u is plane.U and v is plane.V and len(known) == len(trace.steps) == 7
+        for k, (s, (m, n, sa_m, sa_n, al, ew)) in enumerate(zip(trace.steps, known)):
+            assert m is frame_of(s, "M") and n is frame_of(s, "N")
+            assert repr((sa_m, sa_n)) == repr((signed_area_frame(m), signed_area_frame(n)))
+            solved = not plane.backend.exact
+            assert (al is not None, ew is not None) == (solved and 0 < k < 6, solved and k > 0)
+            if al is not None:
+                assert repr(al) == repr(alphas_of(m, u))
+            if ew is not None:
+                assert repr(ew) == repr(edge_world_coeffs(n, v))
+
+
+def _outcome(trace, plane):
+    try:
+        return check_trace(trace, plane)
+    except IdentityError as e:
+        return str(e)
+
+
+def test_check_trace_recomputes_a_step_swapped_in_place():
+    # a step swapped into the recorded trace holds other frames, so
+    # check_trace computes its areas and ladders afresh, as on a trace
+    # rebuilt around it: the broken steps of the failure-branch test, and
+    # M(2) or N(3) moved one slot on, which keeps its shoelace and changes
+    # its ladder.  On a plane with other ball objects nothing is taken.
+    planes = fuzz_planes(401, 4)
+    planes += [float_copy(p, 1.0) for p in planes]
+    for plane in planes:
+        trace = iterate_involutes(plane, max_steps=4, tol=1e-300)
+        steps = trace.steps
+        cases = [(2, _scaled(steps[2], "M", 10)), (3, _scaled(steps[3], "N", 2)),
+                 (3, _scaled(steps[3], "M", 2)), (4, _negative_last_m(trace, plane)),
+                 (2, dataclasses.replace(steps[2], diam_m=2 * steps[0].diam_m))]
+        cases += [(k, dataclasses.replace(steps[k], **{name: getattr(steps[k], name)[1:]
+                                                       + getattr(steps[k], name)[:1]}))
+                  for k, name in ((2, "M"), (3, "N"))]
+        for k, step in cases:
+            want = _outcome(dataclasses.replace(trace, steps=steps[:k] + [step] + steps[k + 1:]),
+                            plane)
+            assert want != _outcome(trace, plane)
+            kept, steps[k] = steps[k], step
+            assert _outcome(trace, plane) == want
+            steps[k] = kept
+        other = dataclasses.replace(plane, U=dataclasses.replace(plane.U),
+                                    V=dataclasses.replace(plane.V))
+        with mock.patch.object(iterate, "signed_area_frame",
+                               wraps=iterate.signed_area_frame) as shoelace:
+            assert check_trace(trace, other) == check_trace(trace, plane)
+        assert shoelace.call_count == 9
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324, 1e-9, 1.0, 1e200])
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(min_value=0.0))
+def test_float_stop_test_matches_the_exact_one(tol, x):
+    # the float ladder stops on num / den < c, c the least float >= tol^2:
+    # the decision of the exact comparison with the Fraction tol^2, for
+    # every float, c and its neighbours included
+    q = F(tol) ** 2
+    c = iterate._float_ceil(q)
+    assert c >= q and math.nextafter(c, -math.inf) < q
+    for y in (x, c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)):
+        assert iterate._below(ScalarFrame([y], 1.0), c) == (y < q)
 
 
 def _mean(points):
@@ -641,7 +721,7 @@ def test_ladder_carries_fact_1(seed, mirrored):
     # of M(k+1); the exact ladder carries both instead of solving them
     plane = random_cw_plane(random.Random(seed), n_min=3, n_max=7)
     if mirrored:
-        plane = build_plane(ConvexPolygon.from_points([(-p.x, p.y) for p in plane.P.vertices]))
+        plane = _mirrored(plane)
     u, v, n = plane.U, plane.V, plane.n
     trace, alphas, betas = _carried_ladders(plane, 4)
     assert len(trace.steps) == 5 and len(alphas) == len(betas) == 4

@@ -16,6 +16,7 @@ import cwpoly
 from cwpoly import (CenteredBall, CentralEquidistant, ConvexPolygon, Evolute, Involute,
                     IterationTrace, MinkowskiPlane, PairedPolygon, iterate, iterate_involutes,
                     kernels)
+from cwpoly.core import frame_of
 
 from conftest import float_copy
 
@@ -135,10 +136,11 @@ def test_containers_store_only_their_data():
 def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatch, exact):
     # every M(k) and N(k) is doubled and every ball of the ladder is
     # symmetric, so each edge-coefficient solve covers n slots, not 2n.
-    # The central equidistant's alphas are solved once; then per step
-    # check_trace solves the alphas of M(k) and of N(k), and the float
-    # ladder solves them again, while the exact ladder carries them: 2
-    # solves per step exact, 4 float
+    # The central equidistant's alphas are solved once, on M(0); then 2
+    # solves per step: the exact ladder carries its ladders and check_trace
+    # solves the alphas of M(k) and of N(k), while the float ladder solves
+    # them, once each, and check_trace takes them from it, solving only
+    # M(K)'s, which the ladder never needs
     plane = quad_plane if exact else float_copy(quad_plane, 1.0)
     sizes = []
     solve = CenteredBall.edge_coeffs
@@ -153,4 +155,18 @@ def test_ladder_solves_each_coefficient_ladder_on_n_slots(quad_plane, monkeypatc
     trace = iterate_involutes(plane, max_steps=3, tol=1e-300)
     assert all(c.ok for c in iterate.check_trace(trace, plane))
     assert len(trace.steps) == 4
-    assert sizes == [n] * (1 + (2 if exact else 4) * 3)
+    assert sizes == [n] * (1 + 2 * 3)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_trace_takes_each_stored_shoelace_once(quad_plane, monkeypatch, exact):
+    # iterate_involutes and check_trace together take one shoelace of each
+    # stored polygon, M(0..K) and N(0..K): 2K + 2 for K steps
+    plane = quad_plane if exact else float_copy(quad_plane, 1.0)
+    seen = []
+    shoelace = iterate.signed_area_frame
+    monkeypatch.setattr(iterate, "signed_area_frame", lambda f: seen.append(f) or shoelace(f))
+    trace = iterate_involutes(plane, max_steps=3, tol=1e-300)
+    assert all(c.ok for c in iterate.check_trace(trace, plane))
+    stored = [frame_of(s, name) for s in trace.steps for name in "MN"]
+    assert len(seen) == 2 * 3 + 2 and list(map(id, seen)) == list(map(id, stored))
